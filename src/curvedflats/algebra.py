@@ -263,11 +263,7 @@ def is_cartan(basis, spec, tol=1e-9):
 
     if not is_abelian(basis, tol):
         return False
-
-    n = spec.dim
-    vecs = np.stack([e.matrix.ravel() for e in basis])
-    sv = np.linalg.svd(vecs, compute_uv=False)
-    span_dim = int(np.sum(sv > sv[0] * 1e-9)) if sv[0] > 0 else 0
+    span_dim = span_rank(basis)
     if span_dim != spec.rank:
         return False
 
@@ -285,17 +281,26 @@ def is_cartan(basis, spec, tol=1e-9):
     commutant_dim = len(p_basis) - int(np.sum(s > cutoff))
     if commutant_dim != spec.rank:
         return False
+    return bool(form_margin(basis, span_dim) > tol)
 
-    # Nondegeneracy of the invariant form on the span, at unit scale.
-    q, _ = np.linalg.qr(vecs.T[:, :])
-    q = q[:, :span_dim]
+
+def span_rank(elems):
+    """Dimension of span(elems): singular values above 1e-9 of the largest."""
+    sv = np.linalg.svd(np.stack([e.matrix.ravel() for e in elems]), compute_uv=False)
+    return int(np.sum(sv > sv[0] * 1e-9)) if sv[0] > 0 else 0
+
+
+def form_margin(elems, span_dim):
+    """Smallest |eigenvalue| of the invariant form's Gram matrix on an
+    orthonormal basis of the ``span_dim``-dimensional span(elems)."""
+    n = elems[0].space.dim
+    q, _ = np.linalg.qr(np.stack([e.matrix.ravel() for e in elems]).T)
     ortho = [q[:, i].reshape(n, n) for i in range(span_dim)]
     gram = np.empty((span_dim, span_dim))
     for i in range(span_dim):
         for j in range(span_dim):
             gram[i, j] = -0.5 * np.trace(ortho[i] @ ortho[j])
-    eig = np.linalg.eigvalsh(gram)
-    return bool(np.min(np.abs(eig)) > tol)
+    return float(np.min(np.abs(np.linalg.eigvalsh(gram))))
 
 
 def expm(m):

@@ -8,6 +8,7 @@ Exit codes: 0 all residuals within tolerance, 1 tolerance failure,
 import argparse
 import hashlib
 import json
+import numbers
 import sys
 from pathlib import Path
 
@@ -23,8 +24,16 @@ from .errors import (
     SeedingError,
     StructuralError,
 )
-from .frame import abelian_residual, connection_from_state, integrate_frame, mc_residual
+from .frame import (
+    FrameField,
+    abelian_residual,
+    connection_from_state,
+    integrate_frame,
+    max_group_drift,
+    mc_residual,
+)
 from .geometry import (
+    admissible_span,
     curve_diagnostics,
     developing_map,
     gauge_from_h,
@@ -82,6 +91,16 @@ def default_config():
     }
 
 
+def _integral(key, value, least):
+    """``value`` as an int >= ``least``; ConfigError for anything else."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral)
+        or isinstance(value, float) and value.is_integer()
+    ) or value < least:
+        raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 class RunConfig:
     """Validated run configuration (strict keys, see default_config)."""
 
@@ -94,6 +113,9 @@ class RunConfig:
         merged = default_config()
         merged.update(raw)
         self.raw = dict(merged)
+        for key in ("powers", "extents", "nodes", "mu_samples"):
+            if not isinstance(merged[key], (list, tuple)):
+                raise ConfigError(f"{key} must be a list, got {merged[key]!r}")
 
         self.preset = merged.get("preset")
         if self.preset is not None:
@@ -108,25 +130,29 @@ class RunConfig:
                 space, tuple(merged["split"]), int(merged["rank"])
             )
 
-        self.d = int(merged["d"])
-        self.powers = [int(p) for p in merged["powers"]]
+        self.d = _integral("d", merged["d"], 1)
+        self.powers = [_integral("powers", r, 1) for r in merged["powers"]]
         self.family = FlowFamily(self.powers, self.d)
 
         extents = merged["extents"]
-        nodes = merged["nodes"]
+        nodes = [_integral("nodes", v, 2) for v in merged["nodes"]]
         if len(extents) != len(self.powers) or len(nodes) != len(self.powers):
             raise ConfigError("extents/nodes length must match the number of flows")
         self.grid = GridSpec(extents, nodes)
+        # Curvature residuals differentiate every axis of a 2D grid, and the
+        # gauge differentiates H along every axis whenever it runs.
+        if (self.grid.dims >= 2 or self.spec.k_block_definite()) and min(nodes) < 3:
+            raise ConfigError(f"differentiated axes need >= 3 nodes: {nodes}")
 
-        self.substeps = int(merged["substeps"])
-        if self.substeps < 1:
-            raise ConfigError("substeps must be >= 1")
+        self.substeps = _integral("substeps", merged["substeps"], 1)
 
         self.mu_samples = [float(v) for v in merged["mu_samples"]]
         if not self.mu_samples or any(v == 0.0 for v in self.mu_samples):
             raise ConfigError("mu_samples must be nonempty and nonzero")
 
         self.seed = merged.get("seed")
+        if self.seed is not None:
+            self.seed = _integral("seed", self.seed, 0)
         self.xi0 = merged.get("xi0")
         if self.xi0 is None and self.seed is None:
             raise ConfigError("either a seed or explicit xi0 coefficients required")
@@ -150,7 +176,9 @@ class RunConfig:
             c < 0 or c >= self.spec.dim for c in self.obj_coords
         ):
             raise ConfigError(f"obj_coords out of range: {self.obj_coords}")
-        self.commutativity_steps = int(merged.get("commutativity_steps", 32))
+        self.commutativity_steps = _integral(
+            "commutativity_steps", merged["commutativity_steps"], 1
+        )
 
     def hash(self):
         blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -161,8 +189,9 @@ def seed_initial_state(config):
     """Draw an admissible seed state (or validate an explicit one).
 
     Rejection sampling accepts a candidate when the p-parts of its
-    connection at the origin span a Cartan subspace; with generic seeds the
-    first draw almost always passes.  Returns (state, attempts).
+    connection at the origin pass the gauge's ``admissible_span`` test; with
+    generic seeds the first draw almost always passes.  Returns
+    (state, attempts).
     """
     spec = config.spec
     n, d = spec.dim, config.d
@@ -175,7 +204,7 @@ def seed_initial_state(config):
         state = LaxState(stack, spec)  # validates the twist condition
         return state, 0
 
-    rng = np.random.default_rng(int(config.seed))
+    rng = np.random.default_rng(config.seed)
     for attempt in range(1, MAX_SEED_ATTEMPTS + 1):
         stack = np.empty((d + 1, n, n))
         for k in range(d + 1):
@@ -195,7 +224,7 @@ def seed_initial_state(config):
                     )
                     for r in config.powers
                 ]
-                if algebra.is_cartan(span, spec, tol=1e-9):
+                if admissible_span(span, spec, 1e-9):
                     return state, attempt
             except StructuralError:
                 pass
@@ -462,17 +491,10 @@ def verify_command(out_dir):
     if mus != config.mu_samples:
         raise MissingArtifactError("stored mu samples disagree with config")
 
-    class _Loaded:
-        def __init__(self, mu, f):
-            self.mu = mu
-            self.frames = f
-            self.max_drift = max(
-                in_group_residual(f[index], config.spec.space)
-                for index in np.ndindex(*config.grid.nodes)
-            )
-
     frames_by_mu = {
-        mu: _Loaded(mu, frames[i]) for i, mu in enumerate(config.mu_samples)
+        mu: FrameField(mu, f, config.grid, config.spec,
+                       max_group_drift(f, config.spec.space))
+        for mu, f in zip(config.mu_samples, frames)
     }
     report = build_report(states, frames_by_mu, h_field, config)
     report["verified_against"] = stored.get("config_hash")

@@ -7,8 +7,6 @@ exponential (order 2), re-orthonormalizing in the J-inner product after
 every step to stay in O(J).
 """
 
-import itertools
-
 import numpy as np
 
 from .algebra import expm, in_group_residual
@@ -194,43 +192,36 @@ def j_orthonormalize(g, space, pivot_tol=1e-10):
     return out
 
 
+def max_group_drift(frames, space):
+    """Worst in_group_residual over a stack of frames (*nodes, n, n)."""
+    return max(
+        in_group_residual(frames[index], space)
+        for index in np.ndindex(*frames.shape[:-2])
+    )
+
+
 def integrate_frame(conn, mu0, grid, axis_priority=None):
     """Integrate F^-1 dF = A^mu0 over the grid with F(origin) = I.
 
     Each edge applies exp(h * Abar) with Abar the average of the edge's
     endpoint values (midpoint exponential, order 2), followed by
-    re-J-orthonormalization.  The sweep matches the grid fill order; passing
-    ``axis_priority`` permutes which axis is treated as primary (used to
-    quantify path independence).
+    re-J-orthonormalization.  The edges are those of ``grid.sweep``, the
+    grid fill order; passing ``axis_priority`` permutes which axis is treated
+    as primary (used to quantify path independence).
     """
     spec = conn.spec
-    space = spec.space
     n = spec.dim
     a = conn.a_mu(mu0)
     h = grid.steps
     frames = np.zeros(grid.nodes + (n, n))
-    frames[(0,) * grid.dims] = np.eye(n)
-    priority = list(axis_priority) if axis_priority is not None else list(
-        range(grid.dims)
-    )
-    if sorted(priority) != list(range(grid.dims)):
-        raise StructuralError(f"invalid axis priority {axis_priority}")
-    max_drift = 0.0
-    order = [range(grid.nodes[ax]) for ax in priority]
-    for combo in itertools.product(*order):
-        index = [0] * grid.dims
-        for ax, i in zip(priority, combo):
-            index[ax] = i
-        index = tuple(index)
-        if all(i == 0 for i in index):
+    for index, prev, axis in grid.sweep(axis_priority):
+        if prev is None:
+            frames[index] = np.eye(n)
             continue
-        axis = priority[max(pos for pos, i in enumerate(combo) if i > 0)]
-        prev = list(index)
-        prev[axis] -= 1
-        prev = tuple(prev)
         abar = 0.5 * (a[prev + (axis,)] + a[index + (axis,)])
-        step = frames[prev] @ expm(h[axis] * abar)
-        step = j_orthonormalize(step, space)
-        frames[index] = step
-        max_drift = max(max_drift, in_group_residual(step, space))
-    return FrameField(mu0, frames, grid, spec, max_drift)
+        frames[index] = j_orthonormalize(
+            frames[prev] @ expm(h[axis] * abar), spec.space
+        )
+    return FrameField(
+        mu0, frames, grid, spec, max_group_drift(frames, spec.space)
+    )

@@ -10,11 +10,9 @@ induced metric, normal bundle, and second fundamental form are then checked
 against the space-form predictions.
 """
 
-import itertools
-
 import numpy as np
 
-from .algebra import AlgebraElement, is_abelian, is_cartan
+from .algebra import AlgebraElement, form_margin, is_abelian, is_cartan, span_rank
 from .errors import (
     DegenerateSpectrumError,
     GaugeContinuityError,
@@ -135,62 +133,41 @@ def _greedy_match(overlap):
 
 
 def _canonical_signs(columns):
-    """Flip each column so its largest-magnitude entry is positive."""
-    out = columns.copy()
-    for i in range(out.shape[1]):
-        lead = out[np.argmax(np.abs(out[:, i])), i]
-        if lead < 0:
-            out[:, i] = -out[:, i]
-    return out
+    """Per column the sign (+-1) making its largest-magnitude entry positive."""
+    lead = columns[np.argmax(np.abs(columns), axis=0), np.arange(columns.shape[1])]
+    return np.where(lead < 0, -1.0, 1.0)
 
 
-def _align_columns(prev, new, what):
-    """Permute and sign-flip ``new``'s columns to track ``prev``."""
+def _align_columns(prev, new, what, node, perm=None):
+    """Permute and sign-flip ``new``'s columns to track ``prev``; returns
+    (aligned, perm).  A given ``perm`` fixes the order and only signs are
+    matched."""
     if new.shape[1] == 0:
         return new, np.empty(0, dtype=int)
-    overlap = prev.T @ new
-    perm, vals = _greedy_match(overlap)
-    if np.min(np.abs(vals)) < 0.5:
+    if perm is None:
+        perm, vals = _greedy_match(prev.T @ new)
+    else:
+        vals = np.einsum("ij,ij->j", prev, new[:, perm])
+    worst = float(np.min(np.abs(vals)))
+    if worst < 0.5:
         raise GaugeContinuityError(
-            f"{what} columns rotated too far between neighboring nodes "
-            f"(overlap {np.min(np.abs(vals)):.3f})"
+            f"{what} columns rotated too far between neighboring nodes at "
+            f"node {node} (overlap {worst:.3f})"
         )
-    aligned = new[:, perm] * np.sign(vals)[None, :]
-    return aligned, perm
+    return new[:, perm] * np.sign(vals)[None, :], perm
 
 
-def _admissible_span(span, spec, k, tol):
-    """Gauge precondition on the tangent span.
+def admissible_span(span, spec, tol):
+    """Precondition shared by seeding and the gauge on a tangent span.
 
-    With as many flows as the rank this is the full Cartan test; with fewer
-    flows (a curve in a higher-rank space) it relaxes to: abelian, linearly
-    independent, nondegenerate trace form.
+    With at least as many flows as the rank this is the full Cartan test;
+    with fewer flows (a curve in a higher-rank space) it relaxes to: abelian,
+    linearly independent, nondegenerate trace form.
     """
-    if k == spec.rank:
+    k = len(span)
+    if k >= spec.rank:
         return is_cartan(span, spec, tol=tol)
-    if not is_abelian(span, tol):
-        return False
-    vecs = np.stack([e.matrix.ravel() for e in span])
-    sv = np.linalg.svd(vecs, compute_uv=False)
-    if sv[0] <= 0 or int(np.sum(sv > sv[0] * 1e-9)) != k:
-        return False
-    q, _ = np.linalg.qr(vecs.T)
-    n = spec.dim
-    ortho = [q[:, i].reshape(n, n) for i in range(k)]
-    gram = np.array([[-0.5 * np.trace(x @ y) for y in ortho] for x in ortho])
-    return bool(np.min(np.abs(np.linalg.eigvalsh(gram))) > tol)
-
-
-def _node_sweep(nodes):
-    """Lexicographic node order with the predecessor rule used everywhere."""
-    for index in itertools.product(*(range(nn) for nn in nodes)):
-        if all(i == 0 for i in index):
-            yield index, None, None
-            continue
-        axis = max(j for j, i in enumerate(index) if i > 0)
-        prev = list(index)
-        prev[axis] -= 1
-        yield index, tuple(prev), axis
+    return is_abelian(span, tol) and span_rank(span) == k and form_margin(span, k) > tol
 
 
 def gauge_to_normal_form(conn, spec, cartan_tol=1e-9, weights=None):
@@ -225,13 +202,13 @@ def gauge_to_normal_form(conn, spec, cartan_tol=1e-9, weights=None):
     p_sing = {}
     p_ker = {}
     q_field = {}
-    for index, prev, _axis in _node_sweep(grid.nodes):
+    for index, prev, _axis in grid.sweep():
         blocks = [conn.a1[index + (j,)][n1:, :n1] for j in range(k)]
         span = [
             AlgebraElement(conn.a1[index + (j,)], spec.space, tol=1e-9)
             for j in range(k)
         ]
-        if not _admissible_span(span, spec, k, cartan_tol):
+        if not admissible_span(span, spec, cartan_tol):
             raise NonCartanError(f"tangent span fails the Cartan test at {index}")
         c = sum(w * b for w, b in zip(weights, blocks))
         u, s, vt = np.linalg.svd(c, full_matrices=True)
@@ -241,32 +218,17 @@ def gauge_to_normal_form(conn, spec, cartan_tol=1e-9, weights=None):
                 f"singular values {s} too close or too small at node {index}"
             )
         v = vt.T
-        v_sing, v_ker = v[:, :m].copy(), v[:, m:].copy()
+        v_sing, v_ker = v[:, :m], v[:, m:]
         if prev is None:
             # Fix the global branch: flip (u_i, v_i) pairs together so each
             # right vector's leading entry is positive; kernel columns too.
-            for i in range(m):
-                if v_sing[np.argmax(np.abs(v_sing[:, i])), i] < 0:
-                    v_sing[:, i] = -v_sing[:, i]
-                    u[:, i] = -u[:, i]
-            v_ker = _canonical_signs(v_ker)
+            signs = _canonical_signs(v_sing)
+            v_sing, u = v_sing * signs, u * signs
+            v_ker = v_ker * _canonical_signs(v_ker)
         else:
-            overlap = p_sing[prev].T @ v_sing
-            perm, vals = _greedy_match(overlap)
-            if np.min(np.abs(vals)) < 0.5:
-                raise GaugeContinuityError(
-                    f"singular directions rotated too far at node {index}"
-                )
-            v_sing = v_sing[:, perm] * np.sign(vals)[None, :]
-            u = u[:, perm]
-            du = np.einsum("ij,ij->j", q_field[prev], u)
-            if np.min(np.abs(du)) < 0.5:
-                raise GaugeContinuityError(
-                    f"left singular directions rotated too far at node {index}"
-                )
-            u = u * np.sign(du)[None, :]
-            if kdim:
-                v_ker, _ = _align_columns(p_ker[prev], v_ker, "kernel")
+            v_sing, perm = _align_columns(p_sing[prev], v_sing, "singular", index)
+            u, _ = _align_columns(q_field[prev], u, "left singular", index, perm)
+            v_ker, _ = _align_columns(p_ker[prev], v_ker, "kernel", index)
         p_sing[index], p_ker[index], q_field[index] = v_sing, v_ker, u
         p_full = np.concatenate([v_ker, v_sing], axis=1)
         h = np.zeros((n, n))
@@ -343,7 +305,7 @@ def developing_map(gf, grid, closedness_tol=1e-4):
     m = gf.betas.shape[-1]
     steps = grid.steps
     psi = np.zeros(grid.nodes + (m,))
-    for index, prev, axis in _node_sweep(grid.nodes):
+    for index, prev, axis in grid.sweep():
         if prev is None:
             continue
         avg = 0.5 * (gf.betas[prev + (axis,)] + gf.betas[index + (axis,)])

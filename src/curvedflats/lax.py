@@ -1,9 +1,11 @@
 """Grid integration of the commuting Lax hierarchy.
 
 The state xi lives in the degree 0..d polynomial loops; each flow is the
-isospectral ODE dxi/dx_j = [xi, pi_+ Vt_{r_j}(xi)].  The grid is filled by a
-lexicographic sweep: flow 1 along the x1-axis from the seed, then flow 2
-along x2 from every x1-node, and so on.  Everything is deterministic.
+isospectral ODE dxi/dx_j = [xi, pi_+ Vt_{r_j}(xi)].  The Lax fill, the
+frame integration, the gauge continuation and the developing map all walk the
+one spanning tree of ``GridSpec.sweep``: flow 1 along the x1-axis from the
+seed, then flow 2 along x2 from every x1-node, and so on.  Everything is
+deterministic.
 """
 
 import itertools
@@ -42,6 +44,29 @@ class GridSpec:
 
     def coords(self, index):
         return tuple(i * h for i, h in zip(index, self.steps))
+
+    def sweep(self, axis_priority=None):
+        """Yield (index, prev, axis) for every node in lexicographic order
+        over the axes in ``axis_priority`` order (default 0, 1, ...).
+
+        The origin comes first with prev = axis = None; every other node is
+        one step along ``axis`` from ``prev``, where ``axis`` is its last
+        nonzero axis in priority order.
+        """
+        priority = list(range(self.dims) if axis_priority is None else axis_priority)
+        if sorted(priority) != list(range(self.dims)):
+            raise StructuralError(f"invalid axis priority {axis_priority}")
+        for combo in itertools.product(*(range(self.nodes[ax]) for ax in priority)):
+            index = [0] * self.dims
+            for ax, i in zip(priority, combo):
+                index[ax] = i
+            moved = [ax for ax, i in zip(priority, combo) if i > 0]
+            if not moved:
+                yield tuple(index), None, None
+                continue
+            prev = list(index)
+            prev[moved[-1]] -= 1
+            yield tuple(index), tuple(prev), moved[-1]
 
     def refine(self):
         """Same extents with doubled resolution (N -> 2N - 1)."""
@@ -105,11 +130,7 @@ def integrate_flow(xi0, r, t, steps):
 
 
 def integrate_grid(xi0, family, grid, substeps=4):
-    """Fill the grid with the lexicographic sweep.
-
-    The predecessor of a node is found along its last nonzero axis, so the
-    x1-axis is filled first from the seed, then planes are swept upward.
-    """
+    """Fill the grid along ``grid.sweep()``, one RK4 edge per node."""
     if family.dims != grid.dims:
         raise StructuralError(
             f"family has {family.dims} flows but grid has {grid.dims} axes"
@@ -122,15 +143,12 @@ def integrate_grid(xi0, family, grid, substeps=4):
     states[(0,) * grid.dims] = xi0.stack
     norm0 = max(1.0, xi0.norm())
     steps = grid.steps
-    for index in itertools.product(*(range(nn) for nn in grid.nodes)):
-        if all(i == 0 for i in index):
+    for index, prev, axis in grid.sweep():
+        if prev is None:
             continue
-        axis = max(j for j, i in enumerate(index) if i > 0)
-        prev = list(index)
-        prev[axis] -= 1
         try:
             states[index] = _rk4(
-                states[tuple(prev)], family.powers[axis], d, steps[axis],
+                states[prev], family.powers[axis], d, steps[axis],
                 substeps, norm0,
             )
         except BlowUpError as err:

@@ -67,6 +67,44 @@ def test_config_validation_errors():
         RunConfig(small_config(outputs={"widgets": True}))
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"d": "x"},
+        {"nodes": [33, 2.9]},
+        {"nodes": [9, 2]},
+        {"powers": [1, 3.5]},
+        {"powers": 3},
+        {"substeps": "4"},
+        {"seed": 1.5},
+        {"seed": -1},
+        {"commutativity_steps": 0},
+    ],
+)
+def test_main_rejects_malformed_config_values(tmp_path, override):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(small_config(**override)))
+    assert main(["run", str(cfg_path), "-o", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "powers,nodes,flags",
+    [([1], [33], []), ([1, 3, 5], [5, 5, 5], ["non-immersive"])],
+)
+def test_seeded_run_with_flow_count_other_than_rank(tmp_path, powers, nodes, flags):
+    # Seeding accepts the gauge's span test: one flow on a rank-2 space
+    # traces a curve; three flows span the Cartan subspace but cannot
+    # immerse a 3-dimensional grid into the 2-dimensional flat.
+    cfg = {"preset": "sphere-grassmannian", "seed": 7, "powers": powers,
+           "extents": [0.4] * len(nodes), "nodes": nodes,
+           "commutativity_steps": 4}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg_path), "-o", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["flags"] == flags
+
+
 def test_config_explicit_spec():
     cfg = small_config()
     cfg.update({"preset": None, "signature": [5, 0], "split": [3, 2], "rank": 2})

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,25 @@ def test_grid_spec_validation():
         GridSpec([0.0, 0.4], [33, 33])
     with pytest.raises(StructuralError):
         GridSpec([0.4, 0.4], [1, 33])
+
+
+@pytest.mark.parametrize("priority", list(itertools.permutations(range(3))))
+def test_sweep_visits_every_node_once_after_its_predecessor(priority):
+    grid = GridSpec([1.0, 1.0, 1.0], [4, 3, 2])
+    visits = list(grid.sweep(priority))
+    assert visits[0] == ((0, 0, 0), None, None)
+    seen = set()
+    for index, prev, axis in visits:
+        assert index not in seen
+        if prev is not None:
+            assert prev in seen
+            step = [0, 0, 0]
+            step[axis] = 1
+            assert tuple(p + s for p, s in zip(prev, step)) == index
+        seen.add(index)
+    assert seen == set(np.ndindex(4, 3, 2))
+    with pytest.raises(StructuralError):
+        next(GridSpec([1.0, 1.0], [3, 3]).sweep((0, 0)))
 
 
 def test_integrate_flow_stationary_and_zero_time():

@@ -6,6 +6,7 @@ from curvedflats.loops import (
     LaxState,
     LoopElement,
     flow_field,
+    flow_rhs,
     loop_mul,
     project_minus,
     project_plus,
@@ -226,6 +227,18 @@ def test_flow_field_tangency_and_twist():
             out = flow_field(xi, r)
             assert out.stack.shape[0] == 4
             assert twist_residual(out.stack, 0, SPEC) < 1e-11
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("r", [1, 3, 5])
+def test_flow_rhs_matches_flow_field(d, r):
+    # flow_rhs is the pipeline's flow; the loop-object layer is its reference.
+    rng = np.random.default_rng(100 * d + r)
+    for _ in range(3):
+        xi = random_lax_state(d=d, rng=rng)
+        expected = flow_field(xi, r).stack
+        scale = max(1.0, float(np.max(np.abs(xi.stack)))) ** (r + 1)
+        assert np.max(np.abs(flow_rhs(xi.stack, r, d) - expected)) < 1e-13 * scale
 
 
 def test_spectral_invariants_values():
