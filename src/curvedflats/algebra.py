@@ -133,9 +133,11 @@ class SymmetricSpaceSpec:
 
 
 def membership_residual(m, space):
-    """max-norm of X^T J + J X; zero iff X is in so(J)."""
+    """max-norm of X^T J + J X over a stack (..., n, n); zero iff every X is
+    in so(J)."""
     j = space.j_diag
-    return float(np.max(np.abs(m.T * j[None, :] + j[:, None] * m)))
+    res = np.swapaxes(m, -1, -2) * j + j[:, None] * m
+    return float(np.max(np.abs(res), initial=0.0))
 
 
 class AlgebraElement:
@@ -333,9 +335,11 @@ def group_exp(x, t=1.0):
 
 
 def in_group_residual(g, space):
-    """Drift monitor: ||G^T J G - J||_max."""
-    g = _as_matrix(g)
-    if g.shape[0] != space.dim:
-        raise StructuralError("matrix dim does not match space")
+    """Drift monitor: ||G^T J G - J||_max over a stack (..., n, n), e.g. a
+    whole frame or gauge field in one call."""
+    g = np.asarray(g, dtype=float)
+    if g.ndim < 2 or g.shape[-2:] != (space.dim, space.dim):
+        raise StructuralError(f"expected (..., {space.dim}, {space.dim}), got {g.shape}")
     j = space.j_diag
-    return float(np.max(np.abs(g.T @ (j[:, None] * g) - np.diag(j))))
+    res = np.swapaxes(g, -1, -2) @ (j[:, None] * g) - np.diag(j)
+    return float(np.max(np.abs(res)))

@@ -29,7 +29,6 @@ from .frame import (
     abelian_residual,
     connection_from_state,
     integrate_frame,
-    max_group_drift,
     mc_residual,
 )
 from .geometry import (
@@ -101,6 +100,20 @@ def _integral(key, value, least):
     return int(value)
 
 
+def _integers(key, value, count, least):
+    """``value`` as a list of ``count`` ints >= ``least``."""
+    if not isinstance(value, (list, tuple)) or len(value) != count:
+        raise ConfigError(f"{key} must be a list of {count} integers, got {value!r}")
+    return [_integral(key, v, least) for v in value]
+
+
+def _real(key, value):
+    """``value`` as a float; ConfigError for a non-number or NaN."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or np.isnan(value):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 class RunConfig:
     """Validated run configuration (strict keys, see default_config)."""
 
@@ -116,25 +129,31 @@ class RunConfig:
         for key in ("powers", "extents", "nodes", "mu_samples"):
             if not isinstance(merged[key], (list, tuple)):
                 raise ConfigError(f"{key} must be a list, got {merged[key]!r}")
+        for key in ("outputs", "tolerances"):
+            if not isinstance(merged.get(key) or {}, dict):
+                raise ConfigError(f"{key} must be an object, got {merged[key]!r}")
 
         self.preset = merged.get("preset")
         if self.preset is not None:
-            self.spec = make_preset(self.preset, merged.get("m"), merged.get("n"))
+            sizes = {k: _integral(k, merged[k], 0)
+                     for k in ("m", "n") if merged.get(k) is not None}
+            self.spec = make_preset(self.preset, **sizes)
         else:
             for key in ("signature", "split", "rank"):
                 if key not in merged or merged[key] is None:
                     raise ConfigError(f"explicit spec requires {key!r}")
-            pos, neg = merged["signature"]
-            space = BilinearSpace(int(pos), int(neg))
+            pos, neg = _integers("signature", merged["signature"], 2, 0)
             self.spec = SymmetricSpaceSpec(
-                space, tuple(merged["split"]), int(merged["rank"])
+                BilinearSpace(pos, neg),
+                _integers("split", merged["split"], 2, 1),
+                _integral("rank", merged["rank"], 1),
             )
 
         self.d = _integral("d", merged["d"], 1)
         self.powers = [_integral("powers", r, 1) for r in merged["powers"]]
         self.family = FlowFamily(self.powers, self.d)
 
-        extents = merged["extents"]
+        extents = [_real("extents", v) for v in merged["extents"]]
         nodes = [_integral("nodes", v, 2) for v in merged["nodes"]]
         if len(extents) != len(self.powers) or len(nodes) != len(self.powers):
             raise ConfigError("extents/nodes length must match the number of flows")
@@ -146,7 +165,7 @@ class RunConfig:
 
         self.substeps = _integral("substeps", merged["substeps"], 1)
 
-        self.mu_samples = [float(v) for v in merged["mu_samples"]]
+        self.mu_samples = [_real("mu_samples", v) for v in merged["mu_samples"]]
         if not self.mu_samples or any(v == 0.0 for v in self.mu_samples):
             raise ConfigError("mu_samples must be nonempty and nonzero")
 
@@ -161,20 +180,22 @@ class RunConfig:
         bad = set(outputs) - _KNOWN_OUTPUTS
         if bad:
             raise ConfigError(f"unknown output flags: {sorted(bad)}")
-        self.outputs = {k: bool(outputs.get(k, True)) for k in _KNOWN_OUTPUTS}
+        if not all(isinstance(v, bool) for v in outputs.values()):
+            raise ConfigError(f"output flags must be true or false: {outputs}")
+        self.outputs = {k: outputs.get(k, True) for k in _KNOWN_OUTPUTS}
 
         tol = dict(DEFAULT_TOLERANCES)
         overrides = merged.get("tolerances") or {}
         bad = set(overrides) - set(DEFAULT_TOLERANCES)
         if bad:
             raise ConfigError(f"unknown tolerance keys: {sorted(bad)}")
-        tol.update({k: float(v) for k, v in overrides.items()})
+        tol.update({k: _real(f"tolerances.{k}", v) for k, v in overrides.items()})
         self.tolerances = tol
 
-        self.obj_coords = tuple(merged.get("obj_coords") or (0, 1, 2))
-        if len(self.obj_coords) != 3 or any(
-            c < 0 or c >= self.spec.dim for c in self.obj_coords
-        ):
+        self.obj_coords = tuple(
+            _integers("obj_coords", merged.get("obj_coords") or [0, 1, 2], 3, 0)
+        )
+        if any(c >= self.spec.dim for c in self.obj_coords):
             raise ConfigError(f"obj_coords out of range: {self.obj_coords}")
         self.commutativity_steps = _integral(
             "commutativity_steps", merged["commutativity_steps"], 1
@@ -196,7 +217,10 @@ def seed_initial_state(config):
     spec = config.spec
     n, d = spec.dim, config.d
     if config.xi0 is not None:
-        stack = np.asarray(config.xi0, dtype=float)
+        try:
+            stack = np.asarray(config.xi0, dtype=float)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"xi0 must be an array of numbers: {err}") from err
         if stack.shape != (d + 1, n, n):
             raise ConfigError(
                 f"xi0 must have shape ({d + 1}, {n}, {n}), got {stack.shape}"
@@ -284,10 +308,7 @@ def build_report(states, frames_by_mu, h_field, config):
     drift = {f"{mu:g}": frames_by_mu[mu].max_drift for mu in config.mu_samples}
     residuals["group_drift"] = drift
     gate("group_drift_max", max(drift.values()), "group_drift")
-    h_drift = max(
-        in_group_residual(h_field[index], spec.space)
-        for index in np.ndindex(*grid.nodes)
-    )
+    h_drift = in_group_residual(h_field, spec.space)
     gate("gauge_drift", h_drift, "group_drift")
 
     geometry = {"status": "ok", "per_mu": {}}
@@ -376,53 +397,44 @@ def build_report(states, frames_by_mu, h_field, config):
     return report
 
 
-def _fmt(value):
-    return f"{value:.17g}"
-
-
 def write_phi_csv(path, config, phis_by_mu):
+    """One row per (mu, node), nodes in C order: coordinates, mu, phi."""
     grid, n = config.grid, config.spec.dim
     header = (
         [f"x{i + 1}" for i in range(grid.dims)]
         + ["mu"]
         + [f"phi_{i + 1}" for i in range(n)]
     )
-    lines = [",".join(header)]
-    for mu in config.mu_samples:
-        phi = phis_by_mu[mu]
-        for index in np.ndindex(*grid.nodes):
-            coords = grid.coords(index)
-            row = [_fmt(c) for c in coords] + [_fmt(mu)] + [
-                _fmt(v) for v in phi[index]
-            ]
-            lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    coords = np.indices(grid.nodes).reshape(grid.dims, -1).T * grid.steps
+    rows = [
+        np.column_stack(
+            [coords, np.full(len(coords), mu), phis_by_mu[mu].reshape(-1, n)]
+        )
+        for mu in config.mu_samples
+    ]
+    np.savetxt(path, np.concatenate(rows), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
 
 
 def write_obj(path, config, phi, mu):
+    """Vertices phi[obj_coords] per node in C order; two triangles per cell."""
     grid = config.grid
     if grid.dims != 2:
         return
     n0, n1 = grid.nodes
-    cx, cy, cz = config.obj_coords
-    lines = [
+    header = "\n".join([
         "# curved-flat reconstruction mesh",
         f"# config sha256: {config.hash()}",
-        f"# mu: {_fmt(mu)}",
-    ]
-    for index in np.ndindex(*grid.nodes):
-        p = phi[index]
-        lines.append(f"v {_fmt(p[cx])} {_fmt(p[cy])} {_fmt(p[cz])}")
-
-    def vid(i, j):
-        return i * n1 + j + 1
-
-    for i in range(n0 - 1):
-        for j in range(n1 - 1):
-            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
-    path.write_text("\n".join(lines) + "\n")
+        f"# mu: {mu:.17g}",
+    ])
+    vid = np.arange(n0 * n1).reshape(n0, n1) + 1
+    a, b = vid[:-1, :-1].ravel(), vid[1:, :-1].ravel()
+    c, d = vid[1:, 1:].ravel(), vid[:-1, 1:].ravel()
+    faces = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    with open(path, "w") as fh:
+        np.savetxt(fh, phi.reshape(-1, phi.shape[-1])[:, list(config.obj_coords)],
+                   fmt="v %.17g %.17g %.17g", header=header, comments="")
+        np.savetxt(fh, faces, fmt="f %d %d %d")
 
 
 def run_pipeline(config, out_dir):
@@ -473,15 +485,23 @@ def run_pipeline(config, out_dir):
 
 
 def verify_command(out_dir):
-    """Recompute all residuals from stored artifacts; idempotent."""
-    out_dir = Path(out_dir)
-    for name in ("config.json", "report.json", "arrays.npz"):
-        if not (out_dir / name).exists():
-            raise MissingArtifactError(f"missing artifact: {out_dir / name}")
+    """Recompute all residuals from stored artifacts; idempotent.
+
+    A run whose config says ``outputs.report: false`` wrote no report.json;
+    its residuals are recomputed and gated with ``verified_against: null``.
+    """
+    def artifact(name):
+        path = Path(out_dir) / name
+        if not path.exists():
+            raise MissingArtifactError(f"missing artifact: {path}")
+        return path
+
     try:
-        config = RunConfig(json.loads((out_dir / "config.json").read_text()))
-        stored = json.loads((out_dir / "report.json").read_text())
-        arrays = np.load(out_dir / "arrays.npz")
+        config = RunConfig(json.loads(artifact("config.json").read_text()))
+        stored = None
+        if config.outputs["report"]:
+            stored = json.loads(artifact("report.json").read_text())
+        arrays = np.load(artifact("arrays.npz"))
         states = arrays["states"]
         frames = arrays["frames"]
         h_field = arrays["gauge_h"]
@@ -493,13 +513,13 @@ def verify_command(out_dir):
 
     frames_by_mu = {
         mu: FrameField(mu, f, config.grid, config.spec,
-                       max_group_drift(f, config.spec.space))
+                       in_group_residual(f, config.spec.space))
         for mu, f in zip(config.mu_samples, frames)
     }
     report = build_report(states, frames_by_mu, h_field, config)
-    report["verified_against"] = stored.get("config_hash")
-    ok = report["pass"] and stored.get("config_hash") == report["config_hash"]
-    return report, 0 if ok else 1
+    report["verified_against"] = None if stored is None else stored.get("config_hash")
+    matches = stored is None or report["verified_against"] == report["config_hash"]
+    return report, 0 if report["pass"] and matches else 1
 
 
 def _cmd_run(args):

@@ -1,10 +1,11 @@
 """Flat connection family and frame integration.
 
-From a grid of Lax states the 1-form A^mu = A0 + mu A1 is read off per
-coordinate direction as the degree-0/1 part of pi_+ Vt_r(xi).  The frame
-equation F^-1 dF = A^mu is integrated edge by edge with a midpoint
-exponential (order 2), re-orthonormalizing in the J-inner product after
-every step to stay in O(J).
+The 1-form A^mu = A0 + mu A1 is read off per coordinate direction as the
+degree-0/1 part of pi_+ Vt_r(xi), for the whole grid in one call of the kernel
+the flows share, and its k/p split is checked over the whole grid at once.
+The frame equation F^-1 dF = A^mu is integrated edge by edge along the sweep
+with a midpoint exponential (order 2), re-orthonormalizing in the J-inner
+product after every step; the group drift is one scan of the whole field.
 """
 
 import numpy as np
@@ -19,6 +20,8 @@ from .loops import connection_coefficients
 
 # Residual bound for the connection extraction contract.
 CONNECTION_TOL = 1e-10
+# Smallest |<v, v>_J| accepted as a Gram-Schmidt pivot.
+PIVOT_TOL = 1e-10
 
 
 class ConnectionForm:
@@ -65,28 +68,24 @@ def connection_from_state(sol):
     The degree-0 coefficient must land in k and the degree-1 coefficient in
     p; a violation signals a broken flow and raises.
     """
-    grid, spec, d = sol.grid, sol.spec, sol.d
-    n = spec.dim
-    k = grid.dims
-    a0 = np.empty(grid.nodes + (k, n, n))
-    a1 = np.empty(grid.nodes + (k, n, n))
-    for index in np.ndindex(*grid.nodes):
-        stack = sol.states[index]
-        scale = max(1.0, float(np.max(np.abs(stack))))
-        for j, r in enumerate(sol.family.powers):
-            c0, c1 = connection_coefficients(stack, r, d)
-            bad = max(
-                float(np.max(np.abs(spec.p_project(c0)))),
-                float(np.max(np.abs(spec.k_project(c1)))),
-            )
-            if bad > CONNECTION_TOL * scale ** max(r, 1):
-                raise InternalConsistencyError(
-                    f"connection coefficients off the k/p split at node {index},"
-                    f" flow r={r}: residual {bad:.3e}"
-                )
-            a0[index + (j,)] = c0
-            a1[index + (j,)] = c1
-    return ConnectionForm(a0, a1, grid, spec)
+    spec, powers = sol.spec, sol.family.powers
+    pairs = [connection_coefficients(sol.states, r, sol.d) for r in powers]
+    a0, a1 = (np.stack(part, axis=-3) for part in zip(*pairs))  # (*nodes, k, n, n)
+    bad = np.maximum(
+        np.max(np.abs(spec.p_project(a0)), axis=(-2, -1)),
+        np.max(np.abs(spec.k_project(a1)), axis=(-2, -1)),
+    )
+    scale = np.maximum(1.0, np.max(np.abs(sol.states), axis=(-3, -2, -1)))
+    limit = CONNECTION_TOL * scale[..., None] ** np.array(powers)  # powers >= 1
+    failing = np.argwhere(bad > limit)
+    if failing.size:
+        # argwhere is in C order: the first failing node, then its first flow.
+        *index, j = (int(i) for i in failing[0])
+        raise InternalConsistencyError(
+            f"connection coefficients off the k/p split at node {tuple(index)},"
+            f" flow r={powers[j]}: residual {bad[tuple(failing[0])]:.3e}"
+        )
+    return ConnectionForm(a0, a1, sol.grid, spec)
 
 
 def grid_derivative(field, axis, h):
@@ -157,7 +156,7 @@ def abelian_residual(conn):
     return worst
 
 
-def j_orthonormalize(g, space, pivot_tol=1e-10):
+def j_orthonormalize(g, space):
     """Gram-Schmidt in the J-inner product with column pivoting on |<v,v>_J|.
 
     For definite J this is classical Gram-Schmidt; the pivot order guards
@@ -173,9 +172,9 @@ def j_orthonormalize(g, space, pivot_tol=1e-10):
         quads = [cols[:, i] @ (j * cols[:, i]) for i in remaining]
         pick = int(np.argmax([abs(q) for q in quads]))
         q = quads[pick]
-        if abs(q) < pivot_tol:
+        if abs(q) < PIVOT_TOL:
             raise DegenerateFrameError(
-                f"orthonormalization pivot {abs(q):.3e} below {pivot_tol:.1e}"
+                f"orthonormalization pivot {abs(q):.3e} below {PIVOT_TOL:.1e}"
             )
         i = remaining.pop(pick)
         sign = 1.0 if q > 0 else -1.0
@@ -190,14 +189,6 @@ def j_orthonormalize(g, space, pivot_tol=1e-10):
                 f"column {i} acquired the wrong causal character"
             )
     return out
-
-
-def max_group_drift(frames, space):
-    """Worst in_group_residual over a stack of frames (*nodes, n, n)."""
-    return max(
-        in_group_residual(frames[index], space)
-        for index in np.ndindex(*frames.shape[:-2])
-    )
 
 
 def integrate_frame(conn, mu0, grid, axis_priority=None):
@@ -222,6 +213,4 @@ def integrate_frame(conn, mu0, grid, axis_priority=None):
         frames[index] = j_orthonormalize(
             frames[prev] @ expm(h[axis] * abar), spec.space
         )
-    return FrameField(
-        mu0, frames, grid, spec, max_group_drift(frames, spec.space)
-    )
+    return FrameField(mu0, frames, grid, spec, in_group_residual(frames, spec.space))

@@ -25,6 +25,11 @@ from .frame import grid_derivative
 
 GAUGE_SPAN_TOL = 1e-7
 SINGULAR_SEP_TOL = 1e-8
+# Span test of the gauge: so(J) membership and Cartan/admissibility tolerance.
+CARTAN_TOL = 1e-9
+# Induced metric counts as degenerate below this fraction of its largest
+# eigenvalue.
+DEGENERACY_RATIO = 1e-6
 
 
 class GaugeField:
@@ -170,12 +175,12 @@ def admissible_span(span, spec, tol):
     return is_abelian(span, tol) and span_rank(span) == k and form_margin(span, k) > tol
 
 
-def gauge_to_normal_form(conn, spec, cartan_tol=1e-9, weights=None):
+def gauge_to_normal_form(conn, spec):
     """Build the gauge H conjugating every A1_j into normal form.
 
     At each node the commuting off-blocks B_j are simultaneously diagonalized
     through the SVD of a fixed generic combination C = sum_j w_j B_j
-    (default w_j = 1/(j + sqrt 2)); genericity separates the singular values,
+    (w_j = 1/(j + sqrt 2)); genericity separates the singular values,
     and equal or vanishing ones are an error rather than a silent branch
     choice.  Signs and column order continue from the already-gauged
     neighbor; the origin fixes the global branch.
@@ -194,9 +199,7 @@ def gauge_to_normal_form(conn, spec, cartan_tol=1e-9, weights=None):
         )
     k = conn.dims
     m = n2
-    kdim = n1 - n2
-    if weights is None:
-        weights = np.array([1.0 / (j + np.sqrt(2.0)) for j in range(1, k + 1)])
+    weights = np.array([1.0 / (j + np.sqrt(2.0)) for j in range(1, k + 1)])
 
     h_field = np.empty(grid.nodes + (n, n))
     p_sing = {}
@@ -205,10 +208,10 @@ def gauge_to_normal_form(conn, spec, cartan_tol=1e-9, weights=None):
     for index, prev, _axis in grid.sweep():
         blocks = [conn.a1[index + (j,)][n1:, :n1] for j in range(k)]
         span = [
-            AlgebraElement(conn.a1[index + (j,)], spec.space, tol=1e-9)
+            AlgebraElement(conn.a1[index + (j,)], spec.space, tol=CARTAN_TOL)
             for j in range(k)
         ]
-        if not admissible_span(span, spec, cartan_tol):
+        if not admissible_span(span, spec, CARTAN_TOL):
             raise NonCartanError(f"tangent span fails the Cartan test at {index}")
         c = sum(w * b for w, b in zip(weights, blocks))
         u, s, vt = np.linalg.svd(c, full_matrices=True)
@@ -247,34 +250,20 @@ def gauge_from_h(conn, h_field, spec):
     given H, so stored gauges reproduce identical residuals on reverify.
     """
     grid = conn.grid
-    k = conn.dims
     n1, n2 = spec.n1, spec.n2
-    kdim = n1 - n2
+    diag = (np.arange(n2), n1 - n2 + np.arange(n2))
     j_diag = spec.space.j_diag
-    a0_t = np.empty_like(conn.a0)
-    a1_t = np.empty_like(conn.a1)
-    betas = np.empty(grid.nodes + (k, n2))
-    max_off = 0.0
-    h_inv = np.swapaxes(h_field, -1, -2)
-    steps = grid.steps
-    dh_terms = [
-        grid_derivative(h_field, axis, steps[axis]) @ h_inv
-        for axis in range(k)
-    ]
-    for index in np.ndindex(*grid.nodes):
-        h = h_field[index]
-        hi = h.T
-        for j in range(k):
-            a1g = h @ conn.a1[index + (j,)] @ hi
-            a1_t[index + (j,)] = a1g
-            b = a1g[n1:, :n1]
-            betas[index + (j,)] = b[np.arange(n2), kdim + np.arange(n2)]
-            off = b.copy()
-            off[np.arange(n2), kdim + np.arange(n2)] = 0.0
-            max_off = max(max_off, float(np.max(np.abs(off))))
-            dh = dh_terms[j][index]
-            dh = 0.5 * (dh - j_diag[:, None] * dh.T * j_diag[None, :])
-            a0_t[index + (j,)] = h @ conn.a0[index + (j,)] @ hi - dh
+    h_t = np.swapaxes(h_field, -1, -2)
+    dh = np.stack([grid_derivative(h_field, axis, step) @ h_t
+                   for axis, step in enumerate(grid.steps)], axis=-3)
+    h, h_inv = h_field[..., None, :, :], h_t[..., None, :, :]  # over directions
+    dh = 0.5 * (dh - j_diag[:, None] * np.swapaxes(dh, -1, -2) * j_diag[None, :])
+    a0_t = h @ conn.a0 @ h_inv - dh
+    a1_t = h @ conn.a1 @ h_inv
+    off = a1_t[..., n1:, :n1].copy()
+    betas = off[(...,) + diag]
+    off[(...,) + diag] = 0.0
+    max_off = float(np.max(np.abs(off)))
     return GaugeField(
         h_field, a0_t, a1_t, betas, _diagonal_basis(spec), grid, spec, max_off
     )
@@ -294,7 +283,7 @@ def _diagonal_basis(spec):
     return basis
 
 
-def developing_map(gf, grid, closedness_tol=1e-4):
+def developing_map(gf, grid, closedness_tol):
     """Integrate d psi = A1~ (trapezoid along the sweep) and report the
     closedness defect of the gauged p-part.
 
@@ -337,7 +326,7 @@ def developing_map(gf, grid, closedness_tol=1e-4):
     return DevelopingMap(psi, closedness, isometry, grid)
 
 
-def reconstruct_immersion(gf, frames, spec, degeneracy_ratio=1e-6):
+def reconstruct_immersion(gf, frames, spec):
     """Reconstruct phi as the first column of the gauged frame F~ = F H^-1.
 
     Verifies that phi stays on the unit quadric and that the gauged p-part
@@ -355,13 +344,9 @@ def reconstruct_immersion(gf, frames, spec, degeneracy_ratio=1e-6):
     phi = f_tilde[..., :, 0]
     unit = float(np.max(np.abs(np.einsum("...i,i,...i->...", phi, j, phi) - j[0])))
     kernel = 0.0
-    k = grid.dims
     if n1 - spec.n2 > 0:
-        for jdir in range(k):
-            kernel = max(
-                kernel,
-                float(np.max(np.linalg.norm(gf.a1[..., jdir, :, 0], axis=-1))),
-            )
+        kernel = float(np.max(np.linalg.norm(gf.a1[..., :, 0], axis=-1)))
+    k = grid.dims
     steps = grid.steps
     dphi = [grid_derivative(phi, axis, steps[axis]) for axis in range(k)]
     metric = np.empty(grid.nodes + (k, k))
@@ -373,7 +358,7 @@ def reconstruct_immersion(gf, frames, spec, degeneracy_ratio=1e-6):
     eig = np.linalg.eigvalsh(metric)
     largest = np.max(np.abs(eig), axis=-1)
     smallest = np.min(eig, axis=-1)
-    degenerate = (smallest < degeneracy_ratio * np.maximum(largest, 1e-300)) | (
+    degenerate = (smallest < DEGENERACY_RATIO * np.maximum(largest, 1e-300)) | (
         largest <= 0.0
     )
     if bool(np.all(degenerate)):

@@ -5,6 +5,9 @@ i.e. even-degree coefficients in k and odd-degree ones in p.  The splitting
 into nonnegative and negative degrees yields the projections pi_+/pi_- and
 the operator R = (pi_+ - pi_-)/2, which generates the commuting flows
 X_r(xi) = [xi, pi_+ Vt_r(xi)] with Vt_r(xi)(mu) = mu^(1-d*r) xi(mu)^r.
+The flows, the connection and the seed share one kernel for the two
+coefficients of pi_+ Vt_r, ``connection_coefficients``; ``tilde_v`` and
+``flow_field`` build the full Cauchy power and serve as the tests' reference.
 """
 
 import warnings
@@ -25,23 +28,23 @@ def stack_mul(a, b):
     return out
 
 
-def stack_power(a, r):
-    out = a
-    for _ in range(r - 1):
-        out = stack_mul(out, a)
-    return out
-
-
 def twist_residual(stack, lo, spec):
     """Violation of the twist condition: k-parity of coefficients plus
-    membership of each coefficient in g."""
-    res = 0.0
-    for i in range(stack.shape[0]):
-        coeff = stack[i]
-        wrong = spec.p_project(coeff) if (lo + i) % 2 == 0 else spec.k_project(coeff)
-        res = max(res, float(np.max(np.abs(wrong))))
-        res = max(res, membership_residual(coeff, spec.space))
-    return res
+    membership of each coefficient in g.  ``stack`` is (..., L, n, n) with
+    degree lo + i at position i of axis -3; leading axes (grid nodes) are
+    scanned in the same call."""
+    even = ((lo + np.arange(stack.shape[-3])) % 2 == 0)[:, None, None]
+    wrong = np.where(even, spec.p_project(stack), spec.k_project(stack))
+    res = float(np.max(np.abs(wrong), initial=0.0))
+    return max(res, membership_residual(stack, spec.space))
+
+
+def evaluate_stack(stack, lo, mu):
+    """sum_i mu^(lo+i) stack[..., i, :, :] for a stack (..., L, n, n)."""
+    lead, (length, n) = stack.shape[:-3], stack.shape[-3:-1]
+    powers = mu ** np.arange(lo, lo + length, dtype=float)
+    flat = stack.reshape(lead + (length, n * n))
+    return (powers @ flat).reshape(lead + (n, n))
 
 
 class LoopElement:
@@ -51,7 +54,7 @@ class LoopElement:
     untwisted products (loop_mul outputs, whose coefficients leave g).
     """
 
-    def __init__(self, stack, lo, spec, check="twisted", tol=EPS_ALGEBRA):
+    def __init__(self, stack, lo, spec, check="twisted"):
         stack = np.asarray(stack, dtype=float)
         n = spec.dim
         if stack.ndim != 3 or stack.shape[1:] != (n, n):
@@ -62,13 +65,13 @@ class LoopElement:
         if check == "twisted":
             scale = max(1.0, float(np.max(np.abs(stack)))) if stack.size else 1.0
             res = twist_residual(stack, self.lo, spec)
-            if res > tol * scale:
+            if res > EPS_ALGEBRA * scale:
                 raise StructuralError(
                     f"twist condition violated: residual {res:.3e}"
                 )
 
     @classmethod
-    def from_coeffs(cls, coeffs, spec, check="twisted", tol=EPS_ALGEBRA):
+    def from_coeffs(cls, coeffs, spec, check="twisted"):
         """Build from a {degree: matrix} mapping."""
         if not coeffs:
             raise StructuralError("empty coefficient mapping")
@@ -77,7 +80,7 @@ class LoopElement:
         stack = np.zeros((hi - lo + 1, n, n))
         for k, m in coeffs.items():
             stack[k - lo] = np.asarray(m, dtype=float)
-        return cls(stack, lo, spec, check=check, tol=tol)
+        return cls(stack, lo, spec, check=check)
 
     @property
     def hi(self):
@@ -89,8 +92,7 @@ class LoopElement:
         return np.zeros((self.spec.dim, self.spec.dim))
 
     def evaluate(self, mu):
-        powers = mu ** np.arange(self.lo, self.hi + 1, dtype=float)
-        return np.tensordot(powers, self.stack, axes=1)
+        return evaluate_stack(self.stack, self.lo, mu)
 
     def norm(self):
         return float(np.max(np.abs(self.stack))) if self.stack.size else 0.0
@@ -102,13 +104,12 @@ class LoopElement:
 class LaxState:
     """Polynomial loop of degrees 0..d (d odd), the state space of the flows."""
 
-    def __init__(self, stack, spec, check=True, tol=EPS_ALGEBRA):
+    def __init__(self, stack, spec, check=True):
         stack = np.asarray(stack, dtype=float)
         d = stack.shape[0] - 1
         if d < 1 or d % 2 == 0:
             raise StructuralError(f"degree d must be odd and positive, got {d}")
-        self.inner = LoopElement(stack, 0, spec, check="twisted" if check else "none",
-                                 tol=tol)
+        self.inner = LoopElement(stack, 0, spec, check="twisted" if check else "none")
         self.d = d
 
     @property
@@ -203,9 +204,10 @@ def tilde_v(xi, r):
     """
     if r < 1 or r % 2 == 0:
         raise StructuralError(f"flow power must be odd and positive, got {r}")
-    d = xi.d
-    powered = stack_power(xi.stack, r)
-    return LoopElement(powered, 1 - d * r, xi.spec, check="none")
+    powered = xi.stack
+    for _ in range(r - 1):
+        powered = stack_mul(powered, xi.stack)
+    return LoopElement(powered, 1 - xi.d * r, xi.spec, check="none")
 
 
 def flow_field(xi, r):
@@ -233,9 +235,7 @@ def flow_rhs(stack, r, d):
 
     Equals flow_field up to dropping the identically-zero degree-(d+1) term.
     """
-    powered = stack_power(stack, r)
-    b0 = powered[d * r - 1]
-    b1 = powered[d * r]
+    b0, b1 = connection_coefficients(stack, r, d)
     out = np.empty_like(stack)
     for k in range(d + 1):
         acc = stack[k] @ b0 - b0 @ stack[k]
@@ -246,9 +246,33 @@ def flow_rhs(stack, r, d):
 
 
 def connection_coefficients(stack, r, d):
-    """Degree-0 and degree-1 coefficients of pi_+ Vt_r: the (A0, A1) pair."""
-    powered = stack_power(stack, r)
-    return powered[d * r - 1], powered[d * r]
+    """Degree-0 and degree-1 coefficients of pi_+ Vt_r: the (A0, A1) pair.
+
+    These are the top two coefficients of xi^r (degrees dr-1, dr), built alone
+    by (lo, hi) <- (lo xi_d + hi xi_{d-1}, hi xi_d) with sums started from zero
+    as in ``stack_mul``, so they equal the full Cauchy power's bit for bit.
+    ``stack`` is (..., d+1, n, n); leading (node) axes are carried through.
+    """
+    below, top = stack[..., d - 1, :, :], stack[..., d, :, :]
+    lo, hi = below, top
+    for _ in range(r - 1):
+        lo, hi = (0.0 + lo @ top) + hi @ below, 0.0 + hi @ top
+    return lo, hi
+
+
+def trace_powers(m, max_power):
+    """[tr(m^2), tr(m^4), ...] up to max_power along a new last axis, for
+    matrices m of shape (..., n, n); raises on a non-finite value."""
+    m2 = m @ m
+    acc = np.broadcast_to(np.eye(m.shape[-1]), m.shape)
+    out = []
+    for _ in range(max_power // 2):
+        acc = acc @ m2
+        out.append(np.trace(acc, axis1=-2, axis2=-1))
+    out = np.stack(out, axis=-1)
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("non-finite spectral invariant")
+    return out
 
 
 def spectral_invariants(xi, mu0, max_power):
@@ -257,14 +281,4 @@ def spectral_invariants(xi, mu0, max_power):
         raise StructuralError(f"max_power must be even and >= 2, got {max_power}")
     if mu0 == 0.0:
         warnings.warn("spectral invariants evaluated at mu0 = 0", stacklevel=2)
-    m = xi.evaluate(mu0)
-    m2 = m @ m
-    out = []
-    acc = np.eye(m.shape[0])
-    for _ in range(max_power // 2):
-        acc = acc @ m2
-        val = float(np.trace(acc))
-        if not np.isfinite(val):
-            raise NumericalError("non-finite spectral invariant")
-        out.append(val)
-    return out
+    return [float(v) for v in trace_powers(xi.evaluate(mu0), max_power)]

@@ -100,8 +100,8 @@ def test_criterion_4_isospectrality(default_run):
 def test_criterion_5_intrinsic_flatness(default_run, refined_run):
     config, _, _, gauge, _ = default_run
     fine, _, _, gauge_f, _ = refined_run
-    dev = developing_map(gauge, config.grid)
-    dev_f = developing_map(gauge_f, fine)
+    dev = developing_map(gauge, config.grid, closedness_tol=1e-4)
+    dev_f = developing_map(gauge_f, fine, closedness_tol=1e-4)
     c0, c1 = dev.closedness_residual, dev_f.closedness_residual
     if max(c0, c1) >= 1e-12:
         order = np.log2(c0 / c1)

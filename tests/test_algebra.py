@@ -256,3 +256,10 @@ def test_in_group_residual_values():
     space = BilinearSpace(2, 0)
     assert in_group_residual(np.eye(2), space) == 0.0
     assert in_group_residual(2.0 * np.eye(2), space) == pytest.approx(3.0)
+    # A stack (e.g. a frame field) gives the worst member's residual.
+    stack = np.stack([np.eye(2), 2.0 * np.eye(2), 0.5 * np.eye(2)])
+    assert in_group_residual(stack, space) == max(
+        in_group_residual(g, space) for g in stack
+    )
+    with pytest.raises(StructuralError):
+        in_group_residual(np.eye(3)[None], space)

@@ -16,6 +16,9 @@ from curvedflats.errors import ConfigError, MissingArtifactError
 from helpers import from_offblock, so3_spec
 
 
+EXPLICIT_SPEC = {"preset": None, "signature": [5, 0], "split": [3, 2], "rank": 2}
+
+
 def small_config(**overrides):
     cfg = default_config()
     cfg.update(
@@ -79,6 +82,21 @@ def test_config_validation_errors():
         {"seed": 1.5},
         {"seed": -1},
         {"commutativity_steps": 0},
+        {"extents": [0.3, "x"]},
+        {"mu_samples": ["x"]},
+        {"tolerances": {"mc": "x"}},
+        {"tolerances": {"mc": float("nan")}},
+        {"tolerances": ["mc"]},
+        {"outputs": {"report": "no"}},
+        {"m": "x"},
+        {"obj_coords": [0, 1, "x"]},
+        {"obj_coords": 5},
+        {"xi0": "x"},
+        dict(EXPLICIT_SPEC, signature=[5, "x"]),
+        dict(EXPLICIT_SPEC, signature=5),
+        dict(EXPLICIT_SPEC, split=3),
+        dict(EXPLICIT_SPEC, split=["a", 2]),
+        dict(EXPLICIT_SPEC, rank="x"),
     ],
 )
 def test_main_rejects_malformed_config_values(tmp_path, override):
@@ -183,6 +201,23 @@ def test_verify_detects_gauge_tampering(tmp_path):
 def test_verify_missing_artifacts(tmp_path):
     with pytest.raises(MissingArtifactError):
         verify_command(tmp_path / "nowhere")
+    # A report.json the config says was written must be there.
+    out = tmp_path / "run"
+    run_pipeline(RunConfig(small_config()), out)
+    (out / "report.json").unlink()
+    with pytest.raises(MissingArtifactError):
+        verify_command(out)
+
+
+def test_verify_run_without_report(tmp_path):
+    cfg = small_config(outputs={"report": False, "csv": False, "obj": False})
+    out = tmp_path / "run"
+    report, code = run_pipeline(RunConfig(cfg), out)
+    assert code == 0 and not (out / "report.json").exists()
+    verified, vcode = verify_command(out)
+    assert vcode == 0
+    assert verified["verified_against"] is None
+    assert verified["residuals"] == report["residuals"]
 
 
 def test_csv_schema_and_determinism(tmp_path):

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from curvedflats.algebra import BilinearSpace, in_group_residual
-from curvedflats.errors import DegenerateFrameError, StructuralError
+from curvedflats.errors import (
+    DegenerateFrameError,
+    InternalConsistencyError,
+    StructuralError,
+)
 from curvedflats.frame import (
     ConnectionForm,
     abelian_residual,
@@ -11,7 +15,7 @@ from curvedflats.frame import (
     j_orthonormalize,
     mc_residual,
 )
-from curvedflats.lax import GridSpec, integrate_grid
+from curvedflats.lax import GridSolution, GridSpec, integrate_grid
 from curvedflats.loops import FlowFamily, LaxState
 
 from helpers import from_offblock, random_element, so5_spec
@@ -77,6 +81,19 @@ def test_connection_d3_r1_picks_top_coefficients(small_run):
     idx = (4, 3)
     assert np.allclose(conn.a0[idx + (0,)], sol.states[idx][2], atol=1e-14)
     assert np.allclose(conn.a1[idx + (0,)], sol.states[idx][3], atol=1e-14)
+
+
+def test_connection_rejects_node_off_the_k_p_split(small_run):
+    grid, family, sol, _ = small_run
+    states = sol.states.copy()
+    # A k-entry in the p-coefficient xi_3 breaks A1 of the r=1 flow (and
+    # likely r=3).  The first failing (node, flow) in C order is reported,
+    # not the worst one.
+    states[2, 7, 3, 0, 1] += 1e-3
+    states[5, 1, 3, 0, 1] += 5e-3
+    with pytest.raises(InternalConsistencyError) as err:
+        connection_from_state(GridSolution(states, grid, family, SPEC))
+    assert "at node (2, 7), flow r=1: residual 1.000e-03" in str(err.value)
 
 
 def test_mc_residual_constant_commuting():

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from curvedflats.errors import StructuralError
+from curvedflats.errors import NumericalError, StructuralError
 from curvedflats.lax import (
     GridSpec,
     commutativity_check,
@@ -11,7 +11,7 @@ from curvedflats.lax import (
     integrate_flow,
     integrate_grid,
 )
-from curvedflats.loops import FlowFamily, LaxState
+from curvedflats.loops import FlowFamily, LaxState, spectral_invariants, twist_residual
 
 from helpers import fit_order, random_element, so5_spec
 
@@ -104,6 +104,13 @@ def test_integrate_grid_finite_and_twisted():
     sol = integrate_grid(xi, FlowFamily([1, 3], 3), grid, substeps=4)
     assert np.all(np.isfinite(sol.states))
     assert sol.max_twist_residual() < 1e-9
+    # The whole-grid scan equals the worst per-node residual, also when one
+    # node is pushed off the twist condition.
+    sol.states[3, 5, 2, 0, 4] += 1e-3
+    assert sol.max_twist_residual() == max(
+        twist_residual(sol.states[index], 0, SPEC) for index in np.ndindex(9, 9)
+    )
+    assert sol.max_twist_residual() >= 1e-3
 
 
 def test_integrate_grid_deterministic():
@@ -168,6 +175,9 @@ def test_conservation_stationary_and_constant_grid():
     sol2 = GridSolution(states, grid2, FlowFamily([1, 3], 3), SPEC)
     rep2 = conservation_report(sol2, [1.0], max_power=2)
     assert rep2["max"] == 0.0
+    states[1, 0, 0, 0, 0] = np.inf
+    with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
+        conservation_report(sol2, [1.0], max_power=2)
 
 
 def test_conservation_on_generic_grid():
@@ -176,6 +186,15 @@ def test_conservation_on_generic_grid():
     sol = integrate_grid(xi, FlowFamily([1, 3], 3), grid, substeps=4)
     rep = conservation_report(sol, [0.6, 1.0, 1.6], max_power=4)
     assert rep["max"] <= 1e-8
+    # The whole-grid report equals a node-by-node scan bit for bit.
+    for mu0, table in rep["table"].items():
+        ref = spectral_invariants(sol.state_at((0, 0)), mu0, 4)
+        for p, v0 in zip((2, 4), ref):
+            assert table[p] == max(
+                abs(spectral_invariants(sol.state_at(i), mu0, 4)[p // 2 - 1] - v0)
+                / (1.0 + abs(v0))
+                for i in np.ndindex(9, 9)
+            )
 
 
 def test_conservation_rejects_zero_mu():

@@ -5,6 +5,7 @@ from curvedflats.loops import (
     FlowFamily,
     LaxState,
     LoopElement,
+    connection_coefficients,
     flow_field,
     flow_rhs,
     loop_mul,
@@ -234,11 +235,18 @@ def test_flow_field_tangency_and_twist():
 def test_flow_rhs_matches_flow_field(d, r):
     # flow_rhs is the pipeline's flow; the loop-object layer is its reference.
     rng = np.random.default_rng(100 * d + r)
-    for _ in range(3):
-        xi = random_lax_state(d=d, rng=rng)
+    states = [random_lax_state(d=d, rng=rng) for _ in range(3)]
+    for xi in states:
         expected = flow_field(xi, r).stack
         scale = max(1.0, float(np.max(np.abs(xi.stack)))) ** (r + 1)
         assert np.max(np.abs(flow_rhs(xi.stack, r, d) - expected)) < 1e-13 * scale
+    # The top-two kernel reproduces degrees 0 and 1 of the full Cauchy power
+    # byte for byte (signed zeros included), also on a stack of states.
+    lo, hi = connection_coefficients(np.stack([xi.stack for xi in states]), r, d)
+    for i, xi in enumerate(states):
+        full = tilde_v(xi, r).stack
+        assert lo[i].tobytes() == full[d * r - 1].tobytes()
+        assert hi[i].tobytes() == full[d * r].tobytes()
 
 
 def test_spectral_invariants_values():
