@@ -306,27 +306,40 @@ def form_margin(elems, span_dim):
 
 
 def expm(m):
-    """Matrix exponential by scaling-and-squaring with a Taylor core.
+    """Matrix exponential by scaling-and-squaring with a Taylor core, over a
+    stack (..., n, n).
 
-    The squaring count is chosen so the scaled norm is <= 0.5, where the
-    truncated Taylor series converges to machine precision.
+    Each slice's squaring count is chosen so its scaled norm is <= 0.5, where
+    the truncated Taylor series converges to machine precision.  The squaring
+    count and the Taylor stop are kept per slice, so every slice equals the
+    exponential of that matrix alone, byte for byte.
     """
     m = np.asarray(m, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise StructuralError(f"expected (..., n, n), got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NumericalError("expm: non-finite entries")
-    norm = np.max(np.abs(m)) * m.shape[0]
-    squarings = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
-    a = m / (2.0 ** squarings)
-    result = np.eye(m.shape[0]) + a
+    n = m.shape[-1]
+    flat = m.reshape((-1, n, n))
+    norm = np.abs(flat).reshape(len(flat), n * n).max(axis=1, initial=0.0) * n
+    squarings = np.where(
+        norm > 0.5, np.ceil(np.log2(np.maximum(norm, 0.5) / 0.5)), 0
+    ).astype(int)
+    a = flat / (2.0 ** squarings)[:, None, None]
+    result = np.eye(n) + a
     term = a
+    active = np.ones(len(flat), dtype=bool)
+    updating = active[:, None, None]  # a view: follows every update of active
     for k in range(2, 24):
         term = term @ a / k
-        result = result + term
-        if np.max(np.abs(term)) < 1e-18:
+        np.add(result, term, out=result, where=updating)
+        active &= abs(term).reshape(len(flat), n * n).max(axis=1) >= 1e-18
+        if not active.any():
             break
-    for _ in range(squarings):
-        result = result @ result
-    return result
+    for i in range(int(squarings.max(initial=0))):
+        more = squarings > i
+        result[more] = result[more] @ result[more]
+    return result.reshape(m.shape)
 
 
 def group_exp(x, t=1.0):

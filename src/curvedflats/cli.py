@@ -10,6 +10,7 @@ import hashlib
 import json
 import numbers
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,11 @@ def default_config():
     }
 
 
+def mu_key(mu):
+    """The key of spectral sample ``mu`` in every per-mu table of the report."""
+    return f"{mu:g}"
+
+
 def _integral(key, value, least):
     """``value`` as an int >= ``least``; ConfigError for anything else."""
     if isinstance(value, bool) or not (
@@ -134,6 +140,13 @@ class RunConfig:
                 raise ConfigError(f"{key} must be an object, got {merged[key]!r}")
 
         self.preset = merged.get("preset")
+        other = ("m", "n") if self.preset is None else ("signature", "split", "rank")
+        ignored = [key for key in other if merged.get(key) is not None]
+        if ignored:
+            raise ConfigError(
+                f"{ignored} cannot be used with preset {self.preset!r}: m/n size "
+                "a named preset, signature/split/rank define the space when it is null"
+            )
         if self.preset is not None:
             sizes = {k: _integral(k, merged[k], 0)
                      for k in ("m", "n") if merged.get(k) is not None}
@@ -162,12 +175,22 @@ class RunConfig:
         # gauge differentiates H along every axis whenever it runs.
         if (self.grid.dims >= 2 or self.spec.k_block_definite()) and min(nodes) < 3:
             raise ConfigError(f"differentiated axes need >= 3 nodes: {nodes}")
+        # The space-form checks of a 2D immersion take curvature statistics
+        # two rings in from the boundary.
+        if self.grid.dims == 2 and self.spec.k_block_definite() and min(nodes) < 5:
+            raise ConfigError(f"2D geometry needs >= 5 nodes per axis: {nodes}")
 
         self.substeps = _integral("substeps", merged["substeps"], 1)
 
         self.mu_samples = [_real("mu_samples", v) for v in merged["mu_samples"]]
         if not self.mu_samples or any(v == 0.0 for v in self.mu_samples):
             raise ConfigError("mu_samples must be nonempty and nonzero")
+        keys = [mu_key(mu) for mu in self.mu_samples]
+        if len(set(keys)) != len(keys):
+            raise ConfigError(
+                f"mu_samples {self.mu_samples} share report keys {keys}; "
+                "samples must differ in their first 6 significant digits"
+            )
 
         self.seed = merged.get("seed")
         if self.seed is not None:
@@ -284,7 +307,7 @@ def build_report(states, frames_by_mu, h_field, config):
 
     if grid.dims >= 2:
         mc_values = {
-            f"{mu:g}": mc_residual(conn, mu, grid)
+            mu_key(mu): mc_residual(conn, mu, grid)
             for mu in [0.0] + config.mu_samples
         }
         residuals["mc"] = mc_values
@@ -293,7 +316,7 @@ def build_report(states, frames_by_mu, h_field, config):
 
     cons = conservation_report(sol, config.mu_samples, max_power=4)
     residuals["conservation"] = {
-        f"{mu:g}": {str(p): v for p, v in table.items()}
+        mu_key(mu): {str(p): v for p, v in table.items()}
         for mu, table in cons["table"].items()
     }
     gate("conservation_max", cons["max"], "conservation")
@@ -305,7 +328,7 @@ def build_report(states, frames_by_mu, h_field, config):
         )
         gate("commutativity", comm, "commutativity")
 
-    drift = {f"{mu:g}": frames_by_mu[mu].max_drift for mu in config.mu_samples}
+    drift = {mu_key(mu): frames_by_mu[mu].max_drift for mu in config.mu_samples}
     residuals["group_drift"] = drift
     gate("group_drift_max", max(drift.values()), "group_drift")
     h_drift = in_group_residual(h_field, spec.space)
@@ -333,10 +356,10 @@ def build_report(states, frames_by_mu, h_field, config):
                 kernel_worst = max(kernel_worst, im.kernel_residual)
                 entry = {"degenerate_fraction": im.degenerate_fraction}
                 if im.degenerate_fraction > 0:
-                    flags.append(f"degenerate-nodes-mu-{mu:g}")
+                    flags.append(f"degenerate-nodes-mu-{mu_key(mu)}")
                 if grid.dims == 2:
                     entry.update(verify_space_form_geometry(im, grid))
-                geometry["per_mu"][f"{mu:g}"] = entry
+                geometry["per_mu"][mu_key(mu)] = entry
             gate("unit_quadric", unit_worst, "unit_quadric")
             gate("kernel", kernel_worst, "kernel")
             if grid.dims == 2:
@@ -446,9 +469,8 @@ def run_pipeline(config, out_dir):
     xi0, attempts = seed_initial_state(config)
     sol = integrate_grid(xi0, family, grid, substeps=config.substeps)
     conn = connection_from_state(sol)
-    frames_by_mu = {
-        mu: integrate_frame(conn, mu, grid) for mu in config.mu_samples
-    }
+    fields = integrate_frame(conn, config.mu_samples, grid)
+    frames_by_mu = dict(zip(config.mu_samples, fields))
     if spec.k_block_definite():
         gauge = gauge_to_normal_form(conn, spec)
         h_field = gauge.h
@@ -462,7 +484,8 @@ def run_pipeline(config, out_dir):
 
     arrays = {
         "states": sol.states,
-        "frames": np.stack([frames_by_mu[mu].frames for mu in config.mu_samples]),
+        # Every field is a view into the one (len(mus), *nodes, n, n) array.
+        "frames": fields[0].frames.base,
         "gauge_h": h_field,
         "mu_samples": np.asarray(config.mu_samples),
     }
@@ -534,13 +557,17 @@ def _cmd_run(args):
     out = Path(args.out)
     try:
         report, code = run_pipeline(config, out)
-    except CurvedFlatsError as err:
+    except Exception as err:
         out.mkdir(parents=True, exist_ok=True)
+        error = {"category": type(err).__name__, "message": str(err)}
+        node = getattr(err, "node", None)
+        if node is not None:
+            error["node"] = [int(i) for i in node]
         failure = {
             "schema": 1,
             "config_hash": config.hash(),
             "pass": False,
-            "error": {"category": type(err).__name__, "message": str(err)},
+            "error": error,
         }
         (out / "report.json").write_text(json.dumps(failure, indent=2) + "\n")
         raise
@@ -591,6 +618,11 @@ def main(argv=None):
         return 3
     except CurvedFlatsError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 3
+    except Exception:
+        # A defect of the program, not of the input: exit 1 must keep meaning
+        # "tolerance failure", so report it as a failed run.
+        traceback.print_exc()
         return 3
 
 

@@ -43,7 +43,13 @@ class DegenerateSpectrumError(NumericalError):
 
 
 class DegenerateFrameError(NumericalError):
-    """Re-orthonormalization pivot collapsed; frame left the group."""
+    """Re-orthonormalization pivot collapsed; frame left the group.  Carries
+    the failing slice of a stack and, from the frame integration, the node."""
+
+    def __init__(self, message, index=None, node=None):
+        super().__init__(message)
+        self.index = index
+        self.node = node
 
 
 class GaugeContinuityError(NumericalError):

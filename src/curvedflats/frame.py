@@ -5,7 +5,11 @@ degree-0/1 part of pi_+ Vt_r(xi), for the whole grid in one call of the kernel
 the flows share, and its k/p split is checked over the whole grid at once.
 The frame equation F^-1 dF = A^mu is integrated edge by edge along the sweep
 with a midpoint exponential (order 2), re-orthonormalizing in the J-inner
-product after every step; the group drift is one scan of the whole field.
+product after every step.  All spectral samples share that one sweep: each
+edge evaluates A^mu for the whole batch of samples and takes one batched
+exponential and one batched orthonormalization, whose per-slice results equal
+the single-matrix ones byte for byte.  The group drift is one scan of each
+sample's field.
 """
 
 import numpy as np
@@ -156,61 +160,105 @@ def abelian_residual(conn):
     return worst
 
 
+def _column_dots(x, y):
+    """<x[b, :, c], y[b, c or 0, :]> for every column c of a stack x (b, n, n).
+
+    One BLAS dot per column, with the strides of ``x[b][:, c] @ y[b, c]`` on
+    a single matrix, so every slice sums in the same order as a
+    column-by-column loop.
+    """
+    return (np.swapaxes(x, -1, -2)[:, :, None, :] @ y[..., None])[:, :, 0, 0]
+
+
+def _slice_error(message, flat, batch):
+    """DegenerateFrameError for slice ``flat`` (C order) of a stack with
+    leading shape ``batch``."""
+    index = tuple(int(i) for i in np.unravel_index(flat, batch))
+    where = f" in slice {index}" if batch else ""
+    return DegenerateFrameError(message + where, index=index)
+
+
 def j_orthonormalize(g, space):
-    """Gram-Schmidt in the J-inner product with column pivoting on |<v,v>_J|.
+    """Gram-Schmidt in the J-inner product with column pivoting on |<v,v>_J|,
+    over a stack (..., n, n).
 
     For definite J this is classical Gram-Schmidt; the pivot order guards
-    against near-null columns in the indefinite case.  Columns keep their
-    positions and the output sign pattern must match J.
+    against near-null columns in the indefinite case.  Every slice picks its
+    own pivot order.  Columns keep their positions and the output sign
+    pattern must match J.  A ``DegenerateFrameError`` carries the leading
+    index of the failing slice.
     """
+    g = np.asarray(g, dtype=float)
+    batch, n = g.shape[:-2], g.shape[-1]
     j = space.j_diag
-    n = g.shape[0]
-    cols = g.copy()
-    out = np.empty_like(g)
-    remaining = list(range(n))
-    while remaining:
-        quads = [cols[:, i] @ (j * cols[:, i]) for i in remaining]
-        pick = int(np.argmax([abs(q) for q in quads]))
-        q = quads[pick]
-        if abs(q) < PIVOT_TOL:
-            raise DegenerateFrameError(
-                f"orthonormalization pivot {abs(q):.3e} below {PIVOT_TOL:.1e}"
+    cols = g.reshape((-1, n, n)).copy()
+    out = np.empty_like(cols)
+    jcols = np.empty_like(cols)  # jcols[b, c] = j * cols[b][:, c], contiguous
+    picked = np.zeros((len(cols), n), dtype=bool)
+    rows = np.arange(len(cols))
+    for _ in range(n):
+        np.multiply(np.swapaxes(cols, -1, -2), j, out=jcols)
+        quads = _column_dots(cols, jcols)
+        pick = np.argmax(np.where(picked, -1.0, np.abs(quads)), axis=-1)
+        q = quads[rows, pick]
+        size = np.abs(q)
+        if size.min() < PIVOT_TOL:
+            b = int(np.argmax(size < PIVOT_TOL))
+            raise _slice_error(
+                f"orthonormalization pivot {size[b]:.3e} below {PIVOT_TOL:.1e}",
+                b, batch,
             )
-        i = remaining.pop(pick)
-        sign = 1.0 if q > 0 else -1.0
-        u = cols[:, i] / np.sqrt(abs(q))
-        out[:, i] = u
-        ju = j * u
-        for c in remaining:
-            cols[:, c] -= sign * (cols[:, c] @ ju) * u
-    for i in range(n):
-        if (out[:, i] @ (j * out[:, i])) * j[i] <= 0:
-            raise DegenerateFrameError(
-                f"column {i} acquired the wrong causal character"
-            )
-    return out
+        u = cols[rows, :, pick] / np.sqrt(size)[:, None]
+        out[rows, :, pick] = u
+        picked[rows, pick] = True
+        # The columns already picked are updated too; they are not read again.
+        coef = _column_dots(cols, (j * u)[:, None, :])
+        cols -= (np.sign(q)[:, None] * coef)[:, None, :] * u[:, :, None]
+    np.multiply(np.swapaxes(out, -1, -2), j, out=jcols)
+    wrong = _column_dots(out, jcols) * j <= 0
+    if np.any(wrong):
+        b, i = (int(v) for v in np.argwhere(wrong)[0])
+        raise _slice_error(f"column {i} acquired the wrong causal character", b, batch)
+    return out.reshape(g.shape)
 
 
-def integrate_frame(conn, mu0, grid, axis_priority=None):
-    """Integrate F^-1 dF = A^mu0 over the grid with F(origin) = I.
+def integrate_frame(conn, mus, grid, axis_priority=None):
+    """Integrate F^-1 dF = A^mu over the grid with F(origin) = I, for every
+    spectral sample in ``mus`` at once.
 
     Each edge applies exp(h * Abar) with Abar the average of the edge's
     endpoint values (midpoint exponential, order 2), followed by
-    re-J-orthonormalization.  The edges are those of ``grid.sweep``, the
-    grid fill order; passing ``axis_priority`` permutes which axis is treated
-    as primary (used to quantify path independence).
+    re-J-orthonormalization; both act on the whole batch of samples.  The
+    edges are those of ``grid.sweep``, the grid fill order; passing
+    ``axis_priority`` permutes which axis is treated as primary (used to
+    quantify path independence).  Returns one ``FrameField`` per sample, in
+    order, each a view into one (len(mus), *nodes, n, n) array.
     """
     spec = conn.spec
     n = spec.dim
-    a = conn.a_mu(mu0)
+    mus = [float(mu) for mu in mus]
+    mu = np.array(mus)[:, None, None]
     h = grid.steps
-    frames = np.zeros(grid.nodes + (n, n))
+    frames = np.zeros((len(mus),) + grid.nodes + (n, n))
+    every = (slice(None),)
     for index, prev, axis in grid.sweep(axis_priority):
         if prev is None:
-            frames[index] = np.eye(n)
+            frames[every + index] = np.eye(n)
             continue
-        abar = 0.5 * (a[prev + (axis,)] + a[index + (axis,)])
-        frames[index] = j_orthonormalize(
-            frames[prev] @ expm(h[axis] * abar), spec.space
+        at_prev, at_index = prev + (axis,), index + (axis,)
+        abar = 0.5 * (
+            (conn.a0[at_prev] + mu * conn.a1[at_prev])
+            + (conn.a0[at_index] + mu * conn.a1[at_index])
         )
-    return FrameField(mu0, frames, grid, spec, in_group_residual(frames, spec.space))
+        try:
+            frames[every + index] = j_orthonormalize(
+                frames[every + prev] @ expm(h[axis] * abar), spec.space
+            )
+        except DegenerateFrameError as err:
+            raise DegenerateFrameError(
+                f"{err} at node {index}, mu={mus[err.index[0]]!r}", node=index
+            ) from err
+    return [
+        FrameField(mu_k, f, grid, spec, in_group_residual(f, spec.space))
+        for mu_k, f in zip(mus, frames)
+    ]

@@ -102,3 +102,47 @@ def fit_order(values, ratios=2.0):
     steps = ratios ** -np.arange(len(values))
     slope = np.polyfit(np.log(steps), np.log(values), 1)[0]
     return float(slope)
+
+
+def expm_single(m):
+    """Single-matrix scaling-and-squaring exponential, the per-slice loop the
+    batched ``algebra.expm`` must reproduce byte for byte."""
+    norm = np.max(np.abs(m)) * m.shape[0]
+    squarings = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
+    a = m / (2.0 ** squarings)
+    result = np.eye(m.shape[0]) + a
+    term = a
+    for k in range(2, 24):
+        term = term @ a / k
+        result = result + term
+        if np.max(np.abs(term)) < 1e-18:
+            break
+    for _ in range(squarings):
+        result = result @ result
+    return result, squarings
+
+
+def j_orthonormalize_single(g, space, pivot_tol=1e-10):
+    """Column-by-column pivoted J-Gram-Schmidt on one matrix, the per-slice
+    loop the batched ``frame.j_orthonormalize`` must match.  Returns the
+    frame and the pivot order; raises ValueError where the batched kernel
+    raises DegenerateFrameError."""
+    j = space.j_diag
+    cols = g.copy()
+    out = np.empty_like(g)
+    remaining = list(range(g.shape[0]))
+    order = []
+    while remaining:
+        quads = [cols[:, i] @ (j * cols[:, i]) for i in remaining]
+        pick = int(np.argmax([abs(q) for q in quads]))
+        q = quads[pick]
+        if abs(q) < pivot_tol:
+            raise ValueError("pivot below tolerance")
+        i = remaining.pop(pick)
+        order.append(i)
+        sign = 1.0 if q > 0 else -1.0
+        u = cols[:, i] / np.sqrt(abs(q))
+        out[:, i] = u
+        for c in remaining:
+            cols[:, c] -= sign * (cols[:, c] @ (j * u)) * u
+    return out, order

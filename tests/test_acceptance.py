@@ -37,7 +37,7 @@ def default_run():
     config = RunConfig(default_config())
     sol, conn = _assemble(config, config.grid)
     gauge = gauge_to_normal_form(conn, config.spec)
-    frames = integrate_frame(conn, 1.0, config.grid)
+    frames = integrate_frame(conn, [1.0], config.grid)[0]
     return config, sol, conn, gauge, frames
 
 
@@ -47,7 +47,7 @@ def refined_run(default_run):
     fine = config.grid.refine()
     sol, conn = _assemble(config, fine)
     gauge = gauge_to_normal_form(conn, config.spec)
-    frames = integrate_frame(conn, 1.0, fine)
+    frames = integrate_frame(conn, [1.0], fine)[0]
     return fine, sol, conn, gauge, frames
 
 
@@ -161,7 +161,7 @@ def _rank_one_curve(omega, beta, mu):
     sol = integrate_grid(LaxState(stack, spec3), FlowFamily([1], 1), grid,
                          substeps=2)
     conn = connection_from_state(sol)
-    frames = integrate_frame(conn, mu, grid)
+    frames = integrate_frame(conn, [mu], grid)[0]
     return curve_diagnostics(frames, conn, grid, mu), grid
 
 

@@ -17,6 +17,7 @@ from curvedflats.errors import StructuralError
 
 from helpers import (
     cartan_oracle,
+    expm_single,
     from_offblock,
     random_element,
     so3_spec,
@@ -250,6 +251,23 @@ def test_non_finite_entries_rejected():
         AlgebraElement(bad, spec.space)
     with pytest.raises(NumericalError):
         expm(bad)
+
+
+def test_expm_stack_matches_per_slice_loop():
+    from curvedflats.algebra import expm
+
+    rng = np.random.default_rng(31)
+    scales = [0.0, 1e-3, 0.05, 0.3, 1.0, 4.0, 30.0]
+    stack = np.stack([s * rng.standard_normal((5, 5)) for s in scales])
+    reference = [expm_single(m) for m in stack]
+    # Every slice takes its own squaring count; the zero matrix takes none.
+    assert [count for _, count in reference] == [0, 0, 1, 3, 5, 7, 10]
+    batched = expm(stack)
+    for out, (expected, _) in zip(batched, reference):
+        assert out.tobytes() == expected.tobytes()
+    grid_shaped = expm(stack[1:].reshape(2, 3, 5, 5))
+    assert grid_shaped.tobytes() == batched[1:].tobytes()
+    assert expm(stack[4]).tobytes() == reference[4][0].tobytes()
 
 
 def test_in_group_residual_values():

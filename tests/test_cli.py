@@ -3,6 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import curvedflats.cli as cli
+import curvedflats.frame as frame
+from curvedflats.algebra import expm
 from curvedflats.cli import (
     RunConfig,
     default_config,
@@ -97,6 +100,17 @@ def test_config_validation_errors():
         dict(EXPLICIT_SPEC, split=3),
         dict(EXPLICIT_SPEC, split=["a", 2]),
         dict(EXPLICIT_SPEC, rank="x"),
+        # Two samples with one report key: the second's residuals would
+        # overwrite the first's and never be gated.
+        {"mu_samples": [1.0, 1.0000001]},
+        {"mu_samples": [1.0, 1.0]},
+        # Keys of the other spec branch would be silently ignored.
+        dict(EXPLICIT_SPEC, m=2),
+        {"preset": "sphere-grassmannian", "signature": [5, 0]},
+        {"split": [3, 2], "rank": 2},
+        # The space-form checks of a 2D immersion need 5 nodes per axis.
+        {"nodes": [4, 4]},
+        {"nodes": [9, 4]},
     ],
 )
 def test_main_rejects_malformed_config_values(tmp_path, override):
@@ -280,10 +294,53 @@ def test_indefinite_preset_runs_without_geometry(tmp_path):
 def test_main_blow_up_exit_code_and_error_report(tmp_path):
     cfg_path = tmp_path / "boom.json"
     cfg_path.write_text(
-        json.dumps(small_config(extents=[50.0, 50.0], nodes=[3, 3], substeps=1))
+        json.dumps(small_config(extents=[50.0, 50.0], nodes=[5, 5], substeps=1))
     )
     out = tmp_path / "boom_out"
     assert main(["run", str(cfg_path), "-o", str(out)]) == 3
     failure = json.loads((out / "report.json").read_text())
     assert failure["pass"] is False
     assert failure["error"]["category"] == "BlowUpError"
+    assert failure["error"]["node"] == [1, 1]
+
+
+def test_main_degenerate_frame_names_node_and_mu(tmp_path, monkeypatch):
+    # Zero one sample's step exponential on the fifth edge of the sweep:
+    # that sample's frame collapses at the node the edge fills.
+    calls = []
+
+    def collapsing_expm(m):
+        calls.append(m)
+        out = expm(m)
+        if len(calls) == 5:
+            out[1] = 0.0
+        return out
+
+    monkeypatch.setattr(frame, "expm", collapsing_expm)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(mu_samples=[0.6, 1.25, 1.6])))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg_path), "-o", str(out)]) == 3
+    error = json.loads((out / "report.json").read_text())["error"]
+    assert error["category"] == "DegenerateFrameError"
+    assert error["node"] == [0, 5]
+    assert "slice (1,)" in error["message"]
+    assert "node (0, 5), mu=1.25" in error["message"]
+
+
+def test_main_internal_error_exits_3_with_error_block(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("defect outside the error taxonomy")
+
+    monkeypatch.setattr(cli, "integrate_grid", broken)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config()))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg_path), "-o", str(out)]) == 3
+    failure = json.loads((out / "report.json").read_text())
+    assert failure["pass"] is False
+    assert failure["error"] == {
+        "category": "ZeroDivisionError",
+        "message": "defect outside the error taxonomy",
+    }
+    assert "ZeroDivisionError" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curvedflats.algebra import BilinearSpace, in_group_residual
+from curvedflats.algebra import BilinearSpace, expm, in_group_residual, skew_project
 from curvedflats.errors import (
     DegenerateFrameError,
     InternalConsistencyError,
@@ -18,7 +18,13 @@ from curvedflats.frame import (
 from curvedflats.lax import GridSolution, GridSpec, integrate_grid
 from curvedflats.loops import FlowFamily, LaxState
 
-from helpers import from_offblock, random_element, so5_spec
+from helpers import (
+    from_offblock,
+    j_orthonormalize_single,
+    random_element,
+    so5_spec,
+    so14_spec,
+)
 
 RNG = np.random.default_rng(404)
 SPEC = so5_spec()
@@ -155,7 +161,7 @@ def test_integrate_frame_constant_connection_closed_form():
     sol = integrate_grid(xi, FlowFamily([1], 1), grid, substeps=2)
     conn = connection_from_state(sol)
     mu = 1.3
-    frames = integrate_frame(conn, mu, grid)
+    frames = integrate_frame(conn, [mu], grid)[0]
     from curvedflats.algebra import expm
 
     a = xi.stack[0] + mu * xi.stack[1]
@@ -169,14 +175,14 @@ def test_integrate_frame_zero_connection():
     conn = ConnectionForm(
         np.zeros((4, 4, 2, 5, 5)), np.zeros((4, 4, 2, 5, 5)), grid, SPEC
     )
-    frames = integrate_frame(conn, 1.0, grid)
+    frames = integrate_frame(conn, [1.0], grid)[0]
     assert np.allclose(frames.frames, np.eye(5))
 
 
 def test_integrate_frame_group_residual(small_run):
     grid, _, _, conn = small_run
     for mu in (0.6, 1.0, 1.6):
-        field = integrate_frame(conn, mu, grid)
+        field = integrate_frame(conn, [mu], grid)[0]
         assert field.max_drift <= 1e-8
         assert in_group_residual(field.frames[-1, -1], SPEC.space) <= 1e-12
 
@@ -186,8 +192,8 @@ def test_integrate_frame_path_independence_order(small_run, refined_run):
     fine, conn_f = refined_run
     diffs = []
     for g, c in ((grid, conn), (fine, conn_f)):
-        rows = integrate_frame(c, 1.0, g, axis_priority=(0, 1))
-        cols = integrate_frame(c, 1.0, g, axis_priority=(1, 0))
+        rows = integrate_frame(c, [1.0], g, axis_priority=(0, 1))[0]
+        cols = integrate_frame(c, [1.0], g, axis_priority=(1, 0))[0]
         diffs.append(
             np.max(np.abs(rows.frames[-1, -1] - cols.frames[-1, -1]))
         )
@@ -210,3 +216,60 @@ def test_j_orthonormalize_definite_and_indefinite():
     assert in_group_residual(out, space) < 1e-13
     with pytest.raises(DegenerateFrameError):
         j_orthonormalize(np.zeros((2, 2)), space)
+
+
+def test_j_orthonormalize_stack_matches_per_slice_loop():
+    # Near-group slices whose columns carry distinct scales, permuted per
+    # slice, so every slice pivots in its own order.
+    rng = np.random.default_rng(12)
+    for space in (SPEC.space, so14_spec().space, BilinearSpace(3, 2)):
+        slices, orders = [], []
+        for perm in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 0, 4, 1, 3]):
+            x = skew_project(0.9 * rng.standard_normal((5, 5)), space)
+            scales = np.array([1.0, 1.5, 2.0, 2.5, 3.0])[perm]
+            g = expm(x) * scales + 1e-9 * rng.standard_normal((5, 5))
+            slices.append(g)
+            orders.append(j_orthonormalize_single(g, space)[1])
+        assert len({tuple(o) for o in orders}) == 3
+        stack = np.stack(slices)
+        out = j_orthonormalize(stack, space)
+        for got, g in zip(out, stack):
+            expected = j_orthonormalize_single(g, space)[0]
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert in_group_residual(out, space) < 1e-12
+        grid_shaped = j_orthonormalize(np.stack([stack, stack[::-1]]), space)
+        assert np.array_equal(grid_shaped[0], out)
+        assert np.array_equal(grid_shaped[1], out[::-1])
+
+
+def test_j_orthonormalize_stack_names_degenerate_slice():
+    space = BilinearSpace(1, 1)
+    t = 0.8
+    boost = np.array([[np.cosh(t), np.sinh(t)], [np.sinh(t), np.cosh(t)]])
+    stack = np.broadcast_to(boost, (2, 3, 2, 2)).copy()
+    stack[1, 2] = 0.0
+    with pytest.raises(DegenerateFrameError, match=r"pivot .* slice \(1, 2\)") as err:
+        j_orthonormalize(stack, space)
+    assert err.value.index == (1, 2)
+    # A swapped boost keeps every pivot but gives column 0 a negative J-norm.
+    stack = np.broadcast_to(boost, (4, 2, 2)).copy()
+    stack[3] = boost[:, ::-1]
+    with pytest.raises(DegenerateFrameError, match=r"column 0 .* slice \(3,\)") as err:
+        j_orthonormalize(stack, space)
+    assert err.value.index == (3,)
+
+
+@pytest.mark.parametrize("axis_priority", [(0, 1), (1, 0)])
+def test_integrate_frame_batch_matches_single_samples(small_run, axis_priority):
+    grid, _, _, conn = small_run
+    mus = [0.6, 1.0, 1.6]
+    fields = integrate_frame(conn, mus, grid, axis_priority=axis_priority)
+    assert [f.mu for f in fields] == mus
+    stack = fields[0].frames.base
+    assert stack.shape == (3,) + grid.nodes + (5, 5)
+    for k, (field, mu) in enumerate(zip(fields, mus)):
+        single = integrate_frame(conn, [mu], grid, axis_priority=axis_priority)[0]
+        assert field.frames.base is stack
+        assert np.array_equal(field.frames, stack[k])
+        assert np.max(np.abs(field.frames - single.frames)) <= 1e-13
+        assert abs(field.max_drift - single.max_drift) <= 1e-13

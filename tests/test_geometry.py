@@ -46,7 +46,7 @@ def run17():
     sol = integrate_grid(random_state(seed=3), family, grid, substeps=4)
     conn = connection_from_state(sol)
     gauge = gauge_to_normal_form(conn, SPEC)
-    frames = integrate_frame(conn, 1.0, grid)
+    frames = integrate_frame(conn, [1.0], grid)[0]
     return grid, conn, gauge, frames
 
 
@@ -57,7 +57,7 @@ def run33():
     sol = integrate_grid(random_state(seed=3), family, grid, substeps=4)
     conn = connection_from_state(sol)
     gauge = gauge_to_normal_form(conn, SPEC)
-    frames = integrate_frame(conn, 1.0, grid)
+    frames = integrate_frame(conn, [1.0], grid)[0]
     return grid, conn, gauge, frames
 
 
@@ -239,7 +239,7 @@ def test_reconstruct_immersion_unit_and_kernel(run17):
 
 def test_reconstruct_immersion_rejects_zero_mu(run17):
     grid, conn, gauge, _ = run17
-    frames0 = integrate_frame(conn, 0.0, grid)
+    frames0 = integrate_frame(conn, [0.0], grid)[0]
     with pytest.raises(StructuralError):
         reconstruct_immersion(gauge, frames0, SPEC)
 
@@ -255,7 +255,7 @@ def test_reconstruct_immersion_vacuum_is_non_immersive():
                          substeps=2)
     conn = connection_from_state(sol)
     gauge = gauge_to_normal_form(conn, spec3)
-    frames = integrate_frame(conn, 1.0, grid)
+    frames = integrate_frame(conn, [1.0], grid)[0]
     with pytest.raises(NonImmersiveError):
         reconstruct_immersion(gauge, frames, spec3)
 
@@ -349,7 +349,7 @@ def test_gauge_invariance_of_geometry(run17):
     assert np.max(np.abs(gram0 - gram1)) < 1e-9
     assert dev1.isometry_residual < 1e-9
 
-    frames1 = integrate_frame(conj, 1.0, grid)
+    frames1 = integrate_frame(conj, [1.0], grid)[0]
     im0 = reconstruct_immersion(gauge, frames, SPEC)
     im1 = reconstruct_immersion(regauge, frames1, SPEC)
     rep0 = verify_space_form_geometry(im0, grid)
@@ -385,7 +385,7 @@ def _circle_setup(omega, beta, mu, length=2.0, nodes=161):
     sol = integrate_grid(LaxState(stack, spec3), FlowFamily([1], 1), grid,
                          substeps=2)
     conn = connection_from_state(sol)
-    frames = integrate_frame(conn, mu, grid)
+    frames = integrate_frame(conn, [mu], grid)[0]
     return curve_diagnostics(frames, conn, grid, mu), grid
 
 
