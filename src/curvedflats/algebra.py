@@ -6,6 +6,8 @@ g = k + p induced by conjugation with a diagonal block-signature matrix S.
 All operations are pure functions of immutable values.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import StructuralError, NumericalError
@@ -116,6 +118,19 @@ class SymmetricSpaceSpec:
     def p_project(self, m):
         return m * (1.0 - self._k_mask)
 
+    @cached_property
+    def p_basis(self):
+        """Elementary basis of p as one read-only (dim p, n, n) array, built
+        on first use and kept for the life of the spec: one so(J)-projected
+        unit matrix per off-block entry (b, a), in row-major (b, a) order."""
+        n, n1 = self.dim, self.n1
+        b, a = (i.ravel() for i in np.indices((self.n2, n1)))
+        e = np.zeros((len(b), n, n))
+        e[np.arange(len(b)), n1 + b, a] = 2.0
+        basis = skew_project(e, self.space)
+        basis.setflags(write=False)
+        return basis
+
     def k_block_definite(self):
         """True when J restricted to both involution blocks is definite."""
         j = self.space.j_diag
@@ -187,9 +202,9 @@ def _check_same_space(x, y):
 
 
 def skew_project(m, space):
-    """Project a raw matrix onto so(J): X -> (X - J X^T J)/2."""
+    """Project raw matrices (..., n, n) onto so(J): X -> (X - J X^T J)/2."""
     j = space.j_diag
-    return 0.5 * (m - j[:, None] * m.T * j[None, :])
+    return 0.5 * (m - j[:, None] * np.swapaxes(m, -1, -2) * j[None, :])
 
 
 def bracket(x, y):
@@ -233,18 +248,6 @@ def is_abelian(elems, tol):
     return True
 
 
-def _p_basis(spec):
-    """Elementary basis of p: one matrix per off-block entry (b, a)."""
-    n, n1 = spec.dim, spec.n1
-    basis = []
-    for b in range(spec.n2):
-        for a in range(n1):
-            e = np.zeros((n, n))
-            e[n1 + b, a] = 1.0
-            basis.append(skew_project(2.0 * e, spec.space))
-    return basis
-
-
 def is_cartan(basis, spec, tol=1e-9):
     """Test whether span(basis) is a Cartan subspace of p.
 
@@ -253,15 +256,23 @@ def is_cartan(basis, spec, tol=1e-9):
     spec.rank (maximality), (d) the invariant form is nondegenerate on the
     span (smallest |eigenvalue| of the Gram matrix on an orthonormalized
     basis exceeds tol).
+
+    The k-parts of all elements are tested in one call, the commutant system
+    is one broadcast bracket against ``spec.p_basis`` (built once per spec),
+    and the first element outside p raises ``StructuralError``.
     """
     if len(basis) == 0:
         raise StructuralError("is_cartan needs a nonempty basis")
-    for e in basis:
-        if e.space != spec.space:
-            raise StructuralError("basis element over the wrong space")
-        p_res = np.max(np.abs(spec.k_project(e.matrix)))
-        if p_res > max(1.0, e.norm) * 1e-9:
-            raise StructuralError(f"basis element not in p (k-part {p_res:.2e})")
+    if any(e.space != spec.space for e in basis):
+        raise StructuralError("basis element over the wrong space")
+    mats = np.stack([e.matrix for e in basis])
+    k_res = np.max(np.abs(spec.k_project(mats)), axis=(-2, -1))
+    scale = np.maximum(1.0, np.max(np.abs(mats), axis=(-2, -1)))
+    off_p = np.flatnonzero(k_res > scale * 1e-9)
+    if off_p.size:
+        raise StructuralError(
+            f"basis element not in p (k-part {k_res[off_p[0]]:.2e})"
+        )
 
     if not is_abelian(basis, tol):
         return False
@@ -269,18 +280,14 @@ def is_cartan(basis, spec, tol=1e-9):
     if span_dim != spec.rank:
         return False
 
-    # Commutant of the span inside p, as the null space of Y -> ([Y, X_i])_i.
-    p_basis = _p_basis(spec)
-    rows = []
-    for pb in p_basis:
-        row = np.concatenate(
-            [(pb @ e.matrix - e.matrix @ pb).ravel() for e in basis]
-        )
-        rows.append(row)
-    system = np.stack(rows).T  # (len(basis)*n^2, dim p)
+    # Commutant of the span inside p, as the null space of Y -> ([Y, X_i])_i:
+    # column c of the system is [P_c, X_i] for every i, flattened.
+    p_basis = spec.p_basis[:, None]
+    comm = p_basis @ mats - mats @ p_basis  # (dim p, len(basis), n, n)
+    system = comm.reshape(len(comm), -1).T  # (len(basis)*n^2, dim p)
     s = np.linalg.svd(system, compute_uv=False)
     cutoff = (s[0] if s.size and s[0] > 0 else 1.0) * 1e-9
-    commutant_dim = len(p_basis) - int(np.sum(s > cutoff))
+    commutant_dim = len(comm) - int(np.sum(s > cutoff))
     if commutant_dim != spec.rank:
         return False
     return bool(form_margin(basis, span_dim) > tol)
@@ -297,11 +304,8 @@ def form_margin(elems, span_dim):
     orthonormal basis of the ``span_dim``-dimensional span(elems)."""
     n = elems[0].space.dim
     q, _ = np.linalg.qr(np.stack([e.matrix.ravel() for e in elems]).T)
-    ortho = [q[:, i].reshape(n, n) for i in range(span_dim)]
-    gram = np.empty((span_dim, span_dim))
-    for i in range(span_dim):
-        for j in range(span_dim):
-            gram[i, j] = -0.5 * np.trace(ortho[i] @ ortho[j])
+    ortho = q[:, :span_dim].T.reshape(span_dim, n, n)
+    gram = -0.5 * np.einsum("aij,bji->ab", ortho, ortho)  # -tr(O_a O_b)/2
     return float(np.min(np.abs(np.linalg.eigvalsh(gram))))
 
 

@@ -420,8 +420,19 @@ def build_report(states, frames_by_mu, h_field, config):
     return report
 
 
+def _format_rows(fmt, table):
+    """The text ``np.savetxt(fh, table, fmt=fmt)`` writes, as one ``%``
+    format over the whole 2-D ``table``."""
+    return ((fmt + "\n") * len(table)) % tuple(table.ravel().tolist())
+
+
 def write_phi_csv(path, config, phis_by_mu):
-    """One row per (mu, node), nodes in C order: coordinates, mu, phi."""
+    """One row per (mu, node), nodes in C order: coordinates, mu, phi.
+
+    Byte-identical to ``np.savetxt`` with ``%.17g`` and a ``,`` delimiter; the
+    rows are formatted one mu block at a time, which keeps the peak memory at
+    one block's text.
+    """
     grid, n = config.grid, config.spec.dim
     header = (
         [f"x{i + 1}" for i in range(grid.dims)]
@@ -429,18 +440,22 @@ def write_phi_csv(path, config, phis_by_mu):
         + [f"phi_{i + 1}" for i in range(n)]
     )
     coords = np.indices(grid.nodes).reshape(grid.dims, -1).T * grid.steps
-    rows = [
-        np.column_stack(
-            [coords, np.full(len(coords), mu), phis_by_mu[mu].reshape(-1, n)]
-        )
-        for mu in config.mu_samples
-    ]
-    np.savetxt(path, np.concatenate(rows), fmt="%.17g", delimiter=",",
-               header=",".join(header), comments="")
+    fmt = ",".join(["%.17g"] * len(header))
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for mu in config.mu_samples:
+            block = np.column_stack(
+                [coords, np.full(len(coords), mu), phis_by_mu[mu].reshape(-1, n)]
+            )
+            fh.write(_format_rows(fmt, block))
 
 
 def write_obj(path, config, phi, mu):
-    """Vertices phi[obj_coords] per node in C order; two triangles per cell."""
+    """Vertices phi[obj_coords] per node in C order; two triangles per cell.
+
+    Byte-identical to ``np.savetxt`` with ``v %.17g %.17g %.17g`` and
+    ``f %d %d %d`` lines, formatted one block at a time.
+    """
     grid = config.grid
     if grid.dims != 2:
         return
@@ -454,10 +469,11 @@ def write_obj(path, config, phi, mu):
     a, b = vid[:-1, :-1].ravel(), vid[1:, :-1].ravel()
     c, d = vid[1:, 1:].ravel(), vid[:-1, 1:].ravel()
     faces = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    vertices = phi.reshape(-1, phi.shape[-1])[:, list(config.obj_coords)]
     with open(path, "w") as fh:
-        np.savetxt(fh, phi.reshape(-1, phi.shape[-1])[:, list(config.obj_coords)],
-                   fmt="v %.17g %.17g %.17g", header=header, comments="")
-        np.savetxt(fh, faces, fmt="f %d %d %d")
+        fh.write(header + "\n")
+        fh.write(_format_rows("v %.17g %.17g %.17g", vertices))
+        fh.write(_format_rows("f %d %d %d", faces))
 
 
 def run_pipeline(config, out_dir):
@@ -549,13 +565,14 @@ def _cmd_run(args):
     path = Path(args.config)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"invalid JSON in {path}: {err}") from err
-    config = RunConfig(raw)
     out = Path(args.out)
+    config = None
     try:
+        try:
+            raw = json.loads(path.read_text())
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"invalid JSON in {path}: {err}") from err
+        config = RunConfig(raw)
         report, code = run_pipeline(config, out)
     except Exception as err:
         out.mkdir(parents=True, exist_ok=True)
@@ -565,7 +582,7 @@ def _cmd_run(args):
             error["node"] = [int(i) for i in node]
         failure = {
             "schema": 1,
-            "config_hash": config.hash(),
+            "config_hash": None if config is None else config.hash(),
             "pass": False,
             "error": error,
         }

@@ -184,6 +184,11 @@ def gauge_to_normal_form(conn, spec):
     and equal or vanishing ones are an error rather than a silent branch
     choice.  Signs and column order continue from the already-gauged
     neighbor; the origin fixes the global branch.
+
+    A1 is checked to be finite and in so(J) over the whole grid first, so a
+    corrupt field raises ``StructuralError``; then one batched SVD covers
+    every node, and the sweep runs the span test, the singular-gap test and
+    the continuation node by node.
     """
     grid = conn.grid
     n, n1, n2 = spec.dim, spec.n1, spec.n2
@@ -200,27 +205,31 @@ def gauge_to_normal_form(conn, spec):
     k = conn.dims
     m = n2
     weights = np.array([1.0 / (j + np.sqrt(2.0)) for j in range(1, k + 1)])
+    a1 = conn.a1
+    _check_so_j(a1, spec.space)
 
-    h_field = np.empty(grid.nodes + (n, n))
+    c = sum(w * a1[..., j, n1:, :n1] for j, w in enumerate(weights))
+    u_all, s_all, vt_all = np.linalg.svd(c, full_matrices=True)
+    gap = np.min(-np.diff(s_all, axis=-1), axis=-1, initial=np.inf)
+    degenerate = (s_all[..., -1] < SINGULAR_SEP_TOL) | (gap < SINGULAR_SEP_TOL)
+
+    h_field = np.zeros(grid.nodes + (n, n))
     p_sing = {}
     p_ker = {}
     q_field = {}
     for index, prev, _axis in grid.sweep():
-        blocks = [conn.a1[index + (j,)][n1:, :n1] for j in range(k)]
         span = [
-            AlgebraElement(conn.a1[index + (j,)], spec.space, tol=CARTAN_TOL)
+            AlgebraElement(a1[index + (j,)], spec.space, tol=CARTAN_TOL)
             for j in range(k)
         ]
         if not admissible_span(span, spec, CARTAN_TOL):
             raise NonCartanError(f"tangent span fails the Cartan test at {index}")
-        c = sum(w * b for w, b in zip(weights, blocks))
-        u, s, vt = np.linalg.svd(c, full_matrices=True)
-        gap = np.min(-np.diff(s)) if len(s) > 1 else np.inf
-        if np.min(s) < SINGULAR_SEP_TOL or gap < SINGULAR_SEP_TOL:
+        if degenerate[index]:
             raise DegenerateSpectrumError(
-                f"singular values {s} too close or too small at node {index}"
+                f"singular values {s_all[index]} too close or too small at "
+                f"node {index}"
             )
-        v = vt.T
+        u, v = u_all[index], vt_all[index].T
         v_sing, v_ker = v[:, :m], v[:, m:]
         if prev is None:
             # Fix the global branch: flip (u_i, v_i) pairs together so each
@@ -233,13 +242,28 @@ def gauge_to_normal_form(conn, spec):
             u, _ = _align_columns(q_field[prev], u, "left singular", index, perm)
             v_ker, _ = _align_columns(p_ker[prev], v_ker, "kernel", index)
         p_sing[index], p_ker[index], q_field[index] = v_sing, v_ker, u
-        p_full = np.concatenate([v_ker, v_sing], axis=1)
-        h = np.zeros((n, n))
-        h[:n1, :n1] = p_full.T
+        h = h_field[index]  # a view: the off-blocks stay zero
+        h[:n1, :n1] = np.concatenate([v_ker, v_sing], axis=1).T
         h[n1:, n1:] = u.T
-        h_field[index] = h
 
     return gauge_from_h(conn, h_field, spec)
+
+
+def _check_so_j(a1, space):
+    """Raise StructuralError at the first (node, flow) in C order whose A1 is
+    non-finite or off so(J) beyond CARTAN_TOL at its own scale (the test
+    ``AlgebraElement`` applies), over the whole field in one pass."""
+    j = space.j_diag
+    res = np.max(np.abs(np.swapaxes(a1, -1, -2) * j + j[:, None] * a1), axis=(-2, -1))
+    scale = np.maximum(1.0, np.max(np.abs(a1), axis=(-2, -1)))
+    # A NaN or inf entry of A1 makes res non-finite.
+    failing = np.argwhere(~(np.isfinite(res) & (res <= CARTAN_TOL * scale)))
+    if failing.size:
+        *index, flow = (int(i) for i in failing[0])
+        raise StructuralError(
+            f"A1 of flow {flow} at node {tuple(index)} is not a finite element "
+            f"of so(J): residual {res[tuple(failing[0])]:.3e}"
+        )
 
 
 def gauge_from_h(conn, h_field, spec):

@@ -233,15 +233,16 @@ def flow_field(xi, r):
 def flow_rhs(stack, r, d):
     """Raw right-hand side of the r-flow on a coefficient stack (hot path).
 
-    Equals flow_field up to dropping the identically-zero degree-(d+1) term.
+    Equals flow_field up to dropping the identically-zero degree-(d+1) term:
+    coefficient k is [xi_k, b0] + [xi_{k-1}, b1] with (b0, b1) the pair of
+    ``connection_coefficients``.  ``stack`` is (..., d+1, n, n): all degrees
+    and leading (node) axes are one broadcast expression, and each slice
+    equals the single-stack per-degree loop byte for byte.
     """
-    b0, b1 = connection_coefficients(stack, r, d)
-    out = np.empty_like(stack)
-    for k in range(d + 1):
-        acc = stack[k] @ b0 - b0 @ stack[k]
-        if k >= 1:
-            acc += stack[k - 1] @ b1 - b1 @ stack[k - 1]
-        out[k] = acc
+    b0, b1 = (b[..., None, :, :] for b in connection_coefficients(stack, r, d))
+    out = stack @ b0 - b0 @ stack
+    lower = stack[..., :-1, :, :]
+    out[..., 1:, :, :] += lower @ b1 - b1 @ lower
     return out
 
 

@@ -146,3 +146,104 @@ def j_orthonormalize_single(g, space, pivot_tol=1e-10):
         for c in remaining:
             cols[:, c] -= sign * (cols[:, c] @ (j * u)) * u
     return out, order
+
+
+def flow_rhs_single(stack, r, d):
+    """The former per-degree loop of ``loops.flow_rhs`` on one (d+1, n, n)
+    stack, which the broadcast kernel must reproduce byte for byte."""
+    from curvedflats.loops import connection_coefficients
+
+    b0, b1 = connection_coefficients(stack, r, d)
+    out = np.empty_like(stack)
+    for k in range(d + 1):
+        acc = stack[k] @ b0 - b0 @ stack[k]
+        if k >= 1:
+            acc += stack[k - 1] @ b1 - b1 @ stack[k - 1]
+        out[k] = acc
+    return out
+
+
+def is_cartan_per_element(basis, spec, tol=1e-9):
+    """The former ``algebra.is_cartan``: per-element k-part test, p-basis
+    rebuilt on every call, commutant rows bracketed one basis matrix at a
+    time and the Gram matrix filled entry by entry.  The cached, broadcast
+    version must give the same verdicts and raise the same errors."""
+    from curvedflats.errors import StructuralError
+
+    if len(basis) == 0:
+        raise StructuralError("is_cartan needs a nonempty basis")
+    for e in basis:
+        if e.space != spec.space:
+            raise StructuralError("basis element over the wrong space")
+        p_res = np.max(np.abs(spec.k_project(e.matrix)))
+        if p_res > max(1.0, e.norm) * 1e-9:
+            raise StructuralError(f"basis element not in p (k-part {p_res:.2e})")
+    mats = [e.matrix for e in basis]
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            if np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i])) > tol:
+                return False
+    flat = np.stack([m.ravel() for m in mats])
+    sv = np.linalg.svd(flat, compute_uv=False)
+    span_dim = int(np.sum(sv > sv[0] * 1e-9)) if sv[0] > 0 else 0
+    if span_dim != spec.rank:
+        return False
+    n, n1 = spec.dim, spec.n1
+    jd = spec.space.j_diag
+    p_basis = []
+    for b in range(spec.n2):
+        for a in range(n1):
+            e = np.zeros((n, n))
+            e[n1 + b, a] = 2.0
+            p_basis.append(0.5 * (e - jd[:, None] * e.T * jd[None, :]))
+    rows = [np.concatenate([(pb @ m - m @ pb).ravel() for m in mats])
+            for pb in p_basis]
+    s = np.linalg.svd(np.stack(rows).T, compute_uv=False)
+    cutoff = (s[0] if s.size and s[0] > 0 else 1.0) * 1e-9
+    if len(p_basis) - int(np.sum(s > cutoff)) != spec.rank:
+        return False
+    q, _ = np.linalg.qr(flat.T)
+    ortho = [q[:, i].reshape(n, n) for i in range(span_dim)]
+    gram = np.empty((span_dim, span_dim))
+    for i in range(span_dim):
+        for j in range(span_dim):
+            gram[i, j] = -0.5 * np.trace(ortho[i] @ ortho[j])
+    return bool(float(np.min(np.abs(np.linalg.eigvalsh(gram)))) > tol)
+
+
+def savetxt_phi_csv(path, config, phis_by_mu):
+    """The former ``cli.write_phi_csv``: one ``np.savetxt`` call with
+    ``%.17g`` over every mu block."""
+    grid, n = config.grid, config.spec.dim
+    header = (
+        [f"x{i + 1}" for i in range(grid.dims)]
+        + ["mu"]
+        + [f"phi_{i + 1}" for i in range(n)]
+    )
+    coords = np.indices(grid.nodes).reshape(grid.dims, -1).T * grid.steps
+    rows = [
+        np.column_stack(
+            [coords, np.full(len(coords), mu), phis_by_mu[mu].reshape(-1, n)]
+        )
+        for mu in config.mu_samples
+    ]
+    np.savetxt(path, np.concatenate(rows), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
+
+
+def savetxt_obj(path, config, phi, mu):
+    """The former ``cli.write_obj``: vertices and faces by ``np.savetxt``."""
+    n0, n1 = config.grid.nodes
+    header = "\n".join([
+        "# curved-flat reconstruction mesh",
+        f"# config sha256: {config.hash()}",
+        f"# mu: {mu:.17g}",
+    ])
+    vid = np.arange(n0 * n1).reshape(n0, n1) + 1
+    a, b = vid[:-1, :-1].ravel(), vid[1:, :-1].ravel()
+    c, d = vid[1:, 1:].ravel(), vid[:-1, 1:].ravel()
+    faces = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    with open(path, "w") as fh:
+        np.savetxt(fh, phi.reshape(-1, phi.shape[-1])[:, list(config.obj_coords)],
+                   fmt="v %.17g %.17g %.17g", header=header, comments="")
+        np.savetxt(fh, faces, fmt="f %d %d %d")

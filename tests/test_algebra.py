@@ -14,11 +14,14 @@ from curvedflats.algebra import (
     is_cartan,
 )
 from curvedflats.errors import StructuralError
+from curvedflats.loops import connection_coefficients
+from curvedflats.presets import make_preset, preset_names
 
 from helpers import (
     cartan_oracle,
     expm_single,
     from_offblock,
+    is_cartan_per_element,
     random_element,
     so3_spec,
     so5_spec,
@@ -211,6 +214,78 @@ def test_is_cartan_agrees_with_oracle_indefinite():
     for _ in range(10):
         span = [random_element(RNG, spec, part="p")]
         assert is_cartan(span, spec, tol=1e-9) == cartan_oracle(span, spec)
+
+
+def _cartan_candidates(spec, rng):
+    """Spans the gauge and the seed meet, plus spans built to fail each
+    stage of the Cartan test."""
+    n1, n2 = spec.split
+    diagonal = []
+    for a in range(n2):
+        b = np.zeros((n2, n1))
+        b[a, n1 - n2 + a] = 1.0
+        diagonal.append(from_offblock(b, spec).matrix)
+    spans = []
+    for _ in range(4):
+        # The seed's span: A1 of the flows r = 1, 3 of a random state.
+        stack = np.stack([
+            random_element(rng, spec, part="k" if k % 2 == 0 else "p",
+                           scale=0.75).matrix
+            for k in range(4)
+        ])
+        spans.append([connection_coefficients(stack, r, 3)[1] for r in (1, 3)])
+        # The reference Cartan subspace moved by an isotropy element.
+        h = group_exp(random_element(rng, spec, part="k", scale=0.8))
+        h_inv = spec.space.j_diag[:, None] * h.T * spec.space.j_diag[None, :]
+        weights = rng.standard_normal((2, n2))
+        spans.append([h @ np.tensordot(w, diagonal, 1) @ h_inv for w in weights])
+        x, y = (random_element(rng, spec, part="p").matrix for _ in range(2))
+        spans.append([x, y])                      # not abelian
+        spans.append([x, 2.0 * x])                # rank deficit
+        spans.append([x])                         # one element for rank 2
+        spans.append([diagonal[0], diagonal[0] + 1e-6 * y])  # nearly abelian
+    # Commuting unit off-block pairs: x_{0,a} + x_{0,a'} is null for the trace
+    # form where the two entries have opposite causal character.
+    def unit(b, a):
+        e = np.zeros((n2, n1))
+        e[b, a] = 1.0
+        return from_offblock(e, spec).matrix
+
+    for a, a2, a3 in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        spans.append([unit(0, a) + unit(0, a2), unit(1, a3)])
+    return [[AlgebraElement(m, spec.space) for m in span] for span in spans]
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_is_cartan_matches_per_element_implementation(name):
+    spec = make_preset(name)
+    rng = np.random.default_rng(len(name))
+    verdicts = []
+    for span in _cartan_candidates(spec, rng):
+        got = is_cartan(span, spec, tol=1e-9)
+        assert got == is_cartan_per_element(span, spec, tol=1e-9)
+        verdicts.append(got)
+    assert True in verdicts and False in verdicts
+    # An element outside p raises the same error from both, naming the
+    # k-part of the first such element.
+    k_part = random_element(rng, spec, part="k", scale=0.5)
+    k_big = random_element(rng, spec, part="k", scale=3.0)
+    for span in ([k_part], [_cartan_candidates(spec, rng)[1][0], k_part],
+                 [k_big, k_part]):
+        with pytest.raises(StructuralError) as want:
+            is_cartan_per_element(span, spec)
+        with pytest.raises(StructuralError) as got:
+            is_cartan(span, spec)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("basis element not in p")
+
+
+def test_p_basis_is_built_once_per_spec():
+    spec = so5_spec()
+    basis = spec.p_basis
+    assert basis.shape == (6, 5, 5) and not basis.flags.writeable
+    assert spec.p_basis is basis
+    assert all(np.array_equal(spec.p_project(b), b) for b in basis)
 
 
 def test_group_exp_identity_and_rotation():

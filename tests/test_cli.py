@@ -16,7 +16,7 @@ from curvedflats.cli import (
 )
 from curvedflats.errors import ConfigError, MissingArtifactError
 
-from helpers import from_offblock, so3_spec
+from helpers import from_offblock, savetxt_obj, savetxt_phi_csv, so3_spec
 
 
 EXPLICIT_SPEC = {"preset": None, "signature": [5, 0], "split": [3, 2], "rank": 2}
@@ -261,6 +261,56 @@ def test_obj_export_contents(tmp_path):
     fs = [l for l in obj if l.startswith("f ")]
     assert len(vs) == 81
     assert len(fs) == 2 * 8 * 8
+
+
+def _awkward_values(rng, shape):
+    """Normal draws spread over 600 decades, with signed zeros, subnormals
+    and integers mixed in."""
+    vals = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+    flat = vals.reshape(-1)
+    flat[:8] = [0.0, -0.0, 5e-324, -2.5e-310, 1.0, -3.0, 1.0 / 3.0, -1e-17]
+    return vals
+
+
+@pytest.mark.parametrize(
+    "powers,nodes",
+    [([1], [7]), ([1, 3], [6, 5]), ([1, 3, 5], [3, 4, 5])],
+)
+def test_writers_match_savetxt_byte_for_byte(tmp_path, powers, nodes):
+    cfg = small_config(
+        powers=powers, nodes=nodes, extents=[0.3, 0.7, 1e-3][: len(nodes)],
+        mu_samples=[-1e-7, 0.6, 1.0 / 3.0], obj_coords=[4, 0, 2],
+    )
+    config = RunConfig(cfg)
+    rng = np.random.default_rng(len(nodes))
+    phis = {mu: _awkward_values(rng, tuple(nodes) + (5,)) for mu in config.mu_samples}
+    cli.write_phi_csv(tmp_path / "new.csv", config, phis)
+    savetxt_phi_csv(tmp_path / "old.csv", config, phis)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    if len(nodes) == 2:
+        for mu in config.mu_samples:
+            cli.write_obj(tmp_path / "new.obj", config, phis[mu], mu)
+            savetxt_obj(tmp_path / "old.obj", config, phis[mu], mu)
+            new = (tmp_path / "new.obj").read_bytes()
+            assert new == (tmp_path / "old.obj").read_bytes()
+    else:
+        cli.write_obj(tmp_path / "none.obj", config, phis[0.6], 0.6)
+        assert not (tmp_path / "none.obj").exists()
+
+
+def test_main_rejected_config_writes_error_block(tmp_path):
+    # Rejected before any array exists: the error block has no config hash.
+    for name, text in (("small", json.dumps({"nodes": [3, 3]})),
+                       ("json", "{not json")):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(text)
+        out = tmp_path / name
+        assert main(["run", str(cfg_path), "-o", str(out)]) == 2
+        failure = json.loads((out / "report.json").read_text())
+        assert failure["pass"] is False
+        assert failure["config_hash"] is None
+        assert failure["error"]["category"] == "ConfigError"
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
 
 
 def test_main_run_verify_and_presets(tmp_path, capsys):

@@ -186,6 +186,32 @@ def test_gauge_degenerate_spectrum_raises():
         gauge_to_normal_form(conn, SPEC)
 
 
+def test_gauge_names_first_node_with_colliding_singular_values(run17):
+    # C = w_1 B_1 + w_2 B_2 has equal singular values where w_1 s_1 = w_2 s_2;
+    # the span stays Cartan there, so the gap test is what fails.  Of the two
+    # such nodes the sweep (C order) meets (2, 3) first.
+    grid, conn, _, _ = run17
+    w1, w2 = 1.0 / (1.0 + np.sqrt(2.0)), 1.0 / (2.0 + np.sqrt(2.0))
+    d0 = from_offblock([[0.0, 0.5, 0.0], [0.0, 0.0, 0.0]], SPEC).matrix
+    d1 = from_offblock([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5 * w1 / w2]], SPEC).matrix
+    a1 = conn.a1.copy()
+    for node in [(3, 1), (2, 3)]:
+        a1[node + (0,)], a1[node + (1,)] = d0, d1
+    with pytest.raises(DegenerateSpectrumError, match=r"at node \(2, 3\)$"):
+        gauge_to_normal_form(ConnectionForm(conn.a0, a1, grid, SPEC), SPEC)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gauge_rejects_non_finite_a1_as_structural(run17, bad):
+    # The batched SVD would raise LinAlgError on a non-finite entry; the
+    # whole-field so(J) check raises StructuralError (exit 2) first.
+    grid, conn, _, _ = run17
+    a1 = conn.a1.copy()
+    a1[5, 6, 1, 3, 0] = bad
+    with pytest.raises(StructuralError, match=r"flow 1 at node \(5, 6\)"):
+        gauge_to_normal_form(ConnectionForm(conn.a0, a1, grid, SPEC), SPEC)
+
+
 def test_developing_map_constant_coefficients():
     grid = GridSpec([0.4, 0.4], [5, 5])
     b1 = from_offblock([[0.0, 0.9, 0.0], [0.0, 0.0, 0.4]], SPEC).matrix

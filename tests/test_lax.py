@@ -140,6 +140,24 @@ def test_integrate_grid_blow_up_carries_node():
     assert err.value.node is not None
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_integrate_grid_non_finite_state_blows_up_at_its_node(monkeypatch, bad):
+    # One max-reduction decides: a NaN and an inf state are both rejected
+    # at the first substep of the first edge, as a large state is.
+    from curvedflats import lax
+    from curvedflats.errors import BlowUpError
+
+    monkeypatch.setattr(lax, "flow_rhs", lambda y, r, d: np.full_like(y, bad))
+    grid = GridSpec([0.4, 0.4], [3, 3])
+    with pytest.raises(BlowUpError) as err:
+        integrate_grid(random_state(seed=4), FlowFamily([1, 3], 3), grid, substeps=4)
+    assert str(err.value) == (
+        "blow-up while filling node (0, 1): Lax flow r=3 blew up at t=0.05"
+    )
+    assert err.value.node == (0, 1)
+    assert err.value.__cause__.last_t == 0.0
+
+
 def test_commutativity_at_origin_and_stationary():
     xi = random_state(d=3, seed=9)
     fam = FlowFamily([1, 3], 3)

@@ -18,7 +18,7 @@ from curvedflats.loops import (
 )
 from curvedflats.errors import StructuralError
 
-from helpers import from_offblock, random_element, so5_spec
+from helpers import flow_rhs_single, from_offblock, random_element, so5_spec
 
 RNG = np.random.default_rng(77)
 SPEC = so5_spec()
@@ -247,6 +247,22 @@ def test_flow_rhs_matches_flow_field(d, r):
         full = tilde_v(xi, r).stack
         assert lo[i].tobytes() == full[d * r - 1].tobytes()
         assert hi[i].tobytes() == full[d * r].tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+@pytest.mark.parametrize("r", [1, 3, 5])
+def test_flow_rhs_stack_matches_per_slice_loop(d, r):
+    # The broadcast kernel on a (b, d+1, n, n) stack equals the former
+    # per-degree loop on each slice byte for byte, signed zeros included.
+    rng = np.random.default_rng(10 * d + r)
+    slices = [random_lax_state(d=d, scale=s, rng=rng).stack for s in (0.3, 0.8, 2.0)]
+    slices += [np.zeros((d + 1, 5, 5)), -np.zeros((d + 1, 5, 5))]
+    stack = np.stack(slices)
+    got = flow_rhs(stack, r, d)
+    assert got.shape == stack.shape
+    for i, one in enumerate(slices):
+        assert got[i].tobytes() == flow_rhs_single(one, r, d).tobytes()
+        assert flow_rhs(one, r, d).tobytes() == flow_rhs_single(one, r, d).tobytes()
 
 
 def test_spectral_invariants_values():
