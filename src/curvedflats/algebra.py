@@ -233,39 +233,40 @@ def decompose(x, spec):
     )
 
 
-def is_abelian(elems, tol):
-    """True iff all pairwise brackets vanish within tol (max-norm)."""
-    if len(elems) == 0:
-        raise StructuralError("is_abelian needs a nonempty list")
-    for e in elems[1:]:
-        _check_same_space(elems[0], e)
-    mats = [e.matrix for e in elems]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            if np.max(np.abs(comm)) > tol:
-                return False
-    return True
+def _span_stack(span, n=None):
+    """``span`` as a nonempty (k, n, n) float stack, with the given n if
+    any; StructuralError else."""
+    mats = np.asarray(span, dtype=float)
+    if mats.ndim != 3 or len(mats) == 0 or mats.shape[1:] != (n or mats.shape[2],) * 2:
+        raise StructuralError(f"expected a nonempty (k, n, n) stack, got {mats.shape}")
+    return mats
+
+
+def is_abelian(span, tol):
+    """True iff all pairwise brackets of a (k, n, n) stack vanish within tol
+    (max-norm)."""
+    mats = _span_stack(span)
+    comm = mats[:, None] @ mats - mats @ mats[:, None]  # (k, k, n, n)
+    return not np.max(np.abs(comm)) > tol
 
 
 def is_cartan(basis, spec, tol=1e-9):
-    """Test whether span(basis) is a Cartan subspace of p.
+    """Test whether the span of a (k, n, n) stack is a Cartan subspace of p.
 
     Checks: (a) the span is abelian, (b) its dimension equals spec.rank,
     (c) the commutant {Y in p : [Y, X_i] = 0 for all i} has dimension exactly
     spec.rank (maximality), (d) the invariant form is nondegenerate on the
-    span (smallest |eigenvalue| of the Gram matrix on an orthonormalized
-    basis exceeds tol).
+    span (smallest |eigenvalue| of the Gram matrix on an orthonormal basis
+    exceeds tol).  Each check can decide the verdict: an element of a
+    maximal abelian subspace spans a rank-1 space that passes (a), (b) and
+    (d) for a spec declared with rank 1, and only (c) rejects it.
 
     The k-parts of all elements are tested in one call, the commutant system
     is one broadcast bracket against ``spec.p_basis`` (built once per spec),
-    and the first element outside p raises ``StructuralError``.
+    one SVD of the span gives both its dimension and the orthonormal basis
+    for (d), and the first element outside p raises ``StructuralError``.
     """
-    if len(basis) == 0:
-        raise StructuralError("is_cartan needs a nonempty basis")
-    if any(e.space != spec.space for e in basis):
-        raise StructuralError("basis element over the wrong space")
-    mats = np.stack([e.matrix for e in basis])
+    mats = _span_stack(basis, spec.dim)
     k_res = np.max(np.abs(spec.k_project(mats)), axis=(-2, -1))
     scale = np.maximum(1.0, np.max(np.abs(mats), axis=(-2, -1)))
     off_p = np.flatnonzero(k_res > scale * 1e-9)
@@ -274,10 +275,10 @@ def is_cartan(basis, spec, tol=1e-9):
             f"basis element not in p (k-part {k_res[off_p[0]]:.2e})"
         )
 
-    if not is_abelian(basis, tol):
+    if not is_abelian(mats, tol):
         return False
-    span_dim = span_rank(basis)
-    if span_dim != spec.rank:
+    ortho = span_basis(mats)
+    if len(ortho) != spec.rank:
         return False
 
     # Commutant of the span inside p, as the null space of Y -> ([Y, X_i])_i:
@@ -290,21 +291,22 @@ def is_cartan(basis, spec, tol=1e-9):
     commutant_dim = len(comm) - int(np.sum(s > cutoff))
     if commutant_dim != spec.rank:
         return False
-    return bool(form_margin(basis, span_dim) > tol)
+    return bool(form_margin(ortho) > tol)
 
 
-def span_rank(elems):
-    """Dimension of span(elems): singular values above 1e-9 of the largest."""
-    sv = np.linalg.svd(np.stack([e.matrix.ravel() for e in elems]), compute_uv=False)
-    return int(np.sum(sv > sv[0] * 1e-9)) if sv[0] > 0 else 0
+def span_basis(span):
+    """Orthonormal basis (rank, n, n) of the span of a (k, n, n) stack, from
+    one SVD; its length, the span's dimension, counts the singular values
+    above 1e-9 of the largest."""
+    mats = _span_stack(span)
+    _, sv, vt = np.linalg.svd(mats.reshape(len(mats), -1), full_matrices=False)
+    rank = int(np.sum(sv > sv[0] * 1e-9)) if sv[0] > 0 else 0
+    return vt[:rank].reshape((rank,) + mats.shape[1:])
 
 
-def form_margin(elems, span_dim):
+def form_margin(ortho):
     """Smallest |eigenvalue| of the invariant form's Gram matrix on an
-    orthonormal basis of the ``span_dim``-dimensional span(elems)."""
-    n = elems[0].space.dim
-    q, _ = np.linalg.qr(np.stack([e.matrix.ravel() for e in elems]).T)
-    ortho = q[:, :span_dim].T.reshape(span_dim, n, n)
+    orthonormal basis (m, n, n), as ``span_basis`` gives it."""
     gram = -0.5 * np.einsum("aij,bji->ab", ortho, ortho)  # -tr(O_a O_b)/2
     return float(np.min(np.abs(np.linalg.eigvalsh(gram))))
 

@@ -265,12 +265,12 @@ def seed_initial_state(config):
         else:
             state = LaxState(stack, spec)
             try:
-                span = [
+                span = np.stack([
                     AlgebraElement(
                         connection_coefficients(stack, r, d)[1], spec.space
-                    )
+                    ).matrix
                     for r in config.powers
-                ]
+                ])
                 if admissible_span(span, spec, 1e-9):
                     return state, attempt
             except StructuralError:

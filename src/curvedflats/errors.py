@@ -18,16 +18,20 @@ class MissingArtifactError(StructuralError):
 
 
 class NumericalError(CurvedFlatsError):
-    """Base for runtime numerical failures (exit code 3 in the CLI)."""
+    """Base for runtime numerical failures (exit code 3 in the CLI).  Carries
+    the grid node where the failure was found, when there is one."""
+
+    def __init__(self, message, node=None):
+        super().__init__(message)
+        self.node = node
 
 
 class BlowUpError(NumericalError):
     """Integration left the trust region.  Carries the last valid time/node."""
 
     def __init__(self, message, last_t=None, node=None):
-        super().__init__(message)
+        super().__init__(message, node)
         self.last_t = last_t
-        self.node = node
 
 
 class InternalConsistencyError(NumericalError):
@@ -47,9 +51,8 @@ class DegenerateFrameError(NumericalError):
     the failing slice of a stack and, from the frame integration, the node."""
 
     def __init__(self, message, index=None, node=None):
-        super().__init__(message)
+        super().__init__(message, node)
         self.index = index
-        self.node = node
 
 
 class GaugeContinuityError(NumericalError):

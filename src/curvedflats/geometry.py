@@ -10,9 +10,11 @@ induced metric, normal bundle, and second fundamental form are then checked
 against the space-form predictions.
 """
 
+import itertools
+
 import numpy as np
 
-from .algebra import AlgebraElement, form_margin, is_abelian, is_cartan, span_rank
+from .algebra import form_margin, is_abelian, is_cartan, span_basis
 from .errors import (
     DegenerateSpectrumError,
     GaugeContinuityError,
@@ -119,51 +121,46 @@ def curved_flat_planes(frames, spec):
     return f @ pi0 @ f_inv
 
 
-def _greedy_match(overlap):
-    """Permutation pi maximizing |overlap[i, pi(i)]| greedily, with the
-    matched overlap values."""
-    size = overlap.shape[0]
-    taken = set()
-    perm = np.empty(size, dtype=int)
-    vals = np.empty(size)
-    for i in range(size):
-        order = np.argsort(-np.abs(overlap[i]))
-        for cand in order:
-            if int(cand) not in taken:
-                perm[i] = int(cand)
-                vals[i] = overlap[i, cand]
-                taken.add(int(cand))
-                break
-    return perm, vals
-
-
 def _canonical_signs(columns):
     """Per column the sign (+-1) making its largest-magnitude entry positive."""
     lead = columns[np.argmax(np.abs(columns), axis=0), np.arange(columns.shape[1])]
     return np.where(lead < 0, -1.0, 1.0)
 
 
-def _align_columns(prev, new, what, node, perm=None):
-    """Permute and sign-flip ``new``'s columns to track ``prev``; returns
-    (aligned, perm).  A given ``perm`` fixes the order and only signs are
-    matched."""
-    if new.shape[1] == 0:
-        return new, np.empty(0, dtype=int)
-    if perm is None:
-        perm, vals = _greedy_match(prev.T @ new)
-    else:
-        vals = np.einsum("ij,ij->j", prev, new[:, perm])
-    worst = float(np.min(np.abs(vals)))
-    if worst < 0.5:
-        raise GaugeContinuityError(
-            f"{what} columns rotated too far between neighboring nodes at "
-            f"node {node} (overlap {worst:.3f})"
+def best_permutation(overlap):
+    """Exact column assignment over a stack (..., c, c) of overlaps.
+
+    Per slice, of the c! permutations sigma the one maximizing the smallest
+    |overlap[i, sigma(i)]|, the earliest in lexicographic order on ties.
+    Returns (sigma, that smallest |overlap|); with c = 0 the minimum is inf.
+    """
+    c = overlap.shape[-1]
+    perms = np.array(list(itertools.permutations(range(c))), dtype=int)
+    worst = np.min(np.abs(overlap[..., np.arange(c), perms]), axis=-1,
+                   initial=np.inf)  # (..., c!)
+    best = np.argmax(worst, axis=-1)
+    return perms[best], np.take_along_axis(worst, best[..., None], -1)[..., 0]
+
+
+def _along(axis, index):
+    """Index tuple selecting ``index`` along ``axis`` of a region block."""
+    return (slice(None),) * axis + (index,)
+
+
+def _overlap_with_predecessor(cols, grid):
+    """prev^T @ cols at every node, with prev the columns at the node's
+    ``grid.sweep`` predecessor (the origin overlaps with itself)."""
+    prev = cols.copy()
+    for axis, region in grid.sweep_regions():
+        prev[region][_along(axis, slice(1, None))] = (
+            cols[region][_along(axis, slice(None, -1))]
         )
-    return new[:, perm] * np.sign(vals)[None, :], perm
+    return np.swapaxes(prev, -1, -2) @ cols
 
 
 def admissible_span(span, spec, tol):
-    """Precondition shared by seeding and the gauge on a tangent span.
+    """Precondition shared by seeding and the gauge on a (k, n, n) tangent
+    span.
 
     With at least as many flows as the rank this is the full Cartan test;
     with fewer flows (a curve in a higher-rank space) it relaxes to: abelian,
@@ -172,7 +169,10 @@ def admissible_span(span, spec, tol):
     k = len(span)
     if k >= spec.rank:
         return is_cartan(span, spec, tol=tol)
-    return is_abelian(span, tol) and span_rank(span) == k and form_margin(span, k) > tol
+    if not is_abelian(span, tol):
+        return False
+    ortho = span_basis(span)
+    return len(ortho) == k and form_margin(ortho) > tol
 
 
 def gauge_to_normal_form(conn, spec):
@@ -182,13 +182,20 @@ def gauge_to_normal_form(conn, spec):
     through the SVD of a fixed generic combination C = sum_j w_j B_j
     (w_j = 1/(j + sqrt 2)); genericity separates the singular values,
     and equal or vanishing ones are an error rather than a silent branch
-    choice.  Signs and column order continue from the already-gauged
-    neighbor; the origin fixes the global branch.
+    choice.  Signs and column order continue from the sweep predecessor;
+    the origin fixes the global branch.
 
     A1 is checked to be finite and in so(J) over the whole grid first, so a
-    corrupt field raises ``StructuralError``; then one batched SVD covers
-    every node, and the sweep runs the span test, the singular-gap test and
-    the continuation node by node.
+    corrupt field raises ``StructuralError``.  Everything but the span test
+    then runs on the whole grid: one batched SVD, the singular-gap mask, and
+    the continuation.  Continuation is an exact assignment: on every sweep
+    edge the raw right-singular, left-singular and kernel columns overlap
+    with the predecessor's, ``best_permutation`` picks the column order (the
+    left-singular columns follow the right ones; each set keeps its own
+    signs), and the orders and signs compose along the sweep from the
+    origin's canonical signs.  The sweep itself calls only
+    ``admissible_span`` per node, and raises at the first node in sweep order
+    whose span test, singular gap or 0.5 overlap guard fails, in that order.
     """
     grid = conn.grid
     n, n1, n2 = spec.dim, spec.n1, spec.n2
@@ -203,7 +210,7 @@ def gauge_to_normal_form(conn, spec):
             "indefinite presets stop at connections and frames"
         )
     k = conn.dims
-    m = n2
+    m, q = n2, n1 - n2
     weights = np.array([1.0 / (j + np.sqrt(2.0)) for j in range(1, k + 1)])
     a1 = conn.a1
     _check_so_j(a1, spec.space)
@@ -213,42 +220,86 @@ def gauge_to_normal_form(conn, spec):
     gap = np.min(-np.diff(s_all, axis=-1), axis=-1, initial=np.inf)
     degenerate = (s_all[..., -1] < SINGULAR_SEP_TOL) | (gap < SINGULAR_SEP_TOL)
 
-    h_field = np.zeros(grid.nodes + (n, n))
-    p_sing = {}
-    p_ker = {}
-    q_field = {}
-    for index, prev, _axis in grid.sweep():
-        span = [
-            AlgebraElement(a1[index + (j,)], spec.space, tol=CARTAN_TOL)
-            for j in range(k)
-        ]
-        if not admissible_span(span, spec, CARTAN_TOL):
-            raise NonCartanError(f"tangent span fails the Cartan test at {index}")
-        if degenerate[index]:
-            raise DegenerateSpectrumError(
-                f"singular values {s_all[index]} too close or too small at "
-                f"node {index}"
-            )
-        u, v = u_all[index], vt_all[index].T
-        v_sing, v_ker = v[:, :m], v[:, m:]
-        if prev is None:
-            # Fix the global branch: flip (u_i, v_i) pairs together so each
-            # right vector's leading entry is positive; kernel columns too.
-            signs = _canonical_signs(v_sing)
-            v_sing, u = v_sing * signs, u * signs
-            v_ker = v_ker * _canonical_signs(v_ker)
-        else:
-            v_sing, perm = _align_columns(p_sing[prev], v_sing, "singular", index)
-            u, _ = _align_columns(q_field[prev], u, "left singular", index, perm)
-            v_ker, _ = _align_columns(p_ker[prev], v_ker, "kernel", index)
-        p_sing[index], p_ker[index], q_field[index] = v_sing, v_ker, u
-        h = h_field[index]  # a view: the off-blocks stay zero
-        h[:n1, :n1] = np.concatenate([v_ker, v_sing], axis=1).T
-        h[n1:, n1:] = u.T
+    # Right columns in gauge order: kernel first, then singular.
+    v_all = np.swapaxes(vt_all, -1, -2)
+    v_all = np.concatenate([v_all[..., m:], v_all[..., :m]], axis=-1)
+    o_right = _overlap_with_predecessor(v_all, grid)
+    o_ker, o_sing = o_right[..., :q, :q], o_right[..., q:, q:]
+    o_left = _overlap_with_predecessor(u_all, grid)
+    sigma_ker, worst_ker = best_permutation(o_ker)
+    sigma, worst_sing = best_permutation(o_sing)
+    # Per raw predecessor column (kernel, singular, left singular), its
+    # overlap with the raw column it maps to.
+    matched = np.concatenate([
+        np.take_along_axis(o, to[..., None], -1)[..., 0]
+        for o, to in ((o_ker, sigma_ker), (o_sing, sigma), (o_left, sigma))
+    ], axis=-1)
+    worst = {
+        "singular": worst_sing,
+        "left singular": np.min(np.abs(matched[..., n1:]), axis=-1),
+        "kernel": worst_ker,
+    }
+    origin = (0,) * grid.dims
+    broken = degenerate.copy()
+    for field in worst.values():
+        field[origin] = np.inf
+        broken |= field < 0.5
 
+    for index, _prev, _axis in grid.sweep():
+        if not admissible_span(a1[index], spec, CARTAN_TOL):
+            raise NonCartanError(
+                f"tangent span fails the Cartan test at {index}", node=index
+            )
+        if broken[index]:
+            _raise_gauge_failure(index, s_all[index], degenerate[index], worst)
+
+    # Per node, a column map (kernel, singular, left singular) onto the raw
+    # columns, and signs; the local steps compose from the origin outward.
+    step = np.concatenate([sigma_ker, q + sigma, n1 + sigma], axis=-1)
+    flip = np.sign(matched)
+    perm = np.empty_like(step)
+    signs = np.empty(flip.shape)
+    perm[origin] = np.arange(n)
+    # The origin flips (u_i, v_i) pairs together so each right vector's
+    # leading entry is positive; kernel columns too.
+    v0 = v_all[origin]
+    sing_signs = _canonical_signs(v0[:, q:])
+    signs[origin] = np.concatenate(
+        [_canonical_signs(v0[:, :q]), sing_signs, sing_signs]
+    )
+    for axis, region in grid.sweep_regions():
+        p, sg, st, fl = perm[region], signs[region], step[region], flip[region]
+        for i in range(1, grid.nodes[axis]):
+            at, before = _along(axis, i), _along(axis, i - 1)
+            # Aligned column c sits on raw column p[before][c] one step back.
+            p[at] = np.take_along_axis(st[at], p[before], -1)
+            sg[at] = sg[before] * np.take_along_axis(fl[at], p[before], -1)
+
+    h_field = np.zeros(grid.nodes + (n, n))
+    right = np.take_along_axis(v_all, perm[..., None, :n1], -1)
+    left = np.take_along_axis(u_all, perm[..., None, n1:] - n1, -1)
+    right, left = right * signs[..., None, :n1], left * signs[..., None, n1:]
+    h_field[..., :n1, :n1] = np.swapaxes(right, -1, -2)
+    h_field[..., n1:, n1:] = np.swapaxes(left, -1, -2)
     return gauge_from_h(conn, h_field, spec)
 
 
+def _raise_gauge_failure(index, singular_values, degenerate, worst):
+    """Raise the gauge's failure at a node whose gap or overlap guard failed:
+    the singular gap first, then the overlaps in the order of ``worst``."""
+    if degenerate:
+        raise DegenerateSpectrumError(
+            f"singular values {singular_values} too close or too small at "
+            f"node {index}",
+            node=index,
+        )
+    for what, field in worst.items():
+        if field[index] < 0.5:
+            raise GaugeContinuityError(
+                f"{what} columns rotated too far between neighboring nodes at "
+                f"node {index} (overlap {field[index]:.3f})",
+                node=index,
+            )
 def _check_so_j(a1, space):
     """Raise StructuralError at the first (node, flow) in C order whose A1 is
     non-finite or off so(J) beyond CARTAN_TOL at its own scale (the test
@@ -311,6 +362,11 @@ def developing_map(gf, grid, closedness_tol):
     """Integrate d psi = A1~ (trapezoid along the sweep) and report the
     closedness defect of the gauged p-part.
 
+    The trapezoid increments of each ``grid.sweep_regions`` block are summed
+    with one ``np.cumsum`` along its axis, starting from the values the
+    earlier blocks left at index 0: the same additions, in the same order,
+    as a node-by-node walk of ``grid.sweep``.
+
     A defect far above tolerance indicates a sign/order branch flip in the
     gauge continuation rather than discretization error.
     """
@@ -318,11 +374,13 @@ def developing_map(gf, grid, closedness_tol):
     m = gf.betas.shape[-1]
     steps = grid.steps
     psi = np.zeros(grid.nodes + (m,))
-    for index, prev, axis in grid.sweep():
-        if prev is None:
-            continue
-        avg = 0.5 * (gf.betas[prev + (axis,)] + gf.betas[index + (axis,)])
-        psi[index] = psi[prev] + steps[axis] * avg
+    for axis, region in grid.sweep_regions():
+        b, block = gf.betas[region + (axis,)], psi[region]
+        head, tail = _along(axis, slice(None, -1)), _along(axis, slice(1, None))
+        increments = steps[axis] * (0.5 * (b[head] + b[tail]))
+        block[...] = np.cumsum(
+            np.concatenate([block[_along(axis, slice(0, 1))], increments], axis), axis
+        )
 
     closedness = 0.0
     if k >= 2:

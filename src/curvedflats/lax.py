@@ -1,7 +1,10 @@
 """Grid integration of the commuting Lax hierarchy.
 
 The state xi lives in the degree 0..d polynomial loops; each flow is the
-isospectral ODE dxi/dx_j = [xi, pi_+ Vt_{r_j}(xi)].  The Lax fill, the
+isospectral ODE dxi/dx_j = [xi, pi_+ Vt_{r_j}(xi)].  The top coefficient
+xi_d is a first integral of every flow: the degree-d coefficient of the
+bracket, [xi_d, b0] + [xi_{d-1}, b1], vanishes identically, so xi_d and with it
+A1_j = xi_d^{r_j} keep their seed values on the whole grid.  The Lax fill, the
 frame integration, the gauge continuation and the developing map walk the one
 spanning tree of ``GridSpec.sweep`` (flow 1 along x1 from the seed, then flow
 2 along x2 from every x1-node, ...); the pointwise checks (twist condition,
@@ -64,6 +67,19 @@ class GridSpec:
             prev = list(index)
             prev[moved[-1]] -= 1
             yield tuple(index), tuple(prev), moved[-1]
+
+    def sweep_regions(self):
+        """Yield (axis, region) per axis in the default sweep order.
+
+        ``region`` indexes the (nodes[0], ..., nodes[axis]) block of nodes
+        with zeros on the later axes.  Within it, every node with a nonzero
+        index along ``axis`` has its ``sweep`` predecessor one step back
+        along ``axis``, and the block's nodes with index 0 along ``axis`` are
+        those of the regions before it, so the regions in order fill the
+        grid edge by edge exactly as ``sweep`` does.
+        """
+        for axis in range(self.dims):
+            yield axis, (slice(None),) * (axis + 1) + (0,) * (self.dims - axis - 1)
 
     def refine(self):
         """Same extents with doubled resolution (N -> 2N - 1)."""

@@ -30,6 +30,11 @@ def from_offblock(b, spec):
     return AlgebraElement(m, spec.space)
 
 
+def span_of(elems):
+    """The (k, n, n) stack of a list of elements, as the span tests take it."""
+    return np.stack([e.matrix for e in elems])
+
+
 def random_element(rng, spec, part=None, scale=1.0):
     """Random element of g, optionally projected to k or p, Frobenius scale."""
     raw = rng.standard_normal((spec.dim, spec.dim))
@@ -247,3 +252,124 @@ def savetxt_obj(path, config, phi, mu):
         np.savetxt(fh, phi.reshape(-1, phi.shape[-1])[:, list(config.obj_coords)],
                    fmt="v %.17g %.17g %.17g", header=header, comments="")
         np.savetxt(fh, faces, fmt="f %d %d %d")
+
+
+def _greedy_match(overlap):
+    """Permutation pi maximizing |overlap[i, pi(i)]| greedily, row by row,
+    with the matched overlap values."""
+    size = overlap.shape[0]
+    taken = set()
+    perm = np.empty(size, dtype=int)
+    vals = np.empty(size)
+    for i in range(size):
+        for cand in np.argsort(-np.abs(overlap[i])):
+            if int(cand) not in taken:
+                perm[i] = int(cand)
+                vals[i] = overlap[i, cand]
+                taken.add(int(cand))
+                break
+    return perm, vals
+
+
+def _align_columns(prev, new, what, node, perm=None):
+    from curvedflats.errors import GaugeContinuityError
+
+    if new.shape[1] == 0:
+        return new, np.empty(0, dtype=int)
+    if perm is None:
+        perm, vals = _greedy_match(prev.T @ new)
+    else:
+        vals = np.einsum("ij,ij->j", prev, new[:, perm])
+    worst = float(np.min(np.abs(vals)))
+    if worst < 0.5:
+        raise GaugeContinuityError(
+            f"{what} columns rotated too far between neighboring nodes at "
+            f"node {node} (overlap {worst:.3f})"
+        )
+    return new[:, perm] * np.sign(vals)[None, :], perm
+
+
+def _admissible_span_per_element(span, spec, tol):
+    """The former ``geometry.admissible_span`` on a list of elements, with a
+    QR basis for the form margin."""
+    k = len(span)
+    if k >= spec.rank:
+        return is_cartan_per_element(span, spec, tol)
+    mats = [e.matrix for e in span]
+    for i in range(k):
+        for j in range(i + 1, k):
+            if np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i])) > tol:
+                return False
+    flat = np.stack([m.ravel() for m in mats])
+    sv = np.linalg.svd(flat, compute_uv=False)
+    if (int(np.sum(sv > sv[0] * 1e-9)) if sv[0] > 0 else 0) != k:
+        return False
+    q, _ = np.linalg.qr(flat.T)
+    ortho = q[:, :k].T.reshape((k,) + mats[0].shape)
+    gram = -0.5 * np.einsum("aij,bji->ab", ortho, ortho)
+    return bool(np.min(np.abs(np.linalg.eigvalsh(gram))) > tol)
+
+
+def greedy_gauge_h(conn, spec):
+    """The former node-by-node ``geometry.gauge_to_normal_form``: per node an
+    ``AlgebraElement`` span test, the gap test, and a greedy column match
+    against the already-gauged predecessor.  Returns the gauge field H; raises
+    what the former gauge raised, with its messages (and no ``node``)."""
+    from curvedflats.errors import (
+        DegenerateSpectrumError,
+        NonCartanError,
+    )
+
+    grid = conn.grid
+    n, n1 = spec.dim, spec.n1
+    k, m = conn.dims, spec.n2
+    weights = [1.0 / (j + np.sqrt(2.0)) for j in range(1, k + 1)]
+    a1 = conn.a1
+    c = sum(w * a1[..., j, n1:, :n1] for j, w in enumerate(weights))
+    u_all, s_all, vt_all = np.linalg.svd(c, full_matrices=True)
+
+    def canonical_signs(columns):
+        lead = columns[np.argmax(np.abs(columns), axis=0),
+                       np.arange(columns.shape[1])]
+        return np.where(lead < 0, -1.0, 1.0)
+
+    h_field = np.zeros(grid.nodes + (n, n))
+    p_sing, p_ker, q_field = {}, {}, {}
+    for index, prev, _axis in grid.sweep():
+        span = [AlgebraElement(a1[index + (j,)], spec.space, tol=1e-9)
+                for j in range(k)]
+        if not _admissible_span_per_element(span, spec, 1e-9):
+            raise NonCartanError(f"tangent span fails the Cartan test at {index}")
+        s = s_all[index]
+        gap = np.min(-np.diff(s), initial=np.inf)
+        if s[-1] < 1e-8 or gap < 1e-8:
+            raise DegenerateSpectrumError(
+                f"singular values {s} too close or too small at node {index}"
+            )
+        u, v = u_all[index], vt_all[index].T
+        v_sing, v_ker = v[:, :m], v[:, m:]
+        if prev is None:
+            signs = canonical_signs(v_sing)
+            v_sing, u = v_sing * signs, u * signs
+            v_ker = v_ker * canonical_signs(v_ker)
+        else:
+            v_sing, perm = _align_columns(p_sing[prev], v_sing, "singular", index)
+            u, _ = _align_columns(q_field[prev], u, "left singular", index, perm)
+            v_ker, _ = _align_columns(p_ker[prev], v_ker, "kernel", index)
+        p_sing[index], p_ker[index], q_field[index] = v_sing, v_ker, u
+        h = h_field[index]
+        h[:n1, :n1] = np.concatenate([v_ker, v_sing], axis=1).T
+        h[n1:, n1:] = u.T
+    return h_field
+
+
+def developing_psi_per_node(betas, grid):
+    """The former node-by-node trapezoid walk of ``geometry.developing_map``
+    along ``grid.sweep``."""
+    psi = np.zeros(grid.nodes + (betas.shape[-1],))
+    for index, prev, axis in grid.sweep():
+        if prev is None:
+            continue
+        avg = 0.5 * (betas[prev + (axis,)] + betas[index + (axis,)])
+        psi[index] = psi[prev] + grid.steps[axis] * avg
+    return psi

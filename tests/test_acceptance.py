@@ -19,7 +19,7 @@ from curvedflats.geometry import (
 from curvedflats.lax import commutativity_check, conservation_report, integrate_grid
 from curvedflats.loops import FlowFamily, LaxState
 
-from helpers import cartan_oracle, from_offblock, so5_spec
+from helpers import cartan_oracle, from_offblock, greedy_gauge_h, so5_spec, span_of
 
 MU_SET = (0.0, 0.6, 1.0, 1.6)
 ORDER_WINDOW = (1.5, 2.5)
@@ -49,6 +49,14 @@ def refined_run(default_run):
     gauge = gauge_to_normal_form(conn, config.spec)
     frames = integrate_frame(conn, [1.0], fine)[0]
     return fine, sol, conn, gauge, frames
+
+
+def test_gauge_matches_greedy_oracle(default_run, refined_run):
+    # Exact continuation reproduces the former greedy gauge byte for byte.
+    spec = default_run[0].spec
+    for conn, gauge in ((default_run[2], default_run[3]),
+                        (refined_run[2], refined_run[3])):
+        assert np.array_equal(gauge.h, greedy_gauge_h(conn, spec))
 
 
 def test_criterion_1_zero_curvature_identical_in_mu(default_run, refined_run):
@@ -211,7 +219,7 @@ def test_criterion_8_cartan_detection_oracle():
         y2 = h @ (mix[1, 0] * b1.matrix + mix[1, 1] * b2.matrix) @ h.T
         z = h @ b3.matrix @ h.T
         span = [AlgebraElement(y1, spec.space), AlgebraElement(y2, spec.space)]
-        got = is_cartan(span, spec, tol=1e-9)
+        got = is_cartan(span_of(span), spec, tol=1e-9)
         want = cartan_oracle(span, spec)
         disagreements += got != want
         cartan_count += got
@@ -224,7 +232,7 @@ def test_criterion_8_cartan_detection_oracle():
         else:
             # Rank-deficient span.
             bad = [span[0], AlgebraElement(1.5 * y1, spec.space)]
-        got_bad = is_cartan(bad, spec, tol=1e-9)
+        got_bad = is_cartan(span_of(bad), spec, tol=1e-9)
         want_bad = cartan_oracle(bad, spec)
         disagreements += got_bad != want_bad
         assert not got_bad

@@ -26,6 +26,7 @@ from helpers import (
     so3_spec,
     so5_spec,
     so14_spec,
+    span_of,
 )
 
 RNG = np.random.default_rng(20240311)
@@ -164,35 +165,35 @@ def test_is_abelian():
     spec = so5_spec()
     b1 = from_offblock([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]], spec)
     b2 = from_offblock([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], spec)
-    assert is_abelian([b1, b2], tol=1e-12)
-    assert is_abelian([b1], tol=1e-12)
+    assert is_abelian(span_of([b1, b2]), tol=1e-12)
+    assert is_abelian(span_of([b1]), tol=1e-12)
     s3 = so3_spec()
     p1 = AlgebraElement(elem(0, 2, 3) - elem(2, 0, 3), s3.space)
     p2 = AlgebraElement(elem(1, 2, 3) - elem(2, 1, 3), s3.space)
-    assert not is_abelian([p1, p2], tol=1e-12)
+    assert not is_abelian(span_of([p1, p2]), tol=1e-12)
     with pytest.raises(StructuralError):
-        is_abelian([], tol=1e-12)
+        is_abelian(np.empty((0, 3, 3)), tol=1e-12)
 
 
 def test_is_cartan_examples():
     spec = so5_spec()
     b1 = from_offblock([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]], spec)
     b2 = from_offblock([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], spec)
-    assert is_cartan([b1, b2], spec, tol=1e-9)
-    assert not is_cartan([b1], spec, tol=1e-9)
-    assert not is_cartan([b1, b1], spec, tol=1e-9)
+    assert is_cartan(span_of([b1, b2]), spec, tol=1e-9)
+    assert not is_cartan(span_of([b1]), spec, tol=1e-9)
+    assert not is_cartan(span_of([b1, b1]), spec, tol=1e-9)
     k_elem = AlgebraElement(elem(0, 1, 5) - elem(1, 0, 5), spec.space)
     with pytest.raises(StructuralError):
-        is_cartan([k_elem], spec)
+        is_cartan(span_of([k_elem]), spec)
 
 
 def test_is_cartan_agrees_with_oracle_so3_so5():
     s3, s5 = so3_spec(), so5_spec()
     for _ in range(15):
         span3 = [random_element(RNG, s3, part="p")]
-        assert is_cartan(span3, s3, tol=1e-9) == cartan_oracle(span3, s3)
+        assert is_cartan(span_of(span3), s3, tol=1e-9) == cartan_oracle(span3, s3)
         span5 = [random_element(RNG, s5, part="p") for _ in range(2)]
-        assert is_cartan(span5, s5, tol=1e-9) == cartan_oracle(span5, s5)
+        assert is_cartan(span_of(span5), s5, tol=1e-9) == cartan_oracle(span5, s5)
 
 
 def test_is_cartan_agrees_with_oracle_indefinite():
@@ -201,19 +202,36 @@ def test_is_cartan_agrees_with_oracle_indefinite():
     null_elem = from_offblock([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]], null_spec)
     # Null direction: the trace form degenerates on its span.
     assert invariant_form(null_elem, null_elem) == pytest.approx(0.0, abs=1e-14)
-    assert is_cartan([null_elem], null_spec, tol=1e-9) == cartan_oracle(
+    assert is_cartan(span_of([null_elem]), null_spec, tol=1e-9) == cartan_oracle(
         [null_elem], null_spec
     )
-    assert not is_cartan([null_elem], null_spec, tol=1e-9)
+    assert not is_cartan(span_of([null_elem]), null_spec, tol=1e-9)
     # A commuting nondegenerate pair is Cartan; both tests agree on it and on
     # random singletons (dimension deficit).
     b1 = from_offblock([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]], spec)
     b2 = from_offblock([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], spec)
-    assert is_cartan([b1, b2], spec, tol=1e-9)
+    assert is_cartan(span_of([b1, b2]), spec, tol=1e-9)
     assert cartan_oracle([b1, b2], spec)
     for _ in range(10):
         span = [random_element(RNG, spec, part="p")]
-        assert is_cartan(span, spec, tol=1e-9) == cartan_oracle(span, spec)
+        assert is_cartan(span_of(span), spec, tol=1e-9) == cartan_oracle(span, spec)
+
+
+@pytest.mark.parametrize("spec", [
+    SymmetricSpaceSpec(BilinearSpace(5, 0), (3, 2), rank=1),
+    so14_spec(rank=1),
+], ids=["so5-rank1", "so14-rank1"])
+def test_is_cartan_maximality_decides_a_verdict(spec):
+    # X has distinct nonzero singular values, so its commutant in p is
+    # 2-dimensional.  For a spec declared with rank 1 the span of X passes
+    # the abelian, dimension and form tests; only maximality (c) rejects it.
+    x = from_offblock([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0]], spec)
+    assert is_abelian(span_of([x]), tol=1e-9)
+    assert not is_cartan(span_of([x]), spec, tol=1e-9)
+    assert not cartan_oracle([x], spec)
+    relaxed = SymmetricSpaceSpec(spec.space, spec.split, rank=2)
+    assert is_cartan(span_of([x, from_offblock([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
+                                                relaxed)]), relaxed, tol=1e-9)
 
 
 def _cartan_candidates(spec, rng):
@@ -262,7 +280,7 @@ def test_is_cartan_matches_per_element_implementation(name):
     rng = np.random.default_rng(len(name))
     verdicts = []
     for span in _cartan_candidates(spec, rng):
-        got = is_cartan(span, spec, tol=1e-9)
+        got = is_cartan(span_of(span), spec, tol=1e-9)
         assert got == is_cartan_per_element(span, spec, tol=1e-9)
         verdicts.append(got)
     assert True in verdicts and False in verdicts
@@ -275,7 +293,7 @@ def test_is_cartan_matches_per_element_implementation(name):
         with pytest.raises(StructuralError) as want:
             is_cartan_per_element(span, spec)
         with pytest.raises(StructuralError) as got:
-            is_cartan(span, spec)
+            is_cartan(span_of(span), spec)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("basis element not in p")
 

@@ -15,8 +15,11 @@ from curvedflats.cli import (
     verify_command,
 )
 from curvedflats.errors import ConfigError, MissingArtifactError
+from curvedflats.frame import ConnectionForm, connection_from_state
+from curvedflats.geometry import gauge_to_normal_form
+from curvedflats.lax import integrate_grid
 
-from helpers import from_offblock, savetxt_obj, savetxt_phi_csv, so3_spec
+from helpers import from_offblock, greedy_gauge_h, savetxt_obj, savetxt_phi_csv, so3_spec
 
 
 EXPLICIT_SPEC = {"preset": None, "signature": [5, 0], "split": [3, 2], "rank": 2}
@@ -135,6 +138,48 @@ def test_seeded_run_with_flow_count_other_than_rank(tmp_path, powers, nodes, fla
     out = tmp_path / "o"
     assert main(["run", str(cfg_path), "-o", str(out)]) == 0
     assert json.loads((out / "report.json").read_text())["flags"] == flags
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"powers": [1], "extents": [0.4], "nodes": [33], "seed": 7},
+    {"powers": [1, 3, 5], "extents": [0.4] * 3, "nodes": [5, 5, 5], "seed": 7},
+    {"preset": "sphere", "seed": 4},
+], ids=["small", "one-flow", "three-flows", "sphere"])
+def test_gauge_matches_greedy_oracle_on_run_configs(overrides):
+    # Exact continuation reproduces the former greedy gauge byte for byte on
+    # the definite-isotropy configs these tests run.
+    for raw in (small_config(**overrides), vacuum_config()):
+        config = RunConfig(raw)
+        xi0, _ = seed_initial_state(config)
+        conn = connection_from_state(
+            integrate_grid(xi0, config.family, config.grid, substeps=config.substeps)
+        )
+        gauge = gauge_to_normal_form(conn, config.spec)
+        assert np.array_equal(gauge.h, greedy_gauge_h(conn, config.spec))
+
+
+def test_main_gauge_failure_names_node(tmp_path, monkeypatch):
+    # Colliding singular values of C at node (2, 3): the error block names it.
+    w1, w2 = 1.0 / (1.0 + np.sqrt(2.0)), 1.0 / (2.0 + np.sqrt(2.0))
+
+    def colliding_gauge(conn, spec):
+        a1 = conn.a1.copy()
+        a1[2, 3, 0] = from_offblock([[0.0, 0.5, 0.0], [0.0, 0.0, 0.0]], spec).matrix
+        a1[2, 3, 1] = from_offblock(
+            [[0.0, 0.0, 0.0], [0.0, 0.0, 0.5 * w1 / w2]], spec
+        ).matrix
+        return gauge_to_normal_form(ConnectionForm(conn.a0, a1, conn.grid, spec), spec)
+
+    monkeypatch.setattr(cli, "gauge_to_normal_form", colliding_gauge)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config()))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg_path), "-o", str(out)]) == 3
+    error = json.loads((out / "report.json").read_text())["error"]
+    assert error["category"] == "DegenerateSpectrumError"
+    assert error["node"] == [2, 3]
+    assert error["message"].endswith("at node (2, 3)")
 
 
 def test_config_explicit_spec():

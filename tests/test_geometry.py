@@ -4,6 +4,8 @@ import pytest
 from curvedflats.algebra import group_exp
 from curvedflats.errors import (
     DegenerateSpectrumError,
+    GaugeContinuityError,
+    NonCartanError,
     NonImmersiveError,
     StructuralError,
 )
@@ -11,6 +13,7 @@ from curvedflats.frame import ConnectionForm, connection_from_state, integrate_f
 from curvedflats.frame import abelian_residual
 from curvedflats.geometry import (
     GaugeField,
+    best_permutation,
     curve_diagnostics,
     curved_flat_planes,
     developing_map,
@@ -24,10 +27,19 @@ from curvedflats.frame import FrameField
 from curvedflats.lax import GridSpec, integrate_grid
 from curvedflats.loops import FlowFamily, LaxState
 
-from helpers import from_offblock, random_element, so3_spec, so5_spec
+from helpers import (
+    developing_psi_per_node,
+    from_offblock,
+    greedy_gauge_h,
+    random_element,
+    so3_spec,
+    so5_spec,
+)
 
 RNG = np.random.default_rng(1234)
 SPEC = so5_spec()
+# The gauge's weights of C = w_1 B_1 + w_2 B_2.
+W1, W2 = 1.0 / (1.0 + np.sqrt(2.0)), 1.0 / (2.0 + np.sqrt(2.0))
 
 
 def random_state(d=3, scale=0.8, seed=17):
@@ -137,6 +149,7 @@ def test_gauge_normal_form_fixed_point():
     a1[..., 1, :, :] = b2
     conn = ConnectionForm(np.zeros_like(a1), a1, grid, SPEC)
     gauge = gauge_to_normal_form(conn, SPEC)
+    assert np.array_equal(gauge.h, greedy_gauge_h(conn, SPEC))
     assert gauge.max_off_span < 1e-12
     got = {tuple(np.round(sorted(np.abs(row)), 10)) for row in
            gauge.betas[0, 0].tolist()}
@@ -155,6 +168,7 @@ def test_gauge_round_trip_under_known_conjugation(run17):
     a1 = np.einsum("ab,...jbc,dc->...jad", h_star, conn.a1, h_star)
     conj = ConnectionForm(a0, a1, grid, SPEC)
     regauged = gauge_to_normal_form(conj, SPEC)
+    assert np.array_equal(regauged.h, greedy_gauge_h(conj, SPEC))
     for j in range(2):
         got = np.sort(np.abs(regauged.betas[4, 7, j]))
         want = np.sort(np.abs(gauge.betas[4, 7, j]))
@@ -169,6 +183,7 @@ def test_gauge_single_direction_matches_svd():
     a1[:, 0] = x
     conn = ConnectionForm(np.zeros_like(a1), a1, grid, SPEC)
     gauge = gauge_to_normal_form(conn, SPEC)
+    assert np.array_equal(gauge.h, greedy_gauge_h(conn, SPEC))
     got = np.sort(np.abs(gauge.betas[0, 0]))
     want = np.sort(np.linalg.svd(b, compute_uv=False))
     assert np.allclose(got, want, atol=1e-12)
@@ -197,8 +212,126 @@ def test_gauge_names_first_node_with_colliding_singular_values(run17):
     a1 = conn.a1.copy()
     for node in [(3, 1), (2, 3)]:
         a1[node + (0,)], a1[node + (1,)] = d0, d1
-    with pytest.raises(DegenerateSpectrumError, match=r"at node \(2, 3\)$"):
-        gauge_to_normal_form(ConnectionForm(conn.a0, a1, grid, SPEC), SPEC)
+    broken = ConnectionForm(conn.a0, a1, grid, SPEC)
+    with pytest.raises(DegenerateSpectrumError, match=r"at node \(2, 3\)$") as err:
+        gauge_to_normal_form(broken, SPEC)
+    assert err.value.node == (2, 3)
+    with pytest.raises(DegenerateSpectrumError) as former:
+        greedy_gauge_h(broken, SPEC)
+    assert str(err.value) == str(former.value)
+
+
+def test_gauge_names_first_non_cartan_node(run17):
+    # A rank-deficient span (flow 2 = 2 x flow 1) at two nodes: the sweep
+    # meets (6, 12) first, and the span test fails before any other check.
+    grid, conn, _, _ = run17
+    a1 = conn.a1.copy()
+    for node in [(9, 4), (6, 12)]:
+        a1[node + (1,)] = 2.0 * a1[node + (0,)]
+    broken = ConnectionForm(conn.a0, a1, grid, SPEC)
+    with pytest.raises(NonCartanError, match=r"at \(6, 12\)$") as err:
+        gauge_to_normal_form(broken, SPEC)
+    assert err.value.node == (6, 12)
+    with pytest.raises(NonCartanError) as former:
+        greedy_gauge_h(broken, SPEC)
+    assert str(err.value) == str(former.value)
+
+
+def _rotated_normal_form(grid, rotations):
+    """A1 with B_j = D_j R^T: the normal-form pair D_j conjugated at each
+    node by its rotation R of the plane block (identity where ``rotations``
+    has none), so every span is Cartan."""
+    d = [from_offblock([[0.0, 0.9, 0.0], [0.0, 0.0, 0.4]], SPEC).matrix[3:, :3],
+         from_offblock([[0.0, 0.3, 0.0], [0.0, 0.0, -0.5]], SPEC).matrix[3:, :3]]
+    a1 = np.empty(grid.nodes + (2, 5, 5))
+    for index in np.ndindex(grid.nodes):
+        r = rotations.get(index, np.eye(3))
+        for j in range(2):
+            a1[index + (j,)] = from_offblock(d[j] @ r.T, SPEC).matrix
+    return ConnectionForm(np.zeros_like(a1), a1, grid, SPEC)
+
+
+def test_gauge_names_first_node_where_continuity_breaks():
+    # Turning a singular direction 70 degrees into the kernel leaves it an
+    # overlap of cos 70 = 0.342 with its predecessor under every column
+    # order; of the two turned nodes the sweep meets (4, 7) first.
+    grid = GridSpec([0.4, 0.4], [9, 9])
+    angle = np.deg2rad(70.0)
+    turn = np.eye(3)
+    turn[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+    conn = _rotated_normal_form(grid, {(6, 2): turn, (4, 7): turn})
+    with pytest.raises(GaugeContinuityError) as err:
+        gauge_to_normal_form(conn, SPEC)
+    assert err.value.node == (4, 7)
+    assert str(err.value) == (
+        "singular columns rotated too far between neighboring nodes at "
+        "node (4, 7) (overlap 0.342)"
+    )
+    with pytest.raises(GaugeContinuityError) as former:
+        greedy_gauge_h(conn, SPEC)
+    assert str(err.value) == str(former.value)
+
+
+def test_gauge_follows_singular_directions_that_swap():
+    # The first singular value of C = w_1 B_1 + w_2 B_2 comes from the first
+    # diagonal entry for x2-index >= 5 and from the second below, so the raw
+    # SVD swaps its columns on every edge (i, 4) -> (i, 5).  Continuation
+    # undoes the swap: the gauged coordinates keep their columns.
+    grid = GridSpec([0.4, 0.4], [9, 9])
+    s0 = 0.1 + 0.03 * (np.arange(9) - 4)
+    a1 = np.empty((9, 9, 2, 5, 5))
+    for j in range(9):
+        a1[:, j, 0] = from_offblock([[0.0, s0[j], 0.0], [0.0, 0.0, 0.6]], SPEC).matrix
+    a1[..., 1, :, :] = from_offblock([[0.0, 0.5, 0.0], [0.0, 0.0, -0.2]], SPEC).matrix
+    conn = ConnectionForm(np.zeros_like(a1), a1, grid, SPEC)
+    c = W1 * a1[..., 0, 3:, :3] + W2 * a1[..., 1, 3:, :3]
+    lead = np.argmax(np.abs(np.linalg.svd(c)[2][..., 0, :]), axis=-1)
+    assert np.all(lead[:, :5] == 2) and np.all(lead[:, 5:] == 1)
+
+    gauge = gauge_to_normal_form(conn, SPEC)
+    assert np.array_equal(gauge.h, greedy_gauge_h(conn, SPEC))
+    assert gauge.max_off_span < 1e-12
+    betas = np.abs(gauge.betas)
+    col = int(np.argmin(np.abs(betas[0, 0, 0] - abs(s0[0]))))
+    assert np.allclose(betas[..., 0, col], np.abs(s0), atol=1e-12)
+    assert np.allclose(betas[..., 0, 1 - col], 0.6, atol=1e-12)
+    assert np.allclose(betas[..., 1, col], 0.5, atol=1e-12)
+
+
+def test_gauge_left_singular_columns_keep_their_own_signs():
+    # Negating A1 at one node negates C there: the raw SVD flips one side of
+    # each singular pair.  Each side takes the sign of its own overlap, so H
+    # stays put and the gauged coordinates at that node change sign.
+    grid = GridSpec([0.4, 0.4], [5, 5])
+    conn = _rotated_normal_form(grid, {})
+    conn.a1[3, 2] *= -1.0
+    gauge = gauge_to_normal_form(conn, SPEC)
+    assert np.array_equal(gauge.h, greedy_gauge_h(conn, SPEC))
+    assert np.array_equal(gauge.h[3, 2], gauge.h[3, 1])
+    assert np.allclose(gauge.betas[3, 2], -gauge.betas[3, 1], atol=1e-12)
+
+
+def test_best_permutation_maximizes_the_smallest_overlap():
+    # Greedy row by row takes (0, 0) and is left with 0.1; the exact
+    # assignment swaps and keeps 0.8.
+    overlap = np.array([[0.9, 0.8], [0.85, 0.1]])
+    sigma, worst = best_permutation(overlap)
+    assert sigma.tolist() == [1, 0] and worst == 0.8
+    stack = np.stack([overlap, np.eye(2), -overlap[::-1]])
+    sigma, worst = best_permutation(stack)
+    assert sigma.tolist() == [[1, 0], [0, 1], [0, 1]]
+    assert worst.tolist() == [0.8, 1.0, 0.8]
+    # A 3 x 3 case where only the cyclic permutation clears 0.5.
+    cyclic = np.array([[0.2, 0.9, 0.3], [0.4, 0.1, 0.6], [0.7, 0.6, 0.0]])
+    sigma, worst = best_permutation(cyclic)
+    assert sigma.tolist() == [1, 2, 0] and worst == 0.6
+    sigma, worst = best_permutation(np.zeros((4, 0, 0)))
+    assert sigma.shape == (4, 0) and np.all(worst == np.inf)
+
+
+def test_gauge_matches_greedy_oracle_on_integrated_runs(run17, run33):
+    for _, conn, gauge, _ in (run17, run33):
+        assert np.array_equal(gauge.h, greedy_gauge_h(conn, SPEC))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -221,6 +354,7 @@ def test_developing_map_constant_coefficients():
     a1[..., 1, :, :] = b2
     conn = ConnectionForm(np.zeros_like(a1), a1, grid, SPEC)
     gauge = gauge_to_normal_form(conn, SPEC)
+    assert np.array_equal(gauge.h, greedy_gauge_h(conn, SPEC))
     dev = developing_map(gauge, grid, closedness_tol=1e-4)
     assert dev.closedness_residual == 0.0
     # psi is linear in the coordinates: psi(x) = x . betas.
@@ -231,6 +365,20 @@ def test_developing_map_constant_coefficients():
                 0, 0, 1
             ]
             assert np.allclose(dev.psi[i, j], expected, atol=1e-13)
+
+
+@pytest.mark.parametrize("nodes", [(7,), (5, 6), (3, 4, 5)])
+def test_developing_map_equals_per_node_sweep(nodes):
+    # The per-axis cumsum makes the sweep's additions in the sweep's order.
+    grid = GridSpec([0.4] * len(nodes), nodes)
+    rng = np.random.default_rng(len(nodes))
+    k = len(nodes)
+    betas = rng.standard_normal(nodes + (k, 2))
+    zeros = np.zeros(nodes + (k, 5, 5))
+    gauge = GaugeField(np.zeros(nodes + (5, 5)), zeros, zeros, betas,
+                       None, grid, SPEC, 0.0)
+    dev = developing_map(gauge, grid, closedness_tol=np.inf)
+    assert dev.psi.tobytes() == developing_psi_per_node(betas, grid).tobytes()
 
 
 def test_developing_map_isometry(run17):
@@ -248,6 +396,7 @@ def test_developing_map_arc_length_for_curves():
     a1[:, 0] = x
     conn = ConnectionForm(np.zeros_like(a1), a1, grid, SPEC)
     gauge = gauge_to_normal_form(conn, SPEC)
+    assert np.array_equal(gauge.h, greedy_gauge_h(conn, SPEC))
     dev = developing_map(gauge, grid, closedness_tol=1e-4)
     # Antiderivative of constant coefficients: |psi| grows linearly.
     assert np.allclose(
@@ -368,6 +517,7 @@ def test_gauge_invariance_of_geometry(run17):
     assert abs(abelian_residual(conj) - abelian_residual(conn)) < 1e-9
 
     regauge = gauge_to_normal_form(conj, SPEC)
+    assert np.array_equal(regauge.h, greedy_gauge_h(conj, SPEC))
     dev0 = developing_map(gauge, grid, closedness_tol=1e-4)
     dev1 = developing_map(regauge, grid, closedness_tol=1e-4)
     gram0 = np.einsum("...ia,...ja->...ij", gauge.betas, gauge.betas)

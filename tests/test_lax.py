@@ -59,6 +59,43 @@ def test_sweep_visits_every_node_once_after_its_predecessor(priority):
         next(GridSpec([1.0, 1.0], [3, 3]).sweep((0, 0)))
 
 
+@pytest.mark.parametrize("nodes", [(5,), (4, 3), (4, 3, 2)])
+def test_sweep_regions_fill_the_sweep_edges(nodes):
+    # Within each region block, every node past index 0 along the block's
+    # axis is filled from one step back: together these are exactly the
+    # (node, predecessor) edges of the sweep, and the regions meet every
+    # predecessor before its successors.
+    grid = GridSpec([1.0] * len(nodes), nodes)
+    index = np.stack(np.indices(nodes), axis=-1)
+    edges = []
+    for axis, region in grid.sweep_regions():
+        block = index[region]
+        assert block.shape == nodes[: axis + 1] + (len(nodes),)
+        later = (slice(None),) * axis
+        for node, prev in zip(block[later + (slice(1, None),)].reshape(-1, len(nodes)),
+                              block[later + (slice(None, -1),)].reshape(-1, len(nodes))):
+            edges.append((tuple(node), tuple(prev), axis))
+    assert sorted(edges) == sorted(
+        (i, p, a) for i, p, a in grid.sweep() if p is not None
+    )
+    order = {i: k for k, (i, _, _) in enumerate(grid.sweep())}
+    filled = {(0,) * len(nodes)}
+    for node, prev, _axis in edges:
+        assert prev in filled and order[prev] < order[node]
+        filled.add(node)
+
+
+def test_top_coefficient_is_a_first_integral():
+    # The degree-d coefficient of [xi, pi_+ Vt_r] vanishes, so every flow
+    # keeps xi_d at its seed value, bit for bit, on the whole grid.
+    xi = random_state(d=3, seed=11)
+    grid = GridSpec([0.4, 0.4], [7, 7])
+    sol = integrate_grid(xi, FlowFamily([1, 3], 3), grid, substeps=3)
+    top = sol.states[..., 3, :, :]
+    assert np.array_equal(top, np.broadcast_to(xi.stack[3], top.shape))
+    assert not np.array_equal(sol.states[-1, -1], xi.stack)
+
+
 def test_integrate_flow_stationary_and_zero_time():
     xi = random_state(d=1)
     out = integrate_flow(xi, 1, 0.7, steps=8)
