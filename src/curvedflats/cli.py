@@ -33,6 +33,7 @@ from .frame import (
     mc_residual,
 )
 from .geometry import (
+    CARTAN_TOL,
     admissible_span,
     curve_diagnostics,
     developing_map,
@@ -271,7 +272,7 @@ def seed_initial_state(config):
                     ).matrix
                     for r in config.powers
                 ])
-                if admissible_span(span, spec, 1e-9):
+                if admissible_span(span, spec, CARTAN_TOL):
                     return state, attempt
             except StructuralError:
                 pass

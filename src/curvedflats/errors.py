@@ -56,7 +56,8 @@ class DegenerateFrameError(NumericalError):
 
 
 class GaugeContinuityError(NumericalError):
-    """Gauge branch tracking lost continuity between neighboring nodes."""
+    """The developing map's closedness defect points to a gauge branch flip
+    between neighboring nodes."""
 
 
 class NonImmersiveError(NumericalError):

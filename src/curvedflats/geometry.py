@@ -1,16 +1,15 @@
 """Geometry extraction from integrated frames.
 
-The p-parts of the connection at each node span a Cartan subspace; a
-K-valued gauge H built from a simultaneous singular value decomposition
-conjugates them into the rectangular-diagonal normal form with a common
-kernel direction e0.  Integrating the gauged form gives the developing map
-psi (a local isometry onto the reference Cartan subspace), and the first
-column of the gauged frame is the reconstructed unit-quadric map phi, whose
-induced metric, normal bundle, and second fundamental form are then checked
-against the space-form predictions.
+The p-parts of the connection span the same Cartan subspace at every node
+(the top Lax coefficient is a first integral of the flows), so one K-valued
+gauge H, built from a simultaneous singular value decomposition at the
+origin, conjugates them into the rectangular-diagonal normal form with a
+common kernel direction e0; the gauged form is checked node by node.
+Integrating it gives the developing map psi (a local isometry onto the
+reference Cartan subspace), and the first column of the gauged frame is the
+reconstructed unit-quadric map phi, whose induced metric, normal bundle, and
+second fundamental form are then checked against the space-form predictions.
 """
-
-import itertools
 
 import numpy as np
 
@@ -50,10 +49,6 @@ class GaugeField:
         self.grid = grid
         self.spec = spec
         self.max_off_span = max_off_span
-        if max_off_span > GAUGE_SPAN_TOL:
-            raise NumericalError(
-                f"gauged p-part leaves the Cartan span by {max_off_span:.3e}"
-            )
 
     def __repr__(self):
         return (
@@ -127,35 +122,9 @@ def _canonical_signs(columns):
     return np.where(lead < 0, -1.0, 1.0)
 
 
-def best_permutation(overlap):
-    """Exact column assignment over a stack (..., c, c) of overlaps.
-
-    Per slice, of the c! permutations sigma the one maximizing the smallest
-    |overlap[i, sigma(i)]|, the earliest in lexicographic order on ties.
-    Returns (sigma, that smallest |overlap|); with c = 0 the minimum is inf.
-    """
-    c = overlap.shape[-1]
-    perms = np.array(list(itertools.permutations(range(c))), dtype=int)
-    worst = np.min(np.abs(overlap[..., np.arange(c), perms]), axis=-1,
-                   initial=np.inf)  # (..., c!)
-    best = np.argmax(worst, axis=-1)
-    return perms[best], np.take_along_axis(worst, best[..., None], -1)[..., 0]
-
-
 def _along(axis, index):
     """Index tuple selecting ``index`` along ``axis`` of a region block."""
     return (slice(None),) * axis + (index,)
-
-
-def _overlap_with_predecessor(cols, grid):
-    """prev^T @ cols at every node, with prev the columns at the node's
-    ``grid.sweep`` predecessor (the origin overlaps with itself)."""
-    prev = cols.copy()
-    for axis, region in grid.sweep_regions():
-        prev[region][_along(axis, slice(1, None))] = (
-            cols[region][_along(axis, slice(None, -1))]
-        )
-    return np.swapaxes(prev, -1, -2) @ cols
 
 
 def admissible_span(span, spec, tol):
@@ -178,24 +147,18 @@ def admissible_span(span, spec, tol):
 def gauge_to_normal_form(conn, spec):
     """Build the gauge H conjugating every A1_j into normal form.
 
-    At each node the commuting off-blocks B_j are simultaneously diagonalized
-    through the SVD of a fixed generic combination C = sum_j w_j B_j
-    (w_j = 1/(j + sqrt 2)); genericity separates the singular values,
-    and equal or vanishing ones are an error rather than a silent branch
-    choice.  Signs and column order continue from the sweep predecessor;
-    the origin fixes the global branch.
+    The commuting off-blocks B_j at the origin are simultaneously
+    diagonalized through the SVD of a fixed generic combination
+    C = sum_j w_j B_j (w_j = 1/(j + sqrt 2)); equal or vanishing singular
+    values are an error rather than a silent branch choice.  One H serves
+    every node, since xi_d, and with it A1_j = xi_d^{r_j}, is a first
+    integral of every flow.  ``gauge_from_h`` certifies the normal form at
+    each node, so an A1 that varies inside one Cartan subspace is still
+    gauged exactly and one that leaves it fails at its first node in C order.
 
-    A1 is checked to be finite and in so(J) over the whole grid first, so a
-    corrupt field raises ``StructuralError``.  Everything but the span test
-    then runs on the whole grid: one batched SVD, the singular-gap mask, and
-    the continuation.  Continuation is an exact assignment: on every sweep
-    edge the raw right-singular, left-singular and kernel columns overlap
-    with the predecessor's, ``best_permutation`` picks the column order (the
-    left-singular columns follow the right ones; each set keeps its own
-    signs), and the orders and signs compose along the sweep from the
-    origin's canonical signs.  The sweep itself calls only
-    ``admissible_span`` per node, and raises at the first node in sweep order
-    whose span test, singular gap or 0.5 overlap guard fails, in that order.
+    A1 is first checked to be finite and in so(J) on the whole grid
+    (``StructuralError``); the sweep then raises at the first node whose span
+    test fails, and at the origin, right after its span test, on a bad gap.
     """
     grid = conn.grid
     n, n1, n2 = spec.dim, spec.n1, spec.n2
@@ -209,97 +172,40 @@ def gauge_to_normal_form(conn, spec):
             "gauge normal form requires definite isotropy blocks; "
             "indefinite presets stop at connections and frames"
         )
-    k = conn.dims
-    m, q = n2, n1 - n2
-    weights = np.array([1.0 / (j + np.sqrt(2.0)) for j in range(1, k + 1)])
     a1 = conn.a1
     _check_so_j(a1, spec.space)
-
-    c = sum(w * a1[..., j, n1:, :n1] for j, w in enumerate(weights))
-    u_all, s_all, vt_all = np.linalg.svd(c, full_matrices=True)
-    gap = np.min(-np.diff(s_all, axis=-1), axis=-1, initial=np.inf)
-    degenerate = (s_all[..., -1] < SINGULAR_SEP_TOL) | (gap < SINGULAR_SEP_TOL)
-
-    # Right columns in gauge order: kernel first, then singular.
-    v_all = np.swapaxes(vt_all, -1, -2)
-    v_all = np.concatenate([v_all[..., m:], v_all[..., :m]], axis=-1)
-    o_right = _overlap_with_predecessor(v_all, grid)
-    o_ker, o_sing = o_right[..., :q, :q], o_right[..., q:, q:]
-    o_left = _overlap_with_predecessor(u_all, grid)
-    sigma_ker, worst_ker = best_permutation(o_ker)
-    sigma, worst_sing = best_permutation(o_sing)
-    # Per raw predecessor column (kernel, singular, left singular), its
-    # overlap with the raw column it maps to.
-    matched = np.concatenate([
-        np.take_along_axis(o, to[..., None], -1)[..., 0]
-        for o, to in ((o_ker, sigma_ker), (o_sing, sigma), (o_left, sigma))
-    ], axis=-1)
-    worst = {
-        "singular": worst_sing,
-        "left singular": np.min(np.abs(matched[..., n1:]), axis=-1),
-        "kernel": worst_ker,
-    }
-    origin = (0,) * grid.dims
-    broken = degenerate.copy()
-    for field in worst.values():
-        field[origin] = np.inf
-        broken |= field < 0.5
-
-    for index, _prev, _axis in grid.sweep():
+    for index, prev, _axis in grid.sweep():
         if not admissible_span(a1[index], spec, CARTAN_TOL):
             raise NonCartanError(
                 f"tangent span fails the Cartan test at {index}", node=index
             )
-        if broken[index]:
-            _raise_gauge_failure(index, s_all[index], degenerate[index], worst)
-
-    # Per node, a column map (kernel, singular, left singular) onto the raw
-    # columns, and signs; the local steps compose from the origin outward.
-    step = np.concatenate([sigma_ker, q + sigma, n1 + sigma], axis=-1)
-    flip = np.sign(matched)
-    perm = np.empty_like(step)
-    signs = np.empty(flip.shape)
-    perm[origin] = np.arange(n)
-    # The origin flips (u_i, v_i) pairs together so each right vector's
-    # leading entry is positive; kernel columns too.
-    v0 = v_all[origin]
-    sing_signs = _canonical_signs(v0[:, q:])
-    signs[origin] = np.concatenate(
-        [_canonical_signs(v0[:, :q]), sing_signs, sing_signs]
-    )
-    for axis, region in grid.sweep_regions():
-        p, sg, st, fl = perm[region], signs[region], step[region], flip[region]
-        for i in range(1, grid.nodes[axis]):
-            at, before = _along(axis, i), _along(axis, i - 1)
-            # Aligned column c sits on raw column p[before][c] one step back.
-            p[at] = np.take_along_axis(st[at], p[before], -1)
-            sg[at] = sg[before] * np.take_along_axis(fl[at], p[before], -1)
-
-    h_field = np.zeros(grid.nodes + (n, n))
-    right = np.take_along_axis(v_all, perm[..., None, :n1], -1)
-    left = np.take_along_axis(u_all, perm[..., None, n1:] - n1, -1)
-    right, left = right * signs[..., None, :n1], left * signs[..., None, n1:]
-    h_field[..., :n1, :n1] = np.swapaxes(right, -1, -2)
-    h_field[..., n1:, n1:] = np.swapaxes(left, -1, -2)
-    return gauge_from_h(conn, h_field, spec)
+        if prev is None:
+            h = _normal_form_gauge(a1[index], index, spec)
+    return gauge_from_h(conn, np.broadcast_to(h, grid.nodes + (n, n)).copy(), spec)
 
 
-def _raise_gauge_failure(index, singular_values, degenerate, worst):
-    """Raise the gauge's failure at a node whose gap or overlap guard failed:
-    the singular gap first, then the overlaps in the order of ``worst``."""
-    if degenerate:
+def _normal_form_gauge(a1, index, spec):
+    """The gauge H in K putting the (k, n, n) span ``a1`` of node ``index``
+    into normal form, from one SVD of C = sum_j w_j B_j.  Kernel columns and
+    (u_i, v_i) pairs are signed so each right vector's largest entry is
+    positive."""
+    n1, m = spec.n1, spec.n2
+    weights = [1.0 / (j + np.sqrt(2.0)) for j in range(1, len(a1) + 1)]
+    c = sum(w * a1[j, n1:, :n1] for j, w in enumerate(weights))
+    u, s, vt = np.linalg.svd(c, full_matrices=True)
+    if s[-1] < SINGULAR_SEP_TOL or np.any(-np.diff(s) < SINGULAR_SEP_TOL):
         raise DegenerateSpectrumError(
-            f"singular values {singular_values} too close or too small at "
-            f"node {index}",
+            f"singular values {s} too close or too small at node {index}",
             node=index,
         )
-    for what, field in worst.items():
-        if field[index] < 0.5:
-            raise GaugeContinuityError(
-                f"{what} columns rotated too far between neighboring nodes at "
-                f"node {index} (overlap {field[index]:.3f})",
-                node=index,
-            )
+    v_ker, v_sing = vt[m:].T, vt[:m].T
+    signs = _canonical_signs(v_sing)
+    right = np.concatenate([v_ker * _canonical_signs(v_ker), v_sing * signs], axis=1)
+    h = np.zeros((spec.dim, spec.dim))
+    h[:n1, :n1], h[n1:, n1:] = right.T, (u * signs).T
+    return h
+
+
 def _check_so_j(a1, space):
     """Raise StructuralError at the first (node, flow) in C order whose A1 is
     non-finite or off so(J) beyond CARTAN_TOL at its own scale (the test
@@ -323,6 +229,8 @@ def gauge_from_h(conn, h_field, spec):
     A1 conjugates exactly; A0 picks up the -dH H^-1 term, assembled with
     order-2 grid derivatives and projected back onto so(J).  Deterministic
     given H, so stored gauges reproduce identical residuals on reverify.
+    Raises ``NumericalError`` at the first node in C order whose gauged
+    p-part leaves the reference Cartan span by more than ``GAUGE_SPAN_TOL``.
     """
     grid = conn.grid
     n1, n2 = spec.n1, spec.n2
@@ -338,7 +246,16 @@ def gauge_from_h(conn, h_field, spec):
     off = a1_t[..., n1:, :n1].copy()
     betas = off[(...,) + diag]
     off[(...,) + diag] = 0.0
-    max_off = float(np.max(np.abs(off)))
+    off_node = np.max(np.abs(off), axis=(-3, -2, -1))
+    failing = np.argwhere(off_node > GAUGE_SPAN_TOL)
+    if failing.size:
+        node = tuple(int(i) for i in failing[0])
+        raise NumericalError(
+            f"gauged p-part leaves the Cartan span by {off_node[node]:.3e} at "
+            f"node {node}",
+            node=node,
+        )
+    max_off = float(np.max(off_node))
     return GaugeField(
         h_field, a0_t, a1_t, betas, _diagonal_basis(spec), grid, spec, max_off
     )
@@ -367,8 +284,8 @@ def developing_map(gf, grid, closedness_tol):
     earlier blocks left at index 0: the same additions, in the same order,
     as a node-by-node walk of ``grid.sweep``.
 
-    A defect far above tolerance indicates a sign/order branch flip in the
-    gauge continuation rather than discretization error.
+    A defect far above tolerance indicates a sign/order branch flip of the
+    gauge between neighboring nodes rather than discretization error.
     """
     k = grid.dims
     m = gf.betas.shape[-1]

@@ -5,10 +5,10 @@ isospectral ODE dxi/dx_j = [xi, pi_+ Vt_{r_j}(xi)].  The top coefficient
 xi_d is a first integral of every flow: the degree-d coefficient of the
 bracket, [xi_d, b0] + [xi_{d-1}, b1], vanishes identically, so xi_d and with it
 A1_j = xi_d^{r_j} keep their seed values on the whole grid.  The Lax fill, the
-frame integration, the gauge continuation and the developing map walk the one
-spanning tree of ``GridSpec.sweep`` (flow 1 along x1 from the seed, then flow
-2 along x2 from every x1-node, ...); the pointwise checks (twist condition,
-conservation) take the whole grid in one call.  Everything is deterministic.
+frame integration and the developing map walk the one spanning tree of
+``GridSpec.sweep`` (flow 1 along x1 from the seed, then flow 2 along x2 from
+every x1-node, ...); the pointwise checks (twist condition, conservation) take
+the whole grid in one call.  Everything is deterministic.
 """
 
 import itertools

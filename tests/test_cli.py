@@ -160,7 +160,8 @@ def test_gauge_matches_greedy_oracle_on_run_configs(overrides):
 
 
 def test_main_gauge_failure_names_node(tmp_path, monkeypatch):
-    # Colliding singular values of C at node (2, 3): the error block names it.
+    # Colliding singular values of C at node (2, 3): the origin's gauge leaves
+    # that span off the reference Cartan span, and the error block names it.
     w1, w2 = 1.0 / (1.0 + np.sqrt(2.0)), 1.0 / (2.0 + np.sqrt(2.0))
 
     def colliding_gauge(conn, spec):
@@ -177,7 +178,7 @@ def test_main_gauge_failure_names_node(tmp_path, monkeypatch):
     out = tmp_path / "o"
     assert main(["run", str(cfg_path), "-o", str(out)]) == 3
     error = json.loads((out / "report.json").read_text())["error"]
-    assert error["category"] == "DegenerateSpectrumError"
+    assert error["category"] == "NumericalError"
     assert error["node"] == [2, 3]
     assert error["message"].endswith("at node (2, 3)")
 

@@ -4,19 +4,19 @@ import pytest
 from curvedflats.algebra import group_exp
 from curvedflats.errors import (
     DegenerateSpectrumError,
-    GaugeContinuityError,
     NonCartanError,
     NonImmersiveError,
+    NumericalError,
     StructuralError,
 )
 from curvedflats.frame import ConnectionForm, connection_from_state, integrate_frame
 from curvedflats.frame import abelian_residual
 from curvedflats.geometry import (
     GaugeField,
-    best_permutation,
     curve_diagnostics,
     curved_flat_planes,
     developing_map,
+    gauge_from_h,
     gauge_to_normal_form,
     gauss_curvature_field,
     reconstruct_immersion,
@@ -203,22 +203,32 @@ def test_gauge_degenerate_spectrum_raises():
 
 def test_gauge_names_first_node_with_colliding_singular_values(run17):
     # C = w_1 B_1 + w_2 B_2 has equal singular values where w_1 s_1 = w_2 s_2;
-    # the span stays Cartan there, so the gap test is what fails.  Of the two
-    # such nodes the sweep (C order) meets (2, 3) first.
+    # the span stays Cartan there.  At the origin, where H is built, the gap
+    # test fails.  Elsewhere the origin's H leaves the pair off the reference
+    # span, and of the two such nodes (2, 3) comes first in C order.
     grid, conn, _, _ = run17
-    w1, w2 = 1.0 / (1.0 + np.sqrt(2.0)), 1.0 / (2.0 + np.sqrt(2.0))
     d0 = from_offblock([[0.0, 0.5, 0.0], [0.0, 0.0, 0.0]], SPEC).matrix
-    d1 = from_offblock([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5 * w1 / w2]], SPEC).matrix
-    a1 = conn.a1.copy()
-    for node in [(3, 1), (2, 3)]:
-        a1[node + (0,)], a1[node + (1,)] = d0, d1
-    broken = ConnectionForm(conn.a0, a1, grid, SPEC)
-    with pytest.raises(DegenerateSpectrumError, match=r"at node \(2, 3\)$") as err:
-        gauge_to_normal_form(broken, SPEC)
-    assert err.value.node == (2, 3)
+    d1 = from_offblock([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5 * W1 / W2]], SPEC).matrix
+
+    def colliding(nodes):
+        a1 = conn.a1.copy()
+        for node in nodes:
+            a1[node + (0,)], a1[node + (1,)] = d0, d1
+        return ConnectionForm(conn.a0, a1, grid, SPEC)
+
+    at_origin = colliding([(0, 0)])
+    with pytest.raises(DegenerateSpectrumError, match=r"at node \(0, 0\)$") as err:
+        gauge_to_normal_form(at_origin, SPEC)
+    assert err.value.node == (0, 0)
     with pytest.raises(DegenerateSpectrumError) as former:
-        greedy_gauge_h(broken, SPEC)
+        greedy_gauge_h(at_origin, SPEC)
     assert str(err.value) == str(former.value)
+
+    with pytest.raises(NumericalError, match=r"leaves the Cartan span by .* at "
+                       r"node \(2, 3\)$") as err:
+        gauge_to_normal_form(colliding([(3, 1), (2, 3)]), SPEC)
+    assert type(err.value) is NumericalError
+    assert err.value.node == (2, 3)
 
 
 def test_gauge_names_first_non_cartan_node(run17):
@@ -252,24 +262,20 @@ def _rotated_normal_form(grid, rotations):
 
 
 def test_gauge_names_first_node_where_continuity_breaks():
-    # Turning a singular direction 70 degrees into the kernel leaves it an
-    # overlap of cos 70 = 0.342 with its predecessor under every column
-    # order; of the two turned nodes the sweep meets (4, 7) first.
+    # Turning a singular direction 70 degrees into the kernel moves the span
+    # off the origin's normal form: the gauged p-part leaves the reference
+    # Cartan span there, and of the two turned nodes (4, 7) comes first in C
+    # order.
     grid = GridSpec([0.4, 0.4], [9, 9])
     angle = np.deg2rad(70.0)
     turn = np.eye(3)
     turn[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
     conn = _rotated_normal_form(grid, {(6, 2): turn, (4, 7): turn})
-    with pytest.raises(GaugeContinuityError) as err:
+    with pytest.raises(NumericalError, match=r"^gauged p-part leaves the Cartan "
+                       r"span by \S+ at node \(4, 7\)$") as err:
         gauge_to_normal_form(conn, SPEC)
+    assert type(err.value) is NumericalError
     assert err.value.node == (4, 7)
-    assert str(err.value) == (
-        "singular columns rotated too far between neighboring nodes at "
-        "node (4, 7) (overlap 0.342)"
-    )
-    with pytest.raises(GaugeContinuityError) as former:
-        greedy_gauge_h(conn, SPEC)
-    assert str(err.value) == str(former.value)
 
 
 def test_gauge_follows_singular_directions_that_swap():
@@ -309,24 +315,6 @@ def test_gauge_left_singular_columns_keep_their_own_signs():
     assert np.array_equal(gauge.h, greedy_gauge_h(conn, SPEC))
     assert np.array_equal(gauge.h[3, 2], gauge.h[3, 1])
     assert np.allclose(gauge.betas[3, 2], -gauge.betas[3, 1], atol=1e-12)
-
-
-def test_best_permutation_maximizes_the_smallest_overlap():
-    # Greedy row by row takes (0, 0) and is left with 0.1; the exact
-    # assignment swaps and keeps 0.8.
-    overlap = np.array([[0.9, 0.8], [0.85, 0.1]])
-    sigma, worst = best_permutation(overlap)
-    assert sigma.tolist() == [1, 0] and worst == 0.8
-    stack = np.stack([overlap, np.eye(2), -overlap[::-1]])
-    sigma, worst = best_permutation(stack)
-    assert sigma.tolist() == [[1, 0], [0, 1], [0, 1]]
-    assert worst.tolist() == [0.8, 1.0, 0.8]
-    # A 3 x 3 case where only the cyclic permutation clears 0.5.
-    cyclic = np.array([[0.2, 0.9, 0.3], [0.4, 0.1, 0.6], [0.7, 0.6, 0.0]])
-    sigma, worst = best_permutation(cyclic)
-    assert sigma.tolist() == [1, 2, 0] and worst == 0.6
-    sigma, worst = best_permutation(np.zeros((4, 0, 0)))
-    assert sigma.shape == (4, 0) and np.all(worst == np.inf)
 
 
 def test_gauge_matches_greedy_oracle_on_integrated_runs(run17, run33):
@@ -504,9 +492,10 @@ def test_gauge_invariance_of_geometry(run17):
 
     a0 = np.empty_like(conn.a0)
     a1 = np.empty_like(conn.a1)
+    g_field = np.empty(nodes + (5, 5))
     for i in range(nodes[0]):
         for j in range(nodes[1]):
-            g = expm(f(i, j) * z)
+            g = g_field[i, j] = expm(f(i, j) * z)
             gi = g.T
             for jdir in range(2):
                 a0[i, j, jdir] = (
@@ -516,8 +505,17 @@ def test_gauge_invariance_of_geometry(run17):
     conj = ConnectionForm(a0, a1, grid, SPEC)
     assert abs(abelian_residual(conj) - abelian_residual(conn)) < 1e-9
 
-    regauge = gauge_to_normal_form(conj, SPEC)
-    assert np.array_equal(regauge.h, greedy_gauge_h(conj, SPEC))
+    # The span turns with g(x), so the origin's H leaves it off the reference
+    # Cartan span from the first node where g differs from the identity.
+    with pytest.raises(NumericalError, match=r"at node \(0, 1\)$") as err:
+        gauge_to_normal_form(conj, SPEC)
+    assert err.value.node == (0, 1)
+    # H g(x)^T undoes the turn; its -dH H^-1 term must cancel the one added
+    # to A0 above.
+    regauge = gauge_from_h(conj, gauge.h @ np.swapaxes(g_field, -1, -2), SPEC)
+    # The former continuation followed the turn to the same H up to roundoff.
+    assert np.allclose(regauge.h, greedy_gauge_h(conj, SPEC), rtol=0.0, atol=1e-12)
+    assert np.allclose(regauge.a1, gauge.a1, rtol=0.0, atol=1e-12)
     dev0 = developing_map(gauge, grid, closedness_tol=1e-4)
     dev1 = developing_map(regauge, grid, closedness_tol=1e-4)
     gram0 = np.einsum("...ia,...ja->...ij", gauge.betas, gauge.betas)
