@@ -3,7 +3,11 @@
 Everything downstream is built on g = so(J) = {X : X^T J + J X = 0} for a
 diagonal metric J with entries +-1, together with the symmetric decomposition
 g = k + p induced by conjugation with a diagonal block-signature matrix S.
-All operations are pure functions of immutable values.
+All operations are pure functions of immutable values, with one exception:
+each ``SymmetricSpaceSpec`` keeps a small verdict cache that ``is_cartan``
+fills, so a span judged once on that spec is answered without repeating the
+test.  A cached verdict is the one the test gave for the same bytes, so it
+changes no result.
 """
 
 from functools import cached_property
@@ -14,6 +18,8 @@ from .errors import StructuralError, NumericalError
 
 # Membership / identity tolerance at unit matrix scale.
 EPS_ALGEBRA = 1e-12
+# Spans whose Cartan verdict one spec keeps (oldest dropped first).
+CARTAN_CACHE_SIZE = 8
 
 
 def _as_matrix(x):
@@ -78,7 +84,8 @@ class SymmetricSpaceSpec:
     The involution is sigma(X) = S X S with S = diag(+1 x n1, -1 x n2);
     k is the block-diagonal (+1) eigenspace, p the off-block (-1) eigenspace.
     ``rank`` is the dimension of maximal abelian subspaces of p and is stored
-    explicitly (min(n1, n2) for the shipped presets).
+    explicitly (min(n1, n2) for the shipped presets).  The spec also holds
+    the verdict cache of ``is_cartan`` (at most ``CARTAN_CACHE_SIZE`` spans).
     """
 
     def __init__(self, space, split, rank, preset_name=None):
@@ -99,6 +106,9 @@ class SymmetricSpaceSpec:
         k_mask = (np.outer(s, s) + 1.0) / 2.0
         k_mask.setflags(write=False)
         self._k_mask = k_mask
+        # is_cartan verdicts keyed by (shape, bytes, tol) of the span; a dict
+        # keeps insertion order, so the first key is the oldest.
+        self._cartan_verdicts = {}
 
     @property
     def dim(self):
@@ -261,12 +271,31 @@ def is_cartan(basis, spec, tol=1e-9):
     maximal abelian subspace spans a rank-1 space that passes (a), (b) and
     (d) for a spec declared with rank 1, and only (c) rejects it.
 
+    A stack already judged on this spec, with the same shape, the same bytes
+    and the same tol, is answered from the spec's verdict cache (the last
+    ``CARTAN_CACHE_SIZE`` distinct spans); the gauge asks about one span at
+    every node, since A1 is a first integral.  A stack with an element
+    outside p raises ``StructuralError`` on every call and is never cached.
+    """
+    mats = _span_stack(basis, spec.dim)
+    key = (mats.shape, mats.tobytes(), tol)
+    verdicts = spec._cartan_verdicts
+    if key not in verdicts:
+        verdict = _cartan_verdict(mats, spec, tol)
+        if len(verdicts) >= CARTAN_CACHE_SIZE:
+            del verdicts[next(iter(verdicts))]
+        verdicts[key] = verdict
+    return verdicts[key]
+
+
+def _cartan_verdict(mats, spec, tol):
+    """The uncached test behind ``is_cartan`` on a validated stack.
+
     The k-parts of all elements are tested in one call, the commutant system
     is one broadcast bracket against ``spec.p_basis`` (built once per spec),
     one SVD of the span gives both its dimension and the orthonormal basis
     for (d), and the first element outside p raises ``StructuralError``.
     """
-    mats = _span_stack(basis, spec.dim)
     k_res = np.max(np.abs(spec.k_project(mats)), axis=(-2, -1))
     scale = np.maximum(1.0, np.max(np.abs(mats), axis=(-2, -1)))
     off_p = np.flatnonzero(k_res > scale * 1e-9)
@@ -311,38 +340,65 @@ def form_margin(ortho):
     return float(np.min(np.abs(np.linalg.eigvalsh(gram))))
 
 
-def expm(m):
-    """Matrix exponential by scaling-and-squaring with a Taylor core, over a
-    stack (..., n, n).
+# 1/k! for k = 0..16: the Taylor polynomial of degree 16 that ``expm``
+# evaluates.  At scaled norm <= 0.5 its truncation error is below
+# 0.5**17 / 17! ~ 2e-20, far under float64 resolution.
+_TAYLOR = 1.0 / np.cumprod([1.0] + list(range(1, 17)))
+# Row j: coefficients of I, a, a^2, a^3, a^4 in block j of the Horner scheme
+# in a^4, so block j is sum_{i<4} a^i / (4j + i)!; the top block also takes
+# a^4 / 16!.  Shaped to broadcast over the (5, b, n, n) stack of powers.
+_BLOCKS = np.zeros((4, 5))
+_BLOCKS[:, :4] = _TAYLOR[:16].reshape(4, 4)
+_BLOCKS[3, 4] = _TAYLOR[16]
+_BLOCKS = _BLOCKS.reshape(4, 5, 1, 1, 1)
 
-    Each slice's squaring count is chosen so its scaled norm is <= 0.5, where
-    the truncated Taylor series converges to machine precision.  The squaring
-    count and the Taylor stop are kept per slice, so every slice equals the
-    exponential of that matrix alone, byte for byte.
+
+def _taylor16(a):
+    """Degree-16 Taylor polynomial of exp over a stack (b, n, n), by
+    Paterson-Stockmeyer: a^2, a^3, a^4, the four blocks in one elementwise
+    product and sum, then three Horner steps in a^4 (six matrix products in
+    all)."""
+    powers = np.empty((5,) + a.shape)  # I, a, a^2, a^3, a^4
+    powers[0] = np.eye(a.shape[-1])
+    powers[1] = a
+    np.matmul(a, a, out=powers[2])
+    np.matmul(powers[2], powers[1:3], out=powers[3:])
+    blocks = (_BLOCKS * powers).sum(axis=1)
+    out = blocks[3]
+    for j in (2, 1, 0):
+        out = out @ powers[4] + blocks[j]
+    return out
+
+
+def expm(m):
+    """Matrix exponential by scaling-and-squaring with a fixed degree-16
+    Taylor core, over a stack (..., n, n).
+
+    Each slice's squaring count is chosen so its scaled norm is <= 0.5,
+    where the degree-16 Taylor polynomial (evaluated by Paterson-Stockmeyer)
+    is exact to below float64 resolution.  The squaring count is kept per
+    slice and the polynomial is the same elementwise arithmetic for every
+    slice, so every slice equals the exponential of that matrix alone, byte
+    for byte.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise StructuralError(f"expected (..., n, n), got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise NumericalError("expm: non-finite entries")
     n = m.shape[-1]
     flat = m.reshape((-1, n, n))
-    norm = np.abs(flat).reshape(len(flat), n * n).max(axis=1, initial=0.0) * n
-    squarings = np.where(
-        norm > 0.5, np.ceil(np.log2(np.maximum(norm, 0.5) / 0.5)), 0
-    ).astype(int)
-    a = flat / (2.0 ** squarings)[:, None, None]
-    result = np.eye(n) + a
-    term = a
-    active = np.ones(len(flat), dtype=bool)
-    updating = active[:, None, None]  # a view: follows every update of active
-    for k in range(2, 24):
-        term = term @ a / k
-        np.add(result, term, out=result, where=updating)
-        active &= abs(term).reshape(len(flat), n * n).max(axis=1) >= 1e-18
-        if not active.any():
-            break
-    for i in range(int(squarings.max(initial=0))):
+    # A NaN or inf entry makes the largest scaled norm non-finite.
+    worst = np.abs(flat).max(initial=0.0) * n
+    if not np.isfinite(worst):
+        raise NumericalError("expm: non-finite entries")
+    if worst <= 0.5:  # no slice needs scaling
+        return _taylor16(flat).reshape(m.shape)
+    norm = np.abs(flat).reshape(len(flat), n * n).max(axis=1) * n
+    # norm = mant * 2**e with mant in [0.5, 1): the least squaring count
+    # s >= 0 with norm / 2**s <= 0.5, exactly; the scaling by 2**-s is exact.
+    mant, e = np.frexp(norm)
+    squarings = np.maximum(e + (mant > 0.5), 0)
+    result = _taylor16(np.ldexp(flat, -squarings[:, None, None]))
+    for i in range(int(squarings.max())):
         more = squarings > i
         result[more] = result[more] @ result[more]
     return result.reshape(m.shape)

@@ -186,6 +186,8 @@ class RunConfig:
         self.mu_samples = [_real("mu_samples", v) for v in merged["mu_samples"]]
         if not self.mu_samples or any(v == 0.0 for v in self.mu_samples):
             raise ConfigError("mu_samples must be nonempty and nonzero")
+        if not np.all(np.isfinite(self.mu_samples)):
+            raise ConfigError(f"mu_samples must be finite, got {self.mu_samples}")
         keys = [mu_key(mu) for mu in self.mu_samples]
         if len(set(keys)) != len(keys):
             raise ConfigError(

@@ -196,7 +196,7 @@ def j_orthonormalize(g, space):
     jcols = np.empty_like(cols)  # jcols[b, c] = j * cols[b][:, c], contiguous
     picked = np.zeros((len(cols), n), dtype=bool)
     rows = np.arange(len(cols))
-    for _ in range(n):
+    for step in range(n):
         np.multiply(np.swapaxes(cols, -1, -2), j, out=jcols)
         quads = _column_dots(cols, jcols)
         pick = np.argmax(np.where(picked, -1.0, np.abs(quads)), axis=-1)
@@ -210,6 +210,8 @@ def j_orthonormalize(g, space):
             )
         u = cols[rows, :, pick] / np.sqrt(size)[:, None]
         out[rows, :, pick] = u
+        if step == n - 1:
+            break  # no column is read after the last pivot
         picked[rows, pick] = True
         # The columns already picked are updated too; they are not read again.
         coef = _column_dots(cols, (j * u)[:, None, :])

@@ -110,8 +110,10 @@ def fit_order(values, ratios=2.0):
 
 
 def expm_single(m):
-    """Single-matrix scaling-and-squaring exponential, the per-slice loop the
-    batched ``algebra.expm`` must reproduce byte for byte."""
+    """Single-matrix scaling-and-squaring exponential with a term-by-term
+    Taylor loop, the former ``algebra.expm``: the accuracy reference for the
+    fixed-degree polynomial.  Returns the exponential and the squaring
+    count."""
     norm = np.max(np.abs(m)) * m.shape[0]
     squarings = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
     a = m / (2.0 ** squarings)

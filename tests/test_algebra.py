@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import curvedflats.algebra as algebra
 from curvedflats.algebra import (
+    CARTAN_CACHE_SIZE,
     AlgebraElement,
     BilinearSpace,
     SymmetricSpaceSpec,
@@ -282,6 +284,8 @@ def test_is_cartan_matches_per_element_implementation(name):
     for span in _cartan_candidates(spec, rng):
         got = is_cartan(span_of(span), spec, tol=1e-9)
         assert got == is_cartan_per_element(span, spec, tol=1e-9)
+        # The second call is answered from the spec's verdict cache.
+        assert is_cartan(span_of(span), spec, tol=1e-9) == got
         verdicts.append(got)
     assert True in verdicts and False in verdicts
     # An element outside p raises the same error from both, naming the
@@ -346,21 +350,93 @@ def test_non_finite_entries_rejected():
         expm(bad)
 
 
+@pytest.fixture
+def uncached_calls(monkeypatch):
+    """Counts the runs of the uncached Cartan test behind ``is_cartan``."""
+    calls = []
+    test = algebra._cartan_verdict
+
+    def counting(mats, spec, tol):
+        calls.append(mats.shape)
+        return test(mats, spec, tol)
+
+    monkeypatch.setattr(algebra, "_cartan_verdict", counting)
+    return calls
+
+
+def test_is_cartan_cache_answers_only_the_same_bytes(uncached_calls):
+    spec = so5_spec()
+    b1 = from_offblock([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]], spec)
+    b2 = from_offblock([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], spec)
+    span = span_of([b1, b2])
+    assert is_cartan(span, spec, tol=1e-9)
+    assert is_cartan(span.copy(), spec, tol=1e-9)
+    assert len(uncached_calls) == 1
+    # One ulp away, another tol, another spec: each judged afresh.
+    nudged = span.copy()
+    nudged[0, 3, 1] = np.nextafter(nudged[0, 3, 1], 2.0)
+    assert is_cartan(nudged, spec, tol=1e-9)
+    assert is_cartan(span, spec, tol=1e-8)
+    assert is_cartan(span, so5_spec(), tol=1e-9)
+    assert len(uncached_calls) == 4
+
+
+def test_is_cartan_never_caches_a_span_outside_p(uncached_calls):
+    spec = so5_spec()
+    k_elem = AlgebraElement(elem(0, 1, 5) - elem(1, 0, 5), spec.space)
+    for _ in range(3):
+        with pytest.raises(StructuralError):
+            is_cartan(span_of([k_elem]), spec)
+    assert len(uncached_calls) == 3
+    assert spec._cartan_verdicts == {}
+
+
+def test_is_cartan_cache_is_bounded_and_drops_the_oldest(uncached_calls):
+    spec = so5_spec()
+    rng = np.random.default_rng(5)
+    spans = [span_of([random_element(rng, spec, part="p") for _ in range(2)])
+             for _ in range(50)]
+    for span in spans:
+        is_cartan(span, spec, tol=1e-9)
+        assert len(spec._cartan_verdicts) <= CARTAN_CACHE_SIZE
+    assert len(spec._cartan_verdicts) == CARTAN_CACHE_SIZE
+    assert len(uncached_calls) == 50
+    is_cartan(spans[-1], spec, tol=1e-9)  # still held
+    assert len(uncached_calls) == 50
+    is_cartan(spans[0], spec, tol=1e-9)  # dropped long ago
+    assert len(uncached_calls) == 51
+
+
+EXPM_SCALES = [0.0, 1e-3, 0.05, 0.3, 1.0, 4.0, 30.0]
+
+
 def test_expm_stack_matches_per_slice_loop():
     from curvedflats.algebra import expm
 
     rng = np.random.default_rng(31)
-    scales = [0.0, 1e-3, 0.05, 0.3, 1.0, 4.0, 30.0]
-    stack = np.stack([s * rng.standard_normal((5, 5)) for s in scales])
-    reference = [expm_single(m) for m in stack]
+    stack = np.stack([s * rng.standard_normal((5, 5)) for s in EXPM_SCALES])
     # Every slice takes its own squaring count; the zero matrix takes none.
-    assert [count for _, count in reference] == [0, 0, 1, 3, 5, 7, 10]
+    assert [expm_single(m)[1] for m in stack] == [0, 0, 1, 3, 5, 7, 10]
     batched = expm(stack)
-    for out, (expected, _) in zip(batched, reference):
-        assert out.tobytes() == expected.tobytes()
+    for out, m in zip(batched, stack):
+        assert out.tobytes() == expm(m).tobytes()
     grid_shaped = expm(stack[1:].reshape(2, 3, 5, 5))
     assert grid_shaped.tobytes() == batched[1:].tobytes()
-    assert expm(stack[4]).tobytes() == reference[4][0].tobytes()
+
+
+def test_expm_matches_taylor_loop_reference():
+    # The degree-16 polynomial and the former term-by-term Taylor loop agree
+    # to a few ulps at scaled norm <= 0.5, and each squaring at most doubles
+    # that difference: the bound is 64 eps, doubled per squaring, relative to
+    # the largest entry.  It was fixed from eps before the comparison ran.
+    from curvedflats.algebra import expm
+
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(31)
+    for m in [s * rng.standard_normal((5, 5)) for s in EXPM_SCALES]:
+        expected, count = expm_single(m)
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        assert np.max(np.abs(expm(m) - expected)) <= 64 * eps * 2.0**count * scale
 
 
 def test_in_group_residual_values():

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import curvedflats.algebra as algebra
 import curvedflats.cli as cli
 import curvedflats.frame as frame
+import curvedflats.geometry as geometry
 from curvedflats.algebra import expm
 from curvedflats.cli import (
     RunConfig,
@@ -76,6 +78,11 @@ def test_config_validation_errors():
         RunConfig(small_config(outputs={"widgets": True}))
 
 
+# A JSON number literal beyond float range; the malformed-value test writes
+# it unquoted, so json.loads reads it as inf.
+OVERFLOW = "1e400"
+
+
 @pytest.mark.parametrize(
     "override",
     [
@@ -114,12 +121,20 @@ def test_config_validation_errors():
         # The space-form checks of a 2D immersion need 5 nodes per axis.
         {"nodes": [4, 4]},
         {"nodes": [9, 4]},
+        # Non-finite samples: json.loads reads Infinity, -Infinity and the
+        # overflowing literal 1e400 as +-inf.
+        {"mu_samples": [float("inf")]},
+        {"mu_samples": [float("-inf")]},
+        {"mu_samples": [1.0, OVERFLOW]},
     ],
 )
 def test_main_rejects_malformed_config_values(tmp_path, override):
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps(small_config(**override)))
+    text = json.dumps(small_config(**override))
+    cfg_path.write_text(text.replace(f'"{OVERFLOW}"', OVERFLOW))
     assert main(["run", str(cfg_path), "-o", str(tmp_path / "o")]) == 2
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["error"]["category"] == "ConfigError"
 
 
 @pytest.mark.parametrize(
@@ -138,6 +153,30 @@ def test_seeded_run_with_flow_count_other_than_rank(tmp_path, powers, nodes, fla
     out = tmp_path / "o"
     assert main(["run", str(cfg_path), "-o", str(out)]) == 0
     assert json.loads((out / "report.json").read_text())["flags"] == flags
+
+
+def test_gauge_span_test_runs_once_per_distinct_span(tmp_path, monkeypatch):
+    # A1 is a first integral, so the gauge asks is_cartan about one span (up
+    # to signed zeros) at every node: the calls stay at gauge nodes + seed,
+    # and only the seed's span and the distinct gauge spans run the test.
+    calls = {"is_cartan": 0, "uncached": 0}
+
+    def counting(fn, key):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(geometry, "is_cartan", counting(geometry.is_cartan, "is_cartan"))
+    monkeypatch.setattr(
+        algebra, "_cartan_verdict", counting(algebra._cartan_verdict, "uncached")
+    )
+    raw = dict(default_config(), nodes=[9, 9], mu_samples=[1.0],
+               commutativity_steps=4)
+    _, code = run_pipeline(RunConfig(raw), tmp_path / "o")
+    assert code == 0
+    assert calls["is_cartan"] == 9 * 9 + 1
+    assert 1 <= calls["uncached"] <= 3
 
 
 @pytest.mark.parametrize("overrides", [
