@@ -409,12 +409,17 @@ def group_exp(x, t=1.0):
     return expm(float(t) * x.matrix)
 
 
-def in_group_residual(g, space):
-    """Drift monitor: ||G^T J G - J||_max over a stack (..., n, n), e.g. a
-    whole frame or gauge field in one call."""
+def group_defects(g, space):
+    """||G^T J G - J||_max of every slice of a stack (..., n, n), shape (...)."""
     g = np.asarray(g, dtype=float)
     if g.ndim < 2 or g.shape[-2:] != (space.dim, space.dim):
         raise StructuralError(f"expected (..., {space.dim}, {space.dim}), got {g.shape}")
     j = space.j_diag
     res = np.swapaxes(g, -1, -2) @ (j[:, None] * g) - np.diag(j)
-    return float(np.max(np.abs(res)))
+    return np.max(np.abs(res), axis=(-2, -1))
+
+
+def in_group_residual(g, space):
+    """Drift monitor: ||G^T J G - J||_max over a stack (..., n, n), e.g. a
+    whole frame or gauge field in one call."""
+    return float(np.max(group_defects(g, space)))

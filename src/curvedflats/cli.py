@@ -453,30 +453,40 @@ def write_phi_csv(path, config, phis_by_mu):
             fh.write(_format_rows(fmt, block))
 
 
-def write_obj(path, config, phi, mu):
+def obj_faces(grid):
+    """The ``f %d %d %d`` lines of a 2-D grid's mesh: two triangles per cell,
+    1-based vertex ids in C order.  They are the same for every mu."""
+    n0, n1 = grid.nodes
+    vid = np.arange(n0 * n1).reshape(n0, n1) + 1
+    a, b = vid[:-1, :-1].ravel(), vid[1:, :-1].ravel()
+    c, d = vid[1:, 1:].ravel(), vid[:-1, 1:].ravel()
+    faces = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    return _format_rows("f %d %d %d", faces)
+
+
+def write_obj(path, config, phi, mu, faces=None):
     """Vertices phi[obj_coords] per node in C order; two triangles per cell.
 
     Byte-identical to ``np.savetxt`` with ``v %.17g %.17g %.17g`` and
-    ``f %d %d %d`` lines, formatted one block at a time.
+    ``f %d %d %d`` lines, formatted one block at a time.  ``faces`` is the
+    text of ``obj_faces(config.grid)``, which a caller writing one mesh per
+    mu formats once.
     """
     grid = config.grid
     if grid.dims != 2:
         return
-    n0, n1 = grid.nodes
+    if faces is None:
+        faces = obj_faces(grid)
     header = "\n".join([
         "# curved-flat reconstruction mesh",
         f"# config sha256: {config.hash()}",
         f"# mu: {mu:.17g}",
     ])
-    vid = np.arange(n0 * n1).reshape(n0, n1) + 1
-    a, b = vid[:-1, :-1].ravel(), vid[1:, :-1].ravel()
-    c, d = vid[1:, 1:].ravel(), vid[:-1, 1:].ravel()
-    faces = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
     vertices = phi.reshape(-1, phi.shape[-1])[:, list(config.obj_coords)]
     with open(path, "w") as fh:
         fh.write(header + "\n")
         fh.write(_format_rows("v %.17g %.17g %.17g", vertices))
-        fh.write(_format_rows("f %d %d %d", faces))
+        fh.write(faces)
 
 
 def run_pipeline(config, out_dir):
@@ -521,8 +531,9 @@ def run_pipeline(config, out_dir):
         if config.outputs["csv"]:
             write_phi_csv(out_dir / "phi.csv", config, phis)
         if config.outputs["obj"] and grid.dims == 2:
+            faces = obj_faces(grid)
             for i, mu in enumerate(config.mu_samples):
-                write_obj(out_dir / f"mesh_{i:02d}.obj", config, phis[mu], mu)
+                write_obj(out_dir / f"mesh_{i:02d}.obj", config, phis[mu], mu, faces)
     return report, 0 if report["pass"] else 1
 
 

@@ -4,17 +4,19 @@ The 1-form A^mu = A0 + mu A1 is read off per coordinate direction as the
 degree-0/1 part of pi_+ Vt_r(xi), for the whole grid in one call of the kernel
 the flows share, and its k/p split is checked over the whole grid at once.
 The frame equation F^-1 dF = A^mu is integrated edge by edge along the sweep
-with a midpoint exponential (order 2), re-orthonormalizing in the J-inner
-product after every step.  All spectral samples share that one sweep: each
-edge evaluates A^mu for the whole batch of samples and takes one batched
-exponential and one batched orthonormalization, whose per-slice results equal
-the single-matrix ones byte for byte.  The group drift is one scan of each
-sample's field.
+with a midpoint exponential (order 2).  A^mu lies in so(J), so each step stays
+in the group O(J) up to roundoff; a frame whose distance from the group
+exceeds ``IN_GROUP_TOL`` is repaired by J-Gram-Schmidt, and every other frame
+is kept as the exponential left it.  All spectral samples share that one
+sweep: each edge evaluates A^mu for the whole batch of samples and takes one
+batched exponential and one batched group check, whose per-slice results
+equal the single-matrix ones byte for byte.  The group drift is one scan of
+each sample's field.
 """
 
 import numpy as np
 
-from .algebra import expm, in_group_residual
+from .algebra import expm, group_defects, in_group_residual
 from .errors import (
     DegenerateFrameError,
     InternalConsistencyError,
@@ -26,6 +28,8 @@ from .loops import connection_coefficients
 CONNECTION_TOL = 1e-10
 # Smallest |<v, v>_J| accepted as a Gram-Schmidt pivot.
 PIVOT_TOL = 1e-10
+# A frame with ||F^T J F - J||_max at most this is in O(J) and is kept as is.
+IN_GROUP_TOL = 1e-13
 
 
 class ConnectionForm:
@@ -178,20 +182,13 @@ def _slice_error(message, flat, batch):
     return DegenerateFrameError(message + where, index=index)
 
 
-def j_orthonormalize(g, space):
-    """Gram-Schmidt in the J-inner product with column pivoting on |<v,v>_J|,
-    over a stack (..., n, n).
-
-    For definite J this is classical Gram-Schmidt; the pivot order guards
-    against near-null columns in the indefinite case.  Every slice picks its
-    own pivot order.  Columns keep their positions and the output sign
-    pattern must match J.  A ``DegenerateFrameError`` carries the leading
-    index of the failing slice.
+def _gram_schmidt(cols, space, slices, batch):
+    """Pivoted J-Gram-Schmidt on a flat stack ``cols`` (b, n, n), which it
+    overwrites.  ``slices`` gives each row's flat index in the caller's stack
+    of leading shape ``batch``; a ``DegenerateFrameError`` names that slice.
     """
-    g = np.asarray(g, dtype=float)
-    batch, n = g.shape[:-2], g.shape[-1]
+    n = cols.shape[-1]
     j = space.j_diag
-    cols = g.reshape((-1, n, n)).copy()
     out = np.empty_like(cols)
     jcols = np.empty_like(cols)  # jcols[b, c] = j * cols[b][:, c], contiguous
     picked = np.zeros((len(cols), n), dtype=bool)
@@ -202,11 +199,11 @@ def j_orthonormalize(g, space):
         pick = np.argmax(np.where(picked, -1.0, np.abs(quads)), axis=-1)
         q = quads[rows, pick]
         size = np.abs(q)
-        if size.min() < PIVOT_TOL:
-            b = int(np.argmax(size < PIVOT_TOL))
+        if not size.min() >= PIVOT_TOL:  # a NaN pivot fails too
+            b = int(np.argmax(~(size >= PIVOT_TOL)))
             raise _slice_error(
                 f"orthonormalization pivot {size[b]:.3e} below {PIVOT_TOL:.1e}",
-                b, batch,
+                slices[b], batch,
             )
         u = cols[rows, :, pick] / np.sqrt(size)[:, None]
         out[rows, :, pick] = u
@@ -220,7 +217,31 @@ def j_orthonormalize(g, space):
     wrong = _column_dots(out, jcols) * j <= 0
     if np.any(wrong):
         b, i = (int(v) for v in np.argwhere(wrong)[0])
-        raise _slice_error(f"column {i} acquired the wrong causal character", b, batch)
+        raise _slice_error(
+            f"column {i} acquired the wrong causal character", slices[b], batch
+        )
+    return out
+
+
+def j_orthonormalize(g, space):
+    """Bring every slice of a stack (..., n, n) into the group O(J).
+
+    A slice with ||F^T J F - J||_max <= ``IN_GROUP_TOL`` is already in the
+    group and is returned unchanged.  Every other slice, a non-finite one
+    included, goes through Gram-Schmidt in the J-inner product with column
+    pivoting on |<v,v>_J|: classical Gram-Schmidt for definite J, while the
+    pivot order guards against near-null columns in the indefinite case.
+    Every slice picks its own pivot order, so a slice gives the same bytes
+    alone or inside any stack.  Columns keep their positions and the output
+    sign pattern must match J.  A ``DegenerateFrameError`` carries the
+    leading index of the failing slice.
+    """
+    g = np.asarray(g, dtype=float)
+    batch, n = g.shape[:-2], g.shape[-1]
+    out = g.reshape((-1, n, n)).copy()
+    off = np.flatnonzero(~(group_defects(out, space) <= IN_GROUP_TOL))
+    if off.size:
+        out[off] = _gram_schmidt(out[off], space, off, batch)
     return out.reshape(g.shape)
 
 
@@ -229,12 +250,13 @@ def integrate_frame(conn, mus, grid, axis_priority=None):
     spectral sample in ``mus`` at once.
 
     Each edge applies exp(h * Abar) with Abar the average of the edge's
-    endpoint values (midpoint exponential, order 2), followed by
-    re-J-orthonormalization; both act on the whole batch of samples.  The
-    edges are those of ``grid.sweep``, the grid fill order; passing
-    ``axis_priority`` permutes which axis is treated as primary (used to
-    quantify path independence).  Returns one ``FrameField`` per sample, in
-    order, each a view into one (len(mus), *nodes, n, n) array.
+    endpoint values (midpoint exponential, order 2), then ``j_orthonormalize``,
+    which repairs only the frames that have left O(J); both act on the whole
+    batch of samples.  The edges are those of ``grid.sweep``, the grid fill
+    order; passing ``axis_priority`` permutes which axis is treated as
+    primary (used to quantify path independence).  Returns one
+    ``FrameField`` per sample, in order, each a view into one
+    (len(mus), *nodes, n, n) array.
     """
     spec = conn.spec
     n = spec.dim

@@ -378,6 +378,9 @@ def test_writers_match_savetxt_byte_for_byte(tmp_path, powers, nodes):
             savetxt_obj(tmp_path / "old.obj", config, phis[mu], mu)
             new = (tmp_path / "new.obj").read_bytes()
             assert new == (tmp_path / "old.obj").read_bytes()
+            faces = cli.obj_faces(config.grid)
+            cli.write_obj(tmp_path / "shared.obj", config, phis[mu], mu, faces)
+            assert (tmp_path / "shared.obj").read_bytes() == new
     else:
         cli.write_obj(tmp_path / "none.obj", config, phis[0.6], 0.6)
         assert not (tmp_path / "none.obj").exists()

@@ -8,6 +8,7 @@ from curvedflats.errors import (
     StructuralError,
 )
 from curvedflats.frame import (
+    IN_GROUP_TOL,
     ConnectionForm,
     abelian_residual,
     connection_from_state,
@@ -257,6 +258,71 @@ def test_j_orthonormalize_stack_names_degenerate_slice():
     with pytest.raises(DegenerateFrameError, match=r"column 0 .* slice \(3,\)") as err:
         j_orthonormalize(stack, space)
     assert err.value.index == (3,)
+
+
+def _in_group_frame(rng, space, scale=0.9):
+    g = expm(skew_project(scale * rng.standard_normal((5, 5)), space))
+    assert in_group_residual(g, space) <= IN_GROUP_TOL
+    return g
+
+
+@pytest.mark.parametrize("space", [SPEC.space, BilinearSpace(3, 2)])
+def test_j_orthonormalize_keeps_in_group_slices(space):
+    rng = np.random.default_rng(31)
+    kept = _in_group_frame(rng, space)
+    noisy = (
+        _in_group_frame(rng, space) * np.array([1.0, 1.5, 2.0, 2.5, 3.0])
+        + 1e-9 * rng.standard_normal((5, 5))
+    )
+    stack = np.stack([kept, noisy, kept.T.copy()])
+    out = j_orthonormalize(stack, space)
+    assert out[0].tobytes() == kept.tobytes()
+    expected = j_orthonormalize_single(noisy, space)[0]
+    assert np.max(np.abs(out[1] - expected)) <= 1e-13
+    # Alone or inside the stack, every slice gives the same bytes.
+    for got, g in zip(out, stack):
+        assert got.tobytes() == j_orthonormalize(g, space).tobytes()
+        assert got.tobytes() == j_orthonormalize(g[None], space)[0].tobytes()
+
+
+def test_j_orthonormalize_pulls_back_frame_off_the_group():
+    rng = np.random.default_rng(32)
+    for space in (SPEC.space, BilinearSpace(3, 2)):
+        g = _in_group_frame(rng, space) + 1e-12 * rng.standard_normal((5, 5))
+        assert in_group_residual(g, space) > IN_GROUP_TOL
+        assert in_group_residual(j_orthonormalize(g, space), space) < IN_GROUP_TOL
+
+
+def test_j_orthonormalize_bounds_drift_of_long_products():
+    # Most steps take the skip path; roundoff must not pile up past the
+    # point where Gram-Schmidt resets it.
+    rng = np.random.default_rng(5)
+    for space in (SPEC.space, BilinearSpace(3, 2)):
+        frame = np.eye(5)
+        for _ in range(2000):
+            step = expm(0.05 * skew_project(rng.standard_normal((5, 5)), space))
+            frame = j_orthonormalize(frame @ step, space)
+            assert in_group_residual(frame, space) <= 2 * IN_GROUP_TOL
+
+
+def test_j_orthonormalize_rejects_non_finite_slices():
+    space = SPEC.space
+    rng = np.random.default_rng(33)
+    stack = np.stack([_in_group_frame(rng, space) for _ in range(4)])
+    stack[2, 1, 3] = np.nan
+    stack[3, 0, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(DegenerateFrameError, match=r"pivot .* slice \(2,\)") as err:
+            j_orthonormalize(stack, space)
+        assert err.value.index == (2,)
+        with pytest.raises(DegenerateFrameError, match=r"pivot .* slice \(1,\)") as err:
+            j_orthonormalize(stack[[0, 3]], space)
+        assert err.value.index == (1,)
+        one_nan = np.eye(5)
+        one_nan[1, 2] = np.nan
+        for g in (one_nan, np.full((5, 5), np.inf)):
+            with pytest.raises(DegenerateFrameError, match="pivot"):
+                j_orthonormalize(g, space)
 
 
 @pytest.mark.parametrize("axis_priority", [(0, 1), (1, 0)])
