@@ -54,9 +54,12 @@ class BilinearSpace:
         self.j_diag = j
         self.j_diag.setflags(write=False)
 
-    @property
+    @cached_property
     def metric(self):
-        return np.diag(self.j_diag)
+        """diag(J) as a read-only (n, n) array, built on first use."""
+        m = np.diag(self.j_diag)
+        m.setflags(write=False)
+        return m
 
     @property
     def is_definite(self):
@@ -415,7 +418,7 @@ def group_defects(g, space):
     if g.ndim < 2 or g.shape[-2:] != (space.dim, space.dim):
         raise StructuralError(f"expected (..., {space.dim}, {space.dim}), got {g.shape}")
     j = space.j_diag
-    res = np.swapaxes(g, -1, -2) @ (j[:, None] * g) - np.diag(j)
+    res = np.swapaxes(g, -1, -2) @ (j[:, None] * g) - space.metric
     return np.max(np.abs(res), axis=(-2, -1))
 
 

@@ -216,6 +216,9 @@ class RunConfig:
         if bad:
             raise ConfigError(f"unknown tolerance keys: {sorted(bad)}")
         tol.update({k: _real(f"tolerances.{k}", v) for k, v in overrides.items()})
+        negative = sorted(k for k in overrides if tol[k] < 0)
+        if negative:
+            raise ConfigError(f"tolerances must be >= 0: {negative}")
         self.tolerances = tol
 
         self.obj_coords = tuple(
@@ -432,9 +435,10 @@ def _format_rows(fmt, table):
 def write_phi_csv(path, config, phis_by_mu):
     """One row per (mu, node), nodes in C order: coordinates, mu, phi.
 
-    Byte-identical to ``np.savetxt`` with ``%.17g`` and a ``,`` delimiter; the
-    rows are formatted one mu block at a time, which keeps the peak memory at
-    one block's text.
+    Byte-identical to ``np.savetxt`` with ``%.17g`` and a ``,`` delimiter.
+    The ``x1,x2,`` prefix of each node is formatted once per run and the mu
+    cell once per block; formatted numbers hold no ``%``, so each block is
+    one format of phi alone.  One mu block of text is held at a time.
     """
     grid, n = config.grid, config.spec.dim
     header = (
@@ -443,14 +447,14 @@ def write_phi_csv(path, config, phis_by_mu):
         + [f"phi_{i + 1}" for i in range(n)]
     )
     coords = np.indices(grid.nodes).reshape(grid.dims, -1).T * grid.steps
-    fmt = ",".join(["%.17g"] * len(header))
+    prefixes = _format_rows("%.17g," * grid.dims, coords).splitlines()
+    phi_fmt = ",".join(["%.17g"] * n) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for mu in config.mu_samples:
-            block = np.column_stack(
-                [coords, np.full(len(coords), mu), phis_by_mu[mu].reshape(-1, n)]
-            )
-            fh.write(_format_rows(fmt, block))
+            tail = "%.17g," % mu + phi_fmt
+            block = "".join([prefix + tail for prefix in prefixes])
+            fh.write(block % tuple(phis_by_mu[mu].ravel().tolist()))
 
 
 def obj_faces(grid):

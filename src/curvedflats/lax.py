@@ -36,6 +36,7 @@ class GridSpec:
             raise StructuralError(f"each axis needs at least 2 nodes: {nodes}")
         self.extents = extents
         self.nodes = nodes
+        self._sweeps = {}  # axis priority -> edge tuple of ``sweep``
 
     @property
     def dims(self):
@@ -46,16 +47,23 @@ class GridSpec:
         return tuple(l / (n - 1) for l, n in zip(self.extents, self.nodes))
 
     def sweep(self, axis_priority=None):
-        """Yield (index, prev, axis) for every node in lexicographic order
-        over the axes in ``axis_priority`` order (default 0, 1, ...).
+        """The (index, prev, axis) of every node in lexicographic order over
+        the axes in ``axis_priority`` order (default 0, 1, ...), as a tuple.
 
         The origin comes first with prev = axis = None; every other node is
         one step along ``axis`` from ``prev``, where ``axis`` is its last
-        nonzero axis in priority order.
+        nonzero axis in priority order.  The tuple is built once per priority
+        and shared by every sweep of the run (Lax fill, frames, gauge).
         """
-        priority = list(range(self.dims) if axis_priority is None else axis_priority)
+        priority = tuple(range(self.dims) if axis_priority is None else axis_priority)
         if sorted(priority) != list(range(self.dims)):
             raise StructuralError(f"invalid axis priority {axis_priority}")
+        edges = self._sweeps.get(priority)
+        if edges is None:
+            edges = self._sweeps[priority] = tuple(self._edges(priority))
+        return edges
+
+    def _edges(self, priority):
         for combo in itertools.product(*(range(self.nodes[ax]) for ax in priority)):
             index = [0] * self.dims
             for ax, i in zip(priority, combo):
@@ -113,18 +121,21 @@ class GridSolution:
 
 
 def _rk4(stack, r, d, t, steps, norm0):
+    # The scalars are computed once per call: ``half * k1`` is the
+    # ``(0.5 * h) * k1`` that ``0.5 * h * k1`` evaluates to, byte for byte.
     h = t / steps
+    half, sixth = 0.5 * h, h / 6.0
+    limit = BLOWUP_FACTOR * norm0
     y = stack
     for i in range(steps):
         k1 = flow_rhs(y, r, d)
-        k2 = flow_rhs(y + 0.5 * h * k1, r, d)
-        k3 = flow_rhs(y + 0.5 * h * k2, r, d)
+        k2 = flow_rhs(y + half * k1, r, d)
+        k3 = flow_rhs(y + half * k2, r, d)
         k4 = flow_rhs(y + h * k3, r, d)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # One reduction: a NaN or inf entry makes the max non-finite, and
         # the negated comparison rejects it as it rejects a large state.
-        m = np.max(np.abs(y))
-        if not (m <= BLOWUP_FACTOR * norm0):
+        if not (np.abs(y).max() <= limit):
             raise BlowUpError(
                 f"Lax flow r={r} blew up at t={(i + 1) * h:.6g}", last_t=i * h
             )

@@ -239,7 +239,8 @@ def flow_rhs(stack, r, d):
     and leading (node) axes are one broadcast expression, and each slice
     equals the single-stack per-degree loop byte for byte.
     """
-    b0, b1 = (b[..., None, :, :] for b in connection_coefficients(stack, r, d))
+    b0, b1 = connection_coefficients(stack, r, d)
+    b0, b1 = b0[..., None, :, :], b1[..., None, :, :]
     out = stack @ b0 - b0 @ stack
     lower = stack[..., :-1, :, :]
     out[..., 1:, :, :] += lower @ b1 - b1 @ lower
@@ -253,11 +254,18 @@ def connection_coefficients(stack, r, d):
     by (lo, hi) <- (lo xi_d + hi xi_{d-1}, hi xi_d) with sums started from zero
     as in ``stack_mul``, so they equal the full Cauchy power's bit for bit.
     ``stack`` is (..., d+1, n, n); leading (node) axes are carried through.
+
+    A single state (the seed and every RK4 stage of the node-by-node fill)
+    has 2-D coefficients, and for 2-D operands ``ndarray.dot`` calls the same
+    gemm as ``@`` with half the dispatch per product, so its bytes are the
+    same; stacks with node axes keep ``@`` (``np.matmul``), which broadcasts
+    over them.
     """
     below, top = stack[..., d - 1, :, :], stack[..., d, :, :]
+    mul = np.ndarray.dot if stack.ndim == 3 else np.matmul
     lo, hi = below, top
     for _ in range(r - 1):
-        lo, hi = (0.0 + lo @ top) + hi @ below, 0.0 + hi @ top
+        lo, hi = (0.0 + mul(lo, top)) + mul(hi, below), 0.0 + mul(hi, top)
     return lo, hi
 
 

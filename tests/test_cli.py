@@ -126,6 +126,8 @@ OVERFLOW = "1e400"
         {"mu_samples": [float("inf")]},
         {"mu_samples": [float("-inf")]},
         {"mu_samples": [1.0, OVERFLOW]},
+        # A negative tolerance fails every gate: a config error, not exit 1.
+        {"tolerances": {"mc": -1}},
     ],
 )
 def test_main_rejects_malformed_config_values(tmp_path, override):

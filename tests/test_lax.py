@@ -59,6 +59,24 @@ def test_sweep_visits_every_node_once_after_its_predecessor(priority):
         next(GridSpec([1.0, 1.0], [3, 3]).sweep((0, 0)))
 
 
+def test_sweep_edges_are_cached_per_priority():
+    # Repeated sweeps of one grid give a fresh grid's edges in the same
+    # order, as one immutable tuple per priority; a bad priority raises on
+    # every call, also after valid sweeps were cached.
+    grid = GridSpec([1.0, 1.0], [4, 3])
+    for priority in (None, (1, 0), None, (1, 0)):
+        edges = grid.sweep(priority)
+        assert isinstance(edges, tuple)
+        assert edges == tuple(GridSpec([1.0, 1.0], [4, 3]).sweep(priority))
+    assert grid.sweep() is grid.sweep((0, 1))
+    assert grid.sweep((1, 0)) != grid.sweep()
+    for _ in range(2):
+        with pytest.raises(StructuralError):
+            grid.sweep((0, 0))
+        with pytest.raises(StructuralError):
+            grid.sweep((0, 2))
+
+
 @pytest.mark.parametrize("nodes", [(5,), (4, 3), (4, 3, 2)])
 def test_sweep_regions_fill_the_sweep_edges(nodes):
     # Within each region block, every node past index 0 along the block's

@@ -251,6 +251,28 @@ def test_flow_rhs_matches_flow_field(d, r):
 
 @pytest.mark.parametrize("d", [1, 3, 5])
 @pytest.mark.parametrize("r", [1, 3, 5])
+def test_connection_coefficients_of_one_state_match_cauchy_power(d, r):
+    # A single (d+1, n, n) state takes the 2-D ``dot`` branch: its pair is
+    # degrees dr-1 and dr of the full Cauchy power byte for byte, signed
+    # zeros included.
+    rng = np.random.default_rng(1000 + 10 * d + r)
+    stacks = [random_lax_state(d=d, scale=s, rng=rng).stack for s in (0.3, 0.8, 2.0)]
+    stacks += [np.zeros((d + 1, 5, 5)), -np.zeros((d + 1, 5, 5))]
+    # A +0 top over an all-negative xi_{d-1}: every product term is -0, and
+    # the pair must still carry the Cauchy power's signed zeros.
+    signed = np.zeros((d + 1, 5, 5))
+    signed[d - 1] = -1.0 - rng.random((5, 5))
+    stacks.append(signed)
+    for stack in stacks:
+        lo, hi = connection_coefficients(stack, r, d)
+        assert lo.shape == hi.shape == (5, 5)
+        full = tilde_v(LaxState(stack, SPEC, check=False), r).stack
+        assert lo.tobytes() == full[d * r - 1].tobytes()
+        assert hi.tobytes() == full[d * r].tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+@pytest.mark.parametrize("r", [1, 3, 5])
 def test_flow_rhs_stack_matches_per_slice_loop(d, r):
     # The broadcast kernel on a (b, d+1, n, n) stack equals the former
     # per-degree loop on each slice byte for byte, signed zeros included.
