@@ -18,6 +18,8 @@ from .errors import StructuralError, NumericalError
 
 # Membership / identity tolerance at unit matrix scale.
 EPS_ALGEBRA = 1e-12
+# expm's squarings: 2^s times the unit roundoff 2^-53 reaches 1 at s = 53.
+MAX_SQUARINGS = 52
 # Spans whose Cartan verdict one spec keeps (oldest dropped first).
 CARTAN_CACHE_SIZE = 8
 
@@ -373,6 +375,14 @@ def _taylor16(a):
     return out
 
 
+def slice_error(message, flat, batch, kind=NumericalError):
+    """A ``kind`` error for slice ``flat`` (C order) of a stack with leading
+    shape ``batch``, naming the slice and carrying its index."""
+    index = tuple(int(i) for i in np.unravel_index(flat, batch))
+    where = f" in slice {index}" if batch else ""
+    return kind(message + where, index=index)
+
+
 def expm(m):
     """Matrix exponential by scaling-and-squaring with a fixed degree-16
     Taylor core, over a stack (..., n, n).
@@ -382,7 +392,9 @@ def expm(m):
     is exact to below float64 resolution.  The squaring count is kept per
     slice and the polynomial is the same elementwise arithmetic for every
     slice, so every slice equals the exponential of that matrix alone, byte
-    for byte.
+    for byte.  Each squaring doubles the relative error, so past
+    ``MAX_SQUARINGS`` no digit of the result is correct and a
+    ``NumericalError`` names the first such slice.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -392,7 +404,8 @@ def expm(m):
     # A NaN or inf entry makes the largest scaled norm non-finite.
     worst = np.abs(flat).max(initial=0.0) * n
     if not np.isfinite(worst):
-        raise NumericalError("expm: non-finite entries")
+        b = int(np.argmax(~np.isfinite(flat).all(axis=(1, 2))))
+        raise slice_error("expm: non-finite entries", b, m.shape[:-2])
     if worst <= 0.5:  # no slice needs scaling
         return _taylor16(flat).reshape(m.shape)
     norm = np.abs(flat).reshape(len(flat), n * n).max(axis=1) * n
@@ -400,6 +413,12 @@ def expm(m):
     # s >= 0 with norm / 2**s <= 0.5, exactly; the scaling by 2**-s is exact.
     mant, e = np.frexp(norm)
     squarings = np.maximum(e + (mant > 0.5), 0)
+    if squarings.max() > MAX_SQUARINGS:
+        b = int(np.argmax(squarings > MAX_SQUARINGS))
+        raise slice_error(
+            f"expm: norm {norm[b]:.3e} needs {squarings[b]} squarings, which"
+            " leave no correct digit", b, m.shape[:-2],
+        )
     result = _taylor16(np.ldexp(flat, -squarings[:, None, None]))
     for i in range(int(squarings.max())):
         more = squarings > i

@@ -43,7 +43,7 @@ from .geometry import (
     verify_space_form_geometry,
 )
 from .lax import GridSolution, GridSpec, commutativity_check, conservation_report, integrate_grid
-from .loops import FlowFamily, LaxState, connection_coefficients
+from .loops import FlowFamily, LaxState, top_powers
 from .presets import describe, make_preset, preset_names
 from . import algebra
 
@@ -271,10 +271,9 @@ def seed_initial_state(config):
         else:
             state = LaxState(stack, spec)
             try:
+                tops = top_powers(stack[d], config.powers[-1])
                 span = np.stack([
-                    AlgebraElement(
-                        connection_coefficients(stack, r, d)[1], spec.space
-                    ).matrix
+                    AlgebraElement(tops[r - 1], spec.space).matrix
                     for r in config.powers
                 ])
                 if admissible_span(span, spec, CARTAN_TOL):

@@ -19,11 +19,13 @@ class MissingArtifactError(StructuralError):
 
 class NumericalError(CurvedFlatsError):
     """Base for runtime numerical failures (exit code 3 in the CLI).  Carries
-    the grid node where the failure was found, when there is one."""
+    the grid node where the failure was found and, from a kernel acting on a
+    stack, the index of the failing slice, when there is one."""
 
-    def __init__(self, message, node=None):
+    def __init__(self, message, node=None, index=None):
         super().__init__(message)
         self.node = node
+        self.index = index
 
 
 class BlowUpError(NumericalError):
@@ -51,8 +53,7 @@ class DegenerateFrameError(NumericalError):
     the failing slice of a stack and, from the frame integration, the node."""
 
     def __init__(self, message, index=None, node=None):
-        super().__init__(message, node)
-        self.index = index
+        super().__init__(message, node, index)
 
 
 class GaugeContinuityError(NumericalError):

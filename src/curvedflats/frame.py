@@ -16,13 +16,14 @@ each sample's field.
 
 import numpy as np
 
-from .algebra import expm, group_defects, in_group_residual
+from .algebra import expm, group_defects, in_group_residual, slice_error
 from .errors import (
     DegenerateFrameError,
     InternalConsistencyError,
+    NumericalError,
     StructuralError,
 )
-from .loops import connection_coefficients
+from .loops import connection_coefficients, top_powers
 
 # Residual bound for the connection extraction contract.
 CONNECTION_TOL = 1e-10
@@ -76,8 +77,11 @@ def connection_from_state(sol):
     The degree-0 coefficient must land in k and the degree-1 coefficient in
     p; a violation signals a broken flow and raises.
     """
-    spec, powers = sol.spec, sol.family.powers
-    pairs = [connection_coefficients(sol.states, r, sol.d) for r in powers]
+    spec, powers, d = sol.spec, sol.family.powers, sol.d
+    top = sol.states[..., d, :, :]
+    pairs = [
+        connection_coefficients(sol.states, top_powers(top, r), d) for r in powers
+    ]
     a0, a1 = (np.stack(part, axis=-3) for part in zip(*pairs))  # (*nodes, k, n, n)
     bad = np.maximum(
         np.max(np.abs(spec.p_project(a0)), axis=(-2, -1)),
@@ -174,14 +178,6 @@ def _column_dots(x, y):
     return (np.swapaxes(x, -1, -2)[:, :, None, :] @ y[..., None])[:, :, 0, 0]
 
 
-def _slice_error(message, flat, batch):
-    """DegenerateFrameError for slice ``flat`` (C order) of a stack with
-    leading shape ``batch``."""
-    index = tuple(int(i) for i in np.unravel_index(flat, batch))
-    where = f" in slice {index}" if batch else ""
-    return DegenerateFrameError(message + where, index=index)
-
-
 def _gram_schmidt(cols, space, slices, batch):
     """Pivoted J-Gram-Schmidt on a flat stack ``cols`` (b, n, n), which it
     overwrites.  ``slices`` gives each row's flat index in the caller's stack
@@ -201,9 +197,9 @@ def _gram_schmidt(cols, space, slices, batch):
         size = np.abs(q)
         if not size.min() >= PIVOT_TOL:  # a NaN pivot fails too
             b = int(np.argmax(~(size >= PIVOT_TOL)))
-            raise _slice_error(
+            raise slice_error(
                 f"orthonormalization pivot {size[b]:.3e} below {PIVOT_TOL:.1e}",
-                slices[b], batch,
+                slices[b], batch, DegenerateFrameError,
             )
         u = cols[rows, :, pick] / np.sqrt(size)[:, None]
         out[rows, :, pick] = u
@@ -217,8 +213,9 @@ def _gram_schmidt(cols, space, slices, batch):
     wrong = _column_dots(out, jcols) * j <= 0
     if np.any(wrong):
         b, i = (int(v) for v in np.argwhere(wrong)[0])
-        raise _slice_error(
-            f"column {i} acquired the wrong causal character", slices[b], batch
+        raise slice_error(
+            f"column {i} acquired the wrong causal character", slices[b], batch,
+            DegenerateFrameError,
         )
     return out
 
@@ -278,8 +275,8 @@ def integrate_frame(conn, mus, grid, axis_priority=None):
             frames[every + index] = j_orthonormalize(
                 frames[every + prev] @ expm(h[axis] * abar), spec.space
             )
-        except DegenerateFrameError as err:
-            raise DegenerateFrameError(
+        except NumericalError as err:  # expm's range, Gram-Schmidt's pivots
+            raise type(err)(
                 f"{err} at node {index}, mu={mus[err.index[0]]!r}", node=index
             ) from err
     return [

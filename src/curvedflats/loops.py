@@ -5,8 +5,10 @@ i.e. even-degree coefficients in k and odd-degree ones in p.  The splitting
 into nonnegative and negative degrees yields the projections pi_+/pi_- and
 the operator R = (pi_+ - pi_-)/2, which generates the commuting flows
 X_r(xi) = [xi, pi_+ Vt_r(xi)] with Vt_r(xi)(mu) = mu^(1-d*r) xi(mu)^r.
-The flows, the connection and the seed share one kernel for the two
-coefficients of pi_+ Vt_r, ``connection_coefficients``; ``tilde_v`` and
+The flows and the connection share one kernel for the two coefficients of
+pi_+ Vt_r: ``top_powers`` builds the powers of the top coefficient xi_d, a
+first integral of every flow, and ``connection_coefficients`` takes them;
+the seed test reads A1 = xi_d^r from ``top_powers`` alone.  ``tilde_v`` and
 ``flow_field`` build the full Cauchy power and serve as the tests' reference.
 """
 
@@ -230,16 +232,17 @@ def flow_field(xi, r):
     return LaxState(full[: d + 1], xi.spec, check=False)
 
 
-def flow_rhs(stack, r, d):
+def flow_rhs(stack, powers, d):
     """Raw right-hand side of the r-flow on a coefficient stack (hot path).
 
     Equals flow_field up to dropping the identically-zero degree-(d+1) term:
     coefficient k is [xi_k, b0] + [xi_{k-1}, b1] with (b0, b1) the pair of
-    ``connection_coefficients``.  ``stack`` is (..., d+1, n, n): all degrees
-    and leading (node) axes are one broadcast expression, and each slice
-    equals the single-stack per-degree loop byte for byte.
+    ``connection_coefficients`` and r = ``len(powers)``, the powers of xi_d
+    from ``top_powers``.  ``stack`` is (..., d+1, n, n): all degrees and
+    leading (node) axes are one broadcast expression, and each slice equals
+    the single-stack per-degree loop byte for byte.
     """
-    b0, b1 = connection_coefficients(stack, r, d)
+    b0, b1 = connection_coefficients(stack, powers, d)
     b0, b1 = b0[..., None, :, :], b1[..., None, :, :]
     out = stack @ b0 - b0 @ stack
     lower = stack[..., :-1, :, :]
@@ -247,26 +250,43 @@ def flow_rhs(stack, r, d):
     return out
 
 
-def connection_coefficients(stack, r, d):
+def top_powers(top, r):
+    """(xi_d, xi_d^2, ..., xi_d^r) for the top coefficient ``top`` (..., n, n).
+
+    xi_d^k is degree dk of the Cauchy power xi^k bit for bit (see
+    ``connection_coefficients`` on the zero start).  xi_d is a first
+    integral of every flow, so the RK4 fill builds these once per edge and
+    every stage of the edge shares them.  A single matrix multiplies with
+    ``ndarray.dot``, which calls the same gemm as ``@`` with half the
+    dispatch per product; stacks with node axes keep ``np.matmul``.
+    """
+    mul = np.ndarray.dot if top.ndim == 2 else np.matmul
+    out = [top]
+    for _ in range(r - 1):
+        out.append(mul(out[-1], top))
+    return tuple(out)
+
+
+def connection_coefficients(stack, powers, d):
     """Degree-0 and degree-1 coefficients of pi_+ Vt_r: the (A0, A1) pair.
 
-    These are the top two coefficients of xi^r (degrees dr-1, dr), built alone
-    by (lo, hi) <- (lo xi_d + hi xi_{d-1}, hi xi_d) with sums started from zero
-    as in ``stack_mul``, so they equal the full Cauchy power's bit for bit.
-    ``stack`` is (..., d+1, n, n); leading (node) axes are carried through.
-
-    A single state (the seed and every RK4 stage of the node-by-node fill)
-    has 2-D coefficients, and for 2-D operands ``ndarray.dot`` calls the same
-    gemm as ``@`` with half the dispatch per product, so its bytes are the
-    same; stacks with node axes keep ``@`` (``np.matmul``), which broadcasts
-    over them.
+    These are the top two coefficients of xi^r (degrees dr-1, dr), with
+    r = ``len(powers)`` and ``powers`` the ``top_powers`` of xi_d: the
+    degree-dr one is xi_d^r = ``powers[-1]``, the degree-(dr-1) one the chain
+    lo <- lo xi_d + xi_d^k xi_{d-1} from lo = xi_{d-1}.  ``stack_mul`` starts
+    its sums from +0; a BLAS product sums from +0 too, so it is never -0 and
+    the chain needs no explicit zero start to equal the full Cauchy power
+    bit for bit, signed zeros included, when ``powers`` come from this
+    stack's xi_d.  ``stack`` is (..., d+1, n, n); leading (node) axes are
+    carried through.  A single state (every RK4 stage) multiplies with
+    ``ndarray.dot`` as ``top_powers`` does.
     """
-    below, top = stack[..., d - 1, :, :], stack[..., d, :, :]
+    below, top = stack[..., d - 1, :, :], powers[0]
     mul = np.ndarray.dot if stack.ndim == 3 else np.matmul
-    lo, hi = below, top
-    for _ in range(r - 1):
-        lo, hi = (0.0 + mul(lo, top)) + mul(hi, below), 0.0 + mul(hi, top)
-    return lo, hi
+    lo = below
+    for power in powers[:-1]:
+        lo = mul(lo, top) + mul(power, below)
+    return lo, powers[-1]
 
 
 def trace_powers(m, max_power):

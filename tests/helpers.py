@@ -155,12 +155,57 @@ def j_orthonormalize_single(g, space, pivot_tol=1e-10):
     return out, order
 
 
+def connection_pair_per_stage(stack, r, d):
+    """The former ``loops.connection_coefficients``: the (A0, A1) pair of
+    flow r with the powers of xi_d rebuilt from ``stack`` on every call, in
+    the same zero-started arithmetic."""
+    below, top = stack[..., d - 1, :, :], stack[..., d, :, :]
+    mul = np.ndarray.dot if stack.ndim == 3 else np.matmul
+    lo, hi = below, top
+    for _ in range(r - 1):
+        lo, hi = (0.0 + mul(lo, top)) + mul(hi, below), 0.0 + mul(hi, top)
+    return lo, hi
+
+
+def flow_rhs_per_stage(stack, r, d):
+    """The former ``loops.flow_rhs``: the broadcast right-hand side on the
+    pair of ``connection_pair_per_stage``."""
+    b0, b1 = connection_pair_per_stage(stack, r, d)
+    b0, b1 = b0[..., None, :, :], b1[..., None, :, :]
+    out = stack @ b0 - b0 @ stack
+    lower = stack[..., :-1, :, :]
+    out[..., 1:, :, :] += lower @ b1 - b1 @ lower
+    return out
+
+
+def rk4_per_stage(stack, r, d, t, steps, norm0):
+    """The former ``lax._rk4``, which rebuilt the powers of xi_d in every
+    RK4 stage from that stage's state; the hoisted one must equal it byte for
+    byte wherever xi_d does not move inside the edge."""
+    from curvedflats.errors import BlowUpError
+    from curvedflats.lax import BLOWUP_FACTOR
+
+    h = t / steps
+    half, sixth = 0.5 * h, h / 6.0
+    limit = BLOWUP_FACTOR * norm0
+    y = stack
+    for i in range(steps):
+        k1 = flow_rhs_per_stage(y, r, d)
+        k2 = flow_rhs_per_stage(y + half * k1, r, d)
+        k3 = flow_rhs_per_stage(y + half * k2, r, d)
+        k4 = flow_rhs_per_stage(y + h * k3, r, d)
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not (np.abs(y).max() <= limit):
+            raise BlowUpError(
+                f"Lax flow r={r} blew up at t={(i + 1) * h:.6g}", last_t=i * h
+            )
+    return y
+
+
 def flow_rhs_single(stack, r, d):
     """The former per-degree loop of ``loops.flow_rhs`` on one (d+1, n, n)
     stack, which the broadcast kernel must reproduce byte for byte."""
-    from curvedflats.loops import connection_coefficients
-
-    b0, b1 = connection_coefficients(stack, r, d)
+    b0, b1 = connection_pair_per_stage(stack, r, d)
     out = np.empty_like(stack)
     for k in range(d + 1):
         acc = stack[k] @ b0 - b0 @ stack[k]

@@ -16,7 +16,7 @@ from curvedflats.algebra import (
     is_cartan,
 )
 from curvedflats.errors import StructuralError
-from curvedflats.loops import connection_coefficients
+from curvedflats.loops import connection_coefficients, top_powers
 from curvedflats.presets import make_preset, preset_names
 
 from helpers import (
@@ -253,7 +253,10 @@ def _cartan_candidates(spec, rng):
                            scale=0.75).matrix
             for k in range(4)
         ])
-        spans.append([connection_coefficients(stack, r, 3)[1] for r in (1, 3)])
+        spans.append([
+            connection_coefficients(stack, top_powers(stack[3], r), 3)[1]
+            for r in (1, 3)
+        ])
         # The reference Cartan subspace moved by an isotropy element.
         h = group_exp(random_element(rng, spec, part="k", scale=0.8))
         h_inv = spec.space.j_diag[:, None] * h.T * spec.space.j_diag[None, :]
@@ -348,6 +351,9 @@ def test_non_finite_entries_rejected():
         AlgebraElement(bad, spec.space)
     with pytest.raises(NumericalError):
         expm(bad)
+    with pytest.raises(NumericalError, match=r"in slice \(1,\)") as err:
+        expm(np.stack([np.zeros((3, 3)), bad]))
+    assert err.value.index == (1,)
 
 
 @pytest.fixture
@@ -437,6 +443,30 @@ def test_expm_matches_taylor_loop_reference():
         expected, count = expm_single(m)
         scale = max(1.0, float(np.max(np.abs(expected))))
         assert np.max(np.abs(expm(m) - expected)) <= 64 * eps * 2.0**count * scale
+
+
+def test_expm_rejects_squarings_past_float64_resolution():
+    # A rotation by 2^k has norm 5 * 2^k and needs k + 4 squarings: k = 48
+    # takes MAX_SQUARINGS = 52, k = 49 takes 53, where 2^53 times the unit
+    # roundoff is 1 and no digit of the result is correct.
+    from curvedflats.algebra import MAX_SQUARINGS, expm
+    from curvedflats.errors import NumericalError
+
+    def rotation(k):
+        m = np.zeros((5, 5))
+        m[0, 1], m[1, 0] = 2.0**k, -(2.0**k)
+        return m
+
+    assert MAX_SQUARINGS == 52
+    assert np.all(np.isfinite(expm(rotation(48))))
+    with pytest.raises(NumericalError, match="needs 53 squarings") as err:
+        expm(rotation(49))
+    assert err.value.index == ()
+    # In a stack the error names the first slice out of range.
+    stack = np.stack([rotation(0), rotation(1), rotation(60), rotation(49)])
+    with pytest.raises(NumericalError, match=r"64 squarings.* in slice \(2,\)") as err:
+        expm(stack)
+    assert err.value.index == (2,)
 
 
 def test_in_group_residual_values():

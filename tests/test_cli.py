@@ -444,6 +444,35 @@ def test_main_blow_up_exit_code_and_error_report(tmp_path):
     assert failure["error"]["node"] == [1, 1]
 
 
+@pytest.mark.filterwarnings("error")
+def test_main_blow_up_of_overflowing_edge_prints_no_warning(tmp_path):
+    # The first x2 edge overflows inside its RK4 stages; the blow-up check
+    # rejects the non-finite state, and numpy does not warn on the way.
+    cfg_path = tmp_path / "boom.json"
+    cfg_path.write_text(json.dumps({"nodes": [5, 5], "extents": [0.4, 1e308]}))
+    out = tmp_path / "boom_out"
+    assert main(["run", str(cfg_path), "-o", str(out)]) == 3
+    error = json.loads((out / "report.json").read_text())["error"]
+    assert error["category"] == "BlowUpError"
+    assert error["node"] == [0, 1]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu", [1e30, 1e300])
+def test_main_expm_out_of_range_names_node_and_mu(tmp_path, mu):
+    # exp(h * Abar) at such mu needs more squarings than float64 resolves;
+    # the run stops at the first edge instead of collapsing its frame.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"nodes": [5, 5], "mu_samples": [mu]}))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg_path), "-o", str(out)]) == 3
+    error = json.loads((out / "report.json").read_text())["error"]
+    assert error["category"] == "NumericalError"
+    assert error["node"] == [0, 1]
+    assert "squarings, which leave no correct digit in slice (0,)" in error["message"]
+    assert f"node (0, 1), mu={mu!r}" in error["message"]
+
+
 def test_main_degenerate_frame_names_node_and_mu(tmp_path, monkeypatch):
     # Zero one sample's step exponential on the fifth edge of the sweep:
     # that sample's frame collapses at the node the edge fills.
