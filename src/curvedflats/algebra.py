@@ -166,8 +166,9 @@ def membership_residual(m, space):
     """max-norm of X^T J + J X over a stack (..., n, n); zero iff every X is
     in so(J)."""
     j = space.j_diag
-    res = np.swapaxes(m, -1, -2) * j + j[:, None] * m
-    return float(np.max(np.abs(res), initial=0.0))
+    res = np.swapaxes(m, -1, -2) * j
+    res += j[:, None] * m
+    return float(np.max(np.abs(res, out=res), initial=0.0))
 
 
 class AlgebraElement:

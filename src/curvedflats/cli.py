@@ -11,6 +11,8 @@ import json
 import numbers
 import sys
 import traceback
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +51,8 @@ from . import algebra
 
 SEED_COEFF_NORM = 0.75
 MAX_SEED_ATTEMPTS = 1000
+# Largest piece of an array's bytes that save_arrays hands to the compressor.
+NPZ_CHUNK = 1 << 20
 
 DEFAULT_TOLERANCES = {
     "twist": 1e-9,
@@ -492,24 +496,56 @@ def write_obj(path, config, phi, mu, faces=None):
         fh.write(faces)
 
 
-def run_pipeline(config, out_dir):
-    """Run the full pipeline and write artifacts.  Returns (report, exit_code)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    spec, family, grid = config.spec, config.family, config.grid
+def save_arrays(path, arrays):
+    """Write ``arrays`` (name -> array) to the npz archive ``path``.
 
-    xi0, attempts = seed_initial_state(config)
-    sol = integrate_grid(xi0, family, grid, substeps=config.substeps)
+    Member for member the same bytes as ``np.savez_compressed(path,
+    **arrays)``: one deflated ``<name>.npy`` per array, forced zip64, with
+    the header numpy writes.  The data go to the deflater as slices of at
+    most NPZ_CHUNK bytes of the array's own buffer, so a C- or F-contiguous
+    array is never copied; any other is made C-contiguous first.
+    """
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+        for key, val in arrays.items():
+            val = np.asarray(val)
+            header = np.lib.format.header_data_from_array_1_0(val)
+            # An F-order array's bytes are the C-order bytes of its transpose.
+            val = val.T if header["fortran_order"] else np.ascontiguousarray(val)
+            data = memoryview(val.reshape(-1).view(np.uint8))
+            with archive.open(key + ".npy", "w", force_zip64=True) as fid:
+                np.lib.format.write_array_header_1_0(fid, header)
+                for start in range(0, data.nbytes, NPZ_CHUNK):
+                    fid.write(data[start:start + NPZ_CHUNK])
+
+
+def _frames_and_gauge(config, sol):
+    """The frame field of every mu sample and the gauge H of a filled grid.
+
+    The connection and the gauge object stay local, so they are freed
+    before the report and the artifacts are built.
+    """
+    spec, grid = config.spec, config.grid
     conn = connection_from_state(sol)
     fields = integrate_frame(conn, config.mu_samples, grid)
-    frames_by_mu = dict(zip(config.mu_samples, fields))
     if spec.k_block_definite():
-        gauge = gauge_to_normal_form(conn, spec)
-        h_field = gauge.h
+        h_field = gauge_to_normal_form(conn, spec).h
     else:
         h_field = np.broadcast_to(
             np.eye(spec.dim), grid.nodes + (spec.dim, spec.dim)
         ).copy()
+    return fields, h_field
+
+
+def run_pipeline(config, out_dir):
+    """Run the full pipeline and write artifacts.  Returns (report, exit_code)."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    grid = config.grid
+
+    xi0, attempts = seed_initial_state(config)
+    sol = integrate_grid(xi0, config.family, grid, substeps=config.substeps)
+    fields, h_field = _frames_and_gauge(config, sol)
+    frames_by_mu = dict(zip(config.mu_samples, fields))
 
     report = build_report(sol.states, frames_by_mu, h_field, config)
     report["seed_attempts"] = attempts
@@ -521,14 +557,16 @@ def run_pipeline(config, out_dir):
         "gauge_h": h_field,
         "mu_samples": np.asarray(config.mu_samples),
     }
-    np.savez_compressed(out_dir / "arrays.npz", **arrays)
+    save_arrays(out_dir / "arrays.npz", arrays)
     (out_dir / "config.json").write_text(json.dumps(config.raw, indent=2) + "\n")
     if config.outputs["report"]:
         (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     if config.outputs["csv"] or config.outputs["obj"]:
         h_inv = np.swapaxes(h_field, -1, -2)
+        # Column 0 of each product is copied out, so the full product is
+        # not held.
         phis = {
-            mu: (frames_by_mu[mu].frames @ h_inv)[..., :, 0]
+            mu: np.ascontiguousarray((frames_by_mu[mu].frames @ h_inv)[..., :, 0])
             for mu in config.mu_samples
         }
         if config.outputs["csv"]:
@@ -557,15 +595,26 @@ def verify_command(out_dir):
         stored = None
         if config.outputs["report"]:
             stored = json.loads(artifact("report.json").read_text())
-        arrays = np.load(artifact("arrays.npz"))
-        states = arrays["states"]
-        frames = arrays["frames"]
-        h_field = arrays["gauge_h"]
-        mus = [float(v) for v in arrays["mu_samples"]]
-    except (ValueError, KeyError, OSError) as err:
+        with np.load(artifact("arrays.npz")) as arrays:
+            states = arrays["states"]
+            frames = arrays["frames"]
+            h_field = arrays["gauge_h"]
+            mus = [float(v) for v in arrays["mu_samples"]]
+    except (ValueError, KeyError, OSError, EOFError, zipfile.BadZipFile,
+            zlib.error) as err:
         raise MissingArtifactError(f"corrupt artifacts: {err}") from err
     if mus != config.mu_samples:
         raise MissingArtifactError("stored mu samples disagree with config")
+    nodes, n = config.grid.nodes, config.spec.dim
+    for name, value, shape in (
+        ("states", states, nodes + (config.d + 1, n, n)),
+        ("frames", frames, (len(mus),) + nodes + (n, n)),
+        ("gauge_h", h_field, nodes + (n, n)),
+    ):
+        if value.shape != shape:
+            raise MissingArtifactError(
+                f"stored {name} has shape {value.shape}, config implies {shape}"
+            )
 
     frames_by_mu = {
         mu: FrameField(mu, f, config.grid, config.spec,

@@ -36,8 +36,11 @@ def twist_residual(stack, lo, spec):
     degree lo + i at position i of axis -3; leading axes (grid nodes) are
     scanned in the same call."""
     even = ((lo + np.arange(stack.shape[-3])) % 2 == 0)[:, None, None]
-    wrong = np.where(even, spec.p_project(stack), spec.k_project(stack))
-    res = float(np.max(np.abs(wrong), initial=0.0))
+    # The projections are {0, 1}-mask products, so one product with the
+    # parity's mask gives every value of the projection, NaN included.
+    wrong = stack * np.where(even, spec.p_project(1.0), spec.k_project(1.0))
+    res = float(np.max(np.abs(wrong, out=wrong), initial=0.0))
+    del wrong  # not held through membership_residual's temporaries
     return max(res, membership_residual(stack, spec.space))
 
 

@@ -202,6 +202,36 @@ def rk4_per_stage(stack, r, d, t, steps, norm0):
     return y
 
 
+def twist_residual_two_projections(stack, lo, spec):
+    """The former ``loops.twist_residual``: both projections of the whole
+    stack, a ``where`` between them and an ``abs`` copy."""
+    even = ((lo + np.arange(stack.shape[-3])) % 2 == 0)[:, None, None]
+    wrong = np.where(even, spec.p_project(stack), spec.k_project(stack))
+    res = float(np.max(np.abs(wrong), initial=0.0))
+    return max(res, membership_residual_sum(stack, spec.space))
+
+
+def membership_residual_sum(m, space):
+    """The former ``algebra.membership_residual``: X^T J + J X as one
+    expression of three full-size temporaries, then an ``abs`` copy."""
+    j = space.j_diag
+    res = np.swapaxes(m, -1, -2) * j + j[:, None] * m
+    return float(np.max(np.abs(res), initial=0.0))
+
+
+def special_value_stacks(rng, shape):
+    """Random stacks of ``shape``: plain, then with +0/-0 entries, with NaN
+    entries, with +inf and -inf entries, and last all -0."""
+    base = rng.standard_normal(shape)
+    yield base
+    for values in ([0.0, -0.0], [np.nan], [np.inf, -np.inf]):
+        stack = base.copy().reshape(-1)
+        picks = rng.choice(base.size, size=3 * len(values), replace=False)
+        stack[picks] = np.resize(values, len(picks))
+        yield stack.reshape(shape)
+    yield -np.zeros(shape)
+
+
 def flow_rhs_single(stack, r, d):
     """The former per-degree loop of ``loops.flow_rhs`` on one (d+1, n, n)
     stack, which the broadcast kernel must reproduce byte for byte."""

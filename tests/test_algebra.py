@@ -14,6 +14,7 @@ from curvedflats.algebra import (
     invariant_form,
     is_abelian,
     is_cartan,
+    membership_residual,
 )
 from curvedflats.errors import StructuralError
 from curvedflats.loops import connection_coefficients, top_powers
@@ -24,11 +25,13 @@ from helpers import (
     expm_single,
     from_offblock,
     is_cartan_per_element,
+    membership_residual_sum,
     random_element,
     so3_spec,
     so5_spec,
     so14_spec,
     span_of,
+    special_value_stacks,
 )
 
 RNG = np.random.default_rng(20240311)
@@ -61,6 +64,20 @@ def test_membership_enforced():
     spec = so3_spec()
     with pytest.raises(StructuralError):
         AlgebraElement(np.eye(3), spec.space)
+
+
+@pytest.mark.parametrize("preset", ["sphere-grassmannian", "anti-de-sitter"])
+def test_membership_residual_matches_three_temporary_oracle(preset):
+    # The in-place add and abs give the same value as the one-expression
+    # form, on whole stacks and single matrices, signed zeros, NaN and inf.
+    space = make_preset(preset).space
+    rng = np.random.default_rng(5)
+    with np.errstate(invalid="ignore"):  # inf - inf in both forms
+        for shape in ((3, 2, 4, 5, 5), (5, 5)):
+            for m in special_value_stacks(rng, shape):
+                np.testing.assert_equal(
+                    membership_residual(m, space), membership_residual_sum(m, space)
+                )
 
 
 def test_bracket_antisymmetry_and_zero():

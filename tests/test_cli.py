@@ -1,4 +1,8 @@
 import json
+import re
+import shutil
+import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -11,8 +15,10 @@ from curvedflats.algebra import expm
 from curvedflats.cli import (
     RunConfig,
     default_config,
+    NPZ_CHUNK,
     main,
     run_pipeline,
+    save_arrays,
     seed_initial_state,
     verify_command,
 )
@@ -513,3 +519,121 @@ def test_main_internal_error_exits_3_with_error_block(tmp_path, monkeypatch, cap
         "message": "defect outside the error taxonomy",
     }
     assert "ZeroDivisionError" in capsys.readouterr().err
+
+
+def npz_members(path):
+    """(name, CRC, compressed size, compression, decompressed bytes) of
+    every member of the zip archive ``path``, in archive order."""
+    with zipfile.ZipFile(path) as archive:
+        return [
+            (info.filename, info.CRC, info.compress_size, info.compress_type,
+             archive.read(info.filename))
+            for info in archive.infolist()
+        ]
+
+
+def writer_cases():
+    rng = np.random.default_rng(3)
+    per_chunk = NPZ_CHUNK // 8
+    return {
+        "empty": np.zeros((0, 5)),
+        "under_one_chunk": rng.standard_normal((33, 33, 5, 5)),
+        "one_chunk": rng.standard_normal(per_chunk),
+        "chunks_and_a_tail": rng.standard_normal((3 * per_chunk + 17,)),
+        "scalar": np.asarray(2.5),
+        "ints": np.arange(7, dtype=np.int32),
+        "fortran": np.asfortranarray(rng.standard_normal((40, 30))),
+        # The gauge's H: one matrix broadcast to every node (zero strides).
+        "broadcast_h": np.broadcast_to(rng.standard_normal((5, 5)), (33, 33, 5, 5)),
+        "strided": rng.standard_normal((40, 6, 5))[::3, :, 1:],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(writer_cases()))
+def test_save_arrays_members_match_savez_compressed(tmp_path, name):
+    val = writer_cases()[name]
+    arrays = {name: val, "mu_samples": np.asarray([0.6, 1.0])}
+    save_arrays(tmp_path / "chunked.npz", arrays)
+    np.savez_compressed(tmp_path / "numpy.npz", **arrays)
+    assert npz_members(tmp_path / "chunked.npz") == npz_members(tmp_path / "numpy.npz")
+    with np.load(tmp_path / "chunked.npz", allow_pickle=False) as loaded:
+        assert list(loaded.keys()) == [name, "mu_samples"]
+        for key, value in arrays.items():
+            assert loaded[key].dtype == value.dtype
+            np.testing.assert_array_equal(loaded[key], value, strict=True)
+
+
+@pytest.mark.parametrize("writer, bounded", [
+    (lambda path, arrays: save_arrays(path, arrays), True),
+    (lambda path, arrays: np.savez_compressed(path, **arrays), False),
+], ids=["save_arrays", "savez_compressed"])
+def test_save_arrays_peak_memory_is_a_few_chunks(tmp_path, writer, bounded):
+    # A 16 MB incompressible array: the chunked writer holds a few chunks,
+    # numpy's holds copies of the whole array, so the bound tells them apart.
+    big = np.random.default_rng(0).standard_normal(2 * 1024 * 1024)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        writer(tmp_path / "big.npz", {"frames": big})
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (peak <= 4e6) is bounded, peak
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("finished") / "run"
+    run_pipeline(RunConfig(small_config()), out)
+    return out
+
+
+def verify_stderr(run_dir, capsys):
+    """main(["verify", run_dir]) must exit 2 without a traceback; returns
+    its stderr."""
+    capsys.readouterr()
+    assert main(["verify", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+def test_main_verify_truncated_npz_exits_2(tmp_path, finished_run, capsys):
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    data = (run / "arrays.npz").read_bytes()
+    (run / "arrays.npz").write_bytes(data[: len(data) // 2])
+    assert "corrupt artifacts" in verify_stderr(run, capsys)
+
+
+def test_main_verify_flipped_byte_exits_2(tmp_path, finished_run, capsys):
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    with zipfile.ZipFile(run / "arrays.npz") as archive:
+        info = archive.getinfo("states.npy")
+    data = bytearray((run / "arrays.npz").read_bytes())
+    start = info.header_offset + 30 + len(info.filename) + len(info.extra)
+    data[start + info.compress_size // 2] ^= 0xFF
+    (run / "arrays.npz").write_bytes(bytes(data))
+    assert "corrupt artifacts" in verify_stderr(run, capsys)
+
+
+def test_main_verify_config_nodes_disagree_with_arrays(tmp_path, finished_run, capsys):
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    config = json.loads((run / "config.json").read_text())
+    config["nodes"] = [5, 5]
+    (run / "config.json").write_text(json.dumps(config))
+    err = verify_stderr(run, capsys)
+    assert "states has shape (9, 9, 4, 5, 5), config implies (5, 5, 4, 5, 5)" in err
+
+
+@pytest.mark.parametrize("name", ["states", "frames", "gauge_h"])
+def test_verify_names_array_with_wrong_shape(tmp_path, finished_run, name):
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    with np.load(run / "arrays.npz") as loaded:
+        arrays = dict(loaded)
+    good = arrays[name].shape
+    arrays[name] = arrays[name][..., :-1, :, :]
+    save_arrays(run / "arrays.npz", arrays)
+    message = rf"stored {name} has shape .*{re.escape(str(good))}"
+    with pytest.raises(MissingArtifactError, match=message):
+        verify_command(run)

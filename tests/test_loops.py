@@ -19,7 +19,16 @@ from curvedflats.loops import (
 )
 from curvedflats.errors import StructuralError
 
-from helpers import flow_rhs_single, from_offblock, random_element, so5_spec
+from curvedflats.presets import make_preset
+
+from helpers import (
+    flow_rhs_single,
+    from_offblock,
+    random_element,
+    so5_spec,
+    special_value_stacks,
+    twist_residual_two_projections,
+)
 
 RNG = np.random.default_rng(77)
 SPEC = so5_spec()
@@ -44,6 +53,23 @@ def cauchy_oracle(stacks):
                 new[key] = new.get(key, 0.0) + mat @ stack[k]
         result = new
     return result
+
+
+@pytest.mark.parametrize("preset", ["sphere-grassmannian", "anti-de-sitter"])
+@pytest.mark.parametrize("lo", [-3, -2, 0, 1])
+def test_twist_residual_matches_two_projection_oracle(preset, lo):
+    # One product with the parity mask gives the same values as the two
+    # {0, 1}-mask projections and their where: signed zeros, NaN and inf too.
+    spec = make_preset(preset)
+    rng = np.random.default_rng(lo + 10)
+    with np.errstate(invalid="ignore"):  # inf * 0 in both forms
+        for length in (1, 4):
+            for stack in special_value_stacks(rng, (3, 2, length, 5, 5)):
+                for case in (stack, stack[0, 0]):
+                    np.testing.assert_equal(
+                        twist_residual(case, lo, spec),
+                        twist_residual_two_projections(case, lo, spec),
+                    )
 
 
 def test_twist_validation():
