@@ -20,6 +20,8 @@ from .errors import StructuralError, NumericalError
 EPS_ALGEBRA = 1e-12
 # expm's squarings: 2^s times the unit roundoff 2^-53 reaches 1 at s = 53.
 MAX_SQUARINGS = 52
+# Bytes of the stack ``membership_residual`` takes per block.
+RESIDUAL_BLOCK = 1 << 16
 # Spans whose Cartan verdict one spec keeps (oldest dropped first).
 CARTAN_CACHE_SIZE = 8
 
@@ -164,11 +166,23 @@ class SymmetricSpaceSpec:
 
 def membership_residual(m, space):
     """max-norm of X^T J + J X over a stack (..., n, n); zero iff every X is
-    in so(J)."""
-    j = space.j_diag
-    res = np.swapaxes(m, -1, -2) * j
-    res += j[:, None] * m
-    return float(np.max(np.abs(res, out=res), initial=0.0))
+    in so(J).
+
+    With Y = J X, the residual is Y + Y^T: each entry is the same two
+    products as X^T J + J X, added in the other order, so the value is the
+    same, NaN included.  The leading axes are taken in blocks of at most
+    RESIDUAL_BLOCK bytes, so no temporary is the size of the stack.
+    """
+    j = space.j_diag[:, None]
+    flat = m.reshape((-1,) + m.shape[-2:])
+    rows = max(1, RESIDUAL_BLOCK // max(1, flat[:1].nbytes))
+    worst = 0.0
+    for start in range(0, len(flat), rows):
+        y = j * flat[start:start + rows]
+        y = y + np.swapaxes(y, -1, -2)
+        # np.maximum, not max(): a NaN block must make the residual NaN.
+        worst = np.maximum(worst, np.max(np.abs(y, out=y)))
+    return float(worst)
 
 
 class AlgebraElement:

@@ -6,6 +6,7 @@ Exit codes: 0 all residuals within tolerance, 1 tolerance failure,
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import numbers
@@ -53,6 +54,8 @@ SEED_COEFF_NORM = 0.75
 MAX_SEED_ATTEMPTS = 1000
 # Largest piece of an array's bytes that save_arrays hands to the compressor.
 NPZ_CHUNK = 1 << 20
+# Nodes whose phi text write_phi_text formats and writes at a time.
+TEXT_ROWS = 256
 
 DEFAULT_TOLERANCES = {
     "twist": 1e-9,
@@ -435,31 +438,6 @@ def _format_rows(fmt, table):
     return ((fmt + "\n") * len(table)) % tuple(table.ravel().tolist())
 
 
-def write_phi_csv(path, config, phis_by_mu):
-    """One row per (mu, node), nodes in C order: coordinates, mu, phi.
-
-    Byte-identical to ``np.savetxt`` with ``%.17g`` and a ``,`` delimiter.
-    The ``x1,x2,`` prefix of each node is formatted once per run and the mu
-    cell once per block; formatted numbers hold no ``%``, so each block is
-    one format of phi alone.  One mu block of text is held at a time.
-    """
-    grid, n = config.grid, config.spec.dim
-    header = (
-        [f"x{i + 1}" for i in range(grid.dims)]
-        + ["mu"]
-        + [f"phi_{i + 1}" for i in range(n)]
-    )
-    coords = np.indices(grid.nodes).reshape(grid.dims, -1).T * grid.steps
-    prefixes = _format_rows("%.17g," * grid.dims, coords).splitlines()
-    phi_fmt = ",".join(["%.17g"] * n) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for mu in config.mu_samples:
-            tail = "%.17g," % mu + phi_fmt
-            block = "".join([prefix + tail for prefix in prefixes])
-            fh.write(block % tuple(phis_by_mu[mu].ravel().tolist()))
-
-
 def obj_faces(grid):
     """The ``f %d %d %d`` lines of a 2-D grid's mesh: two triangles per cell,
     1-based vertex ids in C order.  They are the same for every mu."""
@@ -471,29 +449,68 @@ def obj_faces(grid):
     return _format_rows("f %d %d %d", faces)
 
 
-def write_obj(path, config, phi, mu, faces=None):
-    """Vertices phi[obj_coords] per node in C order; two triangles per cell.
+def write_phi_text(out_dir, config, phis_by_mu):
+    """Write ``phi.csv`` and, on a 2-D grid, one ``mesh_XX.obj`` per mu, as
+    ``config.outputs`` enables them.
 
-    Byte-identical to ``np.savetxt`` with ``v %.17g %.17g %.17g`` and
-    ``f %d %d %d`` lines, formatted one block at a time.  ``faces`` is the
-    text of ``obj_faces(config.grid)``, which a caller writing one mesh per
-    mu formats once.
+    ``phi.csv`` has one row per (mu, node), nodes in C order: coordinates,
+    mu, phi.  A mesh has the vertices phi[obj_coords] per node in C order and
+    two triangles per cell.  Both are byte-identical to ``np.savetxt`` with
+    ``%.17g`` (``,``-delimited for the CSV, ``v %.17g %.17g %.17g`` and
+    ``f %d %d %d`` lines for a mesh).  Each phi value is formatted once, in
+    the columns the enabled outputs write; the CSV rows and vertex lines are
+    built from those strings with ``%s`` (formatted numbers hold no ``%`` or
+    ``,``).  The text of at most TEXT_ROWS nodes is held at a time.
     """
-    grid = config.grid
-    if grid.dims != 2:
+    out_dir = Path(out_dir)
+    grid, n = config.grid, config.spec.dim
+    csv = config.outputs["csv"]
+    obj = config.outputs["obj"] and grid.dims == 2
+    if not (csv or obj):
         return
-    if faces is None:
-        faces = obj_faces(grid)
-    header = "\n".join([
-        "# curved-flat reconstruction mesh",
-        f"# config sha256: {config.hash()}",
-        f"# mu: {mu:.17g}",
-    ])
-    vertices = phi.reshape(-1, phi.shape[-1])[:, list(config.obj_coords)]
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        fh.write(_format_rows("v %.17g %.17g %.17g", vertices))
-        fh.write(faces)
+    columns = list(range(n)) if csv else list(config.obj_coords)
+    picks = list(config.obj_coords) if csv else [0, 1, 2]
+    with open(out_dir / "phi.csv", "w") if csv else contextlib.nullcontext() as fh:
+        if csv:
+            header = (
+                [f"x{i + 1}" for i in range(grid.dims)]
+                + ["mu"]
+                + [f"phi_{i + 1}" for i in range(n)]
+            )
+            fh.write(",".join(header) + "\n")
+            coords = np.indices(grid.nodes).reshape(grid.dims, -1).T * grid.steps
+            prefixes = _format_rows("%.17g," * grid.dims, coords).splitlines()
+            phi_fmt = ",".join(["%s"] * n) + "\n"
+        if obj:
+            faces = obj_faces(grid)
+            config_hash = config.hash()
+        for i, mu in enumerate(config.mu_samples):
+            phi = phis_by_mu[mu].reshape(-1, n)[:, columns]
+            if csv:
+                tail = "%.17g," % mu + phi_fmt
+            path = out_dir / f"mesh_{i:02d}.obj"
+            with open(path, "w") if obj else contextlib.nullcontext() as mesh:
+                if obj:
+                    mesh.write("\n".join([
+                        "# curved-flat reconstruction mesh",
+                        f"# config sha256: {config_hash}",
+                        f"# mu: {mu:.17g}",
+                    ]) + "\n")
+                for start in range(0, len(phi), TEXT_ROWS):
+                    rows = phi[start:start + TEXT_ROWS]
+                    values = tuple(rows.ravel().tolist())
+                    cells = ("%.17g," * len(values) % values).split(",")
+                    cells.pop()  # the empty string after the last ","
+                    if csv:
+                        lines = prefixes[start:start + len(rows)]
+                        fh.write("".join([p + tail for p in lines]) % tuple(cells))
+                    if obj:
+                        vertices = [None] * (3 * len(rows))
+                        for k, col in enumerate(picks):
+                            vertices[k::3] = cells[col::len(columns)]
+                        mesh.write("v %s %s %s\n" * len(rows) % tuple(vertices))
+                if obj:
+                    mesh.write(faces)
 
 
 def save_arrays(path, arrays):
@@ -550,14 +567,13 @@ def run_pipeline(config, out_dir):
     report = build_report(sol.states, frames_by_mu, h_field, config)
     report["seed_attempts"] = attempts
 
-    arrays = {
+    save_arrays(out_dir / "arrays.npz", {
         "states": sol.states,
         # Every field is a view into the one (len(mus), *nodes, n, n) array.
         "frames": fields[0].frames.base,
         "gauge_h": h_field,
         "mu_samples": np.asarray(config.mu_samples),
-    }
-    save_arrays(out_dir / "arrays.npz", arrays)
+    })
     (out_dir / "config.json").write_text(json.dumps(config.raw, indent=2) + "\n")
     if config.outputs["report"]:
         (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
@@ -569,12 +585,9 @@ def run_pipeline(config, out_dir):
             mu: np.ascontiguousarray((frames_by_mu[mu].frames @ h_inv)[..., :, 0])
             for mu in config.mu_samples
         }
-        if config.outputs["csv"]:
-            write_phi_csv(out_dir / "phi.csv", config, phis)
-        if config.outputs["obj"] and grid.dims == 2:
-            faces = obj_faces(grid)
-            for i, mu in enumerate(config.mu_samples):
-                write_obj(out_dir / f"mesh_{i:02d}.obj", config, phis[mu], mu, faces)
+        # The text needs phi alone: the grid fields are freed before it.
+        del sol, fields, frames_by_mu, h_field, h_inv
+        write_phi_text(out_dir, config, phis)
     return report, 0 if report["pass"] else 1
 
 

@@ -8,11 +8,15 @@ A1_j = xi_d^{r_j} keep their seed values on the whole grid up to roundoff
 (where the RK4 increments of xi_d are absorbed, xi_d compares equal to the
 seed's; coarse grids drift by ulps).  Each RK4 edge therefore builds the
 powers of xi_d once, from its start state, and every stage evaluates only
-the rest of the flow.  The Lax fill, the frame integration and the
-developing map walk the one spanning tree of ``GridSpec.sweep`` (flow 1
-along x1 from the seed, then flow 2 along x2 from every x1-node, ...); the
-pointwise checks (twist condition, conservation) take the whole grid in one
-call.  Everything is deterministic.
+the rest of the flow.  The flows commute, so any spanning tree of the grid
+fills it: the Lax fill walks ``GridSpec.edges`` with the axes ordered by
+decreasing flow power (for two flows: flow 2 along x2 from the seed, then
+flow 1 along x1 from every x2-node), so the cheapest flow takes the most
+edges, and a ``BlowUpError`` names the first failing node in that order.
+The frame integration and the developing map walk the default
+``GridSpec.sweep`` (x1 from the origin, then x2 from every x1-node, ...).
+The pointwise checks (twist condition, conservation) take the whole grid in
+one call.  Everything is deterministic.
 """
 
 import itertools
@@ -62,23 +66,25 @@ class GridSpec:
         return tuple(l / (n - 1) for l, n in zip(self.extents, self.nodes))
 
     def sweep(self, axis_priority=None):
-        """The (index, prev, axis) of every node in lexicographic order over
-        the axes in ``axis_priority`` order (default 0, 1, ...), as a tuple.
+        """The ``edges`` of ``axis_priority`` (default 0, 1, ...) as a tuple,
+        built once per priority and shared by every sweep of the run that
+        walks it (frames, gauge)."""
+        priority = tuple(range(self.dims) if axis_priority is None else axis_priority)
+        edges = self._sweeps.get(priority)
+        if edges is None:
+            edges = self._sweeps[priority] = tuple(self.edges(priority))
+        return edges
+
+    def edges(self, priority):
+        """Yield the (index, prev, axis) of every node in lexicographic order
+        over the axes in ``priority`` order (a permutation of 0, 1, ...).
 
         The origin comes first with prev = axis = None; every other node is
         one step along ``axis`` from ``prev``, where ``axis`` is its last
-        nonzero axis in priority order.  The tuple is built once per priority
-        and shared by every sweep of the run (Lax fill, frames, gauge).
+        nonzero axis in priority order.
         """
-        priority = tuple(range(self.dims) if axis_priority is None else axis_priority)
         if sorted(priority) != list(range(self.dims)):
-            raise StructuralError(f"invalid axis priority {axis_priority}")
-        edges = self._sweeps.get(priority)
-        if edges is None:
-            edges = self._sweeps[priority] = tuple(self._edges(priority))
-        return edges
-
-    def _edges(self, priority):
+            raise StructuralError(f"invalid axis priority {priority}")
         for combo in itertools.product(*(range(self.nodes[ax]) for ax in priority)):
             index = [0] * self.dims
             for ax, i in zip(priority, combo):
@@ -173,7 +179,19 @@ def integrate_flow(xi0, r, t, steps):
 
 
 def integrate_grid(xi0, family, grid, substeps=4):
-    """Fill the grid along ``grid.sweep()``, one RK4 edge per node."""
+    """Fill the grid along ``grid.edges(priority)``, one RK4 edge per node.
+
+    ``priority`` orders the axes by decreasing flow power, so the cheapest
+    flow drives the innermost axis and most edges, and the dearest flow
+    only the one outermost line.  The flows commute, so any spanning tree
+    fills the same states up to integration error.  Swapping two adjacent
+    axes a, b of a priority moves (N_a - 1)(N_b - 1) P edges from one flow
+    to the other, P the product of the node counts of the axes before
+    them; the per-edge cost rises with the power, so for any node counts no
+    order is cheaper.  The edges are generated as the fill walks them; no
+    sweep tuple of this order is kept.  A ``BlowUpError`` names the first
+    failing node in this order.
+    """
     if family.dims != grid.dims:
         raise StructuralError(
             f"family has {family.dims} flows but grid has {grid.dims} axes"
@@ -186,8 +204,9 @@ def integrate_grid(xi0, family, grid, substeps=4):
     states[(0,) * grid.dims] = xi0.stack
     norm0 = max(1.0, xi0.norm())
     steps = grid.steps
+    priority = sorted(range(family.dims), key=family.powers.__getitem__, reverse=True)
     with np.errstate(**_BLOWUP_IS_CHECKED):
-        for index, prev, axis in grid.sweep():
+        for index, prev, axis in grid.edges(priority):
             if prev is None:
                 continue
             try:

@@ -202,6 +202,22 @@ def rk4_per_stage(stack, r, d, t, steps, norm0):
     return y
 
 
+def integrate_grid_default_sweep(xi0, family, grid, substeps):
+    """The former ``lax.integrate_grid``: the Lax fill along the default
+    ``grid.sweep()``, flow 1 along x1 from the seed, then flow 2 along x2
+    from every x1-node, ...; returns the states."""
+    from curvedflats.lax import _rk4
+
+    states = np.zeros(grid.nodes + xi0.stack.shape)
+    states[(0,) * grid.dims] = xi0.stack
+    norm0 = max(1.0, xi0.norm())
+    for index, prev, axis in grid.sweep():
+        if prev is not None:
+            states[index] = _rk4(states[prev], family.powers[axis], family.d,
+                                 grid.steps[axis], substeps, norm0)
+    return states
+
+
 def twist_residual_two_projections(stack, lo, spec):
     """The former ``loops.twist_residual``: both projections of the whole
     stack, a ``where`` between them and an ``abs`` copy."""
@@ -217,6 +233,15 @@ def membership_residual_sum(m, space):
     j = space.j_diag
     res = np.swapaxes(m, -1, -2) * j + j[:, None] * m
     return float(np.max(np.abs(res), initial=0.0))
+
+
+def membership_residual_two_temporaries(m, space):
+    """The former ``algebra.membership_residual``: X^T J and J X as two
+    full-size temporaries, added and taken ``abs`` of in place."""
+    j = space.j_diag
+    res = np.swapaxes(m, -1, -2) * j
+    res += j[:, None] * m
+    return float(np.max(np.abs(res, out=res), initial=0.0))
 
 
 def special_value_stacks(rng, shape):

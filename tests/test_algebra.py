@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from helpers import (
     from_offblock,
     is_cartan_per_element,
     membership_residual_sum,
+    membership_residual_two_temporaries,
     random_element,
     so3_spec,
     so5_spec,
@@ -78,6 +81,51 @@ def test_membership_residual_matches_three_temporary_oracle(preset):
                 np.testing.assert_equal(
                     membership_residual(m, space), membership_residual_sum(m, space)
                 )
+
+
+@pytest.mark.parametrize("preset", ["sphere-grassmannian", "anti-de-sitter"])
+@pytest.mark.parametrize("block", [None, 1, 600, 5000])
+def test_membership_residual_matches_two_temporary_formula(monkeypatch, preset,
+                                                           block):
+    # Y + Y^T with Y = J X adds the products of X^T J + J X in the other
+    # order: equal values, NaN included, whether the stack is one block,
+    # one matrix per block, or blocks that do not divide the stack.
+    if block is not None:
+        monkeypatch.setattr(algebra, "RESIDUAL_BLOCK", block)
+    space = make_preset(preset).space
+    rng = np.random.default_rng(7)
+    with np.errstate(invalid="ignore"):  # inf - inf in both forms
+        for shape in ((7, 3, 4, 5, 5), (13, 5, 5), (5, 5)):
+            for m in special_value_stacks(rng, shape):
+                np.testing.assert_equal(
+                    membership_residual(m, space),
+                    membership_residual_two_temporaries(m, space),
+                )
+    empty = np.zeros((0, 5, 5))
+    assert membership_residual(empty, space) == 0.0
+    assert membership_residual_two_temporaries(empty, space) == 0.0
+
+
+@pytest.mark.parametrize(
+    "residual,bounded",
+    [(membership_residual, True), (membership_residual_two_temporaries, False)],
+)
+def test_membership_residual_peak_memory_is_a_few_blocks(residual, bounded):
+    # A 16 MB stack: the blocked residual holds a few blocks, the former
+    # formula two temporaries of the whole stack, so the bound tells them
+    # apart.
+    space = make_preset("sphere-grassmannian").space
+    stack = np.random.default_rng(0).standard_normal((2 ** 21 // 25, 5, 5))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        value = residual(stack, space)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert value > 0.0
+    assert (peak <= 1e6) is bounded, peak
 
 
 def test_bracket_antisymmetry_and_zero():

@@ -377,21 +377,48 @@ def test_writers_match_savetxt_byte_for_byte(tmp_path, powers, nodes):
     config = RunConfig(cfg)
     rng = np.random.default_rng(len(nodes))
     phis = {mu: _awkward_values(rng, tuple(nodes) + (5,)) for mu in config.mu_samples}
-    cli.write_phi_csv(tmp_path / "new.csv", config, phis)
+    cli.write_phi_text(tmp_path, config, phis)
     savetxt_phi_csv(tmp_path / "old.csv", config, phis)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert (tmp_path / "phi.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # Without the CSV only the obj_coords columns are formatted; the meshes
+    # are still savetxt's bytes (with that config's hash in the header).
+    meshes_only = RunConfig({**cfg, "outputs": {"csv": False}})
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    cli.write_phi_text(shared, meshes_only, phis)
+    assert not (shared / "phi.csv").exists()
     if len(nodes) == 2:
-        for mu in config.mu_samples:
-            cli.write_obj(tmp_path / "new.obj", config, phis[mu], mu)
+        for i, mu in enumerate(config.mu_samples):
             savetxt_obj(tmp_path / "old.obj", config, phis[mu], mu)
-            new = (tmp_path / "new.obj").read_bytes()
+            new = (tmp_path / f"mesh_{i:02d}.obj").read_bytes()
             assert new == (tmp_path / "old.obj").read_bytes()
-            faces = cli.obj_faces(config.grid)
-            cli.write_obj(tmp_path / "shared.obj", config, phis[mu], mu, faces)
-            assert (tmp_path / "shared.obj").read_bytes() == new
+            savetxt_obj(tmp_path / "old.obj", meshes_only, phis[mu], mu)
+            shared_obj = (shared / f"mesh_{i:02d}.obj").read_bytes()
+            assert shared_obj == (tmp_path / "old.obj").read_bytes()
+            assert shared_obj.splitlines()[2:] == new.splitlines()[2:]
     else:
-        cli.write_obj(tmp_path / "none.obj", config, phis[0.6], 0.6)
-        assert not (tmp_path / "none.obj").exists()
+        assert not list(tmp_path.glob("*.obj"))
+        assert not list(shared.iterdir())
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_phi_text_does_not_depend_on_its_chunk(monkeypatch, tmp_path, rows):
+    # One node per chunk, and chunks that do not divide the 6 x 5 grid,
+    # write the bytes of one chunk for the whole grid.
+    config = RunConfig(small_config(nodes=[6, 5], mu_samples=[-1e-7, 0.6]))
+    rng = np.random.default_rng(3)
+    phis = {mu: _awkward_values(rng, (6, 5, 5)) for mu in config.mu_samples}
+    whole, chunked = tmp_path / "whole", tmp_path / "chunked"
+    whole.mkdir()
+    chunked.mkdir()
+    cli.write_phi_text(whole, config, phis)
+    monkeypatch.setattr(cli, "TEXT_ROWS", rows)
+    cli.write_phi_text(chunked, config, phis)
+    names = sorted(p.name for p in whole.iterdir())
+    assert names == ["mesh_00.obj", "mesh_01.obj", "phi.csv"]
+    assert sorted(p.name for p in chunked.iterdir()) == names
+    for name in names:
+        assert (chunked / name).read_bytes() == (whole / name).read_bytes()
 
 
 def test_main_rejected_config_writes_error_block(tmp_path):
@@ -447,7 +474,27 @@ def test_main_blow_up_exit_code_and_error_report(tmp_path):
     failure = json.loads((out / "report.json").read_text())
     assert failure["pass"] is False
     assert failure["error"]["category"] == "BlowUpError"
-    assert failure["error"]["node"] == [1, 1]
+    # The fill walks the x1 lines (r = 1) first; the third node of the
+    # first one is the first to blow up.
+    assert failure["error"]["node"] == [2, 0]
+
+
+@pytest.mark.parametrize(
+    "seed,value",
+    [(12, "0.123"), (19, "2.69"), (21, "72.4"), (26, "0.0567"), (38, "11.1")],
+)
+def test_default_config_seeds_failing_only_gauss_curvature(tmp_path, seed, value):
+    # A standing defect, recorded so that a change of it shows: on these
+    # config seeds of the shipped config, the finite-difference Brioschi
+    # curvature of phi misses the 0.05 gate (stencil error at nodes of an
+    # ill-conditioned metric); every other check passes.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": seed}))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "-o", str(out)]) == 1
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    assert [k for k, c in checks.items() if not c["pass"]] == ["gauss_curvature"]
+    assert f"{checks['gauss_curvature']['value']:.3g}" == value
 
 
 @pytest.mark.filterwarnings("error")

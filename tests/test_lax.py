@@ -15,7 +15,13 @@ from curvedflats.lax import (
 )
 from curvedflats.loops import FlowFamily, LaxState, spectral_invariants, twist_residual
 
-from helpers import fit_order, random_element, rk4_per_stage, so5_spec
+from helpers import (
+    fit_order,
+    integrate_grid_default_sweep,
+    random_element,
+    rk4_per_stage,
+    so5_spec,
+)
 
 RNG = np.random.default_rng(555)
 SPEC = so5_spec()
@@ -174,6 +180,55 @@ def test_hoisted_powers_when_top_moves_inside_an_edge(monkeypatch):
     assert np.max(np.abs(states - ref)) <= 1e-14
 
 
+@pytest.mark.parametrize(
+    "powers,nodes,edges",
+    [([1, 3], [5, 4], {1: 16, 3: 3}), ([1, 3, 5], [3, 4, 5], {1: 40, 3: 15, 5: 4})],
+)
+def test_integrate_grid_gives_the_cheapest_flow_the_most_edges(
+    monkeypatch, powers, nodes, edges
+):
+    # The axes are walked by decreasing flow power: the r = 1 flow drives
+    # every edge of the innermost x1 lines, the dearest flow only the
+    # outermost line.  Every node still takes exactly one edge.
+    seen = []
+    rk4 = lax._rk4
+
+    def spy(stack, r, d, t, steps, norm0):
+        seen.append(r)
+        return rk4(stack, r, d, t, steps, norm0)
+
+    monkeypatch.setattr(lax, "_rk4", spy)
+    grid = GridSpec([0.1] * len(nodes), nodes)
+    integrate_grid(random_state(d=3, seed=2), FlowFamily(powers, 3), grid, 2)
+    assert {r: seen.count(r) for r in set(seen)} == edges
+    assert len(seen) == np.prod(nodes) - 1
+    assert seen[0] == 1
+
+
+@pytest.mark.parametrize(
+    "preset,powers,nodes,extent,substeps",
+    [
+        ("sphere-grassmannian", [1, 3], [9, 9], 0.4, 16),
+        ("anti-de-sitter", [1, 3], [9, 9], 0.4, 16),
+        ("sphere-grassmannian", [1, 3, 5], [4, 5, 3], 0.1, 8),
+    ],
+)
+def test_integrate_grid_matches_default_sweep_fill(preset, powers, nodes, extent,
+                                                   substeps):
+    # The flows commute, so the fill along the cost-ordered sweep and the
+    # former fill along the default sweep reach every node with the same
+    # states up to roundoff and RK4 error.  The 2-D grids take the RK4 step
+    # of the default config (0.4 / 32 / 4), where both are far below 1e-13.
+    config, xi0 = seeded(
+        preset, 3, powers=powers, nodes=nodes, extents=[extent] * len(nodes)
+    )
+    states = integrate_grid(xi0, config.family, config.grid, substeps).states
+    ref = integrate_grid_default_sweep(xi0, config.family, config.grid, substeps)
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.max(np.abs(states - ref)) <= 1e-13 * scale
+    assert np.array_equal(states[(0,) * len(nodes)], ref[(0,) * len(nodes)])
+
+
 def test_integrate_flow_stationary_and_zero_time():
     xi = random_state(d=1)
     out = integrate_flow(xi, 1, 0.7, steps=8)
@@ -258,7 +313,8 @@ def test_integrate_grid_blow_up_carries_node():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_integrate_grid_non_finite_state_blows_up_at_its_node(monkeypatch, bad):
     # One max-reduction decides: a NaN and an inf state are both rejected
-    # at the first substep of the first edge, as a large state is.
+    # at the first substep of the first edge, as a large state is.  The
+    # fill's first edge is along x1, the axis of the cheapest flow.
     from curvedflats import lax
     from curvedflats.errors import BlowUpError
 
@@ -267,9 +323,9 @@ def test_integrate_grid_non_finite_state_blows_up_at_its_node(monkeypatch, bad):
     with pytest.raises(BlowUpError) as err:
         integrate_grid(random_state(seed=4), FlowFamily([1, 3], 3), grid, substeps=4)
     assert str(err.value) == (
-        "blow-up while filling node (0, 1): Lax flow r=3 blew up at t=0.05"
+        "blow-up while filling node (1, 0): Lax flow r=1 blew up at t=0.05"
     )
-    assert err.value.node == (0, 1)
+    assert err.value.node == (1, 0)
     assert err.value.__cause__.last_t == 0.0
 
 
