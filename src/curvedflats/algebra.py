@@ -412,17 +412,18 @@ def expm(m):
     ``NumericalError`` names the first such slice.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise StructuralError(f"expected (..., n, n), got shape {m.shape}")
-    n = m.shape[-1]
+    shape = m.shape
+    if len(shape) < 2 or shape[-1] != shape[-2]:
+        raise StructuralError(f"expected (..., n, n), got shape {shape}")
+    n = shape[-1]
     flat = m.reshape((-1, n, n))
-    # A NaN or inf entry makes the largest scaled norm non-finite.
     worst = np.abs(flat).max(initial=0.0) * n
+    if worst <= 0.5:  # no slice needs scaling; a NaN fails the test
+        return _taylor16(flat).reshape(shape)
+    # A NaN or inf entry makes the largest scaled norm non-finite.
     if not np.isfinite(worst):
         b = int(np.argmax(~np.isfinite(flat).all(axis=(1, 2))))
-        raise slice_error("expm: non-finite entries", b, m.shape[:-2])
-    if worst <= 0.5:  # no slice needs scaling
-        return _taylor16(flat).reshape(m.shape)
+        raise slice_error("expm: non-finite entries", b, shape[:-2])
     norm = np.abs(flat).reshape(len(flat), n * n).max(axis=1) * n
     # norm = mant * 2**e with mant in [0.5, 1): the least squaring count
     # s >= 0 with norm / 2**s <= 0.5, exactly; the scaling by 2**-s is exact.
@@ -432,13 +433,13 @@ def expm(m):
         b = int(np.argmax(squarings > MAX_SQUARINGS))
         raise slice_error(
             f"expm: norm {norm[b]:.3e} needs {squarings[b]} squarings, which"
-            " leave no correct digit", b, m.shape[:-2],
+            " leave no correct digit", b, shape[:-2],
         )
     result = _taylor16(np.ldexp(flat, -squarings[:, None, None]))
     for i in range(int(squarings.max())):
         more = squarings > i
         result[more] = result[more] @ result[more]
-    return result.reshape(m.shape)
+    return result.reshape(shape)
 
 
 def group_exp(x, t=1.0):

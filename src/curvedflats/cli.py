@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import numbers
 import sys
 import traceback
@@ -223,9 +224,10 @@ class RunConfig:
         if bad:
             raise ConfigError(f"unknown tolerance keys: {sorted(bad)}")
         tol.update({k: _real(f"tolerances.{k}", v) for k, v in overrides.items()})
-        negative = sorted(k for k in overrides if tol[k] < 0)
-        if negative:
-            raise ConfigError(f"tolerances must be >= 0: {negative}")
+        # An infinite tolerance has no strict-JSON form in report.json.
+        bad = sorted(k for k in overrides if not 0 <= tol[k] < np.inf)
+        if bad:
+            raise ConfigError(f"tolerances must be finite and >= 0: {bad}")
         self.tolerances = tol
 
         self.obj_coords = tuple(
@@ -261,6 +263,8 @@ def seed_initial_state(config):
             raise ConfigError(
                 f"xi0 must have shape ({d + 1}, {n}, {n}), got {stack.shape}"
             )
+        if not np.all(np.isfinite(stack)):
+            raise ConfigError("xi0 must have finite entries")
         state = LaxState(stack, spec)  # validates the twist condition
         return state, 0
 
@@ -297,8 +301,43 @@ def build_report(states, frames_by_mu, h_field, config):
     """Compute every residual from the canonical arrays.
 
     Shared by run and verify so that verification reproduces the original
-    residual values exactly.
+    residual values exactly.  The grid derivatives and the curvature
+    formulas run without numpy's floating-point warnings: on an extreme grid
+    (extents near the float64 range) they overflow, and a residual left
+    non-finite raises a ``NumericalError`` that names it and its mu, so
+    report.json never holds a NaN or an infinity.
     """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        report = _residual_report(states, frames_by_mu, h_field, config)
+    _require_finite(report)
+    return report
+
+
+def _require_finite(report):
+    """Raise ``NumericalError`` at the first non-finite residual of a report.
+
+    The per-mu tables are scanned first, so the error names the mu of a
+    non-finite value that a maximum over the samples carries into a scalar.
+    """
+    residuals, geometry = report["residuals"], report["geometry"]
+    leaves = []
+    for name, value in residuals.items():
+        if isinstance(value, dict):  # mc, conservation, group_drift
+            for mu, per_mu in value.items():
+                for leaf in per_mu.values() if isinstance(per_mu, dict) else (per_mu,):
+                    leaves.append((name, mu, leaf))
+    for mu, entry in geometry["per_mu"].items():
+        leaves += [(name, mu, value) for name, value in entry.items()]
+    leaves += [(n, None, v) for n, v in residuals.items() if not isinstance(v, dict)]
+    leaves += [(n, None, v) for n, v in geometry.get("curve", {}).items()]
+    for name, mu, value in leaves:
+        if not math.isfinite(value):
+            at = "" if mu is None else f" at mu={mu}"
+            raise NumericalError(f"non-finite residual {name}{at}: {value}")
+
+
+def _residual_report(states, frames_by_mu, h_field, config):
+    """The report of ``build_report``, before its finiteness check."""
     spec, family, grid = config.spec, config.family, config.grid
     tol = config.tolerances
     sol = GridSolution(states, grid, family, spec)
@@ -430,6 +469,12 @@ def build_report(states, frames_by_mu, h_field, config):
         "pass": all(c["pass"] for c in checks.values()),
     }
     return report
+
+
+def write_json(path, obj):
+    """Write ``obj`` as indented strict JSON: a NaN or an infinity raises
+    ``ValueError`` instead of becoming a token that JSON parsers reject."""
+    Path(path).write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
 def _format_rows(fmt, table):
@@ -574,9 +619,9 @@ def run_pipeline(config, out_dir):
         "gauge_h": h_field,
         "mu_samples": np.asarray(config.mu_samples),
     })
-    (out_dir / "config.json").write_text(json.dumps(config.raw, indent=2) + "\n")
+    write_json(out_dir / "config.json", config.raw)
     if config.outputs["report"]:
-        (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+        write_json(out_dir / "report.json", report)
     if config.outputs["csv"] or config.outputs["obj"]:
         h_inv = np.swapaxes(h_field, -1, -2)
         # Column 0 of each product is copied out, so the full product is
@@ -665,7 +710,7 @@ def _cmd_run(args):
             "pass": False,
             "error": error,
         }
-        (out / "report.json").write_text(json.dumps(failure, indent=2) + "\n")
+        write_json(out / "report.json", failure)
         raise
     print(json.dumps({k: report[k] for k in ("config_hash", "pass", "flags")}))
     return code

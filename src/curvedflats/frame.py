@@ -224,16 +224,26 @@ def j_orthonormalize(g, space):
     """Bring every slice of a stack (..., n, n) into the group O(J).
 
     A slice with ||F^T J F - J||_max <= ``IN_GROUP_TOL`` is already in the
-    group and is returned unchanged.  Every other slice, a non-finite one
-    included, goes through Gram-Schmidt in the J-inner product with column
-    pivoting on |<v,v>_J|: classical Gram-Schmidt for definite J, while the
-    pivot order guards against near-null columns in the indefinite case.
-    Every slice picks its own pivot order, so a slice gives the same bytes
-    alone or inside any stack.  Columns keep their positions and the output
-    sign pattern must match J.  A ``DegenerateFrameError`` carries the
-    leading index of the failing slice.
+    group and is kept unchanged; when every slice is, the input array itself
+    is returned, after one product, one in-place ``abs`` and one ``max``
+    (a NaN makes the max NaN and fails the test).  Every other slice, a
+    non-finite one included, goes through Gram-Schmidt in the J-inner
+    product with column pivoting on |<v,v>_J|: classical Gram-Schmidt for
+    definite J, while the pivot order guards against near-null columns in
+    the indefinite case.  Every slice picks its own pivot order, so a slice
+    gives the same bytes alone or inside any stack.  Columns keep their
+    positions and the output sign pattern must match J.  A
+    ``DegenerateFrameError`` carries the leading index of the failing slice.
     """
     g = np.asarray(g, dtype=float)
+    metric = space.metric
+    if g.shape[-2:] == metric.shape and g.size:
+        # The product and the difference of ``group_defects``, so the test
+        # decides as the per-slice defects do.
+        res = np.swapaxes(g, -1, -2) @ (space.j_diag[:, None] * g)
+        res -= metric
+        if np.abs(res, out=res).max() <= IN_GROUP_TOL:
+            return g
     batch, n = g.shape[:-2], g.shape[-1]
     out = g.reshape((-1, n, n)).copy()
     off = np.flatnonzero(~(group_defects(out, space) <= IN_GROUP_TOL))
@@ -251,9 +261,14 @@ def integrate_frame(conn, mus, grid, axis_priority=None):
     which repairs only the frames that have left O(J); both act on the whole
     batch of samples.  The edges are those of ``grid.sweep``, the grid fill
     order; passing ``axis_priority`` permutes which axis is treated as
-    primary (used to quantify path independence).  Returns one
-    ``FrameField`` per sample, in order, each a view into one
-    (len(mus), *nodes, n, n) array.
+    primary (used to quantify path independence).  A^mu and the exponent
+    h * Abar are built once per grid line, for every edge of the line and
+    every sample in one expression each, and an edge only reads its
+    exponent; every entry is the arithmetic of the per-edge expression, so
+    the bytes are the same.  One line per axis is held at a time: the sweep
+    walks the edges of a line in order, interleaved only with lines of later
+    axes.  Returns one ``FrameField`` per sample, in order, each a view into
+    one (len(mus), *nodes, n, n) array.
     """
     spec = conn.spec
     n = spec.dim
@@ -262,18 +277,20 @@ def integrate_frame(conn, mus, grid, axis_priority=None):
     h = grid.steps
     frames = np.zeros((len(mus),) + grid.nodes + (n, n))
     every = (slice(None),)
+    lines = {}  # axis -> (the line's other indices, (N_axis - 1, M, n, n) exponents)
     for index, prev, axis in grid.sweep(axis_priority):
         if prev is None:
             frames[every + index] = np.eye(n)
             continue
-        at_prev, at_index = prev + (axis,), index + (axis,)
-        abar = 0.5 * (
-            (conn.a0[at_prev] + mu * conn.a1[at_prev])
-            + (conn.a0[at_index] + mu * conn.a1[at_index])
-        )
+        key = index[:axis] + index[axis + 1:]
+        line = lines.get(axis)
+        if line is None or line[0] != key:
+            at = index[:axis] + (slice(None),) + index[axis + 1:] + (axis, None)
+            a_mu = conn.a0[at] + mu * conn.a1[at]  # (N_axis, M, n, n)
+            line = lines[axis] = (key, h[axis] * (0.5 * (a_mu[:-1] + a_mu[1:])))
         try:
             frames[every + index] = j_orthonormalize(
-                frames[every + prev] @ expm(h[axis] * abar), spec.space
+                frames[every + prev] @ expm(line[1][index[axis] - 1]), spec.space
             )
         except NumericalError as err:  # expm's range, Gram-Schmidt's pivots
             raise type(err)(

@@ -8,8 +8,14 @@ A1_j = xi_d^{r_j} keep their seed values on the whole grid up to roundoff
 (where the RK4 increments of xi_d are absorbed, xi_d compares equal to the
 seed's; coarse grids drift by ulps).  Each RK4 edge therefore builds the
 powers of xi_d once, from its start state, and every stage evaluates only
-the rest of the flow.  The flows commute, so any spanning tree of the grid
-fills it: the Lax fill walks ``GridSpec.edges`` with the axes ordered by
+the rest of the flow.  An edge is one ``_rk4`` call on one state, with four
+``flow_rhs`` calls per substep; each does two row-stack ``dot``s, two
+matmuls and in-place updates, and the stage arguments and the RK4
+combination reuse the edge's buffers, all in the arithmetic of the
+broadcast expressions, so the bytes do not depend on the path.  Fewer calls
+per grid need the edges of a slab batched into one call.  The flows
+commute, so any spanning tree of the grid fills it: the Lax fill walks the
+flat index pairs of ``GridSpec.flat_edges`` with the axes ordered by
 decreasing flow power (for two flows: flow 2 along x2 from the seed, then
 flow 1 along x1 from every x2-node), so the cheapest flow takes the most
 edges, and a ``BlowUpError`` names the first failing node in that order.
@@ -18,8 +24,6 @@ The frame integration and the developing map walk the default
 The pointwise checks (twist condition, conservation) take the whole grid in
 one call.  Everything is deterministic.
 """
-
-import itertools
 
 import numpy as np
 
@@ -81,21 +85,32 @@ class GridSpec:
 
         The origin comes first with prev = axis = None; every other node is
         one step along ``axis`` from ``prev``, where ``axis`` is its last
-        nonzero axis in priority order.
+        nonzero axis in priority order.  These are the ``flat_edges`` with
+        the flat indices unravelled.
         """
+        nodes, prevs, axes = self.flat_edges(priority)
+        yield (0,) * self.dims, None, None
+        index = zip(*(c.tolist() for c in np.unravel_index(nodes, self.nodes)))
+        prev = zip(*(c.tolist() for c in np.unravel_index(prevs, self.nodes)))
+        yield from zip(index, prev, axes)
+
+    def flat_edges(self, priority):
+        """The edges of ``edges(priority)`` after the origin, as three lists
+        of ints: each node's flat (C order) index, its predecessor's, and
+        the axis of the step between them, built by whole-grid array
+        operations."""
         if sorted(priority) != list(range(self.dims)):
             raise StructuralError(f"invalid axis priority {priority}")
-        for combo in itertools.product(*(range(self.nodes[ax]) for ax in priority)):
-            index = [0] * self.dims
-            for ax, i in zip(priority, combo):
-                index[ax] = i
-            moved = [ax for ax, i in zip(priority, combo) if i > 0]
-            if not moved:
-                yield tuple(index), None, None
-                continue
-            prev = list(index)
-            prev[moved[-1]] -= 1
-            yield tuple(index), tuple(prev), moved[-1]
+        size = int(np.prod(self.nodes))
+        # The C-order ravel of the grid transposed to priority order visits
+        # the nodes lexicographically over the axes in that order.
+        order = np.arange(size).reshape(self.nodes).transpose(priority).ravel()[1:]
+        coords = np.unravel_index(order, self.nodes)
+        axes = np.zeros(size - 1, dtype=int)
+        for ax in priority:
+            axes[coords[ax] > 0] = ax
+        strides = np.cumprod((1,) + self.nodes[:0:-1])[::-1]
+        return order.tolist(), (order - strides[axes]).tolist(), axes.tolist()
 
     def sweep_regions(self):
         """Yield (axis, region) per axis in the default sweep order.
@@ -145,18 +160,36 @@ def _rk4(stack, r, d, t, steps, norm0):
     # The scalars are computed once per call: ``half * k1`` is the
     # ``(0.5 * h) * k1`` that ``0.5 * h * k1`` evaluates to, byte for byte.
     # xi_d is a first integral, so its powers are built once, from the start
-    # state, and shared by every stage of every substep.
+    # state, and shared by every stage of every substep.  ``stack`` (often a
+    # view into the grid's states) is only read: the stage arguments go into
+    # one buffer of the edge, and each substep's combination
+    # y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) runs in place on k1, in
+    # that association (y + x and x + y are the same bytes).
     h = t / steps
     half, sixth = 0.5 * h, h / 6.0
     limit = BLOWUP_FACTOR * norm0
     powers = top_powers(stack[..., d, :, :], r)
+    arg = np.empty_like(stack)
     y = stack
     for i in range(steps):
         k1 = flow_rhs(y, powers, d)
-        k2 = flow_rhs(y + half * k1, powers, d)
-        k3 = flow_rhs(y + half * k2, powers, d)
-        k4 = flow_rhs(y + h * k3, powers, d)
-        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        np.multiply(k1, half, out=arg)
+        arg += y
+        k2 = flow_rhs(arg, powers, d)
+        np.multiply(k2, half, out=arg)
+        arg += y
+        k3 = flow_rhs(arg, powers, d)
+        np.multiply(k3, h, out=arg)
+        arg += y
+        k4 = flow_rhs(arg, powers, d)
+        k2 *= 2.0
+        k1 += k2
+        k3 *= 2.0
+        k1 += k3
+        k1 += k4
+        k1 *= sixth
+        k1 += y
+        y = k1
         # One reduction: a NaN or inf entry makes the max non-finite, and
         # the negated comparison rejects it as it rejects a large state.
         if not (np.abs(y).max() <= limit):
@@ -179,7 +212,8 @@ def integrate_flow(xi0, r, t, steps):
 
 
 def integrate_grid(xi0, family, grid, substeps=4):
-    """Fill the grid along ``grid.edges(priority)``, one RK4 edge per node.
+    """Fill the grid along ``grid.flat_edges(priority)``, one RK4 edge per
+    node.
 
     ``priority`` orders the axes by decreasing flow power, so the cheapest
     flow drives the innermost axis and most edges, and the dearest flow
@@ -188,9 +222,10 @@ def integrate_grid(xi0, family, grid, substeps=4):
     axes a, b of a priority moves (N_a - 1)(N_b - 1) P edges from one flow
     to the other, P the product of the node counts of the axes before
     them; the per-edge cost rises with the power, so for any node counts no
-    order is cheaper.  The edges are generated as the fill walks them; no
-    sweep tuple of this order is kept.  A ``BlowUpError`` names the first
-    failing node in this order.
+    order is cheaper.  The fill walks the flat index pairs of
+    ``grid.flat_edges(priority)``, built for this call only; no sweep tuple
+    of this order is kept.  A ``BlowUpError`` names the first failing node
+    in this order.
     """
     if family.dims != grid.dims:
         raise StructuralError(
@@ -202,19 +237,19 @@ def integrate_grid(xi0, family, grid, substeps=4):
     d = family.d
     states = np.zeros(grid.nodes + (d + 1, n, n))
     states[(0,) * grid.dims] = xi0.stack
+    flat = states.reshape((-1, d + 1, n, n))
     norm0 = max(1.0, xi0.norm())
     steps = grid.steps
     priority = sorted(range(family.dims), key=family.powers.__getitem__, reverse=True)
     with np.errstate(**_BLOWUP_IS_CHECKED):
-        for index, prev, axis in grid.edges(priority):
-            if prev is None:
-                continue
+        for node, prev, axis in zip(*grid.flat_edges(priority)):
             try:
-                states[index] = _rk4(
-                    states[prev], family.powers[axis], d, steps[axis],
-                    substeps, norm0,
+                flat[node] = _rk4(
+                    flat[prev], family.powers[axis], d, steps[axis], substeps,
+                    norm0,
                 )
             except BlowUpError as err:
+                index = tuple(int(i) for i in np.unravel_index(node, grid.nodes))
                 raise BlowUpError(
                     f"blow-up while filling node {index}: {err}", node=index
                 ) from err

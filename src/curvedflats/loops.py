@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .algebra import EPS_ALGEBRA, membership_residual
+from .algebra import EPS_ALGEBRA, RESIDUAL_BLOCK, membership_residual
 from .errors import NumericalError, StructuralError
 
 
@@ -34,14 +34,21 @@ def twist_residual(stack, lo, spec):
     """Violation of the twist condition: k-parity of coefficients plus
     membership of each coefficient in g.  ``stack`` is (..., L, n, n) with
     degree lo + i at position i of axis -3; leading axes (grid nodes) are
-    scanned in the same call."""
+    scanned in the same call, in blocks of at most ``RESIDUAL_BLOCK`` bytes
+    as ``membership_residual`` takes them, so no temporary is the size of
+    the stack."""
     even = ((lo + np.arange(stack.shape[-3])) % 2 == 0)[:, None, None]
     # The projections are {0, 1}-mask products, so one product with the
     # parity's mask gives every value of the projection, NaN included.
-    wrong = stack * np.where(even, spec.p_project(1.0), spec.k_project(1.0))
-    res = float(np.max(np.abs(wrong, out=wrong), initial=0.0))
-    del wrong  # not held through membership_residual's temporaries
-    return max(res, membership_residual(stack, spec.space))
+    mask = np.where(even, spec.p_project(1.0), spec.k_project(1.0))
+    flat = stack.reshape((-1,) + stack.shape[-3:])
+    rows = max(1, RESIDUAL_BLOCK // max(1, flat[:1].nbytes))
+    res = 0.0
+    for start in range(0, len(flat), rows):
+        wrong = flat[start:start + rows] * mask
+        # np.maximum, not max(): a NaN block must make the residual NaN.
+        res = np.maximum(res, np.max(np.abs(wrong, out=wrong), initial=0.0))
+    return max(float(res), membership_residual(stack, spec.space))
 
 
 def evaluate_stack(stack, lo, mu):
@@ -241,11 +248,26 @@ def flow_rhs(stack, powers, d):
     Equals flow_field up to dropping the identically-zero degree-(d+1) term:
     coefficient k is [xi_k, b0] + [xi_{k-1}, b1] with (b0, b1) the pair of
     ``connection_coefficients`` and r = ``len(powers)``, the powers of xi_d
-    from ``top_powers``.  ``stack`` is (..., d+1, n, n): all degrees and
-    leading (node) axes are one broadcast expression, and each slice equals
-    the single-stack per-degree loop byte for byte.
+    from ``top_powers``.  A stack with leading (node) axes is one broadcast
+    expression over all degrees and nodes.  A single state (d+1, n, n), the
+    RK4 edge's case, takes each right product of all its degrees as one
+    ``ndarray.dot`` on the (d+1)n x n row stack and each left product as one
+    matmul, and subtracts the commutator halves in place.  Every entry is
+    the same two gemm sums, subtracted and added in the same order, so both
+    paths equal the single-stack per-degree loop byte for byte.
     """
     b0, b1 = connection_coefficients(stack, powers, d)
+    if stack.ndim == 3:
+        n = stack.shape[-1]
+        rows = stack.reshape(-1, n)
+        out = rows.dot(b0).reshape(stack.shape)
+        out -= b0 @ stack
+        lower = stack[:-1]
+        tail = rows[:-n].dot(b1).reshape(lower.shape)
+        tail -= b1 @ lower
+        upper = out[1:]  # a view: += on it skips the setitem of out[1:] +=
+        upper += tail
+        return out
     b0, b1 = b0[..., None, :, :], b1[..., None, :, :]
     out = stack @ b0 - b0 @ stack
     lower = stack[..., :-1, :, :]
@@ -284,8 +306,11 @@ def connection_coefficients(stack, powers, d):
     carried through.  A single state (every RK4 stage) multiplies with
     ``ndarray.dot`` as ``top_powers`` does.
     """
-    below, top = stack[..., d - 1, :, :], powers[0]
-    mul = np.ndarray.dot if stack.ndim == 3 else np.matmul
+    if stack.ndim == 3:
+        below, mul = stack[d - 1], np.ndarray.dot
+    else:
+        below, mul = stack[..., d - 1, :, :], np.matmul
+    top = powers[0]
     lo = below
     for power in powers[:-1]:
         lo = mul(lo, top) + mul(power, below)

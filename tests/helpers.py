@@ -218,6 +218,63 @@ def integrate_grid_default_sweep(xi0, family, grid, substeps):
     return states
 
 
+def edges_per_node(grid, priority):
+    """The former ``GridSpec.edges``: per node, the index and predecessor
+    lists built from an ``itertools.product`` over the axes in
+    ``priority`` order."""
+    import itertools
+
+    for combo in itertools.product(*(range(grid.nodes[ax]) for ax in priority)):
+        index = [0] * grid.dims
+        for ax, i in zip(priority, combo):
+            index[ax] = i
+        moved = [ax for ax, i in zip(priority, combo) if i > 0]
+        if not moved:
+            yield tuple(index), None, None
+            continue
+        prev = list(index)
+        prev[moved[-1]] -= 1
+        yield tuple(index), tuple(prev), moved[-1]
+
+
+def integrate_frame_per_edge(conn, mus, grid, axis_priority=None):
+    """The former ``frame.integrate_frame``: A^mu evaluated at both ends of
+    every edge, then exp(h * Abar) and ``j_orthonormalize``; returns the
+    (len(mus), *nodes, n, n) frames."""
+    from curvedflats.algebra import expm
+    from curvedflats.frame import j_orthonormalize
+
+    n = conn.spec.dim
+    mu = np.array([float(m) for m in mus])[:, None, None]
+    h = grid.steps
+    frames = np.zeros((len(mus),) + grid.nodes + (n, n))
+    every = (slice(None),)
+    for index, prev, axis in grid.sweep(axis_priority):
+        if prev is None:
+            frames[every + index] = np.eye(n)
+            continue
+        at_prev, at_index = prev + (axis,), index + (axis,)
+        abar = 0.5 * (
+            (conn.a0[at_prev] + mu * conn.a1[at_prev])
+            + (conn.a0[at_index] + mu * conn.a1[at_index])
+        )
+        frames[every + index] = j_orthonormalize(
+            frames[every + prev] @ expm(h[axis] * abar), conn.spec.space
+        )
+    return frames
+
+
+def twist_residual_full_product(stack, lo, spec):
+    """The former ``loops.twist_residual``: one product of the whole stack
+    with the parity mask, then the membership residual."""
+    from curvedflats.algebra import membership_residual
+
+    even = ((lo + np.arange(stack.shape[-3])) % 2 == 0)[:, None, None]
+    wrong = stack * np.where(even, spec.p_project(1.0), spec.k_project(1.0))
+    res = float(np.max(np.abs(wrong, out=wrong), initial=0.0))
+    return max(res, membership_residual(stack, spec.space))
+
+
 def twist_residual_two_projections(stack, lo, spec):
     """The former ``loops.twist_residual``: both projections of the whole
     stack, a ``where`` between them and an ``abs`` copy."""

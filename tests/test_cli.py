@@ -134,6 +134,9 @@ OVERFLOW = "1e400"
         {"mu_samples": [1.0, OVERFLOW]},
         # A negative tolerance fails every gate: a config error, not exit 1.
         {"tolerances": {"mc": -1}},
+        # An infinite tolerance and a NaN seed have no strict-JSON form.
+        {"tolerances": {"mc": OVERFLOW}},
+        {"xi0": np.full((4, 5, 5), np.nan).tolist()},
     ],
 )
 def test_main_rejects_malformed_config_values(tmp_path, override):
@@ -524,6 +527,39 @@ def test_main_expm_out_of_range_names_node_and_mu(tmp_path, mu):
     assert error["node"] == [0, 1]
     assert "squarings, which leave no correct digit in slice (0,)" in error["message"]
     assert f"node (0, 1), mu={mu!r}" in error["message"]
+
+
+def _strict_json(path):
+    """Parse a JSON file, rejecting the NaN and Infinity tokens that
+    ``json.loads`` accepts by default."""
+    def reject(token):
+        raise ValueError(f"non-JSON token {token} in {path}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("error")
+def test_main_non_finite_residual_is_a_numerical_error(tmp_path):
+    # On extents near the float64 range the report's grid derivatives
+    # overflow and the curvature of phi is NaN: the run stops with an error
+    # that names the residual and its mu, numpy does not warn on the way,
+    # and report.json stays strict JSON.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"nodes": [5, 5], "extents": [1e-200, 1e-200]}))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg_path), "-o", str(out)]) == 3
+    error = _strict_json(out / "report.json")["error"]
+    assert error["category"] == "NumericalError"
+    assert re.fullmatch(r"non-finite residual \w+ at mu=0\.6: nan", error["message"])
+
+
+def test_run_writes_strict_json(tmp_path):
+    out = tmp_path / "o"
+    run_pipeline(RunConfig(small_config(nodes=[5, 5], commutativity_steps=2)), out)
+    for name in ("config.json", "report.json"):
+        _strict_json(out / name)
+    with pytest.raises(ValueError):
+        cli.write_json(tmp_path / "bad.json", {"residual": float("nan")})
 
 
 def test_main_degenerate_frame_names_node_and_mu(tmp_path, monkeypatch):

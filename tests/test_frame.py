@@ -19,8 +19,10 @@ from curvedflats.frame import (
 from curvedflats.lax import GridSolution, GridSpec, integrate_grid
 from curvedflats.loops import FlowFamily, LaxState
 
+import curvedflats.frame as frame
 from helpers import (
     from_offblock,
+    integrate_frame_per_edge,
     j_orthonormalize_single,
     random_element,
     so5_spec,
@@ -323,6 +325,76 @@ def test_j_orthonormalize_rejects_non_finite_slices():
         for g in (one_nan, np.full((5, 5), np.inf)):
             with pytest.raises(DegenerateFrameError, match="pivot"):
                 j_orthonormalize(g, space)
+
+
+@pytest.fixture
+def gram_schmidt_calls(monkeypatch):
+    """The ``slices`` argument of every Gram-Schmidt call."""
+    calls = []
+    gram_schmidt = frame._gram_schmidt
+
+    def spy(cols, space, slices, batch):
+        calls.append(slices.tolist())
+        return gram_schmidt(cols, space, slices, batch)
+
+    monkeypatch.setattr(frame, "_gram_schmidt", spy)
+    return calls
+
+
+@pytest.mark.parametrize("space", [SPEC.space, BilinearSpace(3, 2)])
+def test_j_orthonormalize_returns_an_in_group_stack_itself(space, gram_schmidt_calls):
+    # Every slice in the group: the input array comes back, without
+    # Gram-Schmidt, and with the bytes the per-slice defects would keep.
+    rng = np.random.default_rng(34)
+    stack = np.stack([_in_group_frame(rng, space) for _ in range(6)]).reshape(2, 3, 5, 5)
+    before = stack.tobytes()
+    out = j_orthonormalize(stack, space)
+    assert out is stack
+    assert out.tobytes() == before
+    one = stack[1, 2]
+    assert j_orthonormalize(one, space) is one
+    assert gram_schmidt_calls == []
+
+
+def test_j_orthonormalize_sends_nan_and_off_group_slices_to_gram_schmidt(
+    gram_schmidt_calls,
+):
+    space = BilinearSpace(3, 2)
+    rng = np.random.default_rng(35)
+    stack = np.stack([_in_group_frame(rng, space) for _ in range(4)])
+    off = stack.copy()
+    off[2] += 1e-12 * rng.standard_normal((5, 5))
+    out = j_orthonormalize(off, space)
+    assert gram_schmidt_calls == [[2]]
+    assert out is not off
+    for k in (0, 1, 3):
+        assert out[k].tobytes() == stack[k].tobytes()
+    assert out[2].tobytes() == j_orthonormalize(off[2:3], space)[0].tobytes()
+    nan = stack.copy()
+    nan[1, 0, 4] = np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(DegenerateFrameError) as err:
+            j_orthonormalize(nan, space)
+    assert err.value.index == (1,)
+    assert gram_schmidt_calls[-1] == [1]
+
+
+@pytest.mark.parametrize(
+    "powers,nodes,axis_priority",
+    [([1, 3], [9, 9], (0, 1)), ([1, 3], [9, 9], (1, 0)),
+     ([1, 3, 5], [4, 3, 3], (2, 0, 1))],
+)
+def test_integrate_frame_line_blocks_match_per_edge_expression(powers, nodes,
+                                                               axis_priority):
+    # A^mu and the exponent built once per grid line give the bytes of the
+    # former per-edge expression, for every sweep order.
+    grid = GridSpec([0.4] * len(nodes), nodes)
+    sol = integrate_grid(random_state(seed=3), FlowFamily(powers, 3), grid, 4)
+    conn = connection_from_state(sol)
+    mus = [0.6, 1.0, 1.6]
+    fields = integrate_frame(conn, mus, grid, axis_priority=axis_priority)
+    expected = integrate_frame_per_edge(conn, mus, grid, axis_priority)
+    assert fields[0].frames.base.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("axis_priority", [(0, 1), (1, 0)])

@@ -13,14 +13,24 @@ from curvedflats.lax import (
     integrate_flow,
     integrate_grid,
 )
-from curvedflats.loops import FlowFamily, LaxState, spectral_invariants, twist_residual
+from curvedflats.loops import (
+    FlowFamily,
+    LaxState,
+    flow_rhs,
+    spectral_invariants,
+    top_powers,
+    twist_residual,
+)
 
 from helpers import (
+    edges_per_node,
     fit_order,
+    flow_rhs_per_stage,
     integrate_grid_default_sweep,
     random_element,
     rk4_per_stage,
     so5_spec,
+    special_value_stacks,
 )
 
 RNG = np.random.default_rng(555)
@@ -86,6 +96,23 @@ def test_sweep_edges_are_cached_per_priority():
 
 
 @pytest.mark.parametrize("nodes", [(5,), (4, 3), (4, 3, 2)])
+def test_flat_edges_are_the_per_node_edges_in_order(nodes):
+    # The whole-grid index arrays give the edges the former per-node
+    # generator built, in the same order, for every axis priority.
+    grid = GridSpec([1.0] * len(nodes), nodes)
+    for priority in itertools.permutations(range(len(nodes))):
+        expected = list(edges_per_node(grid, priority))
+        assert list(grid.edges(priority)) == expected
+        flat = np.arange(np.prod(nodes)).reshape(nodes)
+        assert list(zip(*grid.flat_edges(priority))) == [
+            (int(flat[index]), int(flat[prev]), axis)
+            for index, prev, axis in expected[1:]
+        ]
+    with pytest.raises(StructuralError):
+        grid.flat_edges(tuple(range(1, len(nodes) + 1)))
+
+
+@pytest.mark.parametrize("nodes", [(5,), (4, 3), (4, 3, 2)])
 def test_sweep_regions_fill_the_sweep_edges(nodes):
     # Within each region block, every node past index 0 along the block's
     # axis is filled from one step back: together these are exactly the
@@ -146,6 +173,62 @@ def test_rk4_with_hoisted_powers_matches_per_stage_reference(preset, d, r):
         assert np.array_equal(got[d], xi0.stack[d])
         expected = rk4_per_stage(xi0.stack, r, d, t, steps, norm0)
         assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("preset", ["sphere-grassmannian", "anti-de-sitter"])
+@pytest.mark.parametrize("r", [1, 3, 5])
+def test_lean_single_state_kernels_match_per_stage_reference(preset, r):
+    # The single-state path of flow_rhs (row-stack dot, in-place halves) and
+    # the buffered, in-place RK4 combination give the bytes of the former
+    # broadcast kernels, on states all over a filled grid.
+    config, xi0 = seeded(preset, 3, nodes=[9, 9])
+    states = integrate_grid(xi0, config.family, config.grid, substeps=4).states
+    norm0 = max(1.0, xi0.norm())
+    for node in ((0, 0), (8, 0), (3, 5), (8, 8)):
+        state = states[node]
+        got = flow_rhs(state, top_powers(state[3], r), 3)
+        assert got.tobytes() == flow_rhs_per_stage(state, r, 3).tobytes()
+        got = lax._rk4(state, r, 3, config.grid.steps[0], 4, norm0)
+        assert got.tobytes() == rk4_per_stage(state, r, 3, config.grid.steps[0],
+                                              4, norm0).tobytes()
+
+
+def test_lean_flow_rhs_matches_broadcast_path_on_special_values():
+    # Signed zeros, NaN and inf: the single-state path equals the same
+    # state's slice of the broadcast path.
+    rng = np.random.default_rng(9)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for stack in special_value_stacks(rng, (4, 5, 5)):
+            for r in (1, 3):
+                powers = top_powers(stack[3], r)
+                alone = flow_rhs(stack, powers, 3)
+                batched = flow_rhs(stack[None], tuple(p[None] for p in powers), 3)
+                assert alone.tobytes() == batched[0].tobytes()
+
+
+def test_rk4_never_writes_into_its_input(monkeypatch):
+    # The fill hands _rk4 a view into the grid's states: the edge must
+    # leave it as it was and return an array of its own.
+    rk4 = lax._rk4
+    checked = []
+
+    def guarded(stack, r, d, t, steps, norm0):
+        assert stack.base is not None
+        before = stack.copy()
+        out = rk4(stack, r, d, t, steps, norm0)
+        assert stack.tobytes() == before.tobytes()
+        assert not np.shares_memory(out, stack)
+        checked.append(r)
+        return out
+
+    monkeypatch.setattr(lax, "_rk4", guarded)
+    xi = random_state(d=3, seed=8)
+    seed_bytes = xi.stack.tobytes()
+    grid = GridSpec([0.2, 0.2], [4, 3])
+    sol = integrate_grid(xi, FlowFamily([1, 3], 3), grid, substeps=2)
+    assert len(checked) == 11
+    assert xi.stack.tobytes() == seed_bytes
+    assert sol.states[0, 0].tobytes() == seed_bytes
 
 
 @pytest.mark.parametrize("preset", ["sphere-grassmannian", "anti-de-sitter"])

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import curvedflats.loops as loops
 from curvedflats.loops import (
     FlowFamily,
     LaxState,
@@ -27,6 +30,7 @@ from helpers import (
     random_element,
     so5_spec,
     special_value_stacks,
+    twist_residual_full_product,
     twist_residual_two_projections,
 )
 
@@ -70,6 +74,48 @@ def test_twist_residual_matches_two_projection_oracle(preset, lo):
                         twist_residual(case, lo, spec),
                         twist_residual_two_projections(case, lo, spec),
                     )
+
+
+@pytest.mark.parametrize("block", [None, 1, 3000])
+def test_twist_residual_blocked_matches_full_product(monkeypatch, block):
+    # Taken in blocks (the default, one node per block, and blocks that
+    # split the node rows unevenly), the residual equals the one product of
+    # the whole stack: random values, signed zeros, NaN and inf.
+    if block is not None:
+        monkeypatch.setattr(loops, "RESIDUAL_BLOCK", block)
+    spec = make_preset("anti-de-sitter")
+    rng = np.random.default_rng(21)
+    with np.errstate(invalid="ignore"):  # inf * 0 in both forms
+        for stack in special_value_stacks(rng, (11, 13, 4, 5, 5)):
+            np.testing.assert_equal(
+                twist_residual(stack, 0, spec),
+                twist_residual_full_product(stack, 0, spec),
+            )
+    nan_last = rng.standard_normal((200, 4, 5, 5))
+    nan_last[-1, 2, 3, 1] = np.nan
+    assert np.isnan(twist_residual(nan_last, 0, spec))
+    assert twist_residual(np.zeros((0, 4, 5, 5)), 0, spec) == 0.0
+
+
+@pytest.mark.parametrize(
+    "residual,bounded",
+    [(twist_residual, True), (twist_residual_full_product, False)],
+)
+def test_twist_residual_peak_memory_is_a_few_blocks(residual, bounded):
+    # A 16 MB stack: the blocked residual holds a few blocks, the former
+    # one a product of the whole stack.
+    spec = make_preset("sphere-grassmannian")
+    stack = np.random.default_rng(0).standard_normal((2 ** 21 // 100, 4, 5, 5))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        value = residual(stack, 0, spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert value > 0.0
+    assert (peak <= 1e6) is bounded, peak
 
 
 def test_twist_validation():
