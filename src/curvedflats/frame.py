@@ -3,12 +3,12 @@
 The 1-form A^mu = A0 + mu A1 is read off per coordinate direction as the
 degree-0/1 part of pi_+ Vt_r(xi), for the whole grid in one call of the kernel
 the flows share, and its k/p split is checked over the whole grid at once.
-The frame equation F^-1 dF = A^mu is integrated edge by edge along the sweep
+The frame equation F^-1 dF = A^mu is integrated along ``GridSpec.flat_edges``
 with a midpoint exponential (order 2).  A^mu lies in so(J), so each step stays
 in the group O(J) up to roundoff; a frame whose distance from the group
 exceeds ``IN_GROUP_TOL`` is repaired by J-Gram-Schmidt, and every other frame
 is kept as the exponential left it.  All spectral samples share that one
-sweep: each edge evaluates A^mu for the whole batch of samples and takes one
+walk: each edge evaluates A^mu for the whole batch of samples and takes one
 batched exponential and one batched group check, whose per-slice results
 equal the single-matrix ones byte for byte.  The group drift is one scan of
 each sample's field.
@@ -126,32 +126,35 @@ def grid_derivative(field, axis, h):
     return out
 
 
+def curvature_defect(a, i, j, steps):
+    """d_i A_j - d_j A_i + [A_i, A_j] on every node, for a 1-form field
+    ``a`` (*nodes, k, n, n) with ``grid_derivative`` along grid axes i, j."""
+    ai, aj = a[..., i, :, :], a[..., j, :, :]
+    return (
+        grid_derivative(aj, i, steps[i])
+        - grid_derivative(ai, j, steps[j])
+        + ai @ aj
+        - aj @ ai
+    )
+
+
 def mc_residual(conn, mu0, grid):
     """Max-norm zero-curvature defect of A^mu0 over interior nodes.
 
-    For a coordinate pair (i, j) the defect is
-    d_i A_j - d_j A_i + [A_i, A_j]; central differences make it O(h^2) for a
-    flat connection.
+    For a coordinate pair (i, j) the defect is ``curvature_defect``; central
+    differences make it O(h^2) for a flat connection.
     """
     if grid.dims < 2:
         raise StructuralError("curvature needs at least two coordinate axes")
     if any(nn < 3 for nn in grid.nodes):
         raise StructuralError("need at least 3 nodes per axis for curvature")
     a = conn.a_mu(mu0)
-    h = grid.steps
     k = grid.dims
     interior = tuple(slice(1, -1) for _ in range(k))
     worst = 0.0
     for i in range(k):
-        ai = a[..., i, :, :]
         for j in range(i + 1, k):
-            aj = a[..., j, :, :]
-            res = (
-                grid_derivative(aj, i, h[i])
-                - grid_derivative(ai, j, h[j])
-                + ai @ aj
-                - aj @ ai
-            )
+            res = curvature_defect(a, i, j, grid.steps)
             worst = max(worst, float(np.max(np.abs(res[interior]))))
     return worst
 
@@ -259,40 +262,44 @@ def integrate_frame(conn, mus, grid, axis_priority=None):
     Each edge applies exp(h * Abar) with Abar the average of the edge's
     endpoint values (midpoint exponential, order 2), then ``j_orthonormalize``,
     which repairs only the frames that have left O(J); both act on the whole
-    batch of samples.  The edges are those of ``grid.sweep``, the grid fill
-    order; passing ``axis_priority`` permutes which axis is treated as
-    primary (used to quantify path independence).  A^mu and the exponent
-    h * Abar are built once per grid line, for every edge of the line and
-    every sample in one expression each, and an edge only reads its
+    batch of samples.  The edges are those of ``grid.flat_edges``, walked on
+    the flat node axis of the frames and the connection as the Lax fill
+    walks them; ``axis_priority`` (default 0, 1, ...) permutes which axis is
+    treated as primary (used to quantify path independence).  A^mu and the
+    exponent h * Abar are built once per grid line, for every edge of the
+    line and every sample in one expression each, and an edge only reads its
     exponent; every entry is the arithmetic of the per-edge expression, so
-    the bytes are the same.  One line per axis is held at a time: the sweep
-    walks the edges of a line in order, interleaved only with lines of later
+    the bytes are the same.  One line per axis is held at a time: the walk
+    takes the edges of a line in order, interleaved only with lines of later
     axes.  Returns one ``FrameField`` per sample, in order, each a view into
     one (len(mus), *nodes, n, n) array.
     """
     spec = conn.spec
-    n = spec.dim
+    n, k = spec.dim, grid.dims
     mus = [float(mu) for mu in mus]
     mu = np.array(mus)[:, None, None]
     h = grid.steps
     frames = np.zeros((len(mus),) + grid.nodes + (n, n))
-    every = (slice(None),)
-    lines = {}  # axis -> (the line's other indices, (N_axis - 1, M, n, n) exponents)
-    for index, prev, axis in grid.sweep(axis_priority):
-        if prev is None:
-            frames[every + index] = np.eye(n)
-            continue
-        key = index[:axis] + index[axis + 1:]
+    a0, a1 = conn.a0.reshape(-1, k, n, n), conn.a1.reshape(-1, k, n, n)
+    flat = frames.reshape(len(mus), len(a0), n, n)  # no -1: mus may be empty
+    priority = tuple(range(k) if axis_priority is None else axis_priority)
+    flat[:, 0] = np.eye(n)
+    lines = {}  # axis -> (the line's first flat node, (N_axis - 1, M, n, n) exponents)
+    for node, prev, axis in zip(*grid.flat_edges(priority)):
+        stride, size = node - prev, grid.nodes[axis]
+        t = node // stride % size
+        first = node - t * stride
         line = lines.get(axis)
-        if line is None or line[0] != key:
-            at = index[:axis] + (slice(None),) + index[axis + 1:] + (axis, None)
-            a_mu = conn.a0[at] + mu * conn.a1[at]  # (N_axis, M, n, n)
-            line = lines[axis] = (key, h[axis] * (0.5 * (a_mu[:-1] + a_mu[1:])))
+        if line is None or line[0] != first:
+            at = slice(first, first + stride * size, stride)
+            a_mu = a0[at, axis, None] + mu * a1[at, axis, None]  # (N_axis, M, n, n)
+            line = lines[axis] = (first, h[axis] * (0.5 * (a_mu[:-1] + a_mu[1:])))
         try:
-            frames[every + index] = j_orthonormalize(
-                frames[every + prev] @ expm(line[1][index[axis] - 1]), spec.space
+            flat[:, node] = j_orthonormalize(
+                flat[:, prev] @ expm(line[1][t - 1]), spec.space
             )
         except NumericalError as err:  # expm's range, Gram-Schmidt's pivots
+            index = tuple(int(i) for i in np.unravel_index(node, grid.nodes))
             raise type(err)(
                 f"{err} at node {index}, mu={mus[err.index[0]]!r}", node=index
             ) from err

@@ -4,16 +4,17 @@ The p-parts of the connection span the same Cartan subspace at every node
 (the top Lax coefficient is a first integral of the flows), so one K-valued
 gauge H, built from a simultaneous singular value decomposition at the
 origin, conjugates them into the rectangular-diagonal normal form with a
-common kernel direction e0; the gauged form is checked node by node.
-Integrating it gives the developing map psi (a local isometry onto the
-reference Cartan subspace), and the first column of the gauged frame is the
+common kernel direction e0; the gauged form is checked node by node, in C
+order.  Integrating it along the default ``GridSpec.flat_edges`` tree gives
+the developing map psi (a local isometry onto the reference Cartan
+subspace), and the first column of the gauged frame is the
 reconstructed unit-quadric map phi, whose induced metric, normal bundle, and
 second fundamental form are then checked against the space-form predictions.
 """
 
 import numpy as np
 
-from .algebra import form_margin, is_abelian, is_cartan, span_basis
+from .algebra import form_margin, is_abelian, is_cartan, skew_project, span_basis
 from .errors import (
     DegenerateSpectrumError,
     GaugeContinuityError,
@@ -22,7 +23,7 @@ from .errors import (
     NumericalError,
     StructuralError,
 )
-from .frame import grid_derivative
+from .frame import curvature_defect, grid_derivative
 
 GAUGE_SPAN_TOL = 1e-7
 SINGULAR_SEP_TOL = 1e-8
@@ -157,8 +158,9 @@ def gauge_to_normal_form(conn, spec):
     gauged exactly and one that leaves it fails at its first node in C order.
 
     A1 is first checked to be finite and in so(J) on the whole grid
-    (``StructuralError``); the sweep then raises at the first node whose span
-    test fails, and at the origin, right after its span test, on a bad gap.
+    (``StructuralError``); the span test then walks the nodes in C order
+    (the default ``GridSpec.flat_edges`` order), raising at the first node
+    that fails it, and at the origin, right after its span test, on a bad gap.
     """
     grid = conn.grid
     n, n1, n2 = spec.dim, spec.n1, spec.n2
@@ -174,12 +176,12 @@ def gauge_to_normal_form(conn, spec):
         )
     a1 = conn.a1
     _check_so_j(a1, spec.space)
-    for index, prev, _axis in grid.sweep():
+    for index in np.ndindex(grid.nodes):  # C order, from the origin
         if not admissible_span(a1[index], spec, CARTAN_TOL):
             raise NonCartanError(
                 f"tangent span fails the Cartan test at {index}", node=index
             )
-        if prev is None:
+        if not any(index):
             h = _normal_form_gauge(a1[index], index, spec)
     return gauge_from_h(conn, np.broadcast_to(h, grid.nodes + (n, n)).copy(), spec)
 
@@ -235,12 +237,11 @@ def gauge_from_h(conn, h_field, spec):
     grid = conn.grid
     n1, n2 = spec.n1, spec.n2
     diag = (np.arange(n2), n1 - n2 + np.arange(n2))
-    j_diag = spec.space.j_diag
     h_t = np.swapaxes(h_field, -1, -2)
     dh = np.stack([grid_derivative(h_field, axis, step) @ h_t
                    for axis, step in enumerate(grid.steps)], axis=-3)
     h, h_inv = h_field[..., None, :, :], h_t[..., None, :, :]  # over directions
-    dh = 0.5 * (dh - j_diag[:, None] * np.swapaxes(dh, -1, -2) * j_diag[None, :])
+    dh = skew_project(dh, spec.space)
     a0_t = h @ conn.a0 @ h_inv - dh
     a1_t = h @ conn.a1 @ h_inv
     off = a1_t[..., n1:, :n1].copy()
@@ -276,13 +277,13 @@ def _diagonal_basis(spec):
 
 
 def developing_map(gf, grid, closedness_tol):
-    """Integrate d psi = A1~ (trapezoid along the sweep) and report the
+    """Integrate d psi = A1~ (trapezoid along the tree) and report the
     closedness defect of the gauged p-part.
 
     The trapezoid increments of each ``grid.sweep_regions`` block are summed
     with one ``np.cumsum`` along its axis, starting from the values the
     earlier blocks left at index 0: the same additions, in the same order,
-    as a node-by-node walk of ``grid.sweep``.
+    as a node-by-node walk of the default ``grid.flat_edges`` tree.
 
     A defect far above tolerance indicates a sign/order branch flip of the
     gauge between neighboring nodes rather than discretization error.
@@ -435,13 +436,7 @@ def verify_space_form_geometry(im, grid):
     kappa = gauss_curvature_field(im.metric, grid)[core]
     curv_err = np.abs(kappa - 1.0)[core_valid]
 
-    eta = im.gauge.a0[..., :, n1:, n1:]
-    r_normal = (
-        grid_derivative(eta[..., 1, :, :], 0, h0)
-        - grid_derivative(eta[..., 0, :, :], 1, h1)
-        + eta[..., 0, :, :] @ eta[..., 1, :, :]
-        - eta[..., 1, :, :] @ eta[..., 0, :, :]
-    )
+    r_normal = curvature_defect(im.gauge.a0[..., :, n1:, n1:], 0, 1, grid.steps)
     normal_residual = float(np.max(np.abs(r_normal[core][core_valid])))
 
     phi = im.phi

@@ -19,8 +19,9 @@ flat index pairs of ``GridSpec.flat_edges`` with the axes ordered by
 decreasing flow power (for two flows: flow 2 along x2 from the seed, then
 flow 1 along x1 from every x2-node), so the cheapest flow takes the most
 edges, and a ``BlowUpError`` names the first failing node in that order.
-The frame integration and the developing map walk the default
-``GridSpec.sweep`` (x1 from the origin, then x2 from every x1-node, ...).
+The frame integration walks the same tree in the default axis order (x1
+from the origin, then x2 from every x1-node, ...: C order), and the
+developing map fills it one ``sweep_regions`` block at a time.
 The pointwise checks (twist condition, conservation) take the whole grid in
 one call.  Everything is deterministic.
 """
@@ -59,7 +60,6 @@ class GridSpec:
             raise StructuralError(f"each axis needs at least 2 nodes: {nodes}")
         self.extents = extents
         self.nodes = nodes
-        self._sweeps = {}  # axis priority -> edge tuple of ``sweep``
 
     @property
     def dims(self):
@@ -69,36 +69,14 @@ class GridSpec:
     def steps(self):
         return tuple(l / (n - 1) for l, n in zip(self.extents, self.nodes))
 
-    def sweep(self, axis_priority=None):
-        """The ``edges`` of ``axis_priority`` (default 0, 1, ...) as a tuple,
-        built once per priority and shared by every sweep of the run that
-        walks it (frames, gauge)."""
-        priority = tuple(range(self.dims) if axis_priority is None else axis_priority)
-        edges = self._sweeps.get(priority)
-        if edges is None:
-            edges = self._sweeps[priority] = tuple(self.edges(priority))
-        return edges
-
-    def edges(self, priority):
-        """Yield the (index, prev, axis) of every node in lexicographic order
-        over the axes in ``priority`` order (a permutation of 0, 1, ...).
-
-        The origin comes first with prev = axis = None; every other node is
-        one step along ``axis`` from ``prev``, where ``axis`` is its last
-        nonzero axis in priority order.  These are the ``flat_edges`` with
-        the flat indices unravelled.
-        """
-        nodes, prevs, axes = self.flat_edges(priority)
-        yield (0,) * self.dims, None, None
-        index = zip(*(c.tolist() for c in np.unravel_index(nodes, self.nodes)))
-        prev = zip(*(c.tolist() for c in np.unravel_index(prevs, self.nodes)))
-        yield from zip(index, prev, axes)
-
     def flat_edges(self, priority):
-        """The edges of ``edges(priority)`` after the origin, as three lists
-        of ints: each node's flat (C order) index, its predecessor's, and
-        the axis of the step between them, built by whole-grid array
-        operations."""
+        """The grid's spanning tree as three lists of ints: each node's flat
+        (C order) index, its predecessor's, and the axis of the step.
+
+        The nodes after the origin come in lexicographic order over the axes
+        in ``priority`` order (a permutation of 0, 1, ...; ``range(dims)`` is
+        C order), each one step along its last nonzero axis in that order.
+        """
         if sorted(priority) != list(range(self.dims)):
             raise StructuralError(f"invalid axis priority {priority}")
         size = int(np.prod(self.nodes))
@@ -113,14 +91,14 @@ class GridSpec:
         return order.tolist(), (order - strides[axes]).tolist(), axes.tolist()
 
     def sweep_regions(self):
-        """Yield (axis, region) per axis in the default sweep order.
+        """Yield (axis, region) per axis of the default ``flat_edges`` tree.
 
         ``region`` indexes the (nodes[0], ..., nodes[axis]) block of nodes
         with zeros on the later axes.  Within it, every node with a nonzero
-        index along ``axis`` has its ``sweep`` predecessor one step back
-        along ``axis``, and the block's nodes with index 0 along ``axis`` are
+        index along ``axis`` has its tree predecessor one step back along
+        ``axis``, and the block's nodes with index 0 along ``axis`` are
         those of the regions before it, so the regions in order fill the
-        grid edge by edge exactly as ``sweep`` does.
+        grid edge by edge along the default ``flat_edges`` tree.
         """
         for axis in range(self.dims):
             yield axis, (slice(None),) * (axis + 1) + (0,) * (self.dims - axis - 1)
@@ -223,9 +201,8 @@ def integrate_grid(xi0, family, grid, substeps=4):
     to the other, P the product of the node counts of the axes before
     them; the per-edge cost rises with the power, so for any node counts no
     order is cheaper.  The fill walks the flat index pairs of
-    ``grid.flat_edges(priority)``, built for this call only; no sweep tuple
-    of this order is kept.  A ``BlowUpError`` names the first failing node
-    in this order.
+    ``grid.flat_edges(priority)``.  A ``BlowUpError`` names the first
+    failing node in this order.
     """
     if family.dims != grid.dims:
         raise StructuralError(

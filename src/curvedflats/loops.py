@@ -62,8 +62,9 @@ def evaluate_stack(stack, lo, mu):
 class LoopElement:
     """Matrix Laurent polynomial with coefficients indexed by degree.
 
-    ``check='twisted'`` validates the twist condition; ``check='none'`` admits
-    untwisted products (loop_mul outputs, whose coefficients leave g).
+    ``check='twisted'`` validates the twist condition, which a non-finite
+    entry fails; ``check='none'`` admits untwisted products (loop_mul
+    outputs, whose coefficients leave g).
     """
 
     def __init__(self, stack, lo, spec, check="twisted"):
@@ -77,7 +78,7 @@ class LoopElement:
         if check == "twisted":
             scale = max(1.0, float(np.max(np.abs(stack)))) if stack.size else 1.0
             res = twist_residual(stack, self.lo, spec)
-            if res > EPS_ALGEBRA * scale:
+            if not res <= EPS_ALGEBRA * scale:  # a NaN residual fails too
                 raise StructuralError(
                     f"twist condition violated: residual {res:.3e}"
                 )
@@ -113,7 +114,7 @@ class LoopElement:
         return f"LoopElement(degrees {self.lo}..{self.hi}, dim={self.spec.dim})"
 
 
-class LaxState:
+class LaxState(LoopElement):
     """Polynomial loop of degrees 0..d (d odd), the state space of the flows."""
 
     def __init__(self, stack, spec, check=True):
@@ -121,22 +122,8 @@ class LaxState:
         d = stack.shape[0] - 1
         if d < 1 or d % 2 == 0:
             raise StructuralError(f"degree d must be odd and positive, got {d}")
-        self.inner = LoopElement(stack, 0, spec, check="twisted" if check else "none")
+        super().__init__(stack, 0, spec, check="twisted" if check else "none")
         self.d = d
-
-    @property
-    def stack(self):
-        return self.inner.stack
-
-    @property
-    def spec(self):
-        return self.inner.spec
-
-    def evaluate(self, mu):
-        return self.inner.evaluate(mu)
-
-    def norm(self):
-        return self.inner.norm()
 
     def __repr__(self):
         return f"LaxState(d={self.d}, dim={self.spec.dim})"

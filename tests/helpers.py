@@ -204,14 +204,14 @@ def rk4_per_stage(stack, r, d, t, steps, norm0):
 
 def integrate_grid_default_sweep(xi0, family, grid, substeps):
     """The former ``lax.integrate_grid``: the Lax fill along the default
-    ``grid.sweep()``, flow 1 along x1 from the seed, then flow 2 along x2
-    from every x1-node, ...; returns the states."""
+    tree of ``edges_per_node``, flow 1 along x1 from the seed, then flow 2
+    along x2 from every x1-node, ...; returns the states."""
     from curvedflats.lax import _rk4
 
     states = np.zeros(grid.nodes + xi0.stack.shape)
     states[(0,) * grid.dims] = xi0.stack
     norm0 = max(1.0, xi0.norm())
-    for index, prev, axis in grid.sweep():
+    for index, prev, axis in edges_per_node(grid, range(grid.dims)):
         if prev is not None:
             states[index] = _rk4(states[prev], family.powers[axis], family.d,
                                  grid.steps[axis], substeps, norm0)
@@ -219,8 +219,9 @@ def integrate_grid_default_sweep(xi0, family, grid, substeps):
 
 
 def edges_per_node(grid, priority):
-    """The former ``GridSpec.edges``: per node, the index and predecessor
-    lists built from an ``itertools.product`` over the axes in
+    """The tree of ``GridSpec.flat_edges(priority)`` node by node, the
+    origin first with prev = axis = None: per node, the index and
+    predecessor tuples built from an ``itertools.product`` over the axes in
     ``priority`` order."""
     import itertools
 
@@ -249,7 +250,8 @@ def integrate_frame_per_edge(conn, mus, grid, axis_priority=None):
     h = grid.steps
     frames = np.zeros((len(mus),) + grid.nodes + (n, n))
     every = (slice(None),)
-    for index, prev, axis in grid.sweep(axis_priority):
+    priority = range(grid.dims) if axis_priority is None else axis_priority
+    for index, prev, axis in edges_per_node(grid, priority):
         if prev is None:
             frames[every + index] = np.eye(n)
             continue
@@ -494,7 +496,7 @@ def greedy_gauge_h(conn, spec):
 
     h_field = np.zeros(grid.nodes + (n, n))
     p_sing, p_ker, q_field = {}, {}, {}
-    for index, prev, _axis in grid.sweep():
+    for index, prev, _axis in edges_per_node(grid, range(grid.dims)):
         span = [AlgebraElement(a1[index + (j,)], spec.space, tol=1e-9)
                 for j in range(k)]
         if not _admissible_span_per_element(span, spec, 1e-9):
@@ -524,9 +526,9 @@ def greedy_gauge_h(conn, spec):
 
 def developing_psi_per_node(betas, grid):
     """The former node-by-node trapezoid walk of ``geometry.developing_map``
-    along ``grid.sweep``."""
+    along the default tree of ``edges_per_node``."""
     psi = np.zeros(grid.nodes + (betas.shape[-1],))
-    for index, prev, axis in grid.sweep():
+    for index, prev, axis in edges_per_node(grid, range(grid.dims)):
         if prev is None:
             continue
         avg = 0.5 * (betas[prev + (axis,)] + betas[index + (axis,)])

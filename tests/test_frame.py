@@ -411,3 +411,4 @@ def test_integrate_frame_batch_matches_single_samples(small_run, axis_priority):
         assert np.array_equal(field.frames, stack[k])
         assert np.max(np.abs(field.frames - single.frames)) <= 1e-13
         assert abs(field.max_drift - single.max_drift) <= 1e-13
+    assert integrate_frame(conn, [], grid, axis_priority=axis_priority) == []

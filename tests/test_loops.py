@@ -128,6 +128,19 @@ def test_twist_validation():
         LaxState(bad, SPEC)  # even degree count => d not odd
 
 
+def test_twist_check_rejects_a_nan_entry():
+    # A NaN twist residual compares False with any bound, so the check must
+    # accept only a residual that is at most it.
+    stack = random_lax_state().stack.copy()
+    stack[1, 0, 4] = np.nan
+    with pytest.raises(StructuralError, match="twist condition"):
+        LoopElement(stack, 0, SPEC, check="twisted")
+    with pytest.raises(StructuralError, match="twist condition"):
+        LaxState(stack, SPEC)
+    kept = LaxState(stack, SPEC, check=False)
+    assert np.isnan(kept.stack[1, 0, 4])
+
+
 def test_lax_state_requires_odd_degree():
     stack = np.zeros((3, 5, 5))
     with pytest.raises(StructuralError):
@@ -147,7 +160,7 @@ def test_flow_family_validation():
 
 
 def test_loop_mul_unit_and_single_term():
-    xi = random_lax_state().inner
+    xi = random_lax_state()
     unit = LoopElement(np.eye(5)[None], 0, SPEC, check="none")
     prod = loop_mul(xi, unit)
     assert prod.lo == xi.lo
@@ -161,8 +174,8 @@ def test_loop_mul_unit_and_single_term():
 
 def test_loop_mul_evaluation_homomorphism():
     for _ in range(5):
-        xi = random_lax_state(d=3).inner
-        eta = random_lax_state(d=1).inner
+        xi = random_lax_state(d=3)
+        eta = random_lax_state(d=1)
         mu0 = 0.7
         lhs = loop_mul(xi, eta).evaluate(mu0)
         rhs = xi.evaluate(mu0) @ eta.evaluate(mu0)
