@@ -6,11 +6,7 @@ from .algebra import (
     AlgebraElement,
     BilinearSpace,
     SymmetricSpaceSpec,
-    bracket,
-    decompose,
-    group_exp,
     in_group_residual,
-    invariant_form,
     is_abelian,
     is_cartan,
 )
@@ -26,7 +22,6 @@ from .geometry import (
     DevelopingMap,
     GaugeField,
     ImmersionData,
-    curved_flat_planes,
     developing_map,
     gauge_to_normal_form,
     reconstruct_immersion,
@@ -38,21 +33,9 @@ from .lax import (
     GridSpec,
     commutativity_check,
     conservation_report,
-    integrate_flow,
     integrate_grid,
 )
-from .loops import (
-    FlowFamily,
-    LaxState,
-    LoopElement,
-    flow_field,
-    loop_mul,
-    project_minus,
-    project_plus,
-    r_matrix,
-    spectral_invariants,
-    tilde_v,
-)
+from .loops import FlowFamily, LaxState, LoopElement
 from .presets import make_preset, preset_names
 
 __version__ = "0.1.0"
@@ -72,33 +55,20 @@ __all__ = [
     "LoopElement",
     "SymmetricSpaceSpec",
     "abelian_residual",
-    "bracket",
     "commutativity_check",
     "connection_from_state",
     "conservation_report",
-    "curved_flat_planes",
-    "decompose",
     "developing_map",
-    "flow_field",
     "gauge_to_normal_form",
-    "group_exp",
     "in_group_residual",
-    "integrate_flow",
     "integrate_frame",
     "integrate_grid",
-    "invariant_form",
     "is_abelian",
     "is_cartan",
-    "loop_mul",
     "make_preset",
     "mc_residual",
     "preset_names",
-    "project_minus",
-    "project_plus",
-    "r_matrix",
     "reconstruct_immersion",
-    "spectral_invariants",
     "spectral_reparam",
-    "tilde_v",
     "verify_space_form_geometry",
 ]

@@ -3,11 +3,14 @@
 Everything downstream is built on g = so(J) = {X : X^T J + J X = 0} for a
 diagonal metric J with entries +-1, together with the symmetric decomposition
 g = k + p induced by conjugation with a diagonal block-signature matrix S.
-All operations are pure functions of immutable values, with one exception:
-each ``SymmetricSpaceSpec`` keeps a small verdict cache that ``is_cartan``
-fills, so a span judged once on that spec is answered without repeating the
-test.  A cached verdict is the one the test gave for the same bytes, so it
-changes no result.
+The module holds what the pipeline calls: the k/p projections, the
+Cartan-subspace test, the matrix exponential and the so(J) and group
+residuals over whole stacks; brackets and the trace form are written inline
+where they are needed.  All operations are pure functions of immutable
+values, with one exception: each ``SymmetricSpaceSpec`` keeps a small
+verdict cache that ``is_cartan`` fills, so a span judged once on that spec
+is answered without repeating the test.  A cached verdict is the one the
+test gave for the same bytes, so it changes no result.
 """
 
 from functools import cached_property
@@ -69,10 +72,6 @@ class BilinearSpace:
     def is_definite(self):
         return self.neg == 0
 
-    def inner(self, u, v):
-        """<u, v>_J = sum_i J_ii u_i v_i."""
-        return float(np.dot(u, self.j_diag * v))
-
     def __eq__(self, other):
         return (
             isinstance(other, BilinearSpace)
@@ -124,10 +123,6 @@ class SymmetricSpaceSpec:
     @property
     def split(self):
         return (self.n1, self.n2)
-
-    def involution(self, m):
-        """sigma(X) = S X S on a raw matrix."""
-        return np.outer(self.s_diag, self.s_diag) * m
 
     def k_project(self, m):
         return m * self._k_mask
@@ -211,56 +206,14 @@ class AlgebraElement:
     def norm(self):
         return float(np.max(np.abs(self.matrix)))
 
-    def __add__(self, other):
-        _check_same_space(self, other)
-        return AlgebraElement(self.matrix + other.matrix, self.space)
-
-    def __sub__(self, other):
-        _check_same_space(self, other)
-        return AlgebraElement(self.matrix - other.matrix, self.space)
-
-    def __rmul__(self, scalar):
-        return AlgebraElement(float(scalar) * self.matrix, self.space)
-
     def __repr__(self):
         return f"AlgebraElement(dim={self.space.dim}, norm={self.norm:.3g})"
-
-
-def _check_same_space(x, y):
-    if x.space != y.space:
-        raise StructuralError("elements live over different bilinear spaces")
 
 
 def skew_project(m, space):
     """Project raw matrices (..., n, n) onto so(J): X -> (X - J X^T J)/2."""
     j = space.j_diag
     return 0.5 * (m - j[:, None] * np.swapaxes(m, -1, -2) * j[None, :])
-
-
-def bracket(x, y):
-    """Lie bracket [X, Y] = XY - YX."""
-    _check_same_space(x, y)
-    return AlgebraElement(x.matrix @ y.matrix - y.matrix @ x.matrix, x.space)
-
-
-def invariant_form(x, y):
-    """Ad-invariant trace form <X, Y> = -tr(XY)/2.
-
-    Proportional to the Killing form of so(p, q); the normalization makes
-    unit off-block generators have unit length.
-    """
-    _check_same_space(x, y)
-    return -0.5 * float(np.trace(x.matrix @ y.matrix))
-
-
-def decompose(x, spec):
-    """Split X into its k (block-diagonal) and p (off-block) parts."""
-    if x.space != spec.space:
-        raise StructuralError("element lives over a different bilinear space")
-    return (
-        AlgebraElement(spec.k_project(x.matrix), x.space),
-        AlgebraElement(spec.p_project(x.matrix), x.space),
-    )
 
 
 def _span_stack(span, n=None):
@@ -440,11 +393,6 @@ def expm(m):
         more = squarings > i
         result[more] = result[more] @ result[more]
     return result.reshape(shape)
-
-
-def group_exp(x, t=1.0):
-    """exp(tX) for X in g; lands in the pseudo-orthogonal group O(J)."""
-    return expm(float(t) * x.matrix)
 
 
 def group_defects(g, space):

@@ -653,6 +653,8 @@ def verify_command(out_dir):
         stored = None
         if config.outputs["report"]:
             stored = json.loads(artifact("report.json").read_text())
+            if not isinstance(stored, dict):
+                raise ValueError("report.json does not hold a JSON object")
         with np.load(artifact("arrays.npz")) as arrays:
             states = arrays["states"]
             frames = arrays["frames"]
@@ -696,6 +698,8 @@ def _cmd_run(args):
             raw = json.loads(path.read_text())
         except json.JSONDecodeError as err:
             raise ConfigError(f"invalid JSON in {path}: {err}") from err
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"unreadable config {path}: {err}") from err
         config = RunConfig(raw)
         report, code = run_pipeline(config, out)
     except Exception as err:

@@ -101,22 +101,6 @@ class ImmersionData:
         )
 
 
-def curved_flat_planes(frames, spec):
-    """Projector field P = F Pi0 F^-1 onto the moving plane.
-
-    Pi0 projects onto the first n1 coordinates; F^-1 = J F^T J keeps the
-    computation in the group.  P is idempotent, of rank n1, and
-    J-self-adjoint.
-    """
-    n, n1 = spec.dim, spec.n1
-    j = spec.space.j_diag
-    pi0 = np.zeros((n, n))
-    pi0[:n1, :n1] = np.eye(n1)
-    f = frames.frames
-    f_inv = j[None, :] * np.swapaxes(f, -1, -2) * j[:, None]
-    return f @ pi0 @ f_inv
-
-
 def _canonical_signs(columns):
     """Per column the sign (+-1) making its largest-magnitude entry positive."""
     lead = columns[np.argmax(np.abs(columns), axis=0), np.arange(columns.shape[1])]

@@ -177,18 +177,6 @@ def _rk4(stack, r, d, t, steps, norm0):
     return y
 
 
-def integrate_flow(xi0, r, t, steps):
-    """Integrate the r-flow for time t with the given number of RK4 steps."""
-    if steps < 1:
-        raise StructuralError(f"steps must be >= 1, got {steps}")
-    if t == 0.0:
-        return LaxState(xi0.stack.copy(), xi0.spec, check=False)
-    norm0 = max(1.0, xi0.norm())
-    with np.errstate(**_BLOWUP_IS_CHECKED):
-        y = _rk4(xi0.stack, r, xi0.d, float(t), int(steps), norm0)
-    return LaxState(y, xi0.spec, check=False)
-
-
 def integrate_grid(xi0, family, grid, substeps=4):
     """Fill the grid along ``grid.flat_edges(priority)``, one RK4 edge per
     node.

@@ -8,26 +8,15 @@ X_r(xi) = [xi, pi_+ Vt_r(xi)] with Vt_r(xi)(mu) = mu^(1-d*r) xi(mu)^r.
 The flows and the connection share one kernel for the two coefficients of
 pi_+ Vt_r: ``top_powers`` builds the powers of the top coefficient xi_d, a
 first integral of every flow, and ``connection_coefficients`` takes them;
-the seed test reads A1 = xi_d^r from ``top_powers`` alone.  ``tilde_v`` and
-``flow_field`` build the full Cauchy power and serve as the tests' reference.
+the seed test reads A1 = xi_d^r from ``top_powers`` alone.  The full Cauchy
+power and the flow field built from it (``tilde_v``, ``flow_field``) are the
+tests' independent reference, in ``tests/helpers.py``.
 """
-
-import warnings
 
 import numpy as np
 
 from .algebra import EPS_ALGEBRA, RESIDUAL_BLOCK, membership_residual
 from .errors import NumericalError, StructuralError
-
-
-def stack_mul(a, b):
-    """Cauchy product of two coefficient stacks (degree-indexed matmul)."""
-    la, lb = a.shape[0], b.shape[0]
-    prod = a[:, None] @ b[None, :]
-    out = np.zeros((la + lb - 1,) + a.shape[1:])
-    for i in range(la):
-        out[i : i + lb] += prod[i]
-    return out
 
 
 def twist_residual(stack, lo, spec):
@@ -63,8 +52,8 @@ class LoopElement:
     """Matrix Laurent polynomial with coefficients indexed by degree.
 
     ``check='twisted'`` validates the twist condition, which a non-finite
-    entry fails; ``check='none'`` admits untwisted products (loop_mul
-    outputs, whose coefficients leave g).
+    entry fails; ``check='none'`` admits untwisted stacks (Cauchy powers,
+    whose coefficients leave g).
     """
 
     def __init__(self, stack, lo, spec, check="twisted"):
@@ -82,18 +71,6 @@ class LoopElement:
                 raise StructuralError(
                     f"twist condition violated: residual {res:.3e}"
                 )
-
-    @classmethod
-    def from_coeffs(cls, coeffs, spec, check="twisted"):
-        """Build from a {degree: matrix} mapping."""
-        if not coeffs:
-            raise StructuralError("empty coefficient mapping")
-        lo, hi = min(coeffs), max(coeffs)
-        n = spec.dim
-        stack = np.zeros((hi - lo + 1, n, n))
-        for k, m in coeffs.items():
-            stack[k - lo] = np.asarray(m, dtype=float)
-        return cls(stack, lo, spec, check=check)
 
     @property
     def hi(self):
@@ -153,95 +130,19 @@ class FlowFamily:
         return f"FlowFamily(powers={self.powers}, d={self.d})"
 
 
-def loop_mul(xi, eta):
-    """Product of loops; the result is generally untwisted."""
-    if xi.spec.space != eta.spec.space:
-        raise StructuralError("loops over different spaces")
-    return LoopElement(
-        stack_mul(xi.stack, eta.stack), xi.lo + eta.lo, xi.spec, check="none"
-    )
-
-
-def _slice(xi, keep):
-    idx = [i for i in range(xi.stack.shape[0]) if keep(xi.lo + i)]
-    if not idx:
-        n = xi.spec.dim
-        return LoopElement(np.zeros((1, n, n)), 0, xi.spec, check="none")
-    stack = np.zeros_like(xi.stack[min(idx) : max(idx) + 1])
-    for i in idx:
-        stack[i - min(idx)] = xi.stack[i]
-    return LoopElement(stack, xi.lo + min(idx), xi.spec, check="none")
-
-
-def project_plus(xi):
-    """pi_+: keep degrees >= 0 (polynomial part)."""
-    return _slice(xi, lambda k: k >= 0)
-
-
-def project_minus(xi):
-    """pi_-: keep degrees <= -1 (part vanishing at infinity)."""
-    return _slice(xi, lambda k: k <= -1)
-
-
-def r_matrix(xi):
-    """R = (pi_+ - pi_-)/2, coefficient-wise exact."""
-    plus = project_plus(xi)
-    minus = project_minus(xi)
-    coeffs = {}
-    for k in range(plus.lo, plus.hi + 1):
-        coeffs[k] = 0.5 * plus.coefficient(k)
-    for k in range(minus.lo, minus.hi + 1):
-        coeffs[k] = coeffs.get(k, 0.0) - 0.5 * minus.coefficient(k)
-    return LoopElement.from_coeffs(coeffs, xi.spec, check="none")
-
-
-def tilde_v(xi, r):
-    """Vt_r(xi)(mu) = mu^(1 - d*r) xi(mu)^r for odd r; degrees 1-dr .. 1.
-
-    Even powers break the equivariance that makes the flows well defined on
-    the twisted algebra, so they are rejected.
-    """
-    if r < 1 or r % 2 == 0:
-        raise StructuralError(f"flow power must be odd and positive, got {r}")
-    powered = xi.stack
-    for _ in range(r - 1):
-        powered = stack_mul(powered, xi.stack)
-    return LoopElement(powered, 1 - xi.d * r, xi.spec, check="none")
-
-
-def flow_field(xi, r):
-    """X_r(xi) = [xi, pi_+ Vt_r(xi)], truncated to degrees 0..d.
-
-    The bracket a priori reaches degree d+1, but the top coefficient is
-    [xi_d, xi_d^r] = 0; coefficients outside 0..d are checked to vanish.
-    """
-    plus = project_plus(tilde_v(xi, r))
-    full = stack_mul(xi.stack, plus.stack) - stack_mul(plus.stack, xi.stack)
-    d = xi.d
-    tail = full[d + 1 :]
-    if tail.size:
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(xi.stack))) ** (r + 1))
-        tail_norm = float(np.max(np.abs(tail)))
-        if tail_norm > tol:
-            raise NumericalError(
-                f"flow field left the state space: stray coefficient {tail_norm:.3e}"
-            )
-    return LaxState(full[: d + 1], xi.spec, check=False)
-
-
 def flow_rhs(stack, powers, d):
     """Raw right-hand side of the r-flow on a coefficient stack (hot path).
 
-    Equals flow_field up to dropping the identically-zero degree-(d+1) term:
-    coefficient k is [xi_k, b0] + [xi_{k-1}, b1] with (b0, b1) the pair of
-    ``connection_coefficients`` and r = ``len(powers)``, the powers of xi_d
-    from ``top_powers``.  A stack with leading (node) axes is one broadcast
-    expression over all degrees and nodes.  A single state (d+1, n, n), the
-    RK4 edge's case, takes each right product of all its degrees as one
-    ``ndarray.dot`` on the (d+1)n x n row stack and each left product as one
-    matmul, and subtracts the commutator halves in place.  Every entry is
-    the same two gemm sums, subtracted and added in the same order, so both
-    paths equal the single-stack per-degree loop byte for byte.
+    X_r(xi) = [xi, pi_+ Vt_r(xi)] without its identically-zero degree-(d+1)
+    term: coefficient k is [xi_k, b0] + [xi_{k-1}, b1] with (b0, b1) the
+    pair of ``connection_coefficients`` and r = ``len(powers)``, the powers
+    of xi_d from ``top_powers``.  A stack with leading (node) axes is one
+    broadcast expression over all degrees and nodes.  A single state (d+1,
+    n, n), the RK4 edge's case, takes each right product of all its degrees
+    as one ``ndarray.dot`` on the (d+1)n x n row stack and each left product
+    as one matmul, and subtracts the commutator halves in place.  Every
+    entry is the same two gemm sums, subtracted and added in the same order,
+    so both paths equal the single-stack per-degree loop byte for byte.
     """
     b0, b1 = connection_coefficients(stack, powers, d)
     if stack.ndim == 3:
@@ -285,10 +186,10 @@ def connection_coefficients(stack, powers, d):
     These are the top two coefficients of xi^r (degrees dr-1, dr), with
     r = ``len(powers)`` and ``powers`` the ``top_powers`` of xi_d: the
     degree-dr one is xi_d^r = ``powers[-1]``, the degree-(dr-1) one the chain
-    lo <- lo xi_d + xi_d^k xi_{d-1} from lo = xi_{d-1}.  ``stack_mul`` starts
-    its sums from +0; a BLAS product sums from +0 too, so it is never -0 and
-    the chain needs no explicit zero start to equal the full Cauchy power
-    bit for bit, signed zeros included, when ``powers`` come from this
+    lo <- lo xi_d + xi_d^k xi_{d-1} from lo = xi_{d-1}.  The Cauchy product
+    starts its sums from +0; a BLAS product sums from +0 too, so it is never
+    -0 and the chain needs no explicit zero start to equal the full Cauchy
+    power bit for bit, signed zeros included, when ``powers`` come from this
     stack's xi_d.  ``stack`` is (..., d+1, n, n); leading (node) axes are
     carried through.  A single state (every RK4 stage) multiplies with
     ``ndarray.dot`` as ``top_powers`` does.
@@ -318,11 +219,3 @@ def trace_powers(m, max_power):
         raise NumericalError("non-finite spectral invariant")
     return out
 
-
-def spectral_invariants(xi, mu0, max_power):
-    """[tr(xi(mu0)^2), tr(xi(mu0)^4), ...] up to max_power (even)."""
-    if max_power < 2 or max_power % 2 != 0:
-        raise StructuralError(f"max_power must be even and >= 2, got {max_power}")
-    if mu0 == 0.0:
-        warnings.warn("spectral invariants evaluated at mu0 = 0", stacklevel=2)
-    return [float(v) for v in trace_powers(xi.evaluate(mu0), max_power)]

@@ -3,6 +3,8 @@
 import numpy as np
 
 from curvedflats.algebra import BilinearSpace, SymmetricSpaceSpec, AlgebraElement
+from curvedflats.errors import NumericalError, StructuralError
+from curvedflats.loops import LaxState, LoopElement
 
 
 def so3_spec():
@@ -314,6 +316,70 @@ def special_value_stacks(rng, shape):
         stack[picks] = np.resize(values, len(picks))
         yield stack.reshape(shape)
     yield -np.zeros(shape)
+
+
+def stack_mul(a, b):
+    """Cauchy product of two coefficient stacks (degree-indexed matmul)."""
+    la, lb = a.shape[0], b.shape[0]
+    prod = a[:, None] @ b[None, :]
+    out = np.zeros((la + lb - 1,) + a.shape[1:])
+    for i in range(la):
+        out[i : i + lb] += prod[i]
+    return out
+
+
+def tilde_v(xi, r):
+    """Vt_r(xi)(mu) = mu^(1 - d*r) xi(mu)^r for odd r; degrees 1-dr .. 1.
+
+    The full Cauchy power, against which the pipeline's top-two kernel
+    (``loops.connection_coefficients``) is checked.  Even powers break the
+    equivariance that makes the flows well defined on the twisted algebra,
+    so they are rejected.
+    """
+    if r < 1 or r % 2 == 0:
+        raise StructuralError(f"flow power must be odd and positive, got {r}")
+    powered = xi.stack
+    for _ in range(r - 1):
+        powered = stack_mul(powered, xi.stack)
+    return LoopElement(powered, 1 - xi.d * r, xi.spec, check="none")
+
+
+def flow_field(xi, r):
+    """X_r(xi) = [xi, pi_+ Vt_r(xi)], truncated to degrees 0..d: the
+    reference for ``loops.flow_rhs``.
+
+    pi_+ Vt_r is the top two coefficients of ``tilde_v`` (degrees 0 and 1).
+    The bracket a priori reaches degree d+1, but the top coefficient is
+    [xi_d, xi_d^r] = 0; coefficients outside 0..d are checked to vanish.
+    """
+    plus = tilde_v(xi, r).stack[-2:]
+    full = stack_mul(xi.stack, plus) - stack_mul(plus, xi.stack)
+    d = xi.d
+    tail = full[d + 1 :]
+    if tail.size:
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(xi.stack))) ** (r + 1))
+        tail_norm = float(np.max(np.abs(tail)))
+        if tail_norm > tol:
+            raise NumericalError(
+                f"flow field left the state space: stray coefficient {tail_norm:.3e}"
+            )
+    return LaxState(full[: d + 1], xi.spec, check=False)
+
+
+def curved_flat_planes(frames, spec):
+    """Projector field P = F Pi0 F^-1 onto the moving plane.
+
+    Pi0 projects onto the first n1 coordinates; F^-1 = J F^T J keeps the
+    computation in the group.  P is idempotent, of rank n1, and
+    J-self-adjoint.
+    """
+    n, n1 = spec.dim, spec.n1
+    j = spec.space.j_diag
+    pi0 = np.zeros((n, n))
+    pi0[:n1, :n1] = np.eye(n1)
+    f = frames.frames
+    f_inv = j[None, :] * np.swapaxes(f, -1, -2) * j[:, None]
+    return f @ pi0 @ f_inv
 
 
 def flow_rhs_single(stack, r, d):

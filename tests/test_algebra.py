@@ -9,11 +9,8 @@ from curvedflats.algebra import (
     AlgebraElement,
     BilinearSpace,
     SymmetricSpaceSpec,
-    bracket,
-    decompose,
-    group_exp,
+    expm,
     in_group_residual,
-    invariant_form,
     is_abelian,
     is_cartan,
     membership_residual,
@@ -128,104 +125,33 @@ def test_membership_residual_peak_memory_is_a_few_blocks(residual, bounded):
     assert (peak <= 1e6) is bounded, peak
 
 
-def test_bracket_antisymmetry_and_zero():
-    spec = so3_spec()
-    x = random_element(RNG, spec)
-    zero = AlgebraElement(np.zeros((3, 3)), spec.space)
-    assert bracket(x, x).norm == 0.0
-    assert bracket(x, zero).norm == 0.0
-
-
-def test_bracket_so3_example():
-    # [P1, P2] = -(E12 - E21) for P1 = E13 - E31, P2 = E23 - E32 (1-based),
-    # frozen against a direct matrix-product oracle.
-    spec = so3_spec()
-    p1 = AlgebraElement(elem(0, 2, 3) - elem(2, 0, 3), spec.space)
-    p2 = AlgebraElement(elem(1, 2, 3) - elem(2, 1, 3), spec.space)
-    expected = -(elem(0, 1, 3) - elem(1, 0, 3))
-    oracle = p1.matrix @ p2.matrix - p2.matrix @ p1.matrix
-    assert np.allclose(oracle, expected)
-    assert np.allclose(bracket(p1, p2).matrix, expected)
-
-
-def test_bracket_dimension_mismatch():
-    with pytest.raises(StructuralError):
-        bracket(
-            random_element(RNG, so3_spec()),
-            random_element(RNG, so5_spec()),
-        )
-
-
-def test_invariant_form_values():
-    spec = so3_spec()
-    p1 = AlgebraElement(elem(0, 2, 3) - elem(2, 0, 3), spec.space)
-    zero = AlgebraElement(np.zeros((3, 3)), spec.space)
-    assert invariant_form(p1, p1) == pytest.approx(1.0, abs=1e-14)
-    assert invariant_form(p1, zero) == 0.0
-
-
-def test_invariant_form_ad_invariance():
-    spec = so5_spec()
-    for _ in range(20):
-        x = random_element(RNG, spec)
-        y = random_element(RNG, spec)
-        z = random_element(RNG, spec)
-        lhs = invariant_form(bracket(z, x), y) + invariant_form(x, bracket(z, y))
-        assert abs(lhs) < 1e-12
-
-
-def test_invariant_form_definite_on_compact_basis():
-    # Gram matrix on the elementary basis of so(4) is positive definite.
-    space = BilinearSpace(4, 0)
-    basis = [
-        AlgebraElement(elem(i, j, 4) - elem(j, i, 4), space)
-        for i in range(4)
-        for j in range(i + 1, 4)
-    ]
-    gram = np.array([[invariant_form(x, y) for y in basis] for x in basis])
-    assert np.min(np.linalg.eigvalsh(gram)) > 0.5
-
-
 def test_decompose_identities():
     spec = so5_spec()
+    sigma = np.outer(spec.s_diag, spec.s_diag)  # S X S = sigma * X
     for _ in range(10):
-        x = random_element(RNG, spec)
-        k_part, p_part = decompose(x, spec)
-        assert np.allclose(k_part.matrix + p_part.matrix, x.matrix, atol=1e-14)
-        assert np.allclose(spec.involution(k_part.matrix), k_part.matrix)
-        assert np.allclose(spec.involution(p_part.matrix), -p_part.matrix)
-    block = AlgebraElement(elem(0, 1, 5) - elem(1, 0, 5), spec.space)
-    k_part, p_part = decompose(block, spec)
-    assert p_part.norm == 0.0
-    off = AlgebraElement(elem(0, 2, 3) - elem(2, 0, 3), so3_spec().space)
-    k_part, p_part = decompose(off, so3_spec())
-    assert k_part.norm == 0.0
+        x = random_element(RNG, spec).matrix
+        k_part, p_part = spec.k_project(x), spec.p_project(x)
+        # Both parts stay in so(J): AlgebraElement validates membership.
+        AlgebraElement(k_part, spec.space)
+        AlgebraElement(p_part, spec.space)
+        assert np.allclose(k_part + p_part, x, atol=1e-14)
+        assert np.allclose(sigma * k_part, k_part)
+        assert np.allclose(sigma * p_part, -p_part)
+    block = elem(0, 1, 5) - elem(1, 0, 5)
+    assert np.max(np.abs(spec.p_project(block))) == 0.0
+    off = elem(0, 2, 3) - elem(2, 0, 3)
+    assert np.max(np.abs(so3_spec().k_project(off))) == 0.0
 
 
 def test_decomposition_bracket_relations():
     spec = so5_spec()
     for _ in range(10):
-        k1 = random_element(RNG, spec, part="k")
-        k2 = random_element(RNG, spec, part="k")
-        p1 = random_element(RNG, spec, part="p")
-        p2 = random_element(RNG, spec, part="p")
-        assert np.max(np.abs(spec.p_project(bracket(k1, k2).matrix))) < 1e-12
-        assert np.max(np.abs(spec.k_project(bracket(k1, p1).matrix))) < 1e-12
-        assert np.max(np.abs(spec.p_project(bracket(p1, p2).matrix))) < 1e-12
-
-
-def test_jacobi_identity():
-    spec = so5_spec()
-    for _ in range(20):
-        x = random_element(RNG, spec)
-        y = random_element(RNG, spec)
-        z = random_element(RNG, spec)
-        total = (
-            bracket(bracket(x, y), z).matrix
-            + bracket(bracket(y, z), x).matrix
-            + bracket(bracket(z, x), y).matrix
+        k1, k2, p1, p2 = (
+            random_element(RNG, spec, part=part).matrix for part in "kkpp"
         )
-        assert np.max(np.abs(total)) < 1e-10
+        assert np.max(np.abs(spec.p_project(k1 @ k2 - k2 @ k1))) < 1e-12
+        assert np.max(np.abs(spec.k_project(k1 @ p1 - p1 @ k1))) < 1e-12
+        assert np.max(np.abs(spec.p_project(p1 @ p2 - p2 @ p1))) < 1e-12
 
 
 def test_is_abelian():
@@ -268,7 +194,8 @@ def test_is_cartan_agrees_with_oracle_indefinite():
     null_spec = so14_spec(rank=1)
     null_elem = from_offblock([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]], null_spec)
     # Null direction: the trace form degenerates on its span.
-    assert invariant_form(null_elem, null_elem) == pytest.approx(0.0, abs=1e-14)
+    m = null_elem.matrix
+    assert -0.5 * np.trace(m @ m) == pytest.approx(0.0, abs=1e-14)
     assert is_cartan(span_of([null_elem]), null_spec, tol=1e-9) == cartan_oracle(
         [null_elem], null_spec
     )
@@ -323,7 +250,7 @@ def _cartan_candidates(spec, rng):
             for r in (1, 3)
         ])
         # The reference Cartan subspace moved by an isotropy element.
-        h = group_exp(random_element(rng, spec, part="k", scale=0.8))
+        h = expm(random_element(rng, spec, part="k", scale=0.8).matrix)
         h_inv = spec.space.j_diag[:, None] * h.T * spec.space.j_diag[None, :]
         weights = rng.standard_normal((2, n2))
         spans.append([h @ np.tensordot(w, diagonal, 1) @ h_inv for w in weights])
@@ -381,9 +308,9 @@ def test_p_basis_is_built_once_per_spec():
 def test_group_exp_identity_and_rotation():
     spec = so3_spec()
     zero = AlgebraElement(np.zeros((3, 3)), spec.space)
-    assert np.allclose(group_exp(zero), np.eye(3))
+    assert np.allclose(expm(zero.matrix), np.eye(3))
     x = AlgebraElement(elem(0, 1, 3) - elem(1, 0, 3), spec.space)
-    got = group_exp(x, np.pi / 2)
+    got = expm(np.pi / 2 * x.matrix)
     expected = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     assert np.allclose(got, expected, atol=1e-14)
 
@@ -393,15 +320,15 @@ def test_group_exp_inverse_and_group_residual():
     for _ in range(10):
         x = random_element(RNG, spec, scale=0.8)
         t = float(RNG.uniform(-1.0, 1.0))
-        g = group_exp(x, t)
-        assert np.max(np.abs(g @ group_exp(x, -t) - np.eye(5))) < 1e-12
+        g = expm(t * x.matrix)
+        assert np.max(np.abs(g @ expm(-t * x.matrix) - np.eye(5))) < 1e-12
         assert in_group_residual(g, spec.space) < 1e-12
 
 
 def test_group_exp_indefinite_signature():
     spec = so14_spec()
     x = random_element(RNG, spec, scale=0.7)
-    g = group_exp(x, 0.9)
+    g = expm(0.9 * x.matrix)
     assert in_group_residual(g, spec.space) < 1e-12
 
 

@@ -424,14 +424,19 @@ def test_phi_text_does_not_depend_on_its_chunk(monkeypatch, tmp_path, rows):
         assert (chunked / name).read_bytes() == (whole / name).read_bytes()
 
 
-def test_main_rejected_config_writes_error_block(tmp_path):
+def test_main_rejected_config_writes_error_block(tmp_path, capsys):
     # Rejected before any array exists: the error block has no config hash.
-    for name, text in (("small", json.dumps({"nodes": [3, 3]})),
-                       ("json", "{not json")):
+    # A directory and bytes that are not UTF-8 cannot be read as a config.
+    (tmp_path / "dir.json").mkdir()
+    for name, data in (("small", json.dumps({"nodes": [3, 3]}).encode()),
+                       ("json", b"{not json"), ("bytes", b"\xff{}"), ("dir", None)):
         cfg_path = tmp_path / f"{name}.json"
-        cfg_path.write_text(text)
+        if data is not None:
+            cfg_path.write_bytes(data)
         out = tmp_path / name
+        capsys.readouterr()
         assert main(["run", str(cfg_path), "-o", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
         failure = json.loads((out / "report.json").read_text())
         assert failure["pass"] is False
         assert failure["config_hash"] is None
@@ -707,6 +712,12 @@ def test_main_verify_config_nodes_disagree_with_arrays(tmp_path, finished_run, c
     (run / "config.json").write_text(json.dumps(config))
     err = verify_stderr(run, capsys)
     assert "states has shape (9, 9, 4, 5, 5), config implies (5, 5, 4, 5, 5)" in err
+
+
+def test_main_verify_report_not_an_object_exits_2(tmp_path, finished_run, capsys):
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    (run / "report.json").write_text("[]")
+    assert "corrupt artifacts" in verify_stderr(run, capsys)
 
 
 @pytest.mark.parametrize("name", ["states", "frames", "gauge_h"])

@@ -9,27 +9,25 @@ from curvedflats.loops import (
     LaxState,
     LoopElement,
     connection_coefficients,
-    flow_field,
+    evaluate_stack,
     flow_rhs,
-    loop_mul,
-    project_minus,
-    project_plus,
-    r_matrix,
-    spectral_invariants,
-    tilde_v,
     top_powers,
+    trace_powers,
     twist_residual,
 )
+from curvedflats.algebra import expm
 from curvedflats.errors import StructuralError
 
 from curvedflats.presets import make_preset
 
 from helpers import (
+    flow_field,
     flow_rhs_single,
     from_offblock,
     random_element,
     so5_spec,
     special_value_stacks,
+    tilde_v,
     twist_residual_full_product,
     twist_residual_two_projections,
 )
@@ -159,72 +157,6 @@ def test_flow_family_validation():
         FlowFamily([], 3)
 
 
-def test_loop_mul_unit_and_single_term():
-    xi = random_lax_state()
-    unit = LoopElement(np.eye(5)[None], 0, SPEC, check="none")
-    prod = loop_mul(xi, unit)
-    assert prod.lo == xi.lo
-    assert np.allclose(prod.stack, xi.stack)
-    x = random_element(RNG, SPEC).matrix
-    mono = LoopElement(x[None], 1, SPEC, check="none")
-    sq = loop_mul(mono, mono)
-    assert sq.lo == 2 and sq.hi == 2
-    assert np.allclose(sq.coefficient(2), x @ x)
-
-
-def test_loop_mul_evaluation_homomorphism():
-    for _ in range(5):
-        xi = random_lax_state(d=3)
-        eta = random_lax_state(d=1)
-        mu0 = 0.7
-        lhs = loop_mul(xi, eta).evaluate(mu0)
-        rhs = xi.evaluate(mu0) @ eta.evaluate(mu0)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def test_projections_and_r_matrix():
-    x = random_element(RNG, SPEC, part="p").matrix
-    y = random_element(RNG, SPEC, part="k").matrix
-    z = random_element(RNG, SPEC, part="p").matrix
-    # mu X: purely polynomial.
-    xi = LoopElement(np.stack([np.zeros((5, 5)), x]), 0, SPEC)
-    assert np.allclose(project_plus(xi).coefficient(1), x)
-    assert project_minus(xi).norm() == 0.0
-    assert np.allclose(r_matrix(xi).coefficient(1), 0.5 * x)
-    # mu^-1 X: vanishes at infinity.
-    xi = LoopElement(x[None], -1, SPEC)
-    assert project_plus(xi).norm() == 0.0
-    assert np.allclose(r_matrix(xi).coefficient(-1), -0.5 * x)
-    # mu^-1 X + Y + mu Z.
-    xi = LoopElement(np.stack([x, y, z]), -1, SPEC)
-    r = r_matrix(xi)
-    assert np.allclose(r.coefficient(-1), -0.5 * x)
-    assert np.allclose(r.coefficient(0), 0.5 * y)
-    assert np.allclose(r.coefficient(1), 0.5 * z)
-
-
-def test_r_matrix_is_plus_projection_shifted():
-    # (R + 1/2) = pi_+ and (R - 1/2) = -pi_- coefficient-wise.
-    for _ in range(5):
-        stack = np.stack(
-            [
-                random_element(RNG, SPEC, part="k" if k % 2 == 0 else "p").matrix
-                for k in range(-2, 3)
-            ]
-        )
-        xi = LoopElement(stack, -2, SPEC)
-        r = r_matrix(xi)
-        plus = project_plus(xi)
-        minus = project_minus(xi)
-        for k in range(-2, 3):
-            assert np.allclose(
-                r.coefficient(k) + 0.5 * xi.coefficient(k), plus.coefficient(k)
-            )
-            assert np.allclose(
-                r.coefficient(k) - 0.5 * xi.coefficient(k), -minus.coefficient(k)
-            )
-
-
 def test_tilde_v_identity_flow():
     xi = random_lax_state(d=1)
     tv = tilde_v(xi, 1)
@@ -319,7 +251,7 @@ def test_flow_field_tangency_and_twist():
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("r", [1, 3, 5])
 def test_flow_rhs_matches_flow_field(d, r):
-    # flow_rhs is the pipeline's flow; the loop-object layer is its reference.
+    # flow_rhs is the pipeline's flow; the Cauchy-power oracle is its reference.
     rng = np.random.default_rng(100 * d + r)
     states = [random_lax_state(d=d, rng=rng) for _ in range(3)]
     for xi in states:
@@ -377,32 +309,22 @@ def test_flow_rhs_stack_matches_per_slice_loop(d, r):
 
 
 def test_spectral_invariants_values():
-    zero = LaxState(np.zeros((2, 5, 5)), SPEC)
-    assert spectral_invariants(zero, 0.9, 4) == [0.0, 0.0]
+    zero = np.zeros((2, 5, 5))
+    assert trace_powers(evaluate_stack(zero, 0, 0.9), 4).tolist() == [0.0, 0.0]
     b = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     xi1 = from_offblock(b, SPEC).matrix
     xi = LaxState(np.stack([np.zeros((5, 5)), xi1]), SPEC)
     mu0 = 1.3
-    vals = spectral_invariants(xi, mu0, 2)
+    vals = trace_powers(evaluate_stack(xi.stack, 0, mu0), 2)
     assert vals[0] == pytest.approx(-4.0 * mu0**2, rel=1e-13)
 
 
 def test_spectral_invariants_conjugation_invariance():
-    from curvedflats.algebra import group_exp
-
     xi = random_lax_state(d=3)
-    g = group_exp(random_element(RNG, SPEC), 0.6)
+    g = expm(0.6 * random_element(RNG, SPEC).matrix)
     g_inv = np.linalg.inv(g)
-    conj = LaxState(
-        np.stack([g @ c @ g_inv for c in xi.stack]), SPEC, check=False
-    )
+    conj = np.stack([g @ c @ g_inv for c in xi.stack])
     for mu0 in (0.5, 1.0, 2.0):
-        a = spectral_invariants(xi, mu0, 6)
-        b = spectral_invariants(conj, mu0, 6)
+        a = trace_powers(evaluate_stack(xi.stack, 0, mu0), 6)
+        b = trace_powers(evaluate_stack(conj, 0, mu0), 6)
         assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
-
-
-def test_spectral_invariants_flags_mu_zero():
-    xi = random_lax_state(d=1)
-    with pytest.warns(UserWarning):
-        spectral_invariants(xi, 0.0, 2)
