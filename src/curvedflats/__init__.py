@@ -35,7 +35,7 @@ from .lax import (
     conservation_report,
     integrate_grid,
 )
-from .loops import FlowFamily, LaxState, LoopElement
+from .loops import FlowFamily, LaxState
 from .presets import make_preset, preset_names
 
 __version__ = "0.1.0"
@@ -52,7 +52,6 @@ __all__ = [
     "GridSpec",
     "ImmersionData",
     "LaxState",
-    "LoopElement",
     "SymmetricSpaceSpec",
     "abelian_residual",
     "commutativity_check",

@@ -72,14 +72,6 @@ class BilinearSpace:
     def is_definite(self):
         return self.neg == 0
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, BilinearSpace)
-            and self.pos == other.pos
-            and self.neg == other.neg
-            and np.array_equal(self.j_diag, other.j_diag)
-        )
-
     def __repr__(self):
         return f"BilinearSpace(pos={self.pos}, neg={self.neg})"
 

@@ -414,27 +414,13 @@ def _residual_report(states, frames_by_mu, h_field, config):
             gate("unit_quadric", unit_worst, "unit_quadric")
             gate("kernel", kernel_worst, "kernel")
             if grid.dims == 2:
-                gate(
-                    "gauss_curvature",
-                    max(
-                        e["gauss_curvature_max_error"]
-                        for e in geometry["per_mu"].values()
-                    ),
-                    "gauss_curvature",
-                )
-                gate(
-                    "normal_curvature",
-                    max(
-                        e["normal_curvature_residual"]
-                        for e in geometry["per_mu"].values()
-                    ),
-                    "normal_curvature",
-                )
-                gate(
-                    "ii_offdiag",
-                    max(e["ii_offdiag_ratio"] for e in geometry["per_mu"].values()),
-                    "ii_offdiag",
-                )
+                for name, key in (
+                    ("gauss_curvature", "gauss_curvature_max_error"),
+                    ("normal_curvature", "normal_curvature_residual"),
+                    ("ii_offdiag", "ii_offdiag_ratio"),
+                ):
+                    worst = max(e[key] for e in geometry["per_mu"].values())
+                    gate(name, worst, name)
         except NonImmersiveError:
             geometry["status"] = "non-immersive"
             geometry["per_mu"] = {}

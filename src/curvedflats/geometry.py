@@ -37,16 +37,16 @@ DEGENERACY_RATIO = 1e-6
 class GaugeField:
     """Nodewise gauge H in K plus the gauged connection and its coordinates.
 
-    ``betas[node, j, a]`` is the component of the gauged p-part along the
-    a-th diagonal basis element of the reference Cartan subspace.
+    The reference Cartan subspace is spanned by the D_a of p with unit
+    off-block entry at row n1 + a, column n1 - n2 + a; ``betas[node, j, a]``
+    is the component of the gauged p-part along D_a.
     """
 
-    def __init__(self, h, a0, a1, betas, cartan_basis, grid, spec, max_off_span):
+    def __init__(self, h, a0, a1, betas, grid, spec, max_off_span):
         self.h = h                      # (*nodes, n, n), block-diagonal
         self.a0 = a0                    # (*nodes, k, n, n), includes dH term
-        self.a1 = a1                    # (*nodes, k, n, n), in span(cartan_basis)
+        self.a1 = a1                    # (*nodes, k, n, n), in span of the D_a
         self.betas = betas              # (*nodes, k, m)
-        self.cartan_basis = cartan_basis  # (m, n, n), orthonormal
         self.grid = grid
         self.spec = spec
         self.max_off_span = max_off_span
@@ -194,8 +194,9 @@ def _normal_form_gauge(a1, index, spec):
 
 def _check_so_j(a1, space):
     """Raise StructuralError at the first (node, flow) in C order whose A1 is
-    non-finite or off so(J) beyond CARTAN_TOL at its own scale (the test
-    ``AlgebraElement`` applies), over the whole field in one pass."""
+    non-finite or off so(J) beyond CARTAN_TOL at its own scale, over the
+    whole field in one pass.  This is ``AlgebraElement``'s test with the span
+    test's tolerance CARTAN_TOL (1e-9), not EPS_ALGEBRA (1e-12)."""
     j = space.j_diag
     res = np.max(np.abs(np.swapaxes(a1, -1, -2) * j + j[:, None] * a1), axis=(-2, -1))
     scale = np.maximum(1.0, np.max(np.abs(a1), axis=(-2, -1)))
@@ -241,23 +242,7 @@ def gauge_from_h(conn, h_field, spec):
             node=node,
         )
     max_off = float(np.max(off_node))
-    return GaugeField(
-        h_field, a0_t, a1_t, betas, _diagonal_basis(spec), grid, spec, max_off
-    )
-
-
-def _diagonal_basis(spec):
-    """Orthonormal basis D_a of the reference Cartan subspace: unit entry at
-    off-block position (a, kdim + a)."""
-    n, n1, n2 = spec.dim, spec.n1, spec.n2
-    kdim = n1 - n2
-    j = spec.space.j_diag
-    basis = np.zeros((n2, n, n))
-    for a in range(n2):
-        e = np.zeros((n, n))
-        e[n1 + a, kdim + a] = 1.0
-        basis[a] = e - j[:, None] * e.T * j[None, :]
-    return basis
+    return GaugeField(h_field, a0_t, a1_t, betas, grid, spec, max_off)
 
 
 def developing_map(gf, grid, closedness_tol):
@@ -402,6 +387,9 @@ def verify_space_form_geometry(im, grid):
     """
     if grid.dims != 2:
         raise StructuralError("space-form verification is defined for m = 2")
+    if im.spec.n2 != 2:
+        raise StructuralError("space-form verification needs n2 = 2: the "
+                              f"Jacobian of psi is {im.spec.n2} x 2")
     if any(nn < 5 for nn in grid.nodes):
         raise StructuralError("need at least 5 nodes per axis for curvature stats")
     spec = im.spec

@@ -1,4 +1,4 @@
-"""Twisted loop algebra of matrix Laurent polynomials.
+"""Lax states in the twisted loop algebra, and the kernel of their flows.
 
 A loop is xi(mu) = sum_k mu^k xi_k with twist condition S xi(mu) S = xi(-mu),
 i.e. even-degree coefficients in k and odd-degree ones in p.  The splitting
@@ -48,59 +48,32 @@ def evaluate_stack(stack, lo, mu):
     return (powers @ flat).reshape(lead + (n, n))
 
 
-class LoopElement:
-    """Matrix Laurent polynomial with coefficients indexed by degree.
-
-    ``check='twisted'`` validates the twist condition, which a non-finite
-    entry fails; ``check='none'`` admits untwisted stacks (Cauchy powers,
-    whose coefficients leave g).
+class LaxState:
+    """Polynomial loop xi(mu) = sum_k mu^k xi_k of degrees 0..d (d odd), the
+    state space of the flows.  ``check`` validates the twist condition, which
+    a non-finite entry fails; ``check=False`` admits any stack of that shape.
     """
 
-    def __init__(self, stack, lo, spec, check="twisted"):
+    def __init__(self, stack, spec, check=True):
         stack = np.asarray(stack, dtype=float)
-        n = spec.dim
-        if stack.ndim != 3 or stack.shape[1:] != (n, n):
+        if stack.ndim != 3 or stack.shape[1:] != (spec.dim, spec.dim):
             raise StructuralError(f"coefficient stack has shape {stack.shape}")
-        self.stack = stack
-        self.lo = int(lo)
-        self.spec = spec
-        if check == "twisted":
-            scale = max(1.0, float(np.max(np.abs(stack)))) if stack.size else 1.0
-            res = twist_residual(stack, self.lo, spec)
+        d = stack.shape[0] - 1
+        if d < 1 or d % 2 == 0:
+            raise StructuralError(f"degree d must be odd and positive, got {d}")
+        if check:
+            scale = max(1.0, float(np.max(np.abs(stack))))
+            res = twist_residual(stack, 0, spec)
             if not res <= EPS_ALGEBRA * scale:  # a NaN residual fails too
                 raise StructuralError(
                     f"twist condition violated: residual {res:.3e}"
                 )
-
-    @property
-    def hi(self):
-        return self.lo + self.stack.shape[0] - 1
-
-    def coefficient(self, k):
-        if self.lo <= k <= self.hi:
-            return self.stack[k - self.lo]
-        return np.zeros((self.spec.dim, self.spec.dim))
-
-    def evaluate(self, mu):
-        return evaluate_stack(self.stack, self.lo, mu)
+        self.stack = stack
+        self.spec = spec
+        self.d = d
 
     def norm(self):
-        return float(np.max(np.abs(self.stack))) if self.stack.size else 0.0
-
-    def __repr__(self):
-        return f"LoopElement(degrees {self.lo}..{self.hi}, dim={self.spec.dim})"
-
-
-class LaxState(LoopElement):
-    """Polynomial loop of degrees 0..d (d odd), the state space of the flows."""
-
-    def __init__(self, stack, spec, check=True):
-        stack = np.asarray(stack, dtype=float)
-        d = stack.shape[0] - 1
-        if d < 1 or d % 2 == 0:
-            raise StructuralError(f"degree d must be odd and positive, got {d}")
-        super().__init__(stack, 0, spec, check="twisted" if check else "none")
-        self.d = d
+        return float(np.max(np.abs(self.stack)))
 
     def __repr__(self):
         return f"LaxState(d={self.d}, dim={self.spec.dim})"

@@ -12,71 +12,22 @@ import numpy as np
 from .algebra import BilinearSpace, SymmetricSpaceSpec
 from .errors import StructuralError
 
-
-def _spec(name, m, n, block1_neg, block2_neg, swap_blocks=False):
-    n1, n2 = m + 1, n + 1 - m
-    if n2 < 1:
-        raise StructuralError(f"preset needs n >= m, got m={m}, n={n}")
-    d1 = np.concatenate([-np.ones(block1_neg), np.ones(n1 - block1_neg)])
-    d2 = np.concatenate([-np.ones(block2_neg), np.ones(n2 - block2_neg)])
-    if swap_blocks:
-        n1, n2, d1, d2 = n2, n1, d2, d1
-    diag = np.concatenate([d1, d2])
-    neg = int(np.sum(diag < 0))
-    space = BilinearSpace(len(diag) - neg, neg, diag=diag)
-    return SymmetricSpaceSpec(space, (n1, n2), rank=min(n1, n2), preset_name=name)
-
-
-def sphere(m=2, n=3):
-    """O(n+2) / O(m+1) x O(n+1-m): Gauss maps of M^m(c) in S^{n+1}(c), c > 0."""
-    return _spec("sphere", m, n, 0, 0)
-
-
-def sphere_grassmannian(m=2, n=3):
-    """Same group data as ``sphere``; the critical codimension n = 2m - 1
-    gives the reconstruction target S^{2m}."""
-    return _spec("sphere-grassmannian", m, n, 0, 0)
-
-
-def de_sitter(m=2, n=3):
-    """O(1, n+1) / O(1+m) x O(1, n-m): ambient de Sitter quadric."""
-    return _spec("de-sitter", m, n, 0, 1)
-
-
-def hyperbolic(m=2, n=3):
-    """O(1, n+1) / O(1, m) x O(n+1-m): ambient hyperbolic quadric."""
-    return _spec("hyperbolic", m, n, 1, 0)
-
-
-def anti_de_sitter(m=2, n=3):
-    """O(2, n) / O(1, m) x O(1, n-m): ambient anti-de Sitter quadric."""
-    return _spec("anti-de-sitter", m, n, 1, 1)
-
-
-def isothermic():
-    """O(1, 4) acting on space-like 3-planes in Lorentzian 5-space,
-    K = O(3) x O(1, 1); the home of the isothermic-surface reduction."""
-    diag = np.array([1.0, 1.0, 1.0, 1.0, -1.0])
-    space = BilinearSpace(4, 1, diag=diag)
-    return SymmetricSpaceSpec(space, (3, 2), rank=2, preset_name="isothermic")
-
-
+# name -> (negative directions leading block 1, leading block 2, description).
+# Blocks are J1 = m+1 and J2 = n+1-m directions, (m, n) = (2, 3) by default;
+# "sphere-grassmannian" is "sphere" at the critical codimension n = 2m - 1,
+# whose reconstruction target is S^{2m}.  The isothermic space puts its
+# negative direction last, so ``make_preset`` builds it on its own.
 _PRESETS = {
-    "sphere": sphere,
-    "de-sitter": de_sitter,
-    "hyperbolic": hyperbolic,
-    "anti-de-sitter": anti_de_sitter,
-    "sphere-grassmannian": sphere_grassmannian,
-    "isothermic": isothermic,
-}
-
-_DESCRIPTIONS = {
-    "sphere": "O(n+2)/O(m+1)xO(n+1-m), definite; spherical quadric",
-    "de-sitter": "O(1,n+1)/O(1+m)xO(1,n-m); de Sitter quadric",
-    "hyperbolic": "O(1,n+1)/O(1,m)xO(n+1-m); hyperbolic quadric",
-    "anti-de-sitter": "O(2,n)/O(1,m)xO(1,n-m); anti-de Sitter quadric",
-    "sphere-grassmannian": "O(n+2)/O(m+1)xO(n+1-m), reconstruction target S^{2m}",
-    "isothermic": "O(1,4)/O(3)xO(1,1), space-like 3-planes in Lorentz 5-space",
+    "sphere": (0, 0, "O(n+2)/O(m+1)xO(n+1-m), definite; spherical quadric"),
+    "de-sitter": (0, 1, "O(1,n+1)/O(1+m)xO(1,n-m); de Sitter quadric"),
+    "hyperbolic": (1, 0, "O(1,n+1)/O(1,m)xO(n+1-m); hyperbolic quadric"),
+    "anti-de-sitter": (1, 1, "O(2,n)/O(1,m)xO(1,n-m); anti-de Sitter quadric"),
+    "sphere-grassmannian": (
+        0, 0, "O(n+2)/O(m+1)xO(n+1-m), reconstruction target S^{2m}",
+    ),
+    "isothermic": (
+        None, None, "O(1,4)/O(3)xO(1,1), space-like 3-planes in Lorentz 5-space",
+    ),
 }
 
 
@@ -85,11 +36,11 @@ def preset_names():
 
 
 def describe(name):
-    return _DESCRIPTIONS[name]
+    return _PRESETS[name][2]
 
 
 def make_preset(name, m=None, n=None):
-    """Instantiate a preset by name; m and n default per preset."""
+    """Instantiate a preset by name; m and n default to 2 and 3."""
     if name not in _PRESETS:
         raise StructuralError(
             f"unknown preset {name!r}; known: {', '.join(_PRESETS)}"
@@ -97,10 +48,16 @@ def make_preset(name, m=None, n=None):
     if name == "isothermic":
         if m is not None or n is not None:
             raise StructuralError("the isothermic preset has fixed dimensions")
-        return isothermic()
-    kwargs = {}
-    if m is not None:
-        kwargs["m"] = int(m)
-    if n is not None:
-        kwargs["n"] = int(n)
-    return _PRESETS[name](**kwargs)
+        space = BilinearSpace(4, 1, diag=[1.0, 1.0, 1.0, 1.0, -1.0])
+        return SymmetricSpaceSpec(space, (3, 2), rank=2, preset_name=name)
+    m = 2 if m is None else int(m)
+    n = 3 if n is None else int(n)
+    n1, n2 = m + 1, n + 1 - m
+    if n2 < 1:
+        raise StructuralError(f"preset needs n >= m, got m={m}, n={n}")
+    neg1, neg2, _ = _PRESETS[name]
+    diag = np.ones(n1 + n2)
+    diag[:neg1] = -1.0
+    diag[n1:n1 + neg2] = -1.0
+    space = BilinearSpace(n1 + n2 - neg1 - neg2, neg1 + neg2, diag=diag)
+    return SymmetricSpaceSpec(space, (n1, n2), rank=min(n1, n2), preset_name=name)

@@ -4,7 +4,7 @@ import numpy as np
 
 from curvedflats.algebra import BilinearSpace, SymmetricSpaceSpec, AlgebraElement
 from curvedflats.errors import NumericalError, StructuralError
-from curvedflats.loops import LaxState, LoopElement
+from curvedflats.loops import LaxState, evaluate_stack
 
 
 def so3_spec():
@@ -328,6 +328,24 @@ def stack_mul(a, b):
     return out
 
 
+class Loop:
+    """Matrix Laurent polynomial with the degree-(lo + i) coefficient at
+    ``stack[i]``, unchecked: Cauchy powers have coefficients outside g."""
+
+    def __init__(self, stack, lo):
+        self.stack = stack
+        self.lo = lo
+        self.hi = lo + len(stack) - 1
+
+    def coefficient(self, k):
+        if self.lo <= k <= self.hi:
+            return self.stack[k - self.lo]
+        return np.zeros(self.stack.shape[1:])
+
+    def evaluate(self, mu):
+        return evaluate_stack(self.stack, self.lo, mu)
+
+
 def tilde_v(xi, r):
     """Vt_r(xi)(mu) = mu^(1 - d*r) xi(mu)^r for odd r; degrees 1-dr .. 1.
 
@@ -341,7 +359,7 @@ def tilde_v(xi, r):
     powered = xi.stack
     for _ in range(r - 1):
         powered = stack_mul(powered, xi.stack)
-    return LoopElement(powered, 1 - xi.d * r, xi.spec, check="none")
+    return Loop(powered, 1 - xi.d * r)
 
 
 def flow_field(xi, r):

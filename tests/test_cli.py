@@ -444,6 +444,29 @@ def test_main_rejected_config_writes_error_block(tmp_path, capsys):
         assert sorted(p.name for p in out.iterdir()) == ["report.json"]
 
 
+def test_main_space_form_needs_two_normal_directions(tmp_path, capsys):
+    # A 2-D definite run verifies the space form through the Jacobian of psi,
+    # which is n2 x 2: any n2 != 2 is a structural error, not a numpy crash.
+    for i, cfg in enumerate(({"preset": "sphere", "m": 3, "nodes": [5, 5]},
+                             {"preset": "sphere", "n": 4, "nodes": [5, 5]},
+                             {"preset": "sphere", "m": 3, "n": 5, "nodes": [5, 5]})):
+        cfg_path = tmp_path / f"cfg{i}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / f"out{i}"
+        capsys.readouterr()
+        assert main(["run", str(cfg_path), "-o", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        error = json.loads((out / "report.json").read_text())["error"]
+        assert error["category"] == "StructuralError"
+        assert "x 2" in error["message"]
+    # n2 = 1 with m = 1 never reaches the check: its immersion is degenerate.
+    cfg_path = tmp_path / "flat.json"
+    cfg_path.write_text(json.dumps({"preset": "sphere", "m": 1, "n": 1}))
+    assert main(["run", str(cfg_path), "-o", str(tmp_path / "flat")]) == 0
+    report = json.loads((tmp_path / "flat" / "report.json").read_text())
+    assert report["flags"] == ["non-immersive"]
+
+
 def test_main_run_verify_and_presets(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_config()))

@@ -118,7 +118,6 @@ def test_curved_flat_planes_orthogonal_so3():
 
 def test_developing_map_detects_branch_flips():
     from curvedflats.errors import GaugeContinuityError
-    from curvedflats.geometry import _diagonal_basis
 
     grid = GridSpec([0.4, 0.4], [5, 5])
     rng = np.random.default_rng(6)
@@ -129,7 +128,6 @@ def test_developing_map_detects_branch_flips():
         np.zeros(shape),
         np.zeros(shape),
         betas,
-        _diagonal_basis(SPEC),
         grid,
         SPEC,
         0.0,
@@ -364,7 +362,7 @@ def test_developing_map_equals_per_node_sweep(nodes):
     betas = rng.standard_normal(nodes + (k, 2))
     zeros = np.zeros(nodes + (k, 5, 5))
     gauge = GaugeField(np.zeros(nodes + (5, 5)), zeros, zeros, betas,
-                       None, grid, SPEC, 0.0)
+                       grid, SPEC, 0.0)
     dev = developing_map(gauge, grid, closedness_tol=np.inf)
     assert dev.psi.tobytes() == developing_psi_per_node(betas, grid).tobytes()
 

@@ -7,7 +7,6 @@ import curvedflats.loops as loops
 from curvedflats.loops import (
     FlowFamily,
     LaxState,
-    LoopElement,
     connection_coefficients,
     evaluate_stack,
     flow_rhs,
@@ -120,10 +119,10 @@ def test_twist_validation():
     # A p-element at even degree violates the twist condition.
     bad = np.zeros((2, 5, 5))
     bad[0] = from_offblock([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], SPEC).matrix
+    with pytest.raises(StructuralError, match="twist condition"):
+        LaxState(np.concatenate([bad, np.zeros((2, 5, 5))]), SPEC)  # d = 3
     with pytest.raises(StructuralError):
-        LoopElement(bad, 0, SPEC)
-    with pytest.raises(StructuralError):
-        LaxState(bad, SPEC)  # even degree count => d not odd
+        LaxState(bad, SPEC)  # d = 1
 
 
 def test_twist_check_rejects_a_nan_entry():
@@ -131,8 +130,6 @@ def test_twist_check_rejects_a_nan_entry():
     # accept only a residual that is at most it.
     stack = random_lax_state().stack.copy()
     stack[1, 0, 4] = np.nan
-    with pytest.raises(StructuralError, match="twist condition"):
-        LoopElement(stack, 0, SPEC, check="twisted")
     with pytest.raises(StructuralError, match="twist condition"):
         LaxState(stack, SPEC)
     kept = LaxState(stack, SPEC, check=False)
@@ -203,7 +200,7 @@ def test_tilde_v_commutes_with_evaluation():
             tv = tilde_v(xi, r)
             for mu0 in (0.7, 1.3):
                 direct = mu0 ** (1 - 3 * r) * np.linalg.matrix_power(
-                    xi.evaluate(mu0), r
+                    evaluate_stack(xi.stack, 0, mu0), r
                 )
                 assert np.max(np.abs(tv.evaluate(mu0) - direct)) < 1e-11
 
