@@ -3,7 +3,6 @@ spaces via commuting Lax flows, with frame integration and geometric
 verification of the reconstructed space-form immersions."""
 
 from .algebra import (
-    AlgebraElement,
     BilinearSpace,
     SymmetricSpaceSpec,
     in_group_residual,
@@ -41,7 +40,6 @@ from .presets import make_preset, preset_names
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraElement",
     "BilinearSpace",
     "ConnectionForm",
     "DevelopingMap",

@@ -27,13 +27,8 @@ MAX_SQUARINGS = 52
 RESIDUAL_BLOCK = 1 << 16
 # Spans whose Cartan verdict one spec keeps (oldest dropped first).
 CARTAN_CACHE_SIZE = 8
-
-
-def _as_matrix(x):
-    m = np.asarray(x, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise StructuralError(f"expected a square matrix, got shape {m.shape}")
-    return m
+# Span test tolerance: brackets, form margin and the gauge's so(J) check.
+CARTAN_TOL = 1e-9
 
 
 class BilinearSpace:
@@ -104,7 +99,7 @@ class SymmetricSpaceSpec:
         k_mask = (np.outer(s, s) + 1.0) / 2.0
         k_mask.setflags(write=False)
         self._k_mask = k_mask
-        # is_cartan verdicts keyed by (shape, bytes, tol) of the span; a dict
+        # is_cartan verdicts keyed by (shape, bytes) of the span; a dict
         # keeps insertion order, so the first key is the oldest.
         self._cartan_verdicts = {}
 
@@ -172,36 +167,6 @@ def membership_residual(m, space):
     return float(worst)
 
 
-class AlgebraElement:
-    """A validated element of so(J)."""
-
-    def __init__(self, matrix, space, tol=EPS_ALGEBRA):
-        m = _as_matrix(matrix)
-        if m.shape[0] != space.dim:
-            raise StructuralError(
-                f"matrix dim {m.shape[0]} does not match space dim {space.dim}"
-            )
-        if not np.all(np.isfinite(m)):
-            raise StructuralError("matrix has non-finite entries")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        res = membership_residual(m, space)
-        if res > tol * scale:
-            raise StructuralError(
-                f"matrix is not in so(J): residual {res:.3e} > {tol * scale:.3e}"
-            )
-        m = m.copy()
-        m.setflags(write=False)
-        self.matrix = m
-        self.space = space
-
-    @property
-    def norm(self):
-        return float(np.max(np.abs(self.matrix)))
-
-    def __repr__(self):
-        return f"AlgebraElement(dim={self.space.dim}, norm={self.norm:.3g})"
-
-
 def skew_project(m, space):
     """Project raw matrices (..., n, n) onto so(J): X -> (X - J X^T J)/2."""
     j = space.j_diag
@@ -225,35 +190,35 @@ def is_abelian(span, tol):
     return not np.max(np.abs(comm)) > tol
 
 
-def is_cartan(basis, spec, tol=1e-9):
+def is_cartan(basis, spec):
     """Test whether the span of a (k, n, n) stack is a Cartan subspace of p.
 
     Checks: (a) the span is abelian, (b) its dimension equals spec.rank,
     (c) the commutant {Y in p : [Y, X_i] = 0 for all i} has dimension exactly
     spec.rank (maximality), (d) the invariant form is nondegenerate on the
     span (smallest |eigenvalue| of the Gram matrix on an orthonormal basis
-    exceeds tol).  Each check can decide the verdict: an element of a
+    exceeds CARTAN_TOL).  Each check can decide the verdict: an element of a
     maximal abelian subspace spans a rank-1 space that passes (a), (b) and
     (d) for a spec declared with rank 1, and only (c) rejects it.
 
-    A stack already judged on this spec, with the same shape, the same bytes
-    and the same tol, is answered from the spec's verdict cache (the last
+    A stack already judged on this spec, with the same shape and the same
+    bytes, is answered from the spec's verdict cache (the last
     ``CARTAN_CACHE_SIZE`` distinct spans); the gauge asks about one span at
     every node, since A1 is a first integral.  A stack with an element
     outside p raises ``StructuralError`` on every call and is never cached.
     """
     mats = _span_stack(basis, spec.dim)
-    key = (mats.shape, mats.tobytes(), tol)
+    key = (mats.shape, mats.tobytes())
     verdicts = spec._cartan_verdicts
     if key not in verdicts:
-        verdict = _cartan_verdict(mats, spec, tol)
+        verdict = _cartan_verdict(mats, spec)
         if len(verdicts) >= CARTAN_CACHE_SIZE:
             del verdicts[next(iter(verdicts))]
         verdicts[key] = verdict
     return verdicts[key]
 
 
-def _cartan_verdict(mats, spec, tol):
+def _cartan_verdict(mats, spec):
     """The uncached test behind ``is_cartan`` on a validated stack.
 
     The k-parts of all elements are tested in one call, the commutant system
@@ -269,7 +234,7 @@ def _cartan_verdict(mats, spec, tol):
             f"basis element not in p (k-part {k_res[off_p[0]]:.2e})"
         )
 
-    if not is_abelian(mats, tol):
+    if not is_abelian(mats, CARTAN_TOL):
         return False
     ortho = span_basis(mats)
     if len(ortho) != spec.rank:
@@ -285,7 +250,7 @@ def _cartan_verdict(mats, spec, tol):
     commutant_dim = len(comm) - int(np.sum(s > cutoff))
     if commutant_dim != spec.rank:
         return False
-    return bool(form_margin(ortho) > tol)
+    return bool(form_margin(ortho) > CARTAN_TOL)
 
 
 def span_basis(span):

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import AlgebraElement, BilinearSpace, SymmetricSpaceSpec, in_group_residual
+from .algebra import BilinearSpace, SymmetricSpaceSpec, in_group_residual
 from .errors import (
     ConfigError,
     CurvedFlatsError,
@@ -37,7 +37,6 @@ from .frame import (
     mc_residual,
 )
 from .geometry import (
-    CARTAN_TOL,
     admissible_span,
     curve_diagnostics,
     developing_map,
@@ -171,13 +170,13 @@ class RunConfig:
                 _integral("rank", merged["rank"], 1),
             )
 
-        self.d = _integral("d", merged["d"], 1)
-        self.powers = [_integral("powers", r, 1) for r in merged["powers"]]
-        self.family = FlowFamily(self.powers, self.d)
+        d = _integral("d", merged["d"], 1)
+        powers = [_integral("powers", r, 1) for r in merged["powers"]]
+        self.family = FlowFamily(powers, d)
 
         extents = [_real("extents", v) for v in merged["extents"]]
         nodes = [_integral("nodes", v, 2) for v in merged["nodes"]]
-        if len(extents) != len(self.powers) or len(nodes) != len(self.powers):
+        if len(extents) != len(powers) or len(nodes) != len(powers):
             raise ConfigError("extents/nodes length must match the number of flows")
         self.grid = GridSpec(extents, nodes)
         # Curvature residuals differentiate every axis of a 2D grid, and the
@@ -252,8 +251,8 @@ def seed_initial_state(config):
     generic seeds the first draw almost always passes.  Returns
     (state, attempts).
     """
-    spec = config.spec
-    n, d = spec.dim, config.d
+    spec, powers = config.spec, config.family.powers
+    n, d = spec.dim, config.family.d
     if config.xi0 is not None:
         try:
             stack = np.asarray(config.xi0, dtype=float)
@@ -281,16 +280,11 @@ def seed_initial_state(config):
             stack[k] = part * (SEED_COEFF_NORM / norm)
         else:
             state = LaxState(stack, spec)
-            try:
-                tops = top_powers(stack[d], config.powers[-1])
-                span = np.stack([
-                    AlgebraElement(tops[r - 1], spec.space).matrix
-                    for r in config.powers
-                ])
-                if admissible_span(span, spec, CARTAN_TOL):
-                    return state, attempt
-            except StructuralError:
-                pass
+            # Odd powers of the p-element xi_d have exact-zero k-blocks, so
+            # the span test never finds an element outside p.
+            tops = top_powers(stack[d], powers[-1])
+            if admissible_span(np.stack([tops[r - 1] for r in powers]), spec):
+                return state, attempt
     raise SeedingError(
         f"no Cartan seed found in {MAX_SEED_ATTEMPTS} attempts "
         "(signature/rank mismatch likely)"
@@ -358,7 +352,7 @@ def _residual_report(states, frames_by_mu, h_field, config):
 
     if grid.dims >= 2:
         mc_values = {
-            mu_key(mu): mc_residual(conn, mu, grid)
+            mu_key(mu): mc_residual(conn, mu)
             for mu in [0.0] + config.mu_samples
         }
         residuals["mc"] = mc_values
@@ -394,22 +388,22 @@ def _residual_report(states, frames_by_mu, h_field, config):
         geometry["status"] = "invalid-gauge"
         flags.append("invalid-gauge")
     else:
-        gauge = gauge_from_h(conn, h_field, spec)
-        dev = developing_map(gauge, grid, closedness_tol=tol["closedness"])
+        gauge = gauge_from_h(conn, h_field)
+        dev = developing_map(gauge, closedness_tol=tol["closedness"])
         gate("closedness", dev.closedness_residual, "closedness")
         gate("isometry", dev.isometry_residual, "isometry")
         try:
             unit_worst = 0.0
             kernel_worst = 0.0
             for mu in config.mu_samples:
-                im = reconstruct_immersion(gauge, frames_by_mu[mu], spec)
+                im = reconstruct_immersion(gauge, frames_by_mu[mu])
                 unit_worst = max(unit_worst, im.unit_residual)
                 kernel_worst = max(kernel_worst, im.kernel_residual)
                 entry = {"degenerate_fraction": im.degenerate_fraction}
                 if im.degenerate_fraction > 0:
                     flags.append(f"degenerate-nodes-mu-{mu_key(mu)}")
                 if grid.dims == 2:
-                    entry.update(verify_space_form_geometry(im, grid))
+                    entry.update(verify_space_form_geometry(im))
                 geometry["per_mu"][mu_key(mu)] = entry
             gate("unit_quadric", unit_worst, "unit_quadric")
             gate("kernel", kernel_worst, "kernel")
@@ -426,10 +420,7 @@ def _residual_report(states, frames_by_mu, h_field, config):
             geometry["per_mu"] = {}
             flags.append("non-immersive")
         if grid.dims == 1 and spec.dim == 3 and spec.space.is_definite:
-            diag = curve_diagnostics(
-                frames_by_mu[config.mu_samples[0]], conn, grid,
-                config.mu_samples[0],
-            )
+            diag = curve_diagnostics(frames_by_mu[config.mu_samples[0]], conn)
             geometry["curve"] = {
                 "speed_mean": float(np.mean(diag["speed"])),
                 "speed_std": float(np.std(diag["speed"])),
@@ -444,8 +435,8 @@ def _residual_report(states, frames_by_mu, h_field, config):
         "signature": [spec.space.pos, spec.space.neg],
         "split": list(spec.split),
         "rank": spec.rank,
-        "d": config.d,
-        "powers": config.powers,
+        "d": family.d,
+        "powers": list(family.powers),
         "grid": {"extents": list(grid.extents), "nodes": list(grid.nodes)},
         "mu_samples": config.mu_samples,
         "residuals": residuals,
@@ -574,9 +565,9 @@ def _frames_and_gauge(config, sol):
     """
     spec, grid = config.spec, config.grid
     conn = connection_from_state(sol)
-    fields = integrate_frame(conn, config.mu_samples, grid)
+    fields = integrate_frame(conn, config.mu_samples)
     if spec.k_block_definite():
-        h_field = gauge_to_normal_form(conn, spec).h
+        h_field = gauge_to_normal_form(conn).h
     else:
         h_field = np.broadcast_to(
             np.eye(spec.dim), grid.nodes + (spec.dim, spec.dim)
@@ -653,7 +644,7 @@ def verify_command(out_dir):
         raise MissingArtifactError("stored mu samples disagree with config")
     nodes, n = config.grid.nodes, config.spec.dim
     for name, value, shape in (
-        ("states", states, nodes + (config.d + 1, n, n)),
+        ("states", states, nodes + (config.family.d + 1, n, n)),
         ("frames", frames, (len(mus),) + nodes + (n, n)),
         ("gauge_h", h_field, nodes + (n, n)),
     ):
@@ -663,8 +654,7 @@ def verify_command(out_dir):
             )
 
     frames_by_mu = {
-        mu: FrameField(mu, f, config.grid, config.spec,
-                       in_group_residual(f, config.spec.space))
+        mu: FrameField(mu, f, in_group_residual(f, config.spec.space))
         for mu, f in zip(config.mu_samples, frames)
     }
     report = build_report(states, frames_by_mu, h_field, config)

@@ -52,9 +52,6 @@ class DegenerateFrameError(NumericalError):
     """Re-orthonormalization pivot collapsed; frame left the group.  Carries
     the failing slice of a stack and, from the frame integration, the node."""
 
-    def __init__(self, message, index=None, node=None):
-        super().__init__(message, node, index)
-
 
 class GaugeContinuityError(NumericalError):
     """The developing map's closedness defect points to a gauge branch flip

@@ -57,16 +57,14 @@ class ConnectionForm:
 class FrameField:
     """Group-valued frame per node for one spectral sample mu."""
 
-    def __init__(self, mu, frames, grid, spec, max_drift):
+    def __init__(self, mu, frames, max_drift):
         self.mu = mu
         self.frames = frames  # (*nodes, n, n)
-        self.grid = grid
-        self.spec = spec
         self.max_drift = max_drift
 
     def __repr__(self):
         return (
-            f"FrameField(mu={self.mu}, nodes={self.grid.nodes}, "
+            f"FrameField(mu={self.mu}, nodes={self.frames.shape[:-2]}, "
             f"drift={self.max_drift:.2e})"
         )
 
@@ -138,12 +136,14 @@ def curvature_defect(a, i, j, steps):
     )
 
 
-def mc_residual(conn, mu0, grid):
-    """Max-norm zero-curvature defect of A^mu0 over interior nodes.
+def mc_residual(conn, mu0):
+    """Max-norm zero-curvature defect of A^mu0 over the interior nodes of
+    ``conn.grid``.
 
     For a coordinate pair (i, j) the defect is ``curvature_defect``; central
     differences make it O(h^2) for a flat connection.
     """
+    grid = conn.grid
     if grid.dims < 2:
         raise StructuralError("curvature needs at least two coordinate axes")
     if any(nn < 3 for nn in grid.nodes):
@@ -255,16 +255,16 @@ def j_orthonormalize(g, space):
     return out.reshape(g.shape)
 
 
-def integrate_frame(conn, mus, grid, axis_priority=None):
+def integrate_frame(conn, mus, axis_priority=None):
     """Integrate F^-1 dF = A^mu over the grid with F(origin) = I, for every
     spectral sample in ``mus`` at once.
 
     Each edge applies exp(h * Abar) with Abar the average of the edge's
     endpoint values (midpoint exponential, order 2), then ``j_orthonormalize``,
     which repairs only the frames that have left O(J); both act on the whole
-    batch of samples.  The edges are those of ``grid.flat_edges``, walked on
-    the flat node axis of the frames and the connection as the Lax fill
-    walks them; ``axis_priority`` (default 0, 1, ...) permutes which axis is
+    batch of samples.  The edges are those of ``conn.grid.flat_edges``,
+    walked on the flat node axis of the frames and the connection as the Lax
+    fill walks them; ``axis_priority`` (default 0, 1, ...) permutes which axis is
     treated as primary (used to quantify path independence).  A^mu and the
     exponent h * Abar are built once per grid line, for every edge of the
     line and every sample in one expression each, and an edge only reads its
@@ -274,7 +274,7 @@ def integrate_frame(conn, mus, grid, axis_priority=None):
     axes.  Returns one ``FrameField`` per sample, in order, each a view into
     one (len(mus), *nodes, n, n) array.
     """
-    spec = conn.spec
+    spec, grid = conn.spec, conn.grid
     n, k = spec.dim, grid.dims
     mus = [float(mu) for mu in mus]
     mu = np.array(mus)[:, None, None]
@@ -304,6 +304,6 @@ def integrate_frame(conn, mus, grid, axis_priority=None):
                 f"{err} at node {index}, mu={mus[err.index[0]]!r}", node=index
             ) from err
     return [
-        FrameField(mu_k, f, grid, spec, in_group_residual(f, spec.space))
+        FrameField(mu_k, f, in_group_residual(f, spec.space))
         for mu_k, f in zip(mus, frames)
     ]

@@ -14,7 +14,14 @@ second fundamental form are then checked against the space-form predictions.
 
 import numpy as np
 
-from .algebra import form_margin, is_abelian, is_cartan, skew_project, span_basis
+from .algebra import (
+    CARTAN_TOL,
+    form_margin,
+    is_abelian,
+    is_cartan,
+    skew_project,
+    span_basis,
+)
 from .errors import (
     DegenerateSpectrumError,
     GaugeContinuityError,
@@ -27,8 +34,6 @@ from .frame import curvature_defect, grid_derivative
 
 GAUGE_SPAN_TOL = 1e-7
 SINGULAR_SEP_TOL = 1e-8
-# Span test of the gauge: so(J) membership and Cartan/admissibility tolerance.
-CARTAN_TOL = 1e-9
 # Induced metric counts as degenerate below this fraction of its largest
 # eigenvalue.
 DEGENERACY_RATIO = 1e-6
@@ -61,24 +66,24 @@ class GaugeField:
 class DevelopingMap:
     """Coordinates psi of the development onto the reference Cartan subspace."""
 
-    def __init__(self, psi, closedness_residual, isometry_residual, grid):
+    def __init__(self, psi, closedness_residual, isometry_residual):
         self.psi = psi  # (*nodes, m)
         self.closedness_residual = closedness_residual
         self.isometry_residual = isometry_residual
-        self.grid = grid
 
     def __repr__(self):
         return (
-            f"DevelopingMap(nodes={self.grid.nodes}, "
+            f"DevelopingMap(nodes={self.psi.shape[:-1]}, "
             f"closedness={self.closedness_residual:.2e})"
         )
 
 
 class ImmersionData:
-    """Reconstructed quadric map phi with induced metric and diagnostics."""
+    """Reconstructed quadric map phi with induced metric and diagnostics; its
+    grid and spec are those of ``gauge``."""
 
     def __init__(self, phi, metric, degenerate, unit_residual, kernel_residual,
-                 f_tilde, gauge, grid, spec, mu):
+                 f_tilde, gauge, mu):
         self.phi = phi                # (*nodes, n)
         self.metric = metric          # (*nodes, k, k)
         self.degenerate = degenerate  # (*nodes,) bool
@@ -86,8 +91,6 @@ class ImmersionData:
         self.kernel_residual = kernel_residual
         self.f_tilde = f_tilde        # (*nodes, n, n) adapted frames
         self.gauge = gauge
-        self.grid = grid
-        self.spec = spec
         self.mu = mu
 
     @property
@@ -96,7 +99,7 @@ class ImmersionData:
 
     def __repr__(self):
         return (
-            f"ImmersionData(nodes={self.grid.nodes}, mu={self.mu}, "
+            f"ImmersionData(nodes={self.gauge.grid.nodes}, mu={self.mu}, "
             f"degenerate={self.degenerate_fraction:.0%})"
         )
 
@@ -112,9 +115,9 @@ def _along(axis, index):
     return (slice(None),) * axis + (index,)
 
 
-def admissible_span(span, spec, tol):
+def admissible_span(span, spec):
     """Precondition shared by seeding and the gauge on a (k, n, n) tangent
-    span.
+    span, at the span test's tolerance ``CARTAN_TOL``.
 
     With at least as many flows as the rank this is the full Cartan test;
     with fewer flows (a curve in a higher-rank space) it relaxes to: abelian,
@@ -122,14 +125,14 @@ def admissible_span(span, spec, tol):
     """
     k = len(span)
     if k >= spec.rank:
-        return is_cartan(span, spec, tol=tol)
-    if not is_abelian(span, tol):
+        return is_cartan(span, spec)
+    if not is_abelian(span, CARTAN_TOL):
         return False
     ortho = span_basis(span)
-    return len(ortho) == k and form_margin(ortho) > tol
+    return len(ortho) == k and form_margin(ortho) > CARTAN_TOL
 
 
-def gauge_to_normal_form(conn, spec):
+def gauge_to_normal_form(conn):
     """Build the gauge H conjugating every A1_j into normal form.
 
     The commuting off-blocks B_j at the origin are simultaneously
@@ -146,7 +149,7 @@ def gauge_to_normal_form(conn, spec):
     (the default ``GridSpec.flat_edges`` order), raising at the first node
     that fails it, and at the origin, right after its span test, on a bad gap.
     """
-    grid = conn.grid
+    grid, spec = conn.grid, conn.spec
     n, n1, n2 = spec.dim, spec.n1, spec.n2
     if n1 < n2:
         raise StructuralError(
@@ -161,13 +164,13 @@ def gauge_to_normal_form(conn, spec):
     a1 = conn.a1
     _check_so_j(a1, spec.space)
     for index in np.ndindex(grid.nodes):  # C order, from the origin
-        if not admissible_span(a1[index], spec, CARTAN_TOL):
+        if not admissible_span(a1[index], spec):
             raise NonCartanError(
                 f"tangent span fails the Cartan test at {index}", node=index
             )
         if not any(index):
             h = _normal_form_gauge(a1[index], index, spec)
-    return gauge_from_h(conn, np.broadcast_to(h, grid.nodes + (n, n)).copy(), spec)
+    return gauge_from_h(conn, np.broadcast_to(h, grid.nodes + (n, n)).copy())
 
 
 def _normal_form_gauge(a1, index, spec):
@@ -195,8 +198,8 @@ def _normal_form_gauge(a1, index, spec):
 def _check_so_j(a1, space):
     """Raise StructuralError at the first (node, flow) in C order whose A1 is
     non-finite or off so(J) beyond CARTAN_TOL at its own scale, over the
-    whole field in one pass.  This is ``AlgebraElement``'s test with the span
-    test's tolerance CARTAN_TOL (1e-9), not EPS_ALGEBRA (1e-12)."""
+    whole field in one pass: the so(J) membership test at the span test's
+    tolerance CARTAN_TOL (1e-9), not EPS_ALGEBRA (1e-12)."""
     j = space.j_diag
     res = np.max(np.abs(np.swapaxes(a1, -1, -2) * j + j[:, None] * a1), axis=(-2, -1))
     scale = np.maximum(1.0, np.max(np.abs(a1), axis=(-2, -1)))
@@ -210,7 +213,7 @@ def _check_so_j(a1, space):
         )
 
 
-def gauge_from_h(conn, h_field, spec):
+def gauge_from_h(conn, h_field):
     """Gauged connection from a given gauge field H.
 
     A1 conjugates exactly; A0 picks up the -dH H^-1 term, assembled with
@@ -219,7 +222,7 @@ def gauge_from_h(conn, h_field, spec):
     Raises ``NumericalError`` at the first node in C order whose gauged
     p-part leaves the reference Cartan span by more than ``GAUGE_SPAN_TOL``.
     """
-    grid = conn.grid
+    grid, spec = conn.grid, conn.spec
     n1, n2 = spec.n1, spec.n2
     diag = (np.arange(n2), n1 - n2 + np.arange(n2))
     h_t = np.swapaxes(h_field, -1, -2)
@@ -245,18 +248,19 @@ def gauge_from_h(conn, h_field, spec):
     return GaugeField(h_field, a0_t, a1_t, betas, grid, spec, max_off)
 
 
-def developing_map(gf, grid, closedness_tol):
+def developing_map(gf, closedness_tol):
     """Integrate d psi = A1~ (trapezoid along the tree) and report the
     closedness defect of the gauged p-part.
 
-    The trapezoid increments of each ``grid.sweep_regions`` block are summed
+    The trapezoid increments of each ``gf.grid.sweep_regions`` block are summed
     with one ``np.cumsum`` along its axis, starting from the values the
     earlier blocks left at index 0: the same additions, in the same order,
-    as a node-by-node walk of the default ``grid.flat_edges`` tree.
+    as a node-by-node walk of the default ``gf.grid.flat_edges`` tree.
 
     A defect far above tolerance indicates a sign/order branch flip of the
     gauge between neighboring nodes rather than discretization error.
     """
+    grid = gf.grid
     k = grid.dims
     m = gf.betas.shape[-1]
     steps = grid.steps
@@ -292,10 +296,10 @@ def developing_map(gf, grid, closedness_tol):
     prod = np.einsum("...iab,...jbc->...ijac", gf.a1, gf.a1)
     gram_alg = -0.5 * np.trace(prod, axis1=-2, axis2=-1)
     isometry = float(np.max(np.abs(gram_psi - gram_alg)))
-    return DevelopingMap(psi, closedness, isometry, grid)
+    return DevelopingMap(psi, closedness, isometry)
 
 
-def reconstruct_immersion(gf, frames, spec):
+def reconstruct_immersion(gf, frames):
     """Reconstruct phi as the first column of the gauged frame F~ = F H^-1.
 
     Verifies that phi stays on the unit quadric and that the gauged p-part
@@ -306,7 +310,7 @@ def reconstruct_immersion(gf, frames, spec):
         raise StructuralError(
             "geometry extraction needs a nonzero spectral value"
         )
-    grid = gf.grid
+    grid, spec = gf.grid, gf.spec
     n1 = spec.n1
     j = spec.space.j_diag
     f_tilde = frames.frames @ np.swapaxes(gf.h, -1, -2)
@@ -333,7 +337,7 @@ def reconstruct_immersion(gf, frames, spec):
     if bool(np.all(degenerate)):
         raise NonImmersiveError("reconstructed map is degenerate at every node")
     return ImmersionData(
-        phi, metric, degenerate, unit, kernel, f_tilde, gf, grid, spec, frames.mu
+        phi, metric, degenerate, unit, kernel, f_tilde, gf, frames.mu
     )
 
 
@@ -376,23 +380,29 @@ def gauss_curvature_field(metric, grid):
     return kappa
 
 
-def verify_space_form_geometry(im, grid):
-    """Space-form checks for a 2-dimensional reconstruction.
+def verify_space_form_geometry(im):
+    """Space-form checks for a 2-dimensional reconstruction on the grid of
+    ``im.gauge``.
 
     Reports (a) the deviation of the induced Gauss curvature from the
-    ambient unit-quadric curvature, (b) the flatness defect of the normal
-    connection, and (c) the off-diagonality of the second fundamental form
-    in the developing-map coordinates (the principal-coordinate property).
-    All three shrink at second order under grid refinement.
+    curvature 1 of M^2(1), the surface a plane block n1 = 3 wide
+    reconstructs, (b) the flatness defect of the normal connection, and (c)
+    the off-diagonality of the second fundamental form in the developing-map
+    coordinates (the principal-coordinate property).  All three shrink at
+    second order under grid refinement.
     """
+    grid, spec = im.gauge.grid, im.gauge.spec
     if grid.dims != 2:
         raise StructuralError("space-form verification is defined for m = 2")
-    if im.spec.n2 != 2:
+    if spec.n2 != 2:
         raise StructuralError("space-form verification needs n2 = 2: the "
-                              f"Jacobian of psi is {im.spec.n2} x 2")
+                              f"Jacobian of psi is {spec.n2} x 2")
+    if spec.n1 != 3:
+        raise StructuralError("space-form verification needs n1 = 3: the Gauss "
+                              "curvature is compared with K = 1 of M^2(1), and "
+                              f"the plane block is {spec.n1} wide")
     if any(nn < 5 for nn in grid.nodes):
         raise StructuralError("need at least 5 nodes per axis for curvature stats")
-    spec = im.spec
     n1, n2 = spec.n1, spec.n2
     j = spec.space.j_diag
     h0, h1 = grid.steps
@@ -459,15 +469,16 @@ def spectral_reparam(lam, c):
     return -np.sqrt(c) / (2.0 * np.sqrt(1.0 - c)) * (lam - 1.0 / lam)
 
 
-def curve_diagnostics(frames, conn, grid, mu):
+def curve_diagnostics(frames, conn):
     """Speed and geodesic curvature of the normal-line curve on the 2-sphere
-    traced by a rank-1 run in the 3-dimensional definite setting.
+    traced by a rank-1 run in the 3-dimensional definite setting, for the
+    frames of the sample ``frames.mu`` on the grid of ``conn``.
 
     Derivatives use the structural identity d(F e) = F A^mu e, so the speed
     is exact up to frame drift; the second derivative needs one grid
     derivative of the connection.
     """
-    spec = conn.spec
+    spec, grid, mu = conn.spec, conn.grid, frames.mu
     if grid.dims != 1 or spec.dim != 3 or not spec.space.is_definite:
         raise StructuralError("curve diagnostics need a rank-1 run on so(3)")
     col = spec.n1  # single normal direction

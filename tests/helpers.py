@@ -2,9 +2,47 @@
 
 import numpy as np
 
-from curvedflats.algebra import BilinearSpace, SymmetricSpaceSpec, AlgebraElement
+from curvedflats.algebra import (
+    EPS_ALGEBRA,
+    BilinearSpace,
+    SymmetricSpaceSpec,
+    membership_residual,
+)
 from curvedflats.errors import NumericalError, StructuralError
 from curvedflats.loops import LaxState, evaluate_stack
+
+
+class AlgebraElement:
+    """A validated element of so(J): the former ``curvedflats.AlgebraElement``,
+    kept as the tests' membership check on hand-built elements."""
+
+    def __init__(self, matrix, space, tol=EPS_ALGEBRA):
+        m = np.asarray(matrix, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise StructuralError(f"expected a square matrix, got shape {m.shape}")
+        if m.shape[0] != space.dim:
+            raise StructuralError(
+                f"matrix dim {m.shape[0]} does not match space dim {space.dim}"
+            )
+        if not np.all(np.isfinite(m)):
+            raise StructuralError("matrix has non-finite entries")
+        scale = max(1.0, float(np.max(np.abs(m))))
+        res = membership_residual(m, space)
+        if res > tol * scale:
+            raise StructuralError(
+                f"matrix is not in so(J): residual {res:.3e} > {tol * scale:.3e}"
+            )
+        m = m.copy()
+        m.setflags(write=False)
+        self.matrix = m
+        self.space = space
+
+    @property
+    def norm(self):
+        return float(np.max(np.abs(self.matrix)))
+
+    def __repr__(self):
+        return f"AlgebraElement(dim={self.space.dim}, norm={self.norm:.3g})"
 
 
 def so3_spec():

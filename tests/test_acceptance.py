@@ -5,7 +5,7 @@ stated tolerance on the shipped default configuration and prints a pass line.
 import numpy as np
 import pytest
 
-from curvedflats.algebra import AlgebraElement, is_cartan
+from curvedflats.algebra import is_cartan
 from curvedflats.cli import RunConfig, default_config, run_pipeline, seed_initial_state
 from curvedflats.frame import abelian_residual, connection_from_state, integrate_frame, mc_residual
 from curvedflats.geometry import (
@@ -19,7 +19,14 @@ from curvedflats.geometry import (
 from curvedflats.lax import commutativity_check, conservation_report, integrate_grid
 from curvedflats.loops import FlowFamily, LaxState
 
-from helpers import cartan_oracle, from_offblock, greedy_gauge_h, so5_spec, span_of
+from helpers import (
+    AlgebraElement,
+    cartan_oracle,
+    from_offblock,
+    greedy_gauge_h,
+    so5_spec,
+    span_of,
+)
 
 MU_SET = (0.0, 0.6, 1.0, 1.6)
 ORDER_WINDOW = (1.5, 2.5)
@@ -36,8 +43,8 @@ def _assemble(config, grid):
 def default_run():
     config = RunConfig(default_config())
     sol, conn = _assemble(config, config.grid)
-    gauge = gauge_to_normal_form(conn, config.spec)
-    frames = integrate_frame(conn, [1.0], config.grid)[0]
+    gauge = gauge_to_normal_form(conn)
+    frames = integrate_frame(conn, [1.0])[0]
     return config, sol, conn, gauge, frames
 
 
@@ -46,8 +53,8 @@ def refined_run(default_run):
     config = default_run[0]
     fine = config.grid.refine()
     sol, conn = _assemble(config, fine)
-    gauge = gauge_to_normal_form(conn, config.spec)
-    frames = integrate_frame(conn, [1.0], fine)[0]
+    gauge = gauge_to_normal_form(conn)
+    frames = integrate_frame(conn, [1.0])[0]
     return fine, sol, conn, gauge, frames
 
 
@@ -63,8 +70,8 @@ def test_criterion_1_zero_curvature_identical_in_mu(default_run, refined_run):
     config, _, conn, _, _ = default_run
     fine, _, conn_f, _, _ = refined_run
     for mu in MU_SET:
-        coarse = mc_residual(conn, mu, config.grid)
-        refined = mc_residual(conn_f, mu, fine)
+        coarse = mc_residual(conn, mu)
+        refined = mc_residual(conn_f, mu)
         order = np.log2(coarse / refined)
         assert ORDER_WINDOW[0] <= order <= ORDER_WINDOW[1], (mu, order)
         assert refined <= 1e-5, (mu, refined)
@@ -108,8 +115,8 @@ def test_criterion_4_isospectrality(default_run):
 def test_criterion_5_intrinsic_flatness(default_run, refined_run):
     config, _, _, gauge, _ = default_run
     fine, _, _, gauge_f, _ = refined_run
-    dev = developing_map(gauge, config.grid, closedness_tol=1e-4)
-    dev_f = developing_map(gauge_f, fine, closedness_tol=1e-4)
+    dev = developing_map(gauge, closedness_tol=1e-4)
+    dev_f = developing_map(gauge_f, closedness_tol=1e-4)
     c0, c1 = dev.closedness_residual, dev_f.closedness_residual
     if max(c0, c1) >= 1e-12:
         order = np.log2(c0 / c1)
@@ -129,12 +136,12 @@ def test_criterion_5_intrinsic_flatness(default_run, refined_run):
 def test_criterion_6_immersion_reconstruction(default_run, refined_run):
     config, _, _, gauge, frames = default_run
     fine, _, _, gauge_f, frames_f = refined_run
-    im = reconstruct_immersion(gauge, frames, config.spec)
-    im_f = reconstruct_immersion(gauge_f, frames_f, config.spec)
+    im = reconstruct_immersion(gauge, frames)
+    im_f = reconstruct_immersion(gauge_f, frames_f)
     assert im.unit_residual <= 1e-7, im.unit_residual
     assert im.kernel_residual <= 1e-8, im.kernel_residual
-    rep = verify_space_form_geometry(im, config.grid)
-    rep_f = verify_space_form_geometry(im_f, fine)
+    rep = verify_space_form_geometry(im)
+    rep_f = verify_space_form_geometry(im_f)
     orders = {}
     for key in (
         "gauss_curvature_max_error",
@@ -169,8 +176,8 @@ def _rank_one_curve(omega, beta, mu):
     sol = integrate_grid(LaxState(stack, spec3), FlowFamily([1], 1), grid,
                          substeps=2)
     conn = connection_from_state(sol)
-    frames = integrate_frame(conn, [mu], grid)[0]
-    return curve_diagnostics(frames, conn, grid, mu), grid
+    frames = integrate_frame(conn, [mu])[0]
+    return curve_diagnostics(frames, conn), grid
 
 
 def test_criterion_7_curve_family_scaling():
@@ -219,7 +226,7 @@ def test_criterion_8_cartan_detection_oracle():
         y2 = h @ (mix[1, 0] * b1.matrix + mix[1, 1] * b2.matrix) @ h.T
         z = h @ b3.matrix @ h.T
         span = [AlgebraElement(y1, spec.space), AlgebraElement(y2, spec.space)]
-        got = is_cartan(span_of(span), spec, tol=1e-9)
+        got = is_cartan(span_of(span), spec)
         want = cartan_oracle(span, spec)
         disagreements += got != want
         cartan_count += got
@@ -232,7 +239,7 @@ def test_criterion_8_cartan_detection_oracle():
         else:
             # Rank-deficient span.
             bad = [span[0], AlgebraElement(1.5 * y1, spec.space)]
-        got_bad = is_cartan(span_of(bad), spec, tol=1e-9)
+        got_bad = is_cartan(span_of(bad), spec)
         want_bad = cartan_oracle(bad, spec)
         disagreements += got_bad != want_bad
         assert not got_bad

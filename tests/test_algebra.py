@@ -6,7 +6,6 @@ import pytest
 import curvedflats.algebra as algebra
 from curvedflats.algebra import (
     CARTAN_CACHE_SIZE,
-    AlgebraElement,
     BilinearSpace,
     SymmetricSpaceSpec,
     expm,
@@ -20,6 +19,7 @@ from curvedflats.loops import connection_coefficients, top_powers
 from curvedflats.presets import make_preset, preset_names
 
 from helpers import (
+    AlgebraElement,
     cartan_oracle,
     expm_single,
     from_offblock,
@@ -172,9 +172,9 @@ def test_is_cartan_examples():
     spec = so5_spec()
     b1 = from_offblock([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]], spec)
     b2 = from_offblock([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], spec)
-    assert is_cartan(span_of([b1, b2]), spec, tol=1e-9)
-    assert not is_cartan(span_of([b1]), spec, tol=1e-9)
-    assert not is_cartan(span_of([b1, b1]), spec, tol=1e-9)
+    assert is_cartan(span_of([b1, b2]), spec)
+    assert not is_cartan(span_of([b1]), spec)
+    assert not is_cartan(span_of([b1, b1]), spec)
     k_elem = AlgebraElement(elem(0, 1, 5) - elem(1, 0, 5), spec.space)
     with pytest.raises(StructuralError):
         is_cartan(span_of([k_elem]), spec)
@@ -184,9 +184,9 @@ def test_is_cartan_agrees_with_oracle_so3_so5():
     s3, s5 = so3_spec(), so5_spec()
     for _ in range(15):
         span3 = [random_element(RNG, s3, part="p")]
-        assert is_cartan(span_of(span3), s3, tol=1e-9) == cartan_oracle(span3, s3)
+        assert is_cartan(span_of(span3), s3) == cartan_oracle(span3, s3)
         span5 = [random_element(RNG, s5, part="p") for _ in range(2)]
-        assert is_cartan(span_of(span5), s5, tol=1e-9) == cartan_oracle(span5, s5)
+        assert is_cartan(span_of(span5), s5) == cartan_oracle(span5, s5)
 
 
 def test_is_cartan_agrees_with_oracle_indefinite():
@@ -196,19 +196,19 @@ def test_is_cartan_agrees_with_oracle_indefinite():
     # Null direction: the trace form degenerates on its span.
     m = null_elem.matrix
     assert -0.5 * np.trace(m @ m) == pytest.approx(0.0, abs=1e-14)
-    assert is_cartan(span_of([null_elem]), null_spec, tol=1e-9) == cartan_oracle(
+    assert is_cartan(span_of([null_elem]), null_spec) == cartan_oracle(
         [null_elem], null_spec
     )
-    assert not is_cartan(span_of([null_elem]), null_spec, tol=1e-9)
+    assert not is_cartan(span_of([null_elem]), null_spec)
     # A commuting nondegenerate pair is Cartan; both tests agree on it and on
     # random singletons (dimension deficit).
     b1 = from_offblock([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]], spec)
     b2 = from_offblock([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], spec)
-    assert is_cartan(span_of([b1, b2]), spec, tol=1e-9)
+    assert is_cartan(span_of([b1, b2]), spec)
     assert cartan_oracle([b1, b2], spec)
     for _ in range(10):
         span = [random_element(RNG, spec, part="p")]
-        assert is_cartan(span_of(span), spec, tol=1e-9) == cartan_oracle(span, spec)
+        assert is_cartan(span_of(span), spec) == cartan_oracle(span, spec)
 
 
 @pytest.mark.parametrize("spec", [
@@ -221,11 +221,11 @@ def test_is_cartan_maximality_decides_a_verdict(spec):
     # the abelian, dimension and form tests; only maximality (c) rejects it.
     x = from_offblock([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0]], spec)
     assert is_abelian(span_of([x]), tol=1e-9)
-    assert not is_cartan(span_of([x]), spec, tol=1e-9)
+    assert not is_cartan(span_of([x]), spec)
     assert not cartan_oracle([x], spec)
     relaxed = SymmetricSpaceSpec(spec.space, spec.split, rank=2)
     assert is_cartan(span_of([x, from_offblock([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
-                                                relaxed)]), relaxed, tol=1e-9)
+                                                relaxed)]), relaxed)
 
 
 def _cartan_candidates(spec, rng):
@@ -277,10 +277,10 @@ def test_is_cartan_matches_per_element_implementation(name):
     rng = np.random.default_rng(len(name))
     verdicts = []
     for span in _cartan_candidates(spec, rng):
-        got = is_cartan(span_of(span), spec, tol=1e-9)
+        got = is_cartan(span_of(span), spec)
         assert got == is_cartan_per_element(span, spec, tol=1e-9)
         # The second call is answered from the spec's verdict cache.
-        assert is_cartan(span_of(span), spec, tol=1e-9) == got
+        assert is_cartan(span_of(span), spec) == got
         verdicts.append(got)
     assert True in verdicts and False in verdicts
     # An element outside p raises the same error from both, naming the
@@ -354,9 +354,9 @@ def uncached_calls(monkeypatch):
     calls = []
     test = algebra._cartan_verdict
 
-    def counting(mats, spec, tol):
+    def counting(mats, spec):
         calls.append(mats.shape)
-        return test(mats, spec, tol)
+        return test(mats, spec)
 
     monkeypatch.setattr(algebra, "_cartan_verdict", counting)
     return calls
@@ -367,16 +367,15 @@ def test_is_cartan_cache_answers_only_the_same_bytes(uncached_calls):
     b1 = from_offblock([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]], spec)
     b2 = from_offblock([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], spec)
     span = span_of([b1, b2])
-    assert is_cartan(span, spec, tol=1e-9)
-    assert is_cartan(span.copy(), spec, tol=1e-9)
+    assert is_cartan(span, spec)
+    assert is_cartan(span.copy(), spec)
     assert len(uncached_calls) == 1
-    # One ulp away, another tol, another spec: each judged afresh.
+    # One ulp away, another spec: each judged afresh.
     nudged = span.copy()
     nudged[0, 3, 1] = np.nextafter(nudged[0, 3, 1], 2.0)
-    assert is_cartan(nudged, spec, tol=1e-9)
-    assert is_cartan(span, spec, tol=1e-8)
-    assert is_cartan(span, so5_spec(), tol=1e-9)
-    assert len(uncached_calls) == 4
+    assert is_cartan(nudged, spec)
+    assert is_cartan(span, so5_spec())
+    assert len(uncached_calls) == 3
 
 
 def test_is_cartan_never_caches_a_span_outside_p(uncached_calls):
@@ -395,13 +394,13 @@ def test_is_cartan_cache_is_bounded_and_drops_the_oldest(uncached_calls):
     spans = [span_of([random_element(rng, spec, part="p") for _ in range(2)])
              for _ in range(50)]
     for span in spans:
-        is_cartan(span, spec, tol=1e-9)
+        is_cartan(span, spec)
         assert len(spec._cartan_verdicts) <= CARTAN_CACHE_SIZE
     assert len(spec._cartan_verdicts) == CARTAN_CACHE_SIZE
     assert len(uncached_calls) == 50
-    is_cartan(spans[-1], spec, tol=1e-9)  # still held
+    is_cartan(spans[-1], spec)  # still held
     assert len(uncached_calls) == 50
-    is_cartan(spans[0], spec, tol=1e-9)  # dropped long ago
+    is_cartan(spans[0], spec)  # dropped long ago
     assert len(uncached_calls) == 51
 
 

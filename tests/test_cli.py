@@ -205,7 +205,7 @@ def test_gauge_matches_greedy_oracle_on_run_configs(overrides):
         conn = connection_from_state(
             integrate_grid(xi0, config.family, config.grid, substeps=config.substeps)
         )
-        gauge = gauge_to_normal_form(conn, config.spec)
+        gauge = gauge_to_normal_form(conn)
         assert np.array_equal(gauge.h, greedy_gauge_h(conn, config.spec))
 
 
@@ -214,13 +214,14 @@ def test_main_gauge_failure_names_node(tmp_path, monkeypatch):
     # that span off the reference Cartan span, and the error block names it.
     w1, w2 = 1.0 / (1.0 + np.sqrt(2.0)), 1.0 / (2.0 + np.sqrt(2.0))
 
-    def colliding_gauge(conn, spec):
+    def colliding_gauge(conn):
+        spec = conn.spec
         a1 = conn.a1.copy()
         a1[2, 3, 0] = from_offblock([[0.0, 0.5, 0.0], [0.0, 0.0, 0.0]], spec).matrix
         a1[2, 3, 1] = from_offblock(
             [[0.0, 0.0, 0.0], [0.0, 0.0, 0.5 * w1 / w2]], spec
         ).matrix
-        return gauge_to_normal_form(ConnectionForm(conn.a0, a1, conn.grid, spec), spec)
+        return gauge_to_normal_form(ConnectionForm(conn.a0, a1, conn.grid, spec))
 
     monkeypatch.setattr(cli, "gauge_to_normal_form", colliding_gauge)
     cfg_path = tmp_path / "cfg.json"
@@ -447,9 +448,16 @@ def test_main_rejected_config_writes_error_block(tmp_path, capsys):
 def test_main_space_form_needs_two_normal_directions(tmp_path, capsys):
     # A 2-D definite run verifies the space form through the Jacobian of psi,
     # which is n2 x 2: any n2 != 2 is a structural error, not a numpy crash.
-    for i, cfg in enumerate(({"preset": "sphere", "m": 3, "nodes": [5, 5]},
-                             {"preset": "sphere", "n": 4, "nodes": [5, 5]},
-                             {"preset": "sphere", "m": 3, "n": 5, "nodes": [5, 5]})):
+    # Its Gauss curvature gate compares with K = 1 of M^2(1), which needs a
+    # plane block n1 = 3 wide: the flat surface in S^3 (m = 1, n = 2) and the
+    # m = 3 block are structural errors too, not tolerance failures.
+    for i, (cfg, fragment) in enumerate((
+        ({"preset": "sphere", "m": 3, "nodes": [5, 5]}, "1 x 2"),
+        ({"preset": "sphere", "n": 4, "nodes": [5, 5]}, "3 x 2"),
+        ({"preset": "sphere", "m": 3, "n": 5, "nodes": [5, 5]}, "3 x 2"),
+        ({"preset": "sphere", "m": 1, "n": 2, "nodes": [5, 5]}, "block is 2 wide"),
+        ({"preset": "sphere", "m": 3, "n": 4, "nodes": [5, 5]}, "block is 4 wide"),
+    )):
         cfg_path = tmp_path / f"cfg{i}.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / f"out{i}"
@@ -458,7 +466,7 @@ def test_main_space_form_needs_two_normal_directions(tmp_path, capsys):
         assert "Traceback" not in capsys.readouterr().err
         error = json.loads((out / "report.json").read_text())["error"]
         assert error["category"] == "StructuralError"
-        assert "x 2" in error["message"]
+        assert fragment in error["message"]
     # n2 = 1 with m = 1 never reaches the check: its immersion is degenerate.
     cfg_path = tmp_path / "flat.json"
     cfg_path.write_text(json.dumps({"preset": "sphere", "m": 1, "n": 1}))

@@ -116,20 +116,20 @@ def test_mc_residual_constant_commuting():
     a1[..., 1, :, :] = b2
     conn = ConnectionForm(a0, a1, grid, SPEC)
     for mu in (0.0, 0.7, 1.3):
-        assert mc_residual(conn, mu, grid) < 1e-15
+        assert mc_residual(conn, mu) < 1e-15
 
 
 def test_mc_residual_at_zero_is_k_part_check(small_run):
     grid, _, _, conn = small_run
     k_only = ConnectionForm(conn.a0, np.zeros_like(conn.a1), grid, SPEC)
-    assert mc_residual(conn, 0.0, grid) == mc_residual(k_only, 1.0, grid)
+    assert mc_residual(conn, 0.0) == mc_residual(k_only, 1.0)
 
 
 def test_mc_residual_second_order_refinement(small_run, refined_run):
     grid, _, _, conn = small_run
     fine, conn_f = refined_run
     for mu in (0.0, 1.0, 1.6):
-        ratio = mc_residual(conn, mu, grid) / mc_residual(conn_f, mu, fine)
+        ratio = mc_residual(conn, mu) / mc_residual(conn_f, mu)
         assert 2.5 <= ratio <= 6.0
 
 
@@ -137,7 +137,7 @@ def test_mc_residual_bounded_across_mu(small_run):
     # Flatness holds identically in mu: one bound works for all samples.
     grid, _, _, conn = small_run
     for mu in (0.6, 1.0, 1.6):
-        assert mc_residual(conn, mu, grid) < 5e-4
+        assert mc_residual(conn, mu) < 5e-4
 
 
 def test_mc_residual_needs_two_axes():
@@ -146,7 +146,7 @@ def test_mc_residual_needs_two_axes():
     sol = integrate_grid(xi, FlowFamily([1], 1), grid, substeps=2)
     conn = connection_from_state(sol)
     with pytest.raises(StructuralError):
-        mc_residual(conn, 1.0, grid)
+        mc_residual(conn, 1.0)
 
 
 def test_abelian_residual(small_run):
@@ -164,7 +164,7 @@ def test_integrate_frame_constant_connection_closed_form():
     sol = integrate_grid(xi, FlowFamily([1], 1), grid, substeps=2)
     conn = connection_from_state(sol)
     mu = 1.3
-    frames = integrate_frame(conn, [mu], grid)[0]
+    frames = integrate_frame(conn, [mu])[0]
     from curvedflats.algebra import expm
 
     a = xi.stack[0] + mu * xi.stack[1]
@@ -178,14 +178,14 @@ def test_integrate_frame_zero_connection():
     conn = ConnectionForm(
         np.zeros((4, 4, 2, 5, 5)), np.zeros((4, 4, 2, 5, 5)), grid, SPEC
     )
-    frames = integrate_frame(conn, [1.0], grid)[0]
+    frames = integrate_frame(conn, [1.0])[0]
     assert np.allclose(frames.frames, np.eye(5))
 
 
 def test_integrate_frame_group_residual(small_run):
     grid, _, _, conn = small_run
     for mu in (0.6, 1.0, 1.6):
-        field = integrate_frame(conn, [mu], grid)[0]
+        field = integrate_frame(conn, [mu])[0]
         assert field.max_drift <= 1e-8
         assert in_group_residual(field.frames[-1, -1], SPEC.space) <= 1e-12
 
@@ -195,8 +195,8 @@ def test_integrate_frame_path_independence_order(small_run, refined_run):
     fine, conn_f = refined_run
     diffs = []
     for g, c in ((grid, conn), (fine, conn_f)):
-        rows = integrate_frame(c, [1.0], g, axis_priority=(0, 1))[0]
-        cols = integrate_frame(c, [1.0], g, axis_priority=(1, 0))[0]
+        rows = integrate_frame(c, [1.0], axis_priority=(0, 1))[0]
+        cols = integrate_frame(c, [1.0], axis_priority=(1, 0))[0]
         diffs.append(
             np.max(np.abs(rows.frames[-1, -1] - cols.frames[-1, -1]))
         )
@@ -392,7 +392,7 @@ def test_integrate_frame_line_blocks_match_per_edge_expression(powers, nodes,
     sol = integrate_grid(random_state(seed=3), FlowFamily(powers, 3), grid, 4)
     conn = connection_from_state(sol)
     mus = [0.6, 1.0, 1.6]
-    fields = integrate_frame(conn, mus, grid, axis_priority=axis_priority)
+    fields = integrate_frame(conn, mus, axis_priority=axis_priority)
     expected = integrate_frame_per_edge(conn, mus, grid, axis_priority)
     assert fields[0].frames.base.tobytes() == expected.tobytes()
 
@@ -401,14 +401,14 @@ def test_integrate_frame_line_blocks_match_per_edge_expression(powers, nodes,
 def test_integrate_frame_batch_matches_single_samples(small_run, axis_priority):
     grid, _, _, conn = small_run
     mus = [0.6, 1.0, 1.6]
-    fields = integrate_frame(conn, mus, grid, axis_priority=axis_priority)
+    fields = integrate_frame(conn, mus, axis_priority=axis_priority)
     assert [f.mu for f in fields] == mus
     stack = fields[0].frames.base
     assert stack.shape == (3,) + grid.nodes + (5, 5)
     for k, (field, mu) in enumerate(zip(fields, mus)):
-        single = integrate_frame(conn, [mu], grid, axis_priority=axis_priority)[0]
+        single = integrate_frame(conn, [mu], axis_priority=axis_priority)[0]
         assert field.frames.base is stack
         assert np.array_equal(field.frames, stack[k])
         assert np.max(np.abs(field.frames - single.frames)) <= 1e-13
         assert abs(field.max_drift - single.max_drift) <= 1e-13
-    assert integrate_frame(conn, [], grid, axis_priority=axis_priority) == []
+    assert integrate_frame(conn, [], axis_priority=axis_priority) == []

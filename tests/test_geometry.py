@@ -57,8 +57,8 @@ def run17():
     family = FlowFamily([1, 3], 3)
     sol = integrate_grid(random_state(seed=3), family, grid, substeps=4)
     conn = connection_from_state(sol)
-    gauge = gauge_to_normal_form(conn, SPEC)
-    frames = integrate_frame(conn, [1.0], grid)[0]
+    gauge = gauge_to_normal_form(conn)
+    frames = integrate_frame(conn, [1.0])[0]
     return grid, conn, gauge, frames
 
 
@@ -68,15 +68,14 @@ def run33():
     family = FlowFamily([1, 3], 3)
     sol = integrate_grid(random_state(seed=3), family, grid, substeps=4)
     conn = connection_from_state(sol)
-    gauge = gauge_to_normal_form(conn, SPEC)
-    frames = integrate_frame(conn, [1.0], grid)[0]
+    gauge = gauge_to_normal_form(conn)
+    frames = integrate_frame(conn, [1.0])[0]
     return grid, conn, gauge, frames
 
 
 def test_curved_flat_planes_trivial_frames():
-    grid = GridSpec([0.1, 0.1], [2, 2])
     eye = np.broadcast_to(np.eye(5), (2, 2, 5, 5)).copy()
-    frames = FrameField(1.0, eye, grid, SPEC, 0.0)
+    frames = FrameField(1.0, eye, 0.0)
     p = curved_flat_planes(frames, SPEC)
     pi0 = np.zeros((5, 5))
     pi0[:3, :3] = np.eye(3)
@@ -86,8 +85,7 @@ def test_curved_flat_planes_trivial_frames():
     c, s = np.cos(0.7), np.sin(0.7)
     rot[:2, :2] = [[c, -s], [s, c]]
     rot[3:, 3:] = [[c, s], [-s, c]]
-    framed = FrameField(1.0, np.broadcast_to(rot, (2, 2, 5, 5)).copy(), grid,
-                        SPEC, 0.0)
+    framed = FrameField(1.0, np.broadcast_to(rot, (2, 2, 5, 5)).copy(), 0.0)
     assert np.allclose(curved_flat_planes(framed, SPEC), pi0, atol=1e-14)
 
 
@@ -108,9 +106,7 @@ def test_curved_flat_planes_orthogonal_so3():
     spec3 = so3_spec()
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    grid = GridSpec([0.1], [2])
-    frames = FrameField(1.0, np.broadcast_to(q, (2, 3, 3)).copy(), grid, spec3,
-                        0.0)
+    frames = FrameField(1.0, np.broadcast_to(q, (2, 3, 3)).copy(), 0.0)
     p = curved_flat_planes(frames, spec3)
     eig = np.sort(np.linalg.eigvals(p[0]).real)
     assert np.allclose(eig, [0.0, 1.0, 1.0], atol=1e-10)
@@ -133,7 +129,7 @@ def test_developing_map_detects_branch_flips():
         0.0,
     )
     with pytest.raises(GaugeContinuityError):
-        developing_map(gauge, grid, closedness_tol=1e-4)
+        developing_map(gauge, closedness_tol=1e-4)
 
 
 def test_gauge_normal_form_fixed_point():
@@ -146,7 +142,7 @@ def test_gauge_normal_form_fixed_point():
     a1[..., 0, :, :] = b1
     a1[..., 1, :, :] = b2
     conn = ConnectionForm(np.zeros_like(a1), a1, grid, SPEC)
-    gauge = gauge_to_normal_form(conn, SPEC)
+    gauge = gauge_to_normal_form(conn)
     assert np.array_equal(gauge.h, greedy_gauge_h(conn, SPEC))
     assert gauge.max_off_span < 1e-12
     got = {tuple(np.round(sorted(np.abs(row)), 10)) for row in
@@ -165,7 +161,7 @@ def test_gauge_round_trip_under_known_conjugation(run17):
     a0 = np.einsum("ab,...jbc,dc->...jad", h_star, conn.a0, h_star)
     a1 = np.einsum("ab,...jbc,dc->...jad", h_star, conn.a1, h_star)
     conj = ConnectionForm(a0, a1, grid, SPEC)
-    regauged = gauge_to_normal_form(conj, SPEC)
+    regauged = gauge_to_normal_form(conj)
     assert np.array_equal(regauged.h, greedy_gauge_h(conj, SPEC))
     for j in range(2):
         got = np.sort(np.abs(regauged.betas[4, 7, j]))
@@ -180,7 +176,7 @@ def test_gauge_single_direction_matches_svd():
     a1 = np.empty((3, 1, 5, 5))
     a1[:, 0] = x
     conn = ConnectionForm(np.zeros_like(a1), a1, grid, SPEC)
-    gauge = gauge_to_normal_form(conn, SPEC)
+    gauge = gauge_to_normal_form(conn)
     assert np.array_equal(gauge.h, greedy_gauge_h(conn, SPEC))
     got = np.sort(np.abs(gauge.betas[0, 0]))
     want = np.sort(np.linalg.svd(b, compute_uv=False))
@@ -196,7 +192,7 @@ def test_gauge_degenerate_spectrum_raises():
     a1[:, 0] = x
     conn = ConnectionForm(np.zeros_like(a1), a1, grid, SPEC)
     with pytest.raises(DegenerateSpectrumError):
-        gauge_to_normal_form(conn, SPEC)
+        gauge_to_normal_form(conn)
 
 
 def test_gauge_names_first_node_with_colliding_singular_values(run17):
@@ -216,7 +212,7 @@ def test_gauge_names_first_node_with_colliding_singular_values(run17):
 
     at_origin = colliding([(0, 0)])
     with pytest.raises(DegenerateSpectrumError, match=r"at node \(0, 0\)$") as err:
-        gauge_to_normal_form(at_origin, SPEC)
+        gauge_to_normal_form(at_origin)
     assert err.value.node == (0, 0)
     with pytest.raises(DegenerateSpectrumError) as former:
         greedy_gauge_h(at_origin, SPEC)
@@ -224,7 +220,7 @@ def test_gauge_names_first_node_with_colliding_singular_values(run17):
 
     with pytest.raises(NumericalError, match=r"leaves the Cartan span by .* at "
                        r"node \(2, 3\)$") as err:
-        gauge_to_normal_form(colliding([(3, 1), (2, 3)]), SPEC)
+        gauge_to_normal_form(colliding([(3, 1), (2, 3)]))
     assert type(err.value) is NumericalError
     assert err.value.node == (2, 3)
 
@@ -238,7 +234,7 @@ def test_gauge_names_first_non_cartan_node(run17):
         a1[node + (1,)] = 2.0 * a1[node + (0,)]
     broken = ConnectionForm(conn.a0, a1, grid, SPEC)
     with pytest.raises(NonCartanError, match=r"at \(6, 12\)$") as err:
-        gauge_to_normal_form(broken, SPEC)
+        gauge_to_normal_form(broken)
     assert err.value.node == (6, 12)
     with pytest.raises(NonCartanError) as former:
         greedy_gauge_h(broken, SPEC)
@@ -271,7 +267,7 @@ def test_gauge_names_first_node_where_continuity_breaks():
     conn = _rotated_normal_form(grid, {(6, 2): turn, (4, 7): turn})
     with pytest.raises(NumericalError, match=r"^gauged p-part leaves the Cartan "
                        r"span by \S+ at node \(4, 7\)$") as err:
-        gauge_to_normal_form(conn, SPEC)
+        gauge_to_normal_form(conn)
     assert type(err.value) is NumericalError
     assert err.value.node == (4, 7)
 
@@ -292,7 +288,7 @@ def test_gauge_follows_singular_directions_that_swap():
     lead = np.argmax(np.abs(np.linalg.svd(c)[2][..., 0, :]), axis=-1)
     assert np.all(lead[:, :5] == 2) and np.all(lead[:, 5:] == 1)
 
-    gauge = gauge_to_normal_form(conn, SPEC)
+    gauge = gauge_to_normal_form(conn)
     assert np.array_equal(gauge.h, greedy_gauge_h(conn, SPEC))
     assert gauge.max_off_span < 1e-12
     betas = np.abs(gauge.betas)
@@ -309,7 +305,7 @@ def test_gauge_left_singular_columns_keep_their_own_signs():
     grid = GridSpec([0.4, 0.4], [5, 5])
     conn = _rotated_normal_form(grid, {})
     conn.a1[3, 2] *= -1.0
-    gauge = gauge_to_normal_form(conn, SPEC)
+    gauge = gauge_to_normal_form(conn)
     assert np.array_equal(gauge.h, greedy_gauge_h(conn, SPEC))
     assert np.array_equal(gauge.h[3, 2], gauge.h[3, 1])
     assert np.allclose(gauge.betas[3, 2], -gauge.betas[3, 1], atol=1e-12)
@@ -328,7 +324,7 @@ def test_gauge_rejects_non_finite_a1_as_structural(run17, bad):
     a1 = conn.a1.copy()
     a1[5, 6, 1, 3, 0] = bad
     with pytest.raises(StructuralError, match=r"flow 1 at node \(5, 6\)"):
-        gauge_to_normal_form(ConnectionForm(conn.a0, a1, grid, SPEC), SPEC)
+        gauge_to_normal_form(ConnectionForm(conn.a0, a1, grid, SPEC))
 
 
 def test_developing_map_constant_coefficients():
@@ -339,9 +335,9 @@ def test_developing_map_constant_coefficients():
     a1[..., 0, :, :] = b1
     a1[..., 1, :, :] = b2
     conn = ConnectionForm(np.zeros_like(a1), a1, grid, SPEC)
-    gauge = gauge_to_normal_form(conn, SPEC)
+    gauge = gauge_to_normal_form(conn)
     assert np.array_equal(gauge.h, greedy_gauge_h(conn, SPEC))
-    dev = developing_map(gauge, grid, closedness_tol=1e-4)
+    dev = developing_map(gauge, closedness_tol=1e-4)
     assert dev.closedness_residual == 0.0
     # psi is linear in the coordinates: psi(x) = x . betas.
     h = grid.steps
@@ -363,13 +359,13 @@ def test_developing_map_equals_per_node_sweep(nodes):
     zeros = np.zeros(nodes + (k, 5, 5))
     gauge = GaugeField(np.zeros(nodes + (5, 5)), zeros, zeros, betas,
                        grid, SPEC, 0.0)
-    dev = developing_map(gauge, grid, closedness_tol=np.inf)
+    dev = developing_map(gauge, closedness_tol=np.inf)
     assert dev.psi.tobytes() == developing_psi_per_node(betas, grid).tobytes()
 
 
 def test_developing_map_isometry(run17):
     grid, conn, gauge, _ = run17
-    dev = developing_map(gauge, grid, closedness_tol=1e-4)
+    dev = developing_map(gauge, closedness_tol=1e-4)
     assert dev.isometry_residual <= 1e-10
     assert dev.closedness_residual <= 1e-10
 
@@ -381,9 +377,9 @@ def test_developing_map_arc_length_for_curves():
     a1 = np.empty((9, 1, 5, 5))
     a1[:, 0] = x
     conn = ConnectionForm(np.zeros_like(a1), a1, grid, SPEC)
-    gauge = gauge_to_normal_form(conn, SPEC)
+    gauge = gauge_to_normal_form(conn)
     assert np.array_equal(gauge.h, greedy_gauge_h(conn, SPEC))
-    dev = developing_map(gauge, grid, closedness_tol=1e-4)
+    dev = developing_map(gauge, closedness_tol=1e-4)
     # Antiderivative of constant coefficients: |psi| grows linearly.
     assert np.allclose(
         np.linalg.norm(dev.psi[-1]), 0.5 * np.linalg.norm([0.8, 0.5]), atol=1e-12
@@ -392,7 +388,7 @@ def test_developing_map_arc_length_for_curves():
 
 def test_reconstruct_immersion_unit_and_kernel(run17):
     grid, conn, gauge, frames = run17
-    im = reconstruct_immersion(gauge, frames, SPEC)
+    im = reconstruct_immersion(gauge, frames)
     assert im.unit_residual <= 1e-7
     assert im.kernel_residual <= 1e-8
     assert im.degenerate_fraction == 0.0
@@ -400,9 +396,9 @@ def test_reconstruct_immersion_unit_and_kernel(run17):
 
 def test_reconstruct_immersion_rejects_zero_mu(run17):
     grid, conn, gauge, _ = run17
-    frames0 = integrate_frame(conn, [0.0], grid)[0]
+    frames0 = integrate_frame(conn, [0.0])[0]
     with pytest.raises(StructuralError):
-        reconstruct_immersion(gauge, frames0, SPEC)
+        reconstruct_immersion(gauge, frames0)
 
 
 def test_reconstruct_immersion_vacuum_is_non_immersive():
@@ -415,10 +411,10 @@ def test_reconstruct_immersion_vacuum_is_non_immersive():
     sol = integrate_grid(LaxState(stack, spec3), FlowFamily([1], 1), grid,
                          substeps=2)
     conn = connection_from_state(sol)
-    gauge = gauge_to_normal_form(conn, spec3)
-    frames = integrate_frame(conn, [1.0], grid)[0]
+    gauge = gauge_to_normal_form(conn)
+    frames = integrate_frame(conn, [1.0])[0]
     with pytest.raises(NonImmersiveError):
-        reconstruct_immersion(gauge, frames, spec3)
+        reconstruct_immersion(gauge, frames)
 
 
 def test_reconstruct_immersion_identity_frames_non_immersive():
@@ -429,11 +425,11 @@ def test_reconstruct_immersion_identity_frames_non_immersive():
     a1[..., 0, :, :] = b1
     a1[..., 1, :, :] = b2
     conn = ConnectionForm(np.zeros_like(a1), a1, grid, SPEC)
-    gauge = gauge_to_normal_form(conn, SPEC)
+    gauge = gauge_to_normal_form(conn)
     eye = np.broadcast_to(np.eye(5), (4, 4, 5, 5)).copy()
-    frames = FrameField(1.0, eye, grid, SPEC, 0.0)
+    frames = FrameField(1.0, eye, 0.0)
     with pytest.raises(NonImmersiveError):
-        reconstruct_immersion(gauge, frames, SPEC)
+        reconstruct_immersion(gauge, frames)
 
 
 def test_gauss_curvature_synthetic_sphere_and_plane():
@@ -459,8 +455,8 @@ def test_gauss_curvature_synthetic_sphere_and_plane():
 def test_verify_space_form_geometry_orders(run17, run33):
     reports = []
     for grid, conn, gauge, frames in (run17, run33):
-        im = reconstruct_immersion(gauge, frames, SPEC)
-        reports.append(verify_space_form_geometry(im, grid))
+        im = reconstruct_immersion(gauge, frames)
+        reports.append(verify_space_form_geometry(im))
     for key in (
         "gauss_curvature_max_error",
         "normal_curvature_residual",
@@ -506,26 +502,26 @@ def test_gauge_invariance_of_geometry(run17):
     # The span turns with g(x), so the origin's H leaves it off the reference
     # Cartan span from the first node where g differs from the identity.
     with pytest.raises(NumericalError, match=r"at node \(0, 1\)$") as err:
-        gauge_to_normal_form(conj, SPEC)
+        gauge_to_normal_form(conj)
     assert err.value.node == (0, 1)
     # H g(x)^T undoes the turn; its -dH H^-1 term must cancel the one added
     # to A0 above.
-    regauge = gauge_from_h(conj, gauge.h @ np.swapaxes(g_field, -1, -2), SPEC)
+    regauge = gauge_from_h(conj, gauge.h @ np.swapaxes(g_field, -1, -2))
     # The former continuation followed the turn to the same H up to roundoff.
     assert np.allclose(regauge.h, greedy_gauge_h(conj, SPEC), rtol=0.0, atol=1e-12)
     assert np.allclose(regauge.a1, gauge.a1, rtol=0.0, atol=1e-12)
-    dev0 = developing_map(gauge, grid, closedness_tol=1e-4)
-    dev1 = developing_map(regauge, grid, closedness_tol=1e-4)
+    dev0 = developing_map(gauge, closedness_tol=1e-4)
+    dev1 = developing_map(regauge, closedness_tol=1e-4)
     gram0 = np.einsum("...ia,...ja->...ij", gauge.betas, gauge.betas)
     gram1 = np.einsum("...ia,...ja->...ij", regauge.betas, regauge.betas)
     assert np.max(np.abs(gram0 - gram1)) < 1e-9
     assert dev1.isometry_residual < 1e-9
 
-    frames1 = integrate_frame(conj, [1.0], grid)[0]
-    im0 = reconstruct_immersion(gauge, frames, SPEC)
-    im1 = reconstruct_immersion(regauge, frames1, SPEC)
-    rep0 = verify_space_form_geometry(im0, grid)
-    rep1 = verify_space_form_geometry(im1, grid)
+    frames1 = integrate_frame(conj, [1.0])[0]
+    im0 = reconstruct_immersion(gauge, frames)
+    im1 = reconstruct_immersion(regauge, frames1)
+    rep0 = verify_space_form_geometry(im0)
+    rep1 = verify_space_form_geometry(im1)
     for key in ("gauss_curvature_max_error", "normal_curvature_residual"):
         assert rep1[key] <= 10.0 * rep0[key] + 1e-10, key
 
@@ -557,8 +553,8 @@ def _circle_setup(omega, beta, mu, length=2.0, nodes=161):
     sol = integrate_grid(LaxState(stack, spec3), FlowFamily([1], 1), grid,
                          substeps=2)
     conn = connection_from_state(sol)
-    frames = integrate_frame(conn, [mu], grid)[0]
-    return curve_diagnostics(frames, conn, grid, mu), grid
+    frames = integrate_frame(conn, [mu])[0]
+    return curve_diagnostics(frames, conn), grid
 
 
 def test_curve_diagnostics_circle_family():
