@@ -140,16 +140,18 @@ class RunConfig:
         merged = default_config()
         merged.update(raw)
         self.raw = dict(merged)
+        # Only an absent key or null takes the default; a falsy value is checked.
+        given = {k: v for k, v in merged.items() if v is not None}
         for key in ("powers", "extents", "nodes", "mu_samples"):
             if not isinstance(merged[key], (list, tuple)):
                 raise ConfigError(f"{key} must be a list, got {merged[key]!r}")
         for key in ("outputs", "tolerances"):
-            if not isinstance(merged.get(key) or {}, dict):
+            if not isinstance(given.get(key, {}), dict):
                 raise ConfigError(f"{key} must be an object, got {merged[key]!r}")
 
         self.preset = merged.get("preset")
         other = ("m", "n") if self.preset is None else ("signature", "split", "rank")
-        ignored = [key for key in other if merged.get(key) is not None]
+        ignored = [key for key in other if key in given]
         if ignored:
             raise ConfigError(
                 f"{ignored} cannot be used with preset {self.preset!r}: m/n size "
@@ -157,11 +159,11 @@ class RunConfig:
             )
         if self.preset is not None:
             sizes = {k: _integral(k, merged[k], 0)
-                     for k in ("m", "n") if merged.get(k) is not None}
+                     for k in ("m", "n") if k in given}
             self.spec = make_preset(self.preset, **sizes)
         else:
             for key in ("signature", "split", "rank"):
-                if key not in merged or merged[key] is None:
+                if key not in given:
                     raise ConfigError(f"explicit spec requires {key!r}")
             pos, neg = _integers("signature", merged["signature"], 2, 0)
             self.spec = SymmetricSpaceSpec(
@@ -209,7 +211,7 @@ class RunConfig:
         if self.xi0 is None and self.seed is None:
             raise ConfigError("either a seed or explicit xi0 coefficients required")
 
-        outputs = merged.get("outputs") or {}
+        outputs = given.get("outputs", {})
         bad = set(outputs) - _KNOWN_OUTPUTS
         if bad:
             raise ConfigError(f"unknown output flags: {sorted(bad)}")
@@ -218,7 +220,7 @@ class RunConfig:
         self.outputs = {k: outputs.get(k, True) for k in _KNOWN_OUTPUTS}
 
         tol = dict(DEFAULT_TOLERANCES)
-        overrides = merged.get("tolerances") or {}
+        overrides = given.get("tolerances", {})
         bad = set(overrides) - set(DEFAULT_TOLERANCES)
         if bad:
             raise ConfigError(f"unknown tolerance keys: {sorted(bad)}")
@@ -230,7 +232,7 @@ class RunConfig:
         self.tolerances = tol
 
         self.obj_coords = tuple(
-            _integers("obj_coords", merged.get("obj_coords") or [0, 1, 2], 3, 0)
+            _integers("obj_coords", given.get("obj_coords", [0, 1, 2]), 3, 0)
         )
         if any(c >= self.spec.dim for c in self.obj_coords):
             raise ConfigError(f"obj_coords out of range: {self.obj_coords}")

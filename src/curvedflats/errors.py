@@ -2,7 +2,12 @@
 
 
 class CurvedFlatsError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  Carries the grid
+    node where the failure was found, when there is one."""
+
+    def __init__(self, message, node=None):
+        super().__init__(message)
+        self.node = node
 
 
 class StructuralError(CurvedFlatsError):
@@ -18,13 +23,11 @@ class MissingArtifactError(StructuralError):
 
 
 class NumericalError(CurvedFlatsError):
-    """Base for runtime numerical failures (exit code 3 in the CLI).  Carries
-    the grid node where the failure was found and, from a kernel acting on a
-    stack, the index of the failing slice, when there is one."""
+    """Base for runtime numerical failures (exit code 3 in the CLI); from a
+    kernel acting on a stack, it also carries the failing slice's index."""
 
     def __init__(self, message, node=None, index=None):
-        super().__init__(message)
-        self.node = node
+        super().__init__(message, node)
         self.index = index
 
 

@@ -3,15 +3,15 @@
 The 1-form A^mu = A0 + mu A1 is read off per coordinate direction as the
 degree-0/1 part of pi_+ Vt_r(xi), for the whole grid in one call of the kernel
 the flows share, and its k/p split is checked over the whole grid at once.
-The frame equation F^-1 dF = A^mu is integrated along ``GridSpec.flat_edges``
-with a midpoint exponential (order 2).  A^mu lies in so(J), so each step stays
-in the group O(J) up to roundoff; a frame whose distance from the group
-exceeds ``IN_GROUP_TOL`` is repaired by J-Gram-Schmidt, and every other frame
-is kept as the exponential left it.  All spectral samples share that one
-walk: each edge evaluates A^mu for the whole batch of samples and takes one
-batched exponential and one batched group check, whose per-slice results
-equal the single-matrix ones byte for byte.  The group drift is one scan of
-each sample's field.
+The frame equation F^-1 dF = A^mu is integrated row by row along
+``GridSpec.slabs`` with a midpoint exponential (order 2).  A^mu lies in
+so(J), so each step stays in the group O(J) up to roundoff; a frame whose
+distance from the group exceeds ``IN_GROUP_TOL`` is repaired by
+J-Gram-Schmidt, and every other frame is kept as the exponential left it.
+All spectral samples share that one walk: each row evaluates A^mu for the
+whole batch of samples, and each node takes one batched exponential and one
+batched group check, whose per-slice results equal the single-matrix ones
+byte for byte.  The group drift is one scan of each sample's field.
 """
 
 import numpy as np
@@ -93,7 +93,8 @@ def connection_from_state(sol):
         *index, j = (int(i) for i in failing[0])
         raise InternalConsistencyError(
             f"connection coefficients off the k/p split at node {tuple(index)},"
-            f" flow r={powers[j]}: residual {bad[tuple(failing[0])]:.3e}"
+            f" flow r={powers[j]}: residual {bad[tuple(failing[0])]:.3e}",
+            node=tuple(index),
         )
     return ConnectionForm(a0, a1, sol.grid, spec)
 
@@ -259,50 +260,45 @@ def integrate_frame(conn, mus, axis_priority=None):
     """Integrate F^-1 dF = A^mu over the grid with F(origin) = I, for every
     spectral sample in ``mus`` at once.
 
-    Each edge applies exp(h * Abar) with Abar the average of the edge's
-    endpoint values (midpoint exponential, order 2), then ``j_orthonormalize``,
-    which repairs only the frames that have left O(J); both act on the whole
-    batch of samples.  The edges are those of ``conn.grid.flat_edges``,
-    walked on the flat node axis of the frames and the connection as the Lax
-    fill walks them; ``axis_priority`` (default 0, 1, ...) permutes which axis is
-    treated as primary (used to quantify path independence).  A^mu and the
-    exponent h * Abar are built once per grid line, for every edge of the
-    line and every sample in one expression each, and an edge only reads its
-    exponent; every entry is the arithmetic of the per-edge expression, so
-    the bytes are the same.  One line per axis is held at a time: the walk
-    takes the edges of a line in order, interleaved only with lines of later
-    axes.  Returns one ``FrameField`` per sample, in order, each a view into
-    one (len(mus), *nodes, n, n) array.
+    The walk takes the rows of ``conn.grid.slabs(axis_priority)`` in order
+    (default 0, 1, ...; another order quantifies path independence) on flat
+    node views.  Each node applies exp(h * Abar) to its predecessor's frame,
+    Abar the mean of A^mu at the ends of its edge (midpoint exponential,
+    order 2), then ``j_orthonormalize``, which repairs only the frames that
+    have left O(J); both act on the whole batch of samples.  A^mu of a row
+    is one expression over its nodes and samples, reused as the next row's
+    predecessor term, and the row's exponents are one more, in the
+    arithmetic of the per-edge expression, so the bytes are the same.  A
+    failure names the first failing node in slab order and its sample.
+    Returns one ``FrameField`` per sample, in order, each a view into one
+    (len(mus), *nodes, n, n) array.
     """
     spec, grid = conn.spec, conn.grid
     n, k = spec.dim, grid.dims
     mus = [float(mu) for mu in mus]
     mu = np.array(mus)[:, None, None]
-    h = grid.steps
     frames = np.zeros((len(mus),) + grid.nodes + (n, n))
     a0, a1 = conn.a0.reshape(-1, k, n, n), conn.a1.reshape(-1, k, n, n)
     flat = frames.reshape(len(mus), len(a0), n, n)  # no -1: mus may be empty
     priority = tuple(range(k) if axis_priority is None else axis_priority)
     flat[:, 0] = np.eye(n)
-    lines = {}  # axis -> (the line's first flat node, (N_axis - 1, M, n, n) exponents)
-    for node, prev, axis in zip(*grid.flat_edges(priority)):
-        stride, size = node - prev, grid.nodes[axis]
-        t = node // stride % size
-        first = node - t * stride
-        line = lines.get(axis)
-        if line is None or line[0] != first:
-            at = slice(first, first + stride * size, stride)
-            a_mu = a0[at, axis, None] + mu * a1[at, axis, None]  # (N_axis, M, n, n)
-            line = lines[axis] = (first, h[axis] * (0.5 * (a_mu[:-1] + a_mu[1:])))
-        try:
-            flat[:, node] = j_orthonormalize(
-                flat[:, prev] @ expm(line[1][t - 1]), spec.space
-            )
-        except NumericalError as err:  # expm's range, Gram-Schmidt's pivots
-            index = tuple(int(i) for i in np.unravel_index(node, grid.nodes))
-            raise type(err)(
-                f"{err} at node {index}, mu={mus[err.index[0]]!r}", node=index
-            ) from err
+    try:
+        for axis, ids in grid.slabs(priority):
+            rows = ids.tolist()
+            prev_a = a0[rows[0], axis, None] + mu * a1[rows[0], axis, None]
+            for prev_row, row in zip(rows, rows[1:]):
+                a_mu = a0[row, axis, None] + mu * a1[row, axis, None]  # (m, M, n, n)
+                exponents = grid.steps[axis] * (0.5 * (prev_a + a_mu))
+                prev_a = a_mu
+                for prev, node, exponent in zip(prev_row, row, exponents):
+                    flat[:, node] = j_orthonormalize(
+                        flat[:, prev] @ expm(exponent), spec.space
+                    )
+    except NumericalError as err:  # expm's range, Gram-Schmidt's pivots
+        index = tuple(int(i) for i in np.unravel_index(node, grid.nodes))
+        raise type(err)(
+            f"{err} at node {index}, mu={mus[err.index[0]]!r}", node=index
+        ) from err
     return [
         FrameField(mu_k, f, in_group_residual(f, spec.space))
         for mu_k, f in zip(mus, frames)

@@ -5,9 +5,9 @@ The p-parts of the connection span the same Cartan subspace at every node
 gauge H, built from a simultaneous singular value decomposition at the
 origin, conjugates them into the rectangular-diagonal normal form with a
 common kernel direction e0; the gauged form is checked node by node, in C
-order.  Integrating it along the default ``GridSpec.flat_edges`` tree gives
-the developing map psi (a local isometry onto the reference Cartan
-subspace), and the first column of the gauged frame is the
+order.  Integrating it one ``GridSpec.slabs`` block at a time, in the
+default axis order, gives the developing map psi (a local isometry onto the
+reference Cartan subspace), and the first column of the gauged frame is the
 reconstructed unit-quadric map phi, whose induced metric, normal bundle, and
 second fundamental form are then checked against the space-form predictions.
 """
@@ -110,11 +110,6 @@ def _canonical_signs(columns):
     return np.where(lead < 0, -1.0, 1.0)
 
 
-def _along(axis, index):
-    """Index tuple selecting ``index`` along ``axis`` of a region block."""
-    return (slice(None),) * axis + (index,)
-
-
 def admissible_span(span, spec):
     """Precondition shared by seeding and the gauge on a (k, n, n) tangent
     span, at the span test's tolerance ``CARTAN_TOL``.
@@ -145,9 +140,9 @@ def gauge_to_normal_form(conn):
     gauged exactly and one that leaves it fails at its first node in C order.
 
     A1 is first checked to be finite and in so(J) on the whole grid
-    (``StructuralError``); the span test then walks the nodes in C order
-    (the default ``GridSpec.flat_edges`` order), raising at the first node
-    that fails it, and at the origin, right after its span test, on a bad gap.
+    (``StructuralError``); the span test then walks the nodes in C order,
+    raising at the first node that fails it, and at the origin, right after
+    its span test, on a bad gap.
     """
     grid, spec = conn.grid, conn.spec
     n, n1, n2 = spec.dim, spec.n1, spec.n2
@@ -209,7 +204,8 @@ def _check_so_j(a1, space):
         *index, flow = (int(i) for i in failing[0])
         raise StructuralError(
             f"A1 of flow {flow} at node {tuple(index)} is not a finite element "
-            f"of so(J): residual {res[tuple(failing[0])]:.3e}"
+            f"of so(J): residual {res[tuple(failing[0])]:.3e}",
+            node=tuple(index),
         )
 
 
@@ -252,10 +248,10 @@ def developing_map(gf, closedness_tol):
     """Integrate d psi = A1~ (trapezoid along the tree) and report the
     closedness defect of the gauged p-part.
 
-    The trapezoid increments of each ``gf.grid.sweep_regions`` block are summed
-    with one ``np.cumsum`` along its axis, starting from the values the
-    earlier blocks left at index 0: the same additions, in the same order,
-    as a node-by-node walk of the default ``gf.grid.flat_edges`` tree.
+    Each slab of ``gf.grid.slabs(range(k))`` gathers its betas through its
+    ids and sums its trapezoid increments with one ``np.cumsum`` down its
+    rows from the psi the earlier slabs left in row 0: the same additions,
+    in the same order, as a node-by-node walk of the tree.
 
     A defect far above tolerance indicates a sign/order branch flip of the
     gauge between neighboring nodes rather than discretization error.
@@ -265,13 +261,11 @@ def developing_map(gf, closedness_tol):
     m = gf.betas.shape[-1]
     steps = grid.steps
     psi = np.zeros(grid.nodes + (m,))
-    for axis, region in grid.sweep_regions():
-        b, block = gf.betas[region + (axis,)], psi[region]
-        head, tail = _along(axis, slice(None, -1)), _along(axis, slice(1, None))
-        increments = steps[axis] * (0.5 * (b[head] + b[tail]))
-        block[...] = np.cumsum(
-            np.concatenate([block[_along(axis, slice(0, 1))], increments], axis), axis
-        )
+    flat, betas = psi.reshape(-1, m), gf.betas.reshape(-1, k, m)
+    for axis, ids in grid.slabs(range(k)):
+        b = betas[ids, axis]  # (N_axis, slab width, m)
+        increments = steps[axis] * (0.5 * (b[:-1] + b[1:]))
+        flat[ids] = np.cumsum(np.concatenate([flat[ids[:1]], increments]), axis=0)
 
     closedness = 0.0
     if k >= 2:

@@ -12,16 +12,16 @@ the rest of the flow.  An edge is one ``_rk4`` call on one state, with four
 ``flow_rhs`` calls per substep; each does two row-stack ``dot``s, two
 matmuls and in-place updates, and the stage arguments and the RK4
 combination reuse the edge's buffers, all in the arithmetic of the
-broadcast expressions, so the bytes do not depend on the path.  Fewer calls
-per grid need the edges of a slab batched into one call.  The flows
-commute, so any spanning tree of the grid fills it: the Lax fill walks the
-flat index pairs of ``GridSpec.flat_edges`` with the axes ordered by
-decreasing flow power (for two flows: flow 2 along x2 from the seed, then
-flow 1 along x1 from every x2-node), so the cheapest flow takes the most
-edges, and a ``BlowUpError`` names the first failing node in that order.
-The frame integration walks the same tree in the default axis order (x1
-from the origin, then x2 from every x1-node, ...: C order), and the
-developing map fills it one ``sweep_regions`` block at a time.
+broadcast expressions, so the bytes do not depend on the path.  The flows
+commute, so any spanning tree of the grid fills it, and ``GridSpec.slabs``
+is the one description of that tree: per axis a block of rows, each row
+one step along the axis from the row before it.  The Lax fill walks the
+slabs with the axes ordered by decreasing flow power (for two flows: flow 2
+along x2 from the seed, then flow 1 along x1 from every x2-node, one row
+per x1 step), so the cheapest flow takes the most edges, and a
+``BlowUpError`` names the first failing node in slab order.  The frame
+integration and the developing map walk the slabs of the default axis
+order (x1 from the origin, then x2 from every x1-node, ...).
 The pointwise checks (twist condition, conservation) take the whole grid in
 one call.  Everything is deterministic.
 """
@@ -69,39 +69,25 @@ class GridSpec:
     def steps(self):
         return tuple(l / (n - 1) for l, n in zip(self.extents, self.nodes))
 
-    def flat_edges(self, priority):
-        """The grid's spanning tree as three lists of ints: each node's flat
-        (C order) index, its predecessor's, and the axis of the step.
+    def slabs(self, priority):
+        """The grid's spanning tree as one ``(axis, ids)`` pair per axis, in
+        the order of ``priority`` (a permutation of 0, 1, ...).
 
-        The nodes after the origin come in lexicographic order over the axes
-        in ``priority`` order (a permutation of 0, 1, ...; ``range(dims)`` is
-        C order), each one step along its last nonzero axis in that order.
+        ``ids`` (N_axis, m) holds flat C-order node indices: row t the nodes
+        t steps along ``axis``, row t - 1 their predecessors, position by
+        position.  The block of an axis spans the earlier axes of
+        ``priority`` in full (in lexicographic order) and is zero on the
+        later ones, so the blocks before it fill its row 0.
         """
         if sorted(priority) != list(range(self.dims)):
             raise StructuralError(f"invalid axis priority {priority}")
-        size = int(np.prod(self.nodes))
-        # The C-order ravel of the grid transposed to priority order visits
-        # the nodes lexicographically over the axes in that order.
-        order = np.arange(size).reshape(self.nodes).transpose(priority).ravel()[1:]
-        coords = np.unravel_index(order, self.nodes)
-        axes = np.zeros(size - 1, dtype=int)
-        for ax in priority:
-            axes[coords[ax] > 0] = ax
-        strides = np.cumprod((1,) + self.nodes[:0:-1])[::-1]
-        return order.tolist(), (order - strides[axes]).tolist(), axes.tolist()
-
-    def sweep_regions(self):
-        """Yield (axis, region) per axis of the default ``flat_edges`` tree.
-
-        ``region`` indexes the (nodes[0], ..., nodes[axis]) block of nodes
-        with zeros on the later axes.  Within it, every node with a nonzero
-        index along ``axis`` has its tree predecessor one step back along
-        ``axis``, and the block's nodes with index 0 along ``axis`` are
-        those of the regions before it, so the regions in order fill the
-        grid edge by edge along the default ``flat_edges`` tree.
-        """
-        for axis in range(self.dims):
-            yield axis, (slice(None),) * (axis + 1) + (0,) * (self.dims - axis - 1)
+        ids = np.arange(int(np.prod(self.nodes))).reshape(self.nodes)
+        ids = ids.transpose(priority)  # axes in priority order
+        slabs = []
+        for a, axis in enumerate(priority):
+            block = ids[(slice(None),) * (a + 1) + (0,) * (self.dims - a - 1)]
+            slabs.append((axis, np.moveaxis(block, -1, 0).reshape(self.nodes[axis], -1)))
+        return slabs
 
     def refine(self):
         """Same extents with doubled resolution (N -> 2N - 1)."""
@@ -178,19 +164,18 @@ def _rk4(stack, r, d, t, steps, norm0):
 
 
 def integrate_grid(xi0, family, grid, substeps=4):
-    """Fill the grid along ``grid.flat_edges(priority)``, one RK4 edge per
-    node.
+    """Fill the grid one RK4 edge per node, walking ``grid.slabs(priority)``
+    row by row.
 
-    ``priority`` orders the axes by decreasing flow power, so the cheapest
-    flow drives the innermost axis and most edges, and the dearest flow
-    only the one outermost line.  The flows commute, so any spanning tree
-    fills the same states up to integration error.  Swapping two adjacent
-    axes a, b of a priority moves (N_a - 1)(N_b - 1) P edges from one flow
-    to the other, P the product of the node counts of the axes before
-    them; the per-edge cost rises with the power, so for any node counts no
-    order is cheaper.  The fill walks the flat index pairs of
-    ``grid.flat_edges(priority)``.  A ``BlowUpError`` names the first
-    failing node in this order.
+    ``priority`` orders the axes by decreasing flow power, so the dearest
+    flow runs only the one line of the first slab and the cheapest flow
+    every row of the last, the most edges.  The flows commute, so any
+    spanning tree fills the same states up to integration error.  Swapping
+    two adjacent axes a, b of a priority moves (N_a - 1)(N_b - 1) P edges
+    from one flow to the other, P the product of the node counts of the
+    axes before them; the per-edge cost rises with the power, so for any
+    node counts no order is cheaper.  A ``BlowUpError`` names the first
+    failing node in slab order.
     """
     if family.dims != grid.dims:
         raise StructuralError(
@@ -204,20 +189,20 @@ def integrate_grid(xi0, family, grid, substeps=4):
     states[(0,) * grid.dims] = xi0.stack
     flat = states.reshape((-1, d + 1, n, n))
     norm0 = max(1.0, xi0.norm())
-    steps = grid.steps
     priority = sorted(range(family.dims), key=family.powers.__getitem__, reverse=True)
-    with np.errstate(**_BLOWUP_IS_CHECKED):
-        for node, prev, axis in zip(*grid.flat_edges(priority)):
-            try:
-                flat[node] = _rk4(
-                    flat[prev], family.powers[axis], d, steps[axis], substeps,
-                    norm0,
-                )
-            except BlowUpError as err:
-                index = tuple(int(i) for i in np.unravel_index(node, grid.nodes))
-                raise BlowUpError(
-                    f"blow-up while filling node {index}: {err}", node=index
-                ) from err
+    try:
+        with np.errstate(**_BLOWUP_IS_CHECKED):
+            for axis, ids in grid.slabs(priority):
+                r, t = family.powers[axis], grid.steps[axis]
+                rows = ids.tolist()
+                for prev_row, row in zip(rows, rows[1:]):
+                    for prev, node in zip(prev_row, row):
+                        flat[node] = _rk4(flat[prev], r, d, t, substeps, norm0)
+    except BlowUpError as err:  # only ``_rk4`` raises it, so ``node`` is set
+        index = tuple(int(i) for i in np.unravel_index(node, grid.nodes))
+        raise BlowUpError(
+            f"blow-up while filling node {index}: {err}", node=index
+        ) from err
     return GridSolution(states, grid, family, xi0.spec)
 
 

@@ -259,10 +259,11 @@ def integrate_grid_default_sweep(xi0, family, grid, substeps):
 
 
 def edges_per_node(grid, priority):
-    """The tree of ``GridSpec.flat_edges(priority)`` node by node, the
-    origin first with prev = axis = None: per node, the index and
+    """The spanning tree of the grid for an axis ``priority`` node by node,
+    the origin first with prev = axis = None: per node, the index and
     predecessor tuples built from an ``itertools.product`` over the axes in
-    ``priority`` order."""
+    ``priority`` order, each node one step along its last nonzero axis in
+    that order."""
     import itertools
 
     for combo in itertools.product(*(range(grid.nodes[ax]) for ax in priority)):

@@ -137,6 +137,15 @@ OVERFLOW = "1e400"
         # An infinite tolerance and a NaN seed have no strict-JSON form.
         {"tolerances": {"mc": OVERFLOW}},
         {"xi0": np.full((4, 5, 5), np.nan).tolist()},
+        # Only an absent key or null takes the default: a falsy value of the
+        # wrong type is rejected like any other.
+        {"outputs": False},
+        {"outputs": []},
+        {"tolerances": 0},
+        {"tolerances": []},
+        {"obj_coords": []},
+        {"obj_coords": 0},
+        {"obj_coords": False},
     ],
 )
 def test_main_rejects_malformed_config_values(tmp_path, override):
@@ -232,6 +241,13 @@ def test_main_gauge_failure_names_node(tmp_path, monkeypatch):
     assert error["category"] == "NumericalError"
     assert error["node"] == [2, 3]
     assert error["message"].endswith("at node (2, 3)")
+
+
+def test_config_null_takes_the_default():
+    rc = RunConfig(small_config(outputs=None, tolerances=None, obj_coords=None))
+    assert rc.outputs == {"report": True, "csv": True, "obj": True}
+    assert rc.tolerances == cli.DEFAULT_TOLERANCES
+    assert rc.obj_coords == (0, 1, 2)
 
 
 def test_config_explicit_spec():
@@ -513,9 +529,10 @@ def test_main_blow_up_exit_code_and_error_report(tmp_path):
     failure = json.loads((out / "report.json").read_text())
     assert failure["pass"] is False
     assert failure["error"]["category"] == "BlowUpError"
-    # The fill walks the x1 lines (r = 1) first; the third node of the
-    # first one is the first to blow up.
-    assert failure["error"]["node"] == [2, 0]
+    # The fill runs the x2 line (r = 3) from the seed first, then one row of
+    # x1 steps (r = 1) per x1 index; the third node of the first row is the
+    # first to blow up.
+    assert failure["error"]["node"] == [1, 2]
 
 
 @pytest.mark.parametrize(
@@ -553,16 +570,17 @@ def test_main_blow_up_of_overflowing_edge_prints_no_warning(tmp_path):
 @pytest.mark.parametrize("mu", [1e30, 1e300])
 def test_main_expm_out_of_range_names_node_and_mu(tmp_path, mu):
     # exp(h * Abar) at such mu needs more squarings than float64 resolves;
-    # the run stops at the first edge instead of collapsing its frame.
+    # the run stops at the first edge, the first x1 step of the frame walk,
+    # instead of collapsing its frame.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"nodes": [5, 5], "mu_samples": [mu]}))
     out = tmp_path / "o"
     assert main(["run", str(cfg_path), "-o", str(out)]) == 3
     error = json.loads((out / "report.json").read_text())["error"]
     assert error["category"] == "NumericalError"
-    assert error["node"] == [0, 1]
+    assert error["node"] == [1, 0]
     assert "squarings, which leave no correct digit in slice (0,)" in error["message"]
-    assert f"node (0, 1), mu={mu!r}" in error["message"]
+    assert f"node (1, 0), mu={mu!r}" in error["message"]
 
 
 def _strict_json(path):
@@ -599,8 +617,9 @@ def test_run_writes_strict_json(tmp_path):
 
 
 def test_main_degenerate_frame_names_node_and_mu(tmp_path, monkeypatch):
-    # Zero one sample's step exponential on the fifth edge of the sweep:
-    # that sample's frame collapses at the node the edge fills.
+    # Zero one sample's step exponential on the fifth edge of the frame
+    # walk, the fifth x1 step of its first slab: that sample's frame
+    # collapses at the node the edge fills.
     calls = []
 
     def collapsing_expm(m):
@@ -617,9 +636,9 @@ def test_main_degenerate_frame_names_node_and_mu(tmp_path, monkeypatch):
     assert main(["run", str(cfg_path), "-o", str(out)]) == 3
     error = json.loads((out / "report.json").read_text())["error"]
     assert error["category"] == "DegenerateFrameError"
-    assert error["node"] == [0, 5]
+    assert error["node"] == [5, 0]
     assert "slice (1,)" in error["message"]
-    assert "node (0, 5), mu=1.25" in error["message"]
+    assert "node (5, 0), mu=1.25" in error["message"]
 
 
 def test_main_internal_error_exits_3_with_error_block(tmp_path, monkeypatch, capsys):

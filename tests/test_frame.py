@@ -103,6 +103,7 @@ def test_connection_rejects_node_off_the_k_p_split(small_run):
     with pytest.raises(InternalConsistencyError) as err:
         connection_from_state(GridSolution(states, grid, family, SPEC))
     assert "at node (2, 7), flow r=1: residual 1.000e-03" in str(err.value)
+    assert err.value.node == (2, 7)
 
 
 def test_mc_residual_constant_commuting():
@@ -386,8 +387,8 @@ def test_j_orthonormalize_sends_nan_and_off_group_slices_to_gram_schmidt(
 )
 def test_integrate_frame_line_blocks_match_per_edge_expression(powers, nodes,
                                                                axis_priority):
-    # A^mu and the exponent built once per grid line give the bytes of the
-    # former per-edge expression, for every sweep order.
+    # A^mu and the exponents built once per slab row give the bytes of the
+    # former per-edge expression, for every axis priority.
     grid = GridSpec([0.4] * len(nodes), nodes)
     sol = integrate_grid(random_state(seed=3), FlowFamily(powers, 3), grid, 4)
     conn = connection_from_state(sol)

@@ -323,8 +323,9 @@ def test_gauge_rejects_non_finite_a1_as_structural(run17, bad):
     grid, conn, _, _ = run17
     a1 = conn.a1.copy()
     a1[5, 6, 1, 3, 0] = bad
-    with pytest.raises(StructuralError, match=r"flow 1 at node \(5, 6\)"):
+    with pytest.raises(StructuralError, match=r"flow 1 at node \(5, 6\)") as err:
         gauge_to_normal_form(ConnectionForm(conn.a0, a1, grid, SPEC))
+    assert err.value.node == (5, 6)
 
 
 def test_developing_map_constant_coefficients():
@@ -351,7 +352,7 @@ def test_developing_map_constant_coefficients():
 
 @pytest.mark.parametrize("nodes", [(7,), (5, 6), (3, 4, 5)])
 def test_developing_map_equals_per_node_sweep(nodes):
-    # The per-axis cumsum makes the sweep's additions in the sweep's order.
+    # The per-slab cumsum makes the per-node walk's additions in its order.
     grid = GridSpec([0.4] * len(nodes), nodes)
     rng = np.random.default_rng(len(nodes))
     k = len(nodes)

@@ -58,13 +58,23 @@ def test_grid_spec_validation():
         GridSpec([0.4, 0.4], [1, 33])
 
 
+def slab_edges(grid, priority):
+    """The (node, predecessor, axis) flat index triples of
+    ``grid.slabs(priority)`` in walk order: row by row, position by
+    position."""
+    for axis, ids in grid.slabs(priority):
+        for prev_row, row in zip(ids, ids[1:]):
+            for prev, node in zip(prev_row, row):
+                yield int(node), int(prev), axis
+
+
 @pytest.mark.parametrize("priority", list(itertools.permutations(range(3))))
 def test_sweep_visits_every_node_once_after_its_predecessor(priority):
     nodes = (4, 3, 2)
     grid = GridSpec([1.0, 1.0, 1.0], nodes)
     strides = (6, 2, 1)
     seen = {0}  # the origin
-    for node, prev, axis in zip(*grid.flat_edges(priority)):
+    for node, prev, axis in slab_edges(grid, priority):
         assert node not in seen
         assert prev in seen
         assert node - prev == strides[axis]
@@ -74,45 +84,44 @@ def test_sweep_visits_every_node_once_after_its_predecessor(priority):
 
 
 @pytest.mark.parametrize("nodes", [(5,), (4, 3), (4, 3, 2)])
-def test_flat_edges_are_the_per_node_edges_in_order(nodes):
-    # The whole-grid index arrays give the edges the former per-node
-    # generator built, in the same order, for every axis priority.
+def test_slabs_are_the_per_node_edges(nodes):
+    # Every node after the origin is reached exactly once, from the
+    # predecessor of the per-node tree, which the walk fills before it.
     grid = GridSpec([1.0] * len(nodes), nodes)
+    flat = np.arange(np.prod(nodes)).reshape(nodes)
     for priority in itertools.permutations(range(len(nodes))):
-        expected = list(edges_per_node(grid, priority))
-        flat = np.arange(np.prod(nodes)).reshape(nodes)
-        assert list(zip(*grid.flat_edges(priority))) == [
-            (int(flat[index]), int(flat[prev]), axis)
-            for index, prev, axis in expected[1:]
-        ]
+        expected = {
+            int(flat[index]): (int(flat[prev]), axis)
+            for index, prev, axis in edges_per_node(grid, priority)
+            if prev is not None
+        }
+        filled = {0}
+        for node, prev, axis in slab_edges(grid, priority):
+            assert node not in filled
+            assert expected.pop(node) == (prev, axis)
+            assert prev in filled
+            filled.add(node)
+        assert not expected
     for priority in (tuple(range(1, len(nodes) + 1)), (0, 0), (0, 2)):
         with pytest.raises(StructuralError):
-            grid.flat_edges(priority)
+            grid.slabs(priority)
 
 
 @pytest.mark.parametrize("nodes", [(5,), (4, 3), (4, 3, 2)])
-def test_sweep_regions_fill_the_sweep_edges(nodes):
-    # Within each region block, every node past index 0 along the block's
-    # axis is filled from one step back: together these are exactly the
-    # (node, predecessor) edges of the sweep, and the regions meet every
-    # predecessor before its successors.
+def test_slab_blocks_span_the_earlier_axes(nodes):
+    # The block of each axis spans every earlier axis of the priority in
+    # full and is zero on every later one; rows are steps along the axis.
     grid = GridSpec([1.0] * len(nodes), nodes)
-    index = np.stack(np.indices(nodes), axis=-1)
-    edges = []
-    for axis, region in grid.sweep_regions():
-        block = index[region]
-        assert block.shape == nodes[: axis + 1] + (len(nodes),)
-        later = (slice(None),) * axis
-        for node, prev in zip(block[later + (slice(1, None),)].reshape(-1, len(nodes)),
-                              block[later + (slice(None, -1),)].reshape(-1, len(nodes))):
-            edges.append((tuple(node), tuple(prev), axis))
-    tree = list(edges_per_node(grid, range(len(nodes))))
-    assert sorted(edges) == sorted((i, p, a) for i, p, a in tree if p is not None)
-    order = {i: k for k, (i, _, _) in enumerate(tree)}
-    filled = {(0,) * len(nodes)}
-    for node, prev, _axis in edges:
-        assert prev in filled and order[prev] < order[node]
-        filled.add(node)
+    index = np.stack(np.unravel_index(np.arange(np.prod(nodes)), nodes), axis=-1)
+    for priority in itertools.permutations(range(len(nodes))):
+        slabs = grid.slabs(priority)
+        assert [axis for axis, _ in slabs] == list(priority)
+        for a, (axis, ids) in enumerate(slabs):
+            earlier, later = list(priority[:a]), list(priority[a + 1:])
+            assert ids.shape == (nodes[axis], int(np.prod([nodes[e] for e in earlier])))
+            block = index[ids]  # (N_axis, m, dims)
+            assert np.all(block[..., later] == 0)
+            assert np.all(block[..., axis] == np.arange(nodes[axis])[:, None])
 
 
 def test_top_coefficient_is_a_first_integral():
@@ -247,9 +256,9 @@ def test_hoisted_powers_when_top_moves_inside_an_edge(monkeypatch):
 def test_integrate_grid_gives_the_cheapest_flow_the_most_edges(
     monkeypatch, powers, nodes, edges
 ):
-    # The axes are walked by decreasing flow power: the r = 1 flow drives
-    # every edge of the innermost x1 lines, the dearest flow only the
-    # outermost line.  Every node still takes exactly one edge.
+    # The axes are walked by decreasing flow power: the dearest flow runs
+    # only the line of the first slab, first, and the r = 1 flow every row
+    # of the last slab.  Every node still takes exactly one edge.
     seen = []
     rk4 = lax._rk4
 
@@ -262,7 +271,7 @@ def test_integrate_grid_gives_the_cheapest_flow_the_most_edges(
     integrate_grid(random_state(d=3, seed=2), FlowFamily(powers, 3), grid, 2)
     assert {r: seen.count(r) for r in set(seen)} == edges
     assert len(seen) == np.prod(nodes) - 1
-    assert seen[0] == 1
+    assert seen[0] == max(powers)
 
 
 @pytest.mark.parametrize(
@@ -377,7 +386,7 @@ def test_integrate_grid_blow_up_carries_node():
 def test_integrate_grid_non_finite_state_blows_up_at_its_node(monkeypatch, bad):
     # One max-reduction decides: a NaN and an inf state are both rejected
     # at the first substep of the first edge, as a large state is.  The
-    # fill's first edge is along x1, the axis of the cheapest flow.
+    # fill's first edge is along x2, the line of the dearest flow.
     from curvedflats import lax
     from curvedflats.errors import BlowUpError
 
@@ -386,9 +395,9 @@ def test_integrate_grid_non_finite_state_blows_up_at_its_node(monkeypatch, bad):
     with pytest.raises(BlowUpError) as err:
         integrate_grid(random_state(seed=4), FlowFamily([1, 3], 3), grid, substeps=4)
     assert str(err.value) == (
-        "blow-up while filling node (1, 0): Lax flow r=1 blew up at t=0.05"
+        "blow-up while filling node (0, 1): Lax flow r=3 blew up at t=0.05"
     )
-    assert err.value.node == (1, 0)
+    assert err.value.node == (0, 1)
     assert err.value.__cause__.last_t == 0.0
 
 
