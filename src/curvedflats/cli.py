@@ -297,140 +297,118 @@ def build_report(states, frames_by_mu, h_field, config):
     """Compute every residual from the canonical arrays.
 
     Shared by run and verify so that verification reproduces the original
-    residual values exactly.  The grid derivatives and the curvature
-    formulas run without numpy's floating-point warnings: on an extreme grid
-    (extents near the float64 range) they overflow, and a residual left
-    non-finite raises a ``NumericalError`` that names it and its mu, so
+    residual values exactly.  It runs without numpy's floating-point
+    warnings: on extents near the float64 range the grid derivatives and
+    the curvature formulas overflow.  Each value is tested where it is
+    recorded, so the first non-finite one in computation order raises a
+    ``NumericalError`` that names it and, in a per-mu table, its mu, and
     report.json never holds a NaN or an infinity.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        report = _residual_report(states, frames_by_mu, h_field, config)
-    _require_finite(report)
-    return report
+    spec, family, grid, tol = config.spec, config.family, config.grid, config.tolerances
+    residuals, checks = {}, {}
 
-
-def _require_finite(report):
-    """Raise ``NumericalError`` at the first non-finite residual of a report.
-
-    The per-mu tables are scanned first, so the error names the mu of a
-    non-finite value that a maximum over the samples carries into a scalar.
-    """
-    residuals, geometry = report["residuals"], report["geometry"]
-    leaves = []
-    for name, value in residuals.items():
-        if isinstance(value, dict):  # mc, conservation, group_drift
-            for mu, per_mu in value.items():
-                for leaf in per_mu.values() if isinstance(per_mu, dict) else (per_mu,):
-                    leaves.append((name, mu, leaf))
-    for mu, entry in geometry["per_mu"].items():
-        leaves += [(name, mu, value) for name, value in entry.items()]
-    leaves += [(n, None, v) for n, v in residuals.items() if not isinstance(v, dict)]
-    leaves += [(n, None, v) for n, v in geometry.get("curve", {}).items()]
-    for name, mu, value in leaves:
+    def finite(name, value, mu=None):
         if not math.isfinite(value):
-            at = "" if mu is None else f" at mu={mu}"
+            at = "" if mu is None else f" at mu={mu_key(mu)}"
             raise NumericalError(f"non-finite residual {name}{at}: {value}")
-
-
-def _residual_report(states, frames_by_mu, h_field, config):
-    """The report of ``build_report``, before its finiteness check."""
-    spec, family, grid = config.spec, config.family, config.grid
-    tol = config.tolerances
-    sol = GridSolution(states, grid, family, spec)
-    conn = connection_from_state(sol)
-
-    residuals = {}
-    checks = {}
+        return value
 
     def gate(name, value, tol_key):
-        residuals[name] = value
+        residuals[name] = finite(name, value)
         checks[name] = {
             "value": value,
             "tolerance": tol[tol_key],
             "pass": bool(value <= tol[tol_key]),
         }
 
-    gate("lax_twist", sol.max_twist_residual(), "twist")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sol = GridSolution(states, grid, family, spec)
+        conn = connection_from_state(sol)
+        gate("lax_twist", sol.max_twist_residual(), "twist")
 
-    if grid.dims >= 2:
-        mc_values = {
-            mu_key(mu): mc_residual(conn, mu)
-            for mu in [0.0] + config.mu_samples
-        }
-        residuals["mc"] = mc_values
-        gate("mc_max", max(mc_values.values()), "mc")
-    gate("abelian", abelian_residual(conn), "abelian")
-
-    cons = conservation_report(sol, config.mu_samples, max_power=4)
-    residuals["conservation"] = {
-        mu_key(mu): {str(p): v for p, v in table.items()}
-        for mu, table in cons["table"].items()
-    }
-    gate("conservation_max", cons["max"], "conservation")
-
-    if grid.dims >= 2:
-        comm = commutativity_check(
-            sol.state_at((0,) * grid.dims), family, grid.extents,
-            config.commutativity_steps,
-        )
-        gate("commutativity", comm, "commutativity")
-
-    drift = {mu_key(mu): frames_by_mu[mu].max_drift for mu in config.mu_samples}
-    residuals["group_drift"] = drift
-    gate("group_drift_max", max(drift.values()), "group_drift")
-    h_drift = in_group_residual(h_field, spec.space)
-    gate("gauge_drift", h_drift, "group_drift")
-
-    geometry = {"status": "ok", "per_mu": {}}
-    flags = []
-    if not spec.k_block_definite():
-        geometry["status"] = "skipped-indefinite"
-        flags.append("indefinite-isotropy")
-    elif h_drift > tol["group_drift"]:
-        geometry["status"] = "invalid-gauge"
-        flags.append("invalid-gauge")
-    else:
-        gauge = gauge_from_h(conn, h_field)
-        dev = developing_map(gauge, closedness_tol=tol["closedness"])
-        gate("closedness", dev.closedness_residual, "closedness")
-        gate("isometry", dev.isometry_residual, "isometry")
-        try:
-            unit_worst = 0.0
-            kernel_worst = 0.0
-            for mu in config.mu_samples:
-                im = reconstruct_immersion(gauge, frames_by_mu[mu])
-                unit_worst = max(unit_worst, im.unit_residual)
-                kernel_worst = max(kernel_worst, im.kernel_residual)
-                entry = {"degenerate_fraction": im.degenerate_fraction}
-                if im.degenerate_fraction > 0:
-                    flags.append(f"degenerate-nodes-mu-{mu_key(mu)}")
-                if grid.dims == 2:
-                    entry.update(verify_space_form_geometry(im))
-                geometry["per_mu"][mu_key(mu)] = entry
-            gate("unit_quadric", unit_worst, "unit_quadric")
-            gate("kernel", kernel_worst, "kernel")
-            if grid.dims == 2:
-                for name, key in (
-                    ("gauss_curvature", "gauss_curvature_max_error"),
-                    ("normal_curvature", "normal_curvature_residual"),
-                    ("ii_offdiag", "ii_offdiag_ratio"),
-                ):
-                    worst = max(e[key] for e in geometry["per_mu"].values())
-                    gate(name, worst, name)
-        except NonImmersiveError:
-            geometry["status"] = "non-immersive"
-            geometry["per_mu"] = {}
-            flags.append("non-immersive")
-        if grid.dims == 1 and spec.dim == 3 and spec.space.is_definite:
-            diag = curve_diagnostics(frames_by_mu[config.mu_samples[0]], conn)
-            geometry["curve"] = {
-                "speed_mean": float(np.mean(diag["speed"])),
-                "speed_std": float(np.std(diag["speed"])),
-                "kappa_mean": float(np.mean(diag["geodesic_curvature"])),
-                "kappa_std": float(np.std(diag["geodesic_curvature"])),
+        if grid.dims >= 2:
+            residuals["mc"] = {
+                mu_key(mu): finite("mc", mc_residual(conn, mu), mu)
+                for mu in [0.0] + config.mu_samples
             }
+            gate("mc_max", max(residuals["mc"].values()), "mc")
+        gate("abelian", abelian_residual(conn), "abelian")
 
-    report = {
+        cons = conservation_report(sol, config.mu_samples, max_power=4)
+        residuals["conservation"] = {
+            mu_key(mu): {str(p): finite("conservation", v, mu) for p, v in row.items()}
+            for mu, row in cons["table"].items()
+        }
+        gate("conservation_max", cons["max"], "conservation")
+
+        if grid.dims >= 2:
+            comm = commutativity_check(
+                sol.state_at((0,) * grid.dims), family, grid.extents,
+                config.commutativity_steps,
+            )
+            gate("commutativity", comm, "commutativity")
+
+        residuals["group_drift"] = {
+            mu_key(mu): finite("group_drift", frames_by_mu[mu].max_drift, mu)
+            for mu in config.mu_samples
+        }
+        gate("group_drift_max", max(residuals["group_drift"].values()), "group_drift")
+        h_drift = in_group_residual(h_field, spec.space)
+        gate("gauge_drift", h_drift, "group_drift")
+
+        geometry = {"status": "ok", "per_mu": {}}
+        flags = []
+        if not spec.k_block_definite():
+            geometry["status"] = "skipped-indefinite"
+            flags.append("indefinite-isotropy")
+        elif h_drift > tol["group_drift"]:
+            geometry["status"] = "invalid-gauge"
+            flags.append("invalid-gauge")
+        else:
+            gauge = gauge_from_h(conn, h_field)
+            dev = developing_map(gauge, closedness_tol=tol["closedness"])
+            gate("closedness", dev.closedness_residual, "closedness")
+            gate("isometry", dev.isometry_residual, "isometry")
+            worst = {}  # immersion gate (and tolerance key) -> worst over mu
+            try:
+                for mu in config.mu_samples:
+                    im = reconstruct_immersion(gauge, frames_by_mu[mu])
+                    values = [("unit_quadric", im.unit_residual),
+                              ("kernel", im.kernel_residual)]
+                    entry = {"degenerate_fraction": im.degenerate_fraction}
+                    if im.degenerate_fraction > 0:
+                        flags.append(f"degenerate-nodes-mu-{mu_key(mu)}")
+                    if grid.dims == 2:
+                        entry.update(verify_space_form_geometry(im))
+                        values += [
+                            ("gauss_curvature", entry["gauss_curvature_max_error"]),
+                            ("normal_curvature", entry["normal_curvature_residual"]),
+                            ("ii_offdiag", entry["ii_offdiag_ratio"]),
+                        ]
+                    geometry["per_mu"][mu_key(mu)] = {
+                        name: finite(name, v, mu) for name, v in entry.items()
+                    }
+                    for name, v in values:
+                        worst[name] = max(worst.get(name, 0.0), finite(name, v, mu))
+            except NonImmersiveError:
+                geometry["status"] = "non-immersive"
+                geometry["per_mu"] = {}
+                flags.append("non-immersive")
+            else:
+                for name, v in worst.items():
+                    gate(name, v, name)
+            if grid.dims == 1 and spec.dim == 3 and spec.space.is_definite:
+                mu = config.mu_samples[0]
+                diag = curve_diagnostics(frames_by_mu[mu], conn)
+                curve = {
+                    "speed_mean": float(np.mean(diag["speed"])),
+                    "speed_std": float(np.std(diag["speed"])),
+                    "kappa_mean": float(np.mean(diag["geodesic_curvature"])),
+                    "kappa_std": float(np.std(diag["geodesic_curvature"])),
+                }
+                geometry["curve"] = {k: finite(k, v, mu) for k, v in curve.items()}
+
+    return {
         "schema": 1,
         "config_hash": config.hash(),
         "preset": config.preset,
@@ -447,7 +425,6 @@ def _residual_report(states, frames_by_mu, h_field, config):
         "flags": sorted(set(flags)),
         "pass": all(c["pass"] for c in checks.values()),
     }
-    return report
 
 
 def write_json(path, obj):

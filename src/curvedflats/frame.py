@@ -87,13 +87,15 @@ def connection_from_state(sol):
     )
     scale = np.maximum(1.0, np.max(np.abs(sol.states), axis=(-3, -2, -1)))
     limit = CONNECTION_TOL * scale[..., None] ** np.array(powers)  # powers >= 1
-    failing = np.argwhere(bad > limit)
+    # A NaN residual or limit (a non-finite state) fails too.
+    failing = np.argwhere(~(bad <= limit))
     if failing.size:
         # argwhere is in C order: the first failing node, then its first flow.
         *index, j = (int(i) for i in failing[0])
+        at = tuple(failing[0])
         raise InternalConsistencyError(
             f"connection coefficients off the k/p split at node {tuple(index)},"
-            f" flow r={powers[j]}: residual {bad[tuple(failing[0])]:.3e}",
+            f" flow r={powers[j]}: residual {bad[at]:.3e}, limit {limit[at]:.3e}",
             node=tuple(index),
         )
     return ConnectionForm(a0, a1, sol.grid, spec)
@@ -156,7 +158,7 @@ def mc_residual(conn, mu0):
     for i in range(k):
         for j in range(i + 1, k):
             res = curvature_defect(a, i, j, grid.steps)
-            worst = max(worst, float(np.max(np.abs(res[interior]))))
+            worst = float(np.maximum(worst, np.max(np.abs(res[interior]))))
     return worst
 
 
@@ -168,7 +170,7 @@ def abelian_residual(conn):
         for j in range(i + 1, k):
             ai = conn.a1[..., i, :, :]
             aj = conn.a1[..., j, :, :]
-            worst = max(worst, float(np.max(np.abs(ai @ aj - aj @ ai))))
+            worst = float(np.maximum(worst, np.max(np.abs(ai @ aj - aj @ ai))))
     return worst
 
 

@@ -232,7 +232,7 @@ def gauge_from_h(conn, h_field):
     betas = off[(...,) + diag]
     off[(...,) + diag] = 0.0
     off_node = np.max(np.abs(off), axis=(-3, -2, -1))
-    failing = np.argwhere(off_node > GAUGE_SPAN_TOL)
+    failing = np.argwhere(~(off_node <= GAUGE_SPAN_TOL))  # a NaN fails too
     if failing.size:
         node = tuple(int(i) for i in failing[0])
         raise NumericalError(
@@ -278,7 +278,7 @@ def developing_map(gf, closedness_tol):
                     grid_derivative(bj, i, steps[i])
                     - grid_derivative(bi, j, steps[j])
                 )
-                closedness = max(closedness, float(np.max(np.abs(res[interior]))))
+                closedness = float(np.maximum(closedness, np.max(np.abs(res[interior]))))
         if closedness > 100.0 * closedness_tol:
             raise GaugeContinuityError(
                 f"closedness residual {closedness:.3e} suggests a gauge branch flip"
@@ -448,7 +448,6 @@ def verify_space_form_geometry(im):
         "gauss_curvature_mean_error": float(np.mean(curv_err)),
         "normal_curvature_residual": normal_residual,
         "ii_offdiag_ratio": off / diag if diag > 0 else 0.0,
-        "degenerate_fraction": im.degenerate_fraction,
     }
     return report
 

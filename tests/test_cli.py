@@ -770,6 +770,28 @@ def test_main_verify_report_not_an_object_exits_2(tmp_path, finished_run, capsys
     assert "corrupt artifacts" in verify_stderr(run, capsys)
 
 
+@pytest.mark.parametrize("name, index, message", [
+    ("frames", (0, 4, 4, 0, 0), "non-finite residual group_drift at mu="),
+    ("gauge_h", (4, 4, 0, 0), "non-finite residual gauge_drift: nan"),
+    # xi_0 does not reach the r=1 coefficients, but the node's limit is NaN.
+    ("states", (4, 4, 0, 0, 1),
+     "at node (4, 4), flow r=1: residual 0.000e+00, limit nan"),
+])
+def test_main_verify_nan_artifact_exits_3(tmp_path, finished_run, capsys, name,
+                                          index, message):
+    # One NaN in a stored array is a numerical failure named at its cause.
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    with np.load(run / "arrays.npz") as loaded:
+        arrays = dict(loaded)
+    arrays[name][index] = np.nan
+    save_arrays(run / "arrays.npz", arrays)
+    capsys.readouterr()
+    assert main(["verify", str(run)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
+
+
 @pytest.mark.parametrize("name", ["states", "frames", "gauge_h"])
 def test_verify_names_array_with_wrong_shape(tmp_path, finished_run, name):
     run = shutil.copytree(finished_run, tmp_path / "run")

@@ -10,7 +10,7 @@ from curvedflats.errors import (
     StructuralError,
 )
 from curvedflats.frame import ConnectionForm, connection_from_state, integrate_frame
-from curvedflats.frame import abelian_residual
+from curvedflats.frame import abelian_residual, mc_residual
 from curvedflats.geometry import (
     GaugeField,
     curve_diagnostics,
@@ -325,6 +325,35 @@ def test_gauge_rejects_non_finite_a1_as_structural(run17, bad):
     a1[5, 6, 1, 3, 0] = bad
     with pytest.raises(StructuralError, match=r"flow 1 at node \(5, 6\)") as err:
         gauge_to_normal_form(ConnectionForm(conn.a0, a1, grid, SPEC))
+    assert err.value.node == (5, 6)
+
+
+def test_pair_reductions_keep_a_nan(run17):
+    # Python's max(worst, nan) returns worst: one NaN entry must make each
+    # residual NaN, not a passing 0.
+    grid, conn, gauge, _ = run17
+    a0, a1 = conn.a0.copy(), conn.a1.copy()
+    a0[8, 8, 0, 0, 1] = np.nan
+    a1[8, 8, 1, 0, 3] = np.nan
+    broken = ConnectionForm(a0, a1, grid, SPEC)
+    assert np.isnan(mc_residual(broken, 1.0))
+    assert np.isnan(abelian_residual(broken))
+    betas = gauge.betas.copy()
+    betas[8, 8, 0, 0] = np.nan
+    nan_gauge = GaugeField(gauge.h, gauge.a0, gauge.a1, betas, grid, SPEC, 0.0)
+    # The branch-flip test lets a NaN through to the report's finiteness test.
+    dev = developing_map(nan_gauge, closedness_tol=1e-4)
+    assert np.isnan(dev.closedness_residual)
+
+
+def test_gauge_from_h_names_a_non_finite_node(run17):
+    # The span test reads the conjugated A1 only, so a NaN in H fails at its
+    # own node, not at the neighbours its derivative reaches.
+    grid, conn, gauge, _ = run17
+    h = gauge.h.copy()
+    h[5, 6, 0, 0] = np.nan
+    with pytest.raises(NumericalError, match=r"span by nan at node \(5, 6\)$") as err:
+        gauge_from_h(conn, h)
     assert err.value.node == (5, 6)
 
 
