@@ -150,6 +150,8 @@ class RunConfig:
                 raise ConfigError(f"{key} must be an object, got {merged[key]!r}")
 
         self.preset = merged.get("preset")
+        if self.preset is not None and not isinstance(self.preset, str):
+            raise ConfigError(f"preset must be a name or null, got {self.preset!r}")
         other = ("m", "n") if self.preset is None else ("signature", "split", "rank")
         ignored = [key for key in other if key in given]
         if ignored:
@@ -644,8 +646,6 @@ def verify_command(out_dir):
 
 def _cmd_run(args):
     path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     out = Path(args.out)
     config = None
     try:

@@ -52,8 +52,8 @@ class DegenerateSpectrumError(NumericalError):
 
 
 class DegenerateFrameError(NumericalError):
-    """Re-orthonormalization pivot collapsed; frame left the group.  Carries
-    the failing slice of a stack and, from the frame integration, the node."""
+    """A frame left the group O(J) beyond roundoff.  Carries the failing
+    slice of a stack and, from the frame integration, the node."""
 
 
 class GaugeContinuityError(NumericalError):

@@ -169,32 +169,6 @@ def expm_single(m):
     return result, squarings
 
 
-def j_orthonormalize_single(g, space, pivot_tol=1e-10):
-    """Column-by-column pivoted J-Gram-Schmidt on one matrix, the per-slice
-    loop the batched ``frame.j_orthonormalize`` must match.  Returns the
-    frame and the pivot order; raises ValueError where the batched kernel
-    raises DegenerateFrameError."""
-    j = space.j_diag
-    cols = g.copy()
-    out = np.empty_like(g)
-    remaining = list(range(g.shape[0]))
-    order = []
-    while remaining:
-        quads = [cols[:, i] @ (j * cols[:, i]) for i in remaining]
-        pick = int(np.argmax([abs(q) for q in quads]))
-        q = quads[pick]
-        if abs(q) < pivot_tol:
-            raise ValueError("pivot below tolerance")
-        i = remaining.pop(pick)
-        order.append(i)
-        sign = 1.0 if q > 0 else -1.0
-        u = cols[:, i] / np.sqrt(abs(q))
-        out[:, i] = u
-        for c in remaining:
-            cols[:, c] -= sign * (cols[:, c] @ (j * u)) * u
-    return out, order
-
-
 def connection_pair_per_stage(stack, r, d):
     """The former ``loops.connection_coefficients``: the (A0, A1) pair of
     flow r with the powers of xi_d rebuilt from ``stack`` on every call, in

@@ -146,6 +146,9 @@ OVERFLOW = "1e400"
         {"obj_coords": []},
         {"obj_coords": 0},
         {"obj_coords": False},
+        # A preset is a name: a list or an object is not one.
+        {"preset": ["sphere"]},
+        {"preset": {"a": 1}},
     ],
 )
 def test_main_rejects_malformed_config_values(tmp_path, override):
@@ -443,10 +446,12 @@ def test_phi_text_does_not_depend_on_its_chunk(monkeypatch, tmp_path, rows):
 
 def test_main_rejected_config_writes_error_block(tmp_path, capsys):
     # Rejected before any array exists: the error block has no config hash.
-    # A directory and bytes that are not UTF-8 cannot be read as a config.
+    # A directory, bytes that are not UTF-8 and an absent file cannot be
+    # read as a config.
     (tmp_path / "dir.json").mkdir()
     for name, data in (("small", json.dumps({"nodes": [3, 3]}).encode()),
-                       ("json", b"{not json"), ("bytes", b"\xff{}"), ("dir", None)):
+                       ("json", b"{not json"), ("bytes", b"\xff{}"), ("dir", None),
+                       ("missing", None)):
         cfg_path = tmp_path / f"{name}.json"
         if data is not None:
             cfg_path.write_bytes(data)
@@ -507,7 +512,7 @@ def test_main_rejects_bad_config(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(small_config(mu_samples=[0.0])))
     assert main(["run", str(cfg_path), "-o", str(tmp_path / "o")]) == 2
-    assert main(["run", str(tmp_path / "absent.json"), "-o", "x"]) == 2
+    assert main(["run", str(tmp_path / "absent.json"), "-o", str(tmp_path / "x")]) == 2
 
 
 def test_indefinite_preset_runs_without_geometry(tmp_path):
