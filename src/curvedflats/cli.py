@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import numbers
+import re
 import sys
 import traceback
 import zipfile
@@ -54,6 +55,8 @@ SEED_COEFF_NORM = 0.75
 MAX_SEED_ATTEMPTS = 1000
 # Largest piece of an array's bytes that save_arrays hands to the compressor.
 NPZ_CHUNK = 1 << 20
+# Members of arrays.npz deflated without LZ77 matching (see save_arrays).
+HUFFMAN_ONLY = frozenset({"frames"})
 # Nodes whose phi text write_phi_text formats and writes at a time.
 TEXT_ROWS = 256
 
@@ -519,11 +522,16 @@ def write_phi_text(out_dir, config, phis_by_mu):
 def save_arrays(path, arrays):
     """Write ``arrays`` (name -> array) to the npz archive ``path``.
 
-    Member for member the same bytes as ``np.savez_compressed(path,
-    **arrays)``: one deflated ``<name>.npy`` per array, forced zip64, with
-    the header numpy writes.  The data go to the deflater as slices of at
-    most NPZ_CHUNK bytes of the array's own buffer, so a C- or F-contiguous
-    array is never copied; any other is made C-contiguous first.
+    One deflated ``<name>.npy`` per array, forced zip64, with the header
+    numpy writes, so ``np.load`` reads what ``np.savez_compressed(path,
+    **arrays)`` would.  A member named in HUFFMAN_ONLY is raw deflate with
+    zlib's ``Z_HUFFMAN_ONLY`` strategy: float64 frames hold almost no
+    repeated byte strings, so LZ77 matching costs time and saves little.
+    Every other member has the same name, CRC, compressed size and bytes as
+    ``np.savez_compressed`` writes.  The data go to the deflater as slices
+    of at most NPZ_CHUNK bytes of the array's own buffer, so a C- or
+    F-contiguous array is never copied; any other is made C-contiguous
+    first.
     """
     with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
         for key, val in arrays.items():
@@ -533,6 +541,13 @@ def save_arrays(path, arrays):
             val = val.T if header["fortran_order"] else np.ascontiguousarray(val)
             data = memoryview(val.reshape(-1).view(np.uint8))
             with archive.open(key + ".npy", "w", force_zip64=True) as fid:
+                if key in HUFFMAN_ONLY:
+                    # zipfile (3.10-3.13) deflates through _compressor;
+                    # nothing is written yet, so the swap covers every byte.
+                    fid._compressor = zlib.compressobj(
+                        zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -15, 8,
+                        zlib.Z_HUFFMAN_ONLY,
+                    )
                 np.lib.format.write_array_header_1_0(fid, header)
                 for start in range(0, data.nbytes, NPZ_CHUNK):
                     fid.write(data[start:start + NPZ_CHUNK])
@@ -556,10 +571,33 @@ def _frames_and_gauge(config, sol):
     return fields, h_field
 
 
+def _remove_stale_outputs(out_dir, config):
+    """Delete the files in ``out_dir`` that an earlier run wrote and this
+    run will not overwrite: ``report.json`` and ``phi.csv`` when their output
+    is off, and every ``mesh_NN.obj`` past this run's meshes.  Only names
+    this program writes are touched."""
+    outputs = config.outputs
+    meshes = len(config.mu_samples) if outputs["obj"] and config.grid.dims == 2 else 0
+    stale = [name for name, keep in (("report.json", outputs["report"]),
+                                     ("phi.csv", outputs["csv"])) if not keep]
+    for path in out_dir.glob("mesh_*.obj"):
+        # The names f"mesh_{i:02d}.obj" gives: not "mesh_1.obj", "mesh_003.obj".
+        match = re.fullmatch(r"mesh_(\d\d|[1-9]\d\d+)\.obj", path.name)
+        if match and int(match[1]) >= meshes:
+            stale.append(path.name)
+    for name in stale:
+        (out_dir / name).unlink(missing_ok=True)
+
+
 def run_pipeline(config, out_dir):
-    """Run the full pipeline and write artifacts.  Returns (report, exit_code)."""
+    """Run the full pipeline and write artifacts.  Returns (report, exit_code).
+
+    Outputs an earlier run left in ``out_dir`` that this run does not write
+    are removed first, so the directory holds one run's files.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _remove_stale_outputs(out_dir, config)
     grid = config.grid
 
     xi0, attempts = seed_initial_state(config)
@@ -599,6 +637,8 @@ def verify_command(out_dir):
 
     A run whose config says ``outputs.report: false`` wrote no report.json;
     its residuals are recomputed and gated with ``verified_against: null``.
+    A report.json with an ``error`` block is a MissingArtifactError: the
+    arrays beside it, if any, belong to an earlier run.
     """
     def artifact(name):
         path = Path(out_dir) / name
@@ -609,10 +649,20 @@ def verify_command(out_dir):
     try:
         config = RunConfig(json.loads(artifact("config.json").read_text()))
         stored = None
-        if config.outputs["report"]:
+        # A failed run writes report.json whatever its outputs say, over an
+        # earlier run whose arrays it leaves in place.
+        if config.outputs["report"] or (Path(out_dir) / "report.json").exists():
             stored = json.loads(artifact("report.json").read_text())
             if not isinstance(stored, dict):
                 raise ValueError("report.json does not hold a JSON object")
+            if "error" in stored:
+                error = stored["error"]
+                category = error.get("category") if isinstance(error, dict) else error
+                raise MissingArtifactError(
+                    f"report.json records a failed run ({category})"
+                )
+            if not config.outputs["report"]:
+                stored = None
         with np.load(artifact("arrays.npz")) as arrays:
             states = arrays["states"]
             frames = arrays["frames"]

@@ -1,8 +1,10 @@
 import json
 import re
 import shutil
+import struct
 import tracemalloc
 import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -808,3 +810,90 @@ def test_verify_names_array_with_wrong_shape(tmp_path, finished_run, name):
     message = rf"stored {name} has shape .*{re.escape(str(good))}"
     with pytest.raises(MissingArtifactError, match=message):
         verify_command(run)
+
+
+def test_main_verify_failed_run_over_good_run_exits_2(tmp_path, finished_run, capsys):
+    # A rejected config writes its error block over a good run's report and
+    # leaves that run's arrays: verify must not recompute the stale arrays.
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"nodes": [9, 9], "mu_samples": [1e400]}')
+    assert main(["run", str(bad), "-o", str(run)]) == 2
+    err = verify_stderr(run, capsys)
+    assert "report.json records a failed run (ConfigError)" in err
+    # So does one whose config wrote no report.json of its own.
+    config = json.loads((run / "config.json").read_text())
+    config["outputs"] = {"report": False}
+    (run / "config.json").write_text(json.dumps(config))
+    assert "report.json records a failed run (ConfigError)" in verify_stderr(run, capsys)
+
+
+def test_rerun_removes_outputs_it_does_not_write(tmp_path):
+    out = tmp_path / "run"
+    run_pipeline(RunConfig(small_config(mu_samples=[0.5, 0.7, 0.9, 1.1])), out)
+    # Files this program never writes stay, whatever their name looks like.
+    foreign = ["mesh_1.obj", "mesh_003.obj", "mesh_xx.obj", "notes.txt"]
+    for name in foreign:
+        (out / name).write_text("kept\n")
+    config = RunConfig(small_config())
+    run_pipeline(config, out)
+    meshes = sorted(p.name for p in out.glob("mesh_[0-9][0-9].obj"))
+    assert meshes == ["mesh_00.obj", "mesh_01.obj"]
+    assert "# mu: 1\n" in (out / "mesh_01.obj").read_text()
+    assert verify_command(out)[1] == 0
+    # With the CSV, the meshes and the report off, none of them is left.
+    quiet = small_config(outputs={"report": False, "csv": False, "obj": False})
+    run_pipeline(RunConfig(quiet), out)
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["arrays.npz", "config.json"] + foreign
+    )
+    # A 1-D grid writes no mesh either.
+    run_pipeline(config, out)
+    one_d = small_config(powers=[1], extents=[0.3], nodes=[9])
+    run_pipeline(RunConfig(one_d), out)
+    assert not list(out.glob("mesh_[0-9][0-9].obj"))
+    assert (out / "phi.csv").exists() and (out / "report.json").exists()
+
+
+def huffman_only_deflate(data):
+    """``data`` as one raw-deflate stream with zlib's Huffman-only strategy."""
+    deflater = zlib.compressobj(zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -15, 8,
+                                zlib.Z_HUFFMAN_ONLY)
+    return deflater.compress(data) + deflater.flush()
+
+
+def test_save_arrays_frames_member_is_huffman_only(tmp_path):
+    # Frames-like data: float64 entries with almost no repeated byte strings.
+    frames = np.random.default_rng(5).standard_normal((3, 33, 33, 5, 5))
+    save_arrays(tmp_path / "chunked.npz", {"frames": frames})
+    np.savez_compressed(tmp_path / "numpy.npz", frames=frames)
+    (name, crc, size, kind, data), = npz_members(tmp_path / "chunked.npz")
+    (np_name, np_crc, np_size, np_kind, np_data), = npz_members(tmp_path / "numpy.npz")
+    assert (name, crc, kind, data) == (np_name, np_crc, np_kind, np_data)
+    assert kind == zipfile.ZIP_DEFLATED
+    huffman = huffman_only_deflate(np_data)
+    assert size == len(huffman) != np_size
+    # The member's data follow its local header: 30 bytes, name and extra.
+    raw = (tmp_path / "chunked.npz").read_bytes()
+    name_len, extra_len = struct.unpack("<HH", raw[26:30])
+    start = 30 + name_len + extra_len
+    assert raw[start:start + size] == huffman
+    with np.load(tmp_path / "chunked.npz", allow_pickle=False) as loaded:
+        np.testing.assert_array_equal(loaded["frames"], frames, strict=True)
+
+
+def test_run_arrays_differ_from_savez_compressed_only_in_frames_bytes(tmp_path, finished_run):
+    with np.load(finished_run / "arrays.npz") as loaded:
+        arrays = dict(loaded)
+    np.savez_compressed(tmp_path / "numpy.npz", **arrays)
+    ours = npz_members(finished_run / "arrays.npz")
+    theirs = npz_members(tmp_path / "numpy.npz")
+    assert [m[0] for m in ours] == ["states.npy", "frames.npy", "gauge_h.npy",
+                                    "mu_samples.npy"]
+    for mine, numpy_member in zip(ours, theirs):
+        if mine[0] == "frames.npy":
+            # Same name, CRC, method and data; only the coded bytes differ.
+            assert mine[:2] + mine[3:] == numpy_member[:2] + numpy_member[3:]
+            assert mine[2] == len(huffman_only_deflate(mine[4]))
+        else:
+            assert mine == numpy_member
