@@ -55,8 +55,8 @@ SEED_COEFF_NORM = 0.75
 MAX_SEED_ATTEMPTS = 1000
 # Largest piece of an array's bytes that save_arrays hands to the compressor.
 NPZ_CHUNK = 1 << 20
-# Members of arrays.npz deflated without LZ77 matching (see save_arrays).
-HUFFMAN_ONLY = frozenset({"frames"})
+# The member of arrays.npz written uncompressed (see save_arrays).
+STORED_MEMBER = "frames"
 # Nodes whose phi text write_phi_text formats and writes at a time.
 TEXT_ROWS = 256
 
@@ -522,14 +522,15 @@ def write_phi_text(out_dir, config, phis_by_mu):
 def save_arrays(path, arrays):
     """Write ``arrays`` (name -> array) to the npz archive ``path``.
 
-    One deflated ``<name>.npy`` per array, forced zip64, with the header
-    numpy writes, so ``np.load`` reads what ``np.savez_compressed(path,
-    **arrays)`` would.  A member named in HUFFMAN_ONLY is raw deflate with
-    zlib's ``Z_HUFFMAN_ONLY`` strategy: float64 frames hold almost no
-    repeated byte strings, so LZ77 matching costs time and saves little.
-    Every other member has the same name, CRC, compressed size and bytes as
-    ``np.savez_compressed`` writes.  The data go to the deflater as slices
-    of at most NPZ_CHUNK bytes of the array's own buffer, so a C- or
+    One ``<name>.npy`` per array, forced zip64, with the header numpy
+    writes, so ``np.load`` reads what ``np.savez_compressed(path, **arrays)``
+    would.  The STORED_MEMBER is ``ZIP_STORED``: float64 frames hold almost
+    no repeated byte strings, so deflate shrinks them by about 5% while
+    ``verify`` would spend as long inflating them as it spends on all its
+    other reading.  It has ``np.savez_compressed``'s name, CRC and decoded
+    bytes.  Every other member has the same name, CRC, compressed size and
+    bytes as ``np.savez_compressed`` writes.  The data go to the archive as
+    slices of at most NPZ_CHUNK bytes of the array's own buffer, so a C- or
     F-contiguous array is never copied; any other is made C-contiguous
     first.
     """
@@ -540,14 +541,11 @@ def save_arrays(path, arrays):
             # An F-order array's bytes are the C-order bytes of its transpose.
             val = val.T if header["fortran_order"] else np.ascontiguousarray(val)
             data = memoryview(val.reshape(-1).view(np.uint8))
-            with archive.open(key + ".npy", "w", force_zip64=True) as fid:
-                if key in HUFFMAN_ONLY:
-                    # zipfile (3.10-3.13) deflates through _compressor;
-                    # nothing is written yet, so the swap covers every byte.
-                    fid._compressor = zlib.compressobj(
-                        zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -15, 8,
-                        zlib.Z_HUFFMAN_ONLY,
-                    )
+            member = key + ".npy"
+            if key == STORED_MEMBER:
+                member = zipfile.ZipInfo(member)
+                member.compress_type = zipfile.ZIP_STORED
+            with archive.open(member, "w", force_zip64=True) as fid:
                 np.lib.format.write_array_header_1_0(fid, header)
                 for start in range(0, data.nbytes, NPZ_CHUNK):
                     fid.write(data[start:start + NPZ_CHUNK])
@@ -571,15 +569,20 @@ def _frames_and_gauge(config, sol):
     return fields, h_field
 
 
-def _remove_stale_outputs(out_dir, config):
+def _remove_stale_outputs(out_dir, config=None):
     """Delete the files in ``out_dir`` that an earlier run wrote and this
     run will not overwrite: ``report.json`` and ``phi.csv`` when their output
-    is off, and every ``mesh_NN.obj`` past this run's meshes.  Only names
-    this program writes are touched."""
-    outputs = config.outputs
-    meshes = len(config.mu_samples) if outputs["obj"] and config.grid.dims == 2 else 0
-    stale = [name for name, keep in (("report.json", outputs["report"]),
-                                     ("phi.csv", outputs["csv"])) if not keep]
+    is off, and every ``mesh_NN.obj`` past this run's meshes.  A failed run
+    (``config`` None) writes only its error report, so ``arrays.npz``,
+    ``config.json``, ``phi.csv`` and every mesh go.  Only names this program
+    writes are touched."""
+    if config is None:
+        stale, meshes = ["arrays.npz", "config.json", "phi.csv"], 0
+    else:
+        outputs = config.outputs
+        meshes = len(config.mu_samples) if outputs["obj"] and config.grid.dims == 2 else 0
+        stale = [name for name, keep in (("report.json", outputs["report"]),
+                                         ("phi.csv", outputs["csv"])) if not keep]
     for path in out_dir.glob("mesh_*.obj"):
         # The names f"mesh_{i:02d}.obj" gives: not "mesh_1.obj", "mesh_003.obj".
         match = re.fullmatch(r"mesh_(\d\d|[1-9]\d\d+)\.obj", path.name)
@@ -637,8 +640,8 @@ def verify_command(out_dir):
 
     A run whose config says ``outputs.report: false`` wrote no report.json;
     its residuals are recomputed and gated with ``verified_against: null``.
-    A report.json with an ``error`` block is a MissingArtifactError: the
-    arrays beside it, if any, belong to an earlier run.
+    A report.json with an ``error`` block is a MissingArtifactError, checked
+    before any other artifact: the failed run left nothing else to verify.
     """
     def artifact(name):
         path = Path(out_dir) / name
@@ -647,11 +650,10 @@ def verify_command(out_dir):
         return path
 
     try:
-        config = RunConfig(json.loads(artifact("config.json").read_text()))
         stored = None
-        # A failed run writes report.json whatever its outputs say, over an
-        # earlier run whose arrays it leaves in place.
-        if config.outputs["report"] or (Path(out_dir) / "report.json").exists():
+        # A failed run writes report.json whatever its outputs say, and
+        # removes every other file of an earlier run: check it first.
+        if (Path(out_dir) / "report.json").exists():
             stored = json.loads(artifact("report.json").read_text())
             if not isinstance(stored, dict):
                 raise ValueError("report.json does not hold a JSON object")
@@ -661,8 +663,11 @@ def verify_command(out_dir):
                 raise MissingArtifactError(
                     f"report.json records a failed run ({category})"
                 )
-            if not config.outputs["report"]:
-                stored = None
+        config = RunConfig(json.loads(artifact("config.json").read_text()))
+        if not config.outputs["report"]:
+            stored = None
+        elif stored is None:
+            artifact("report.json")  # the config says it was written
         with np.load(artifact("arrays.npz")) as arrays:
             states = arrays["states"]
             frames = arrays["frames"]
@@ -709,6 +714,8 @@ def _cmd_run(args):
         report, code = run_pipeline(config, out)
     except Exception as err:
         out.mkdir(parents=True, exist_ok=True)
+        # Files an earlier run left here would pass as this run's outputs.
+        _remove_stale_outputs(out)
         error = {"category": type(err).__name__, "message": str(err)}
         node = getattr(err, "node", None)
         if node is not None:

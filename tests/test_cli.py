@@ -1,10 +1,10 @@
+import io
 import json
 import re
 import shutil
 import struct
 import tracemalloc
 import zipfile
-import zlib
 
 import numpy as np
 import pytest
@@ -751,13 +751,18 @@ def test_main_verify_truncated_npz_exits_2(tmp_path, finished_run, capsys):
     assert "corrupt artifacts" in verify_stderr(run, capsys)
 
 
-def test_main_verify_flipped_byte_exits_2(tmp_path, finished_run, capsys):
+@pytest.mark.parametrize("member", ["states.npy", "frames.npy"])
+def test_main_verify_flipped_byte_exits_2(tmp_path, finished_run, capsys, member):
+    # states is deflated; frames is stored, so its CRC is the only guard.
     run = shutil.copytree(finished_run, tmp_path / "run")
     with zipfile.ZipFile(run / "arrays.npz") as archive:
-        info = archive.getinfo("states.npy")
+        info = archive.getinfo(member)
     data = bytearray((run / "arrays.npz").read_bytes())
-    start = info.header_offset + 30 + len(info.filename) + len(info.extra)
-    data[start + info.compress_size // 2] ^= 0xFF
+    # The data follow the local header: 30 bytes, the name and the local
+    # extra, whose zip64 field the central directory's info.extra lacks.
+    off = info.header_offset
+    name_len, extra_len = struct.unpack("<HH", data[off + 26:off + 30])
+    data[off + 30 + name_len + extra_len + info.compress_size // 2] ^= 0xFF
     (run / "arrays.npz").write_bytes(bytes(data))
     assert "corrupt artifacts" in verify_stderr(run, capsys)
 
@@ -812,20 +817,38 @@ def test_verify_names_array_with_wrong_shape(tmp_path, finished_run, name):
         verify_command(run)
 
 
+def run_over(run, bad, code):
+    """Run the config text ``bad`` into the finished run copied to ``run``,
+    beside two files this program never writes; it must exit ``code`` and
+    leave only its error block and those two files."""
+    foreign = ["mesh_1.obj", "notes.txt"]
+    for name in foreign:
+        (run / name).write_text("kept\n")
+    (run.parent / "bad.json").write_text(bad)
+    assert main(["run", str(run.parent / "bad.json"), "-o", str(run)]) == code
+    assert sorted(p.name for p in run.iterdir()) == sorted(["report.json"] + foreign)
+
+
 def test_main_verify_failed_run_over_good_run_exits_2(tmp_path, finished_run, capsys):
-    # A rejected config writes its error block over a good run's report and
-    # leaves that run's arrays: verify must not recompute the stale arrays.
+    # A rejected config written over a good run removes that run's outputs,
+    # so its error block is all that is left, and verify exits 2 naming it.
     run = shutil.copytree(finished_run, tmp_path / "run")
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"nodes": [9, 9], "mu_samples": [1e400]}')
-    assert main(["run", str(bad), "-o", str(run)]) == 2
-    err = verify_stderr(run, capsys)
-    assert "report.json records a failed run (ConfigError)" in err
-    # So does one whose config wrote no report.json of its own.
-    config = json.loads((run / "config.json").read_text())
+    run_over(run, '{"nodes": [9, 9], "mu_samples": [1e400]}', 2)
+    message = "report.json records a failed run (ConfigError)"
+    assert message in verify_stderr(run, capsys)
+    # So does one beside a config that wrote no report.json of its own.
+    config = json.loads((finished_run / "config.json").read_text())
     config["outputs"] = {"report": False}
     (run / "config.json").write_text(json.dumps(config))
-    assert "report.json records a failed run (ConfigError)" in verify_stderr(run, capsys)
+    assert message in verify_stderr(run, capsys)
+
+
+def test_main_run_failing_in_pipeline_removes_earlier_outputs(tmp_path, finished_run,
+                                                              capsys):
+    # This config parses and fails in the frame walk, before any write.
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    run_over(run, '{"nodes": [5, 5], "mu_samples": [1e30]}', 3)
+    assert "report.json records a failed run (NumericalError)" in verify_stderr(run, capsys)
 
 
 def test_rerun_removes_outputs_it_does_not_write(tmp_path):
@@ -855,29 +878,25 @@ def test_rerun_removes_outputs_it_does_not_write(tmp_path):
     assert (out / "phi.csv").exists() and (out / "report.json").exists()
 
 
-def huffman_only_deflate(data):
-    """``data`` as one raw-deflate stream with zlib's Huffman-only strategy."""
-    deflater = zlib.compressobj(zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -15, 8,
-                                zlib.Z_HUFFMAN_ONLY)
-    return deflater.compress(data) + deflater.flush()
-
-
-def test_save_arrays_frames_member_is_huffman_only(tmp_path):
+def test_save_arrays_frames_member_is_stored(tmp_path):
     # Frames-like data: float64 entries with almost no repeated byte strings.
     frames = np.random.default_rng(5).standard_normal((3, 33, 33, 5, 5))
     save_arrays(tmp_path / "chunked.npz", {"frames": frames})
     np.savez_compressed(tmp_path / "numpy.npz", frames=frames)
     (name, crc, size, kind, data), = npz_members(tmp_path / "chunked.npz")
-    (np_name, np_crc, np_size, np_kind, np_data), = npz_members(tmp_path / "numpy.npz")
-    assert (name, crc, kind, data) == (np_name, np_crc, np_kind, np_data)
-    assert kind == zipfile.ZIP_DEFLATED
-    huffman = huffman_only_deflate(np_data)
-    assert size == len(huffman) != np_size
-    # The member's data follow its local header: 30 bytes, name and extra.
+    (np_name, np_crc, _, np_kind, np_data), = npz_members(tmp_path / "numpy.npz")
+    assert (name, crc, data) == (np_name, np_crc, np_data)
+    assert (kind, np_kind) == (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED)
+    assert size == len(data)
+    # The member's data follow its local header (30 bytes, the name and a
+    # zip64 extra) and are the .npy file np.save writes, byte for byte.
     raw = (tmp_path / "chunked.npz").read_bytes()
     name_len, extra_len = struct.unpack("<HH", raw[26:30])
     start = 30 + name_len + extra_len
-    assert raw[start:start + size] == huffman
+    assert raw[30 + name_len:32 + name_len] == b"\x01\x00"  # the zip64 field's id
+    npy = io.BytesIO()
+    np.save(npy, frames)
+    assert raw[start:start + size] == npy.getvalue()
     with np.load(tmp_path / "chunked.npz", allow_pickle=False) as loaded:
         np.testing.assert_array_equal(loaded["frames"], frames, strict=True)
 
@@ -892,8 +911,8 @@ def test_run_arrays_differ_from_savez_compressed_only_in_frames_bytes(tmp_path, 
                                     "mu_samples.npy"]
     for mine, numpy_member in zip(ours, theirs):
         if mine[0] == "frames.npy":
-            # Same name, CRC, method and data; only the coded bytes differ.
-            assert mine[:2] + mine[3:] == numpy_member[:2] + numpy_member[3:]
-            assert mine[2] == len(huffman_only_deflate(mine[4]))
+            # Same name, CRC and data; only the method, size and coded bytes.
+            assert mine[:2] + mine[4:] == numpy_member[:2] + numpy_member[4:]
+            assert mine[2:4] == (len(mine[4]), zipfile.ZIP_STORED)
         else:
             assert mine == numpy_member
