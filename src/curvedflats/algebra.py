@@ -270,33 +270,55 @@ def form_margin(ortho):
     return float(np.min(np.abs(np.linalg.eigvalsh(gram))))
 
 
-# 1/k! for k = 0..16: the Taylor polynomial of degree 16 that ``expm``
-# evaluates.  At scaled norm <= 0.5 its truncation error is below
-# 0.5**17 / 17! ~ 2e-20, far under float64 resolution.
+# 1/k! for k = 0..16, the Taylor coefficients ``expm`` reads.
 _TAYLOR = 1.0 / np.cumprod([1.0] + list(range(1, 17)))
-# Row j: coefficients of I, a, a^2, a^3, a^4 in block j of the Horner scheme
-# in a^4, so block j is sum_{i<4} a^i / (4j + i)!; the top block also takes
-# a^4 / 16!.  Shaped to broadcast over the (5, b, n, n) stack of powers.
-_BLOCKS = np.zeros((4, 5))
-_BLOCKS[:, :4] = _TAYLOR[:16].reshape(4, 4)
-_BLOCKS[3, 4] = _TAYLOR[16]
-_BLOCKS = _BLOCKS.reshape(4, 5, 1, 1, 1)
+# The Taylor degrees m that ``expm`` chooses from.  TAYLOR_THETAS[i] is the
+# largest scaled norm t at which degree TAYLOR_DEGREES[i] is exact to float64:
+# the remainder sum_{k>m} t^k/k! <= t^(m+1)/(m+1)! / (1 - t/(m+2)) is at most
+# 2^-54 for t <= 0.0647 (m = 8) and t <= 0.3178 (m = 12), rounded down.
+# Degree 16 takes the rest: at the largest scaled norm, 0.5, its remainder
+# is 2.2e-20.
+TAYLOR_DEGREES = (8, 12, 16)
+TAYLOR_THETAS = np.array([0.0647, 0.3178])
+TAYLOR_THETAS.setflags(write=False)
 
 
-def _taylor16(a):
-    """Degree-16 Taylor polynomial of exp over a stack (b, n, n), by
-    Paterson-Stockmeyer: a^2, a^3, a^4, the four blocks in one elementwise
-    product and sum, then three Horner steps in a^4 (six matrix products in
-    all)."""
+def _taylor_rows(degree):
+    """Paterson-Stockmeyer coefficient rows of the degree-``degree`` Taylor
+    polynomial, as a (4, 5) table: row j holds the coefficients of I, a,
+    a^2, a^3 in block j of the Horner scheme in a^4, so block j is
+    sum_{i<4} a^i / (4j + i)!; the top block, row degree/4 - 1, also takes
+    a^4 / degree!, and the rows above it are zero."""
+    rows = np.zeros((4, 5))
+    blocks = degree // 4
+    rows[:blocks, :4] = _TAYLOR[:degree].reshape(blocks, 4)
+    rows[blocks - 1, 4] = _TAYLOR[degree]
+    return rows
+
+
+# (row, power, degree index): the rows of every degree in TAYLOR_DEGREES,
+# so that per-slice degree indices on the last axis give (J, 5, b) rows.
+_TAYLOR_ROWS = np.stack([_taylor_rows(m) for m in TAYLOR_DEGREES], axis=-1)
+# The degree-8 rows, shaped to broadcast over the (5, b, n, n) powers.
+_DEGREE8_ROWS = np.ascontiguousarray(_TAYLOR_ROWS[:2, :, 0, None, None, None])
+
+
+def _taylor(a, rows):
+    """Taylor polynomial of exp over a stack (b, n, n) by Paterson-Stockmeyer:
+    a^2, a^3, a^4, the blocks of ``rows`` (J, 5, b or 1, 1, 1) in one
+    elementwise product and sum, then J - 1 Horner steps in a^4, so degree
+    4J takes 2 + J matrix products (four for degree 8, six for 16).  A slice
+    whose rows are zero above its own degree gets exact zeros from them and
+    the bytes of its own degree."""
     powers = np.empty((5,) + a.shape)  # I, a, a^2, a^3, a^4
     powers[0] = np.eye(a.shape[-1])
     powers[1] = a
     np.matmul(a, a, out=powers[2])
     np.matmul(powers[2], powers[1:3], out=powers[3:])
-    blocks = (_BLOCKS * powers).sum(axis=1)
-    out = blocks[3]
-    for j in (2, 1, 0):
-        out = out @ powers[4] + blocks[j]
+    blocks = (rows * powers).sum(axis=1)
+    out = blocks[-1]
+    for block in blocks[-2::-1]:
+        out = out @ powers[4] + block
     return out
 
 
@@ -309,15 +331,19 @@ def slice_error(message, flat, batch, kind=NumericalError):
 
 
 def expm(m):
-    """Matrix exponential by scaling-and-squaring with a fixed degree-16
-    Taylor core, over a stack (..., n, n).
+    """Matrix exponential by scaling-and-squaring with a Taylor core of
+    degree 8, 12 or 16, over a stack (..., n, n).
 
-    Each slice's squaring count is chosen so its scaled norm is <= 0.5,
-    where the degree-16 Taylor polynomial (evaluated by Paterson-Stockmeyer)
-    is exact to below float64 resolution.  The squaring count is kept per
-    slice and the polynomial is the same elementwise arithmetic for every
-    slice, so every slice equals the exponential of that matrix alone, byte
-    for byte.  Each squaring doubles the relative error, so past
+    Each slice's squaring count is chosen so its scaled norm is <= 0.5, and
+    its Taylor degree is the least in ``TAYLOR_DEGREES`` that is exact to
+    below float64 resolution at that scaled norm (``TAYLOR_THETAS``).  When
+    no slice's norm exceeds the degree-8 bound, the whole stack takes the
+    degree-8 rows with no per-slice work.  Otherwise every slice takes its
+    own coefficient rows, zero above its degree, and the Horner steps run to
+    the stack's highest degree.  The squaring count and the degree are kept
+    per slice and the polynomial is the same elementwise arithmetic for
+    every slice, so every slice equals the exponential of that matrix alone,
+    byte for byte.  Each squaring doubles the relative error, so past
     ``MAX_SQUARINGS`` no digit of the result is correct and a
     ``NumericalError`` names the first such slice.
     """
@@ -328,41 +354,57 @@ def expm(m):
     n = shape[-1]
     flat = m.reshape((-1, n, n))
     worst = np.abs(flat).max(initial=0.0) * n
-    if worst <= 0.5:  # no slice needs scaling; a NaN fails the test
-        return _taylor16(flat).reshape(shape)
+    if worst <= TAYLOR_THETAS[0]:  # every slice takes degree 8; a NaN fails
+        return _taylor(flat, _DEGREE8_ROWS).reshape(shape)
     # A NaN or inf entry makes the largest scaled norm non-finite.
     if not np.isfinite(worst):
         b = int(np.argmax(~np.isfinite(flat).all(axis=(1, 2))))
         raise slice_error("expm: non-finite entries", b, shape[:-2])
     norm = np.abs(flat).reshape(len(flat), n * n).max(axis=1) * n
-    # norm = mant * 2**e with mant in [0.5, 1): the least squaring count
-    # s >= 0 with norm / 2**s <= 0.5, exactly; the scaling by 2**-s is exact.
-    mant, e = np.frexp(norm)
-    squarings = np.maximum(e + (mant > 0.5), 0)
-    if squarings.max() > MAX_SQUARINGS:
-        b = int(np.argmax(squarings > MAX_SQUARINGS))
-        raise slice_error(
-            f"expm: norm {norm[b]:.3e} needs {squarings[b]} squarings, which"
-            " leave no correct digit", b, shape[:-2],
-        )
-    result = _taylor16(np.ldexp(flat, -squarings[:, None, None]))
-    for i in range(int(squarings.max())):
+    most = 0
+    if worst > 0.5:  # some slice needs scaling
+        # norm = mant * 2**e with mant in [0.5, 1): the least squaring count
+        # s >= 0 with norm / 2**s <= 0.5, exactly; the scaling by 2**-s is
+        # exact, for the matrices and for their norms.
+        mant, e = np.frexp(norm)
+        squarings = np.maximum(e + (mant > 0.5), 0)
+        most = int(squarings.max())
+        if most > MAX_SQUARINGS:
+            b = int(np.argmax(squarings > MAX_SQUARINGS))
+            raise slice_error(
+                f"expm: norm {norm[b]:.3e} needs {squarings[b]} squarings, which"
+                " leave no correct digit", b, shape[:-2],
+            )
+        norm = np.ldexp(norm, -squarings)
+        flat = np.ldexp(flat, -squarings[:, None, None])
+    # Each slice's least degree whose bound covers its scaled norm.
+    index = np.searchsorted(TAYLOR_THETAS, norm)
+    blocks = TAYLOR_DEGREES[index.max()] // 4
+    rows = _TAYLOR_ROWS[:blocks, :, index, None, None]  # (J, 5, b, 1, 1)
+    result = _taylor(flat, rows)
+    for i in range(most):
         more = squarings > i
         result[more] = result[more] @ result[more]
     return result.reshape(shape)
 
 
-def group_defects(g, space):
-    """||G^T J G - J||_max of every slice of a stack (..., n, n), shape (...)."""
+def group_defect_field(g, space):
+    """|G^T J G - J| entrywise over a stack (..., n, n), in a fresh array."""
     g = np.asarray(g, dtype=float)
     if g.ndim < 2 or g.shape[-2:] != (space.dim, space.dim):
         raise StructuralError(f"expected (..., {space.dim}, {space.dim}), got {g.shape}")
-    j = space.j_diag
-    res = np.swapaxes(g, -1, -2) @ (j[:, None] * g) - space.metric
-    return np.max(np.abs(res), axis=(-2, -1))
+    res = np.swapaxes(g, -1, -2) @ (space.j_diag[:, None] * g)
+    res -= space.metric
+    return np.abs(res, out=res)
+
+
+def group_defects(g, space):
+    """||G^T J G - J||_max of every slice of a stack (..., n, n), shape (...)."""
+    return np.max(group_defect_field(g, space), axis=(-2, -1))
 
 
 def in_group_residual(g, space):
     """Drift monitor: ||G^T J G - J||_max over a stack (..., n, n), e.g. a
-    whole frame or gauge field in one call."""
-    return float(np.max(group_defects(g, space)))
+    whole frame or gauge field in one call: one ``max`` over every entry,
+    which a NaN makes NaN."""
+    return float(np.max(group_defect_field(g, space)))

@@ -16,7 +16,13 @@ batched group test.  The group drift is one scan of each sample's field.
 
 import numpy as np
 
-from .algebra import expm, group_defects, in_group_residual, slice_error
+from .algebra import (
+    expm,
+    group_defect_field,
+    group_defects,
+    in_group_residual,
+    slice_error,
+)
 from .errors import (
     DegenerateFrameError,
     InternalConsistencyError,
@@ -126,15 +132,37 @@ def grid_derivative(field, axis, h):
     return out
 
 
-def curvature_defect(a, i, j, steps):
-    """d_i A_j - d_j A_i + [A_i, A_j] on every node, for a 1-form field
-    ``a`` (*nodes, k, n, n) with ``grid_derivative`` along grid axes i, j."""
+def _inner_nodes(k, ring, axis=None, shift=0):
+    """Index of the nodes of a k-axis grid at least ``ring`` (>= 1) steps
+    inside every boundary, moved ``shift`` steps along ``axis``."""
+    def bounds(ax):
+        s = shift if ax == axis else 0
+        return slice(ring + s, s - ring or None)
+
+    return tuple(bounds(ax) for ax in range(k))
+
+
+def central_difference(field, k, axis, h, ring=1):
+    """Order-2 central difference of ``field`` (*nodes, ...), k grid axes,
+    along grid axis ``axis``, on the nodes at least ``ring`` (>= 1) steps
+    inside every boundary only: the bytes of ``grid_derivative`` there."""
+    hi, lo = _inner_nodes(k, ring, axis, 1), _inner_nodes(k, ring, axis, -1)
+    return (field[hi] - field[lo]) / (2.0 * h)
+
+
+def curvature_defect(a, i, j, steps, ring=1):
+    """d_i A_j - d_j A_i + [A_i, A_j] for a 1-form field ``a`` (*nodes, k,
+    n, n), by central differences along grid axes i, j, computed on the
+    nodes at least ``ring`` steps inside every boundary only."""
+    k = len(steps)
+    inner = _inner_nodes(k, ring)
     ai, aj = a[..., i, :, :], a[..., j, :, :]
+    inner_i, inner_j = ai[inner], aj[inner]
     return (
-        grid_derivative(aj, i, steps[i])
-        - grid_derivative(ai, j, steps[j])
-        + ai @ aj
-        - aj @ ai
+        central_difference(aj, k, i, steps[i], ring)
+        - central_difference(ai, k, j, steps[j], ring)
+        + inner_i @ inner_j
+        - inner_j @ inner_i
     )
 
 
@@ -142,8 +170,9 @@ def mc_residual(conn, mu0):
     """Max-norm zero-curvature defect of A^mu0 over the interior nodes of
     ``conn.grid``.
 
-    For a coordinate pair (i, j) the defect is ``curvature_defect``; central
-    differences make it O(h^2) for a flat connection.
+    For a coordinate pair (i, j) the defect is ``curvature_defect``, taken
+    on the interior nodes only; central differences make it O(h^2) for a
+    flat connection.
     """
     grid = conn.grid
     if grid.dims < 2:
@@ -152,12 +181,11 @@ def mc_residual(conn, mu0):
         raise StructuralError("need at least 3 nodes per axis for curvature")
     a = conn.a_mu(mu0)
     k = grid.dims
-    interior = tuple(slice(1, -1) for _ in range(k))
     worst = 0.0
     for i in range(k):
         for j in range(i + 1, k):
             res = curvature_defect(a, i, j, grid.steps)
-            worst = float(np.maximum(worst, np.max(np.abs(res[interior]))))
+            worst = float(np.maximum(worst, np.max(np.abs(res, out=res))))
     return worst
 
 
@@ -187,12 +215,8 @@ def j_orthonormalize(g, space):
     names the first failing slice in C order and carries its index.
     """
     g = np.asarray(g, dtype=float)
-    metric = space.metric
-    if g.shape[-2:] == metric.shape and g.size:
-        res = np.swapaxes(g, -1, -2) @ (space.j_diag[:, None] * g)
-        res -= metric
-        if np.abs(res, out=res).max() <= IN_GROUP_TOL:
-            return g
+    if g.size and group_defect_field(g, space).max() <= IN_GROUP_TOL:
+        return g
     defects = group_defects(g, space)
     bound = IN_GROUP_TOL * np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1))) ** 2
     # An inf entry makes its bound inf, a NaN makes both NaN: either fails.

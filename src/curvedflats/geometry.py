@@ -30,7 +30,7 @@ from .errors import (
     NumericalError,
     StructuralError,
 )
-from .frame import curvature_defect, grid_derivative
+from .frame import central_difference, curvature_defect, grid_derivative
 
 GAUGE_SPAN_TOL = 1e-7
 SINGULAR_SEP_TOL = 1e-8
@@ -269,16 +269,15 @@ def developing_map(gf, closedness_tol):
 
     closedness = 0.0
     if k >= 2:
-        interior = tuple(slice(1, -1) for _ in range(k))
         for i in range(k):
             bi = gf.betas[..., i, :]
             for j in range(i + 1, k):
                 bj = gf.betas[..., j, :]
                 res = (
-                    grid_derivative(bj, i, steps[i])
-                    - grid_derivative(bi, j, steps[j])
+                    central_difference(bj, k, i, steps[i])
+                    - central_difference(bi, k, j, steps[j])
                 )
-                closedness = float(np.maximum(closedness, np.max(np.abs(res[interior]))))
+                closedness = float(np.maximum(closedness, np.max(np.abs(res))))
         if closedness > 100.0 * closedness_tol:
             raise GaugeContinuityError(
                 f"closedness residual {closedness:.3e} suggests a gauge branch flip"
@@ -412,8 +411,8 @@ def verify_space_form_geometry(im):
     kappa = gauss_curvature_field(im.metric, grid)[core]
     curv_err = np.abs(kappa - 1.0)[core_valid]
 
-    r_normal = curvature_defect(im.gauge.a0[..., :, n1:, n1:], 0, 1, grid.steps)
-    normal_residual = float(np.max(np.abs(r_normal[core][core_valid])))
+    r_normal = curvature_defect(im.gauge.a0[..., :, n1:, n1:], 0, 1, grid.steps, ring=2)
+    normal_residual = float(np.max(np.abs(r_normal[core_valid])))
 
     phi = im.phi
     d2_00 = (phi[2:, 1:-1] - 2.0 * phi[1:-1, 1:-1] + phi[:-2, 1:-1]) / h0**2

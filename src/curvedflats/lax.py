@@ -26,9 +26,11 @@ The pointwise checks (twist condition, conservation) take the whole grid in
 one call.  Everything is deterministic.
 """
 
+import math
+
 import numpy as np
 
-from .errors import BlowUpError, StructuralError
+from .errors import BlowUpError, ConfigError, StructuralError
 from .loops import (
     LaxState,
     evaluate_stack,
@@ -175,7 +177,8 @@ def integrate_grid(xi0, family, grid, substeps=4):
     from one flow to the other, P the product of the node counts of the
     axes before them; the per-edge cost rises with the power, so for any
     node counts no order is cheaper.  A ``BlowUpError`` names the first
-    failing node in slab order.
+    failing node in slab order; a grid whose state array cannot be
+    allocated is a ``ConfigError`` that names its shape and byte count.
     """
     if family.dims != grid.dims:
         raise StructuralError(
@@ -185,7 +188,14 @@ def integrate_grid(xi0, family, grid, substeps=4):
         raise StructuralError("state degree does not match family degree")
     n = xi0.spec.dim
     d = family.d
-    states = np.zeros(grid.nodes + (d + 1, n, n))
+    shape = grid.nodes + (d + 1, n, n)
+    try:
+        states = np.zeros(shape)
+    except MemoryError as err:  # the grid asks for more than the host has
+        raise ConfigError(
+            f"the Lax states of grid {grid.nodes} need an array of shape"
+            f" {shape}, {8 * math.prod(shape)} bytes, which cannot be allocated"
+        ) from err
     states[(0,) * grid.dims] = xi0.stack
     flat = states.reshape((-1, d + 1, n, n))
     norm0 = max(1.0, xi0.norm())

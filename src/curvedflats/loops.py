@@ -180,12 +180,15 @@ def connection_coefficients(stack, powers, d):
 
 def trace_powers(m, max_power):
     """[tr(m^2), tr(m^4), ...] up to max_power along a new last axis, for
-    matrices m of shape (..., n, n); raises on a non-finite value."""
+    matrices m of shape (..., n, n); raises on a non-finite value.  The
+    powers of m^2 start from m^2 itself, which the product with the identity
+    gave byte for byte: a BLAS product is never -0 (see
+    ``connection_coefficients``)."""
     m2 = m @ m
-    acc = np.broadcast_to(np.eye(m.shape[-1]), m.shape)
-    out = []
+    acc, out = m2, []
     for _ in range(max_power // 2):
-        acc = acc @ m2
+        if out:
+            acc = acc @ m2
         out.append(np.trace(acc, axis1=-2, axis2=-1))
     out = np.stack(out, axis=-1)
     if not np.all(np.isfinite(out)):

@@ -1,5 +1,7 @@
 """Shared test utilities: spaces, off-block builders, and independent oracles."""
 
+import functools
+
 import numpy as np
 
 from curvedflats.algebra import (
@@ -152,8 +154,8 @@ def fit_order(values, ratios=2.0):
 def expm_single(m):
     """Single-matrix scaling-and-squaring exponential with a term-by-term
     Taylor loop, the former ``algebra.expm``: the accuracy reference for the
-    fixed-degree polynomial.  Returns the exponential and the squaring
-    count."""
+    Taylor polynomials of ``expm``.  Returns the exponential and the
+    squaring count."""
     norm = np.max(np.abs(m)) * m.shape[0]
     squarings = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
     a = m / (2.0 ** squarings)
@@ -631,3 +633,100 @@ def developing_psi_per_node(betas, grid):
         avg = 0.5 * (betas[prev + (axis,)] + betas[index + (axis,)])
         psi[index] = psi[prev] + grid.steps[axis] * avg
     return psi
+
+
+def curvature_defect_full_grid(a, i, j, steps):
+    """The former ``frame.curvature_defect``: d_i A_j - d_j A_i + [A_i, A_j]
+    on every node, with ``grid_derivative``'s one-sided boundary rows; its
+    callers sliced the interior or the core out of it."""
+    from curvedflats.frame import grid_derivative
+
+    ai, aj = a[..., i, :, :], a[..., j, :, :]
+    return (
+        grid_derivative(aj, i, steps[i])
+        - grid_derivative(ai, j, steps[j])
+        + ai @ aj
+        - aj @ ai
+    )
+
+
+def mc_residual_full_grid(conn, mu0):
+    """The former ``frame.mc_residual``: ``curvature_defect_full_grid`` of
+    A^mu0 per axis pair, then its interior."""
+    grid = conn.grid
+    a = conn.a_mu(mu0)
+    interior = tuple(slice(1, -1) for _ in range(grid.dims))
+    worst = 0.0
+    for i in range(grid.dims):
+        for j in range(i + 1, grid.dims):
+            res = curvature_defect_full_grid(a, i, j, grid.steps)
+            worst = float(np.maximum(worst, np.max(np.abs(res[interior]))))
+    return worst
+
+
+def closedness_full_grid(betas, grid):
+    """The former closedness residual of ``geometry.developing_map``: full
+    grid derivatives of the betas per axis pair, then their interior."""
+    from curvedflats.frame import grid_derivative
+
+    k, steps = grid.dims, grid.steps
+    interior = tuple(slice(1, -1) for _ in range(k))
+    worst = 0.0
+    for i in range(k):
+        for j in range(i + 1, k):
+            res = (
+                grid_derivative(betas[..., j, :], i, steps[i])
+                - grid_derivative(betas[..., i, :], j, steps[j])
+            )
+            worst = float(np.maximum(worst, np.max(np.abs(res[interior]))))
+    return worst
+
+
+def trace_powers_from_identity(m, max_power):
+    """The former ``loops.trace_powers``: the powers of m^2 start from a
+    product with the broadcast identity."""
+    m2 = m @ m
+    acc = np.broadcast_to(np.eye(m.shape[-1]), m.shape)
+    out = []
+    for _ in range(max_power // 2):
+        acc = acc @ m2
+        out.append(np.trace(acc, axis1=-2, axis2=-1))
+    out = np.stack(out, axis=-1)
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("non-finite spectral invariant")
+    return out
+
+
+def in_group_residual_per_slice(g, space):
+    """The former ``algebra.in_group_residual``: the max of the per-slice
+    maxima of |G^T J G - J|."""
+    res = np.swapaxes(g, -1, -2) @ (space.j_diag[:, None] * g) - space.metric
+    return float(np.max(np.max(np.abs(res), axis=(-2, -1))))
+
+
+# Small runs whose kernels are compared with the former formulas: both
+# signatures on a 9^2 grid, and three flows on a 5^3 grid.
+KERNEL_CASES = {
+    "definite": {"preset": "sphere-grassmannian", "nodes": [9, 9],
+                 "commutativity_steps": 4},
+    "indefinite": {"preset": "anti-de-sitter", "nodes": [9, 9],
+                   "mu_samples": [0.25, 1.0, 4.0], "commutativity_steps": 4},
+    "three-flow": {"preset": "sphere-grassmannian", "powers": [1, 3, 5],
+                   "extents": [0.4, 0.4, 0.4], "nodes": [5, 5, 5],
+                   "commutativity_steps": 4},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def kernel_case(name):
+    """(config, Lax solution, connection, frame fields) of ``KERNEL_CASES``
+    entry ``name``, built once per test process."""
+    from curvedflats.cli import RunConfig, seed_initial_state
+    from curvedflats.frame import connection_from_state, integrate_frame
+    from curvedflats.lax import integrate_grid
+
+    config = RunConfig(KERNEL_CASES[name])
+    xi0, _ = seed_initial_state(config)
+    sol = integrate_grid(xi0, config.family, config.grid, substeps=config.substeps)
+    conn = connection_from_state(sol)
+    return config, sol, conn, integrate_frame(conn, config.mu_samples)

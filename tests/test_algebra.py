@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 import curvedflats.algebra as algebra
 from curvedflats.algebra import (
     CARTAN_CACHE_SIZE,
+    TAYLOR_DEGREES,
+    TAYLOR_THETAS,
     BilinearSpace,
     SymmetricSpaceSpec,
     expm,
@@ -431,6 +434,88 @@ def test_expm_matches_taylor_loop_reference():
     eps = np.finfo(float).eps
     rng = np.random.default_rng(31)
     for m in [s * rng.standard_normal((5, 5)) for s in EXPM_SCALES]:
+        expected, count = expm_single(m)
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        assert np.max(np.abs(expm(m) - expected)) <= 64 * eps * 2.0**count * scale
+
+
+def test_taylor_thetas_bound_the_remainder():
+    # theta_m is the largest scaled norm t (to 4 digits) whose remainder
+    # sum_{k>m} t^k/k!, bounded with its geometric tail factor, is at most
+    # 2^-54; degree 16 covers every scaled norm up to 0.5.
+    def remainder(t, m):
+        return t ** (m + 1) / math.factorial(m + 1) / (1.0 - t / (m + 2))
+
+    assert TAYLOR_DEGREES == (8, 12, 16)
+    for theta, m in zip(TAYLOR_THETAS, TAYLOR_DEGREES):
+        assert remainder(theta, m) <= 2.0**-54 < remainder(theta + 1e-4, m)
+    assert remainder(0.5, TAYLOR_DEGREES[-1]) <= 2.0**-54
+
+
+def test_taylor_rows_are_inverse_factorials():
+    # Row j of degree m holds 1/(4j + i)! for a^i, i < 4; the top row also
+    # holds 1/m! for a^4, and every other entry is zero.
+    for index, degree in enumerate(TAYLOR_DEGREES):
+        want = np.zeros((4, 5))
+        for k in range(degree):
+            want[divmod(k, 4)] = 1.0 / math.factorial(k)
+        want[degree // 4 - 1, 4] = 1.0 / math.factorial(degree)
+        assert np.array_equal(algebra._TAYLOR_ROWS[..., index], want)
+    assert np.array_equal(algebra._DEGREE8_ROWS.reshape(2, 5),
+                          algebra._TAYLOR_ROWS[:2, :, 0])
+
+
+def straddling_stack():
+    """Slices of expm's scaled norm just below and above the degree-8 and
+    degree-12 bounds and the scaling threshold 0.5, unscaled and after one
+    squaring, with the (squarings, degree) each is meant to take."""
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((5, 5))
+    x /= np.max(np.abs(x)) * 5  # scaled norm 1
+    theta8, theta12 = TAYLOR_THETAS
+    below, above = 1.0 - 1e-9, 1.0 + 1e-9
+    cases = [
+        (0.0, 0, 8), (theta8 * below, 0, 8), (theta8 * above, 0, 12),
+        (theta12 * below, 0, 12), (theta12 * above, 0, 16), (0.5 * below, 0, 16),
+        (0.5 * above, 1, 12), (2 * theta12 * below, 1, 12),
+        (2 * theta12 * above, 1, 16), (5.0, 4, 12), (7.0, 4, 16),
+    ]
+    stack = np.stack([t * x for t, _, _ in cases])
+    return stack, [(s, m) for _, s, m in cases]
+
+
+def expm_choices(stack):
+    """expm's (squarings, degree) per slice, from its rule."""
+    norm = np.max(np.abs(stack), axis=(-2, -1)) * stack.shape[-1]
+    squarings = [max(0, math.ceil(math.log2(v / 0.5))) if v > 0.5 else 0 for v in norm]
+    degrees = [TAYLOR_DEGREES[int(np.searchsorted(TAYLOR_THETAS, v / 2.0**s))]
+               for v, s in zip(norm, squarings)]
+    return list(zip(squarings, degrees))
+
+
+def test_expm_slices_straddling_degree_bounds_match_single_calls():
+    # A slice's bytes depend on that slice alone: in the whole stack, in
+    # every pair of slices (either order) and alone.
+    stack, choices = straddling_stack()
+    assert expm_choices(stack) == choices
+    singles = [expm(m).tobytes() for m in stack]
+    assert [out.tobytes() for out in expm(stack)] == singles
+    for i in range(len(stack)):
+        for j in range(len(stack)):
+            pair = expm(stack[[i, j]])
+            assert [pair[0].tobytes(), pair[1].tobytes()] == [singles[i], singles[j]]
+    # The degree-8 slices alone take the fixed rows, with the same bytes.
+    low = [i for i, (_, m) in enumerate(choices) if m == 8]
+    assert [out.tobytes() for out in expm(stack[low])] == [singles[i] for i in low]
+
+
+def test_expm_accurate_just_below_each_degree_bound():
+    # Just below each bound (and on every slice of the straddling stack),
+    # the chosen degree agrees with the term-by-term Taylor loop within the
+    # bound of test_expm_matches_taylor_loop_reference.
+    eps = np.finfo(float).eps
+    stack, _ = straddling_stack()
+    for m in stack:
         expected, count = expm_single(m)
         scale = max(1.0, float(np.max(np.abs(expected))))
         assert np.max(np.abs(expm(m) - expected)) <= 64 * eps * 2.0**count * scale

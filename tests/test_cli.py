@@ -468,6 +468,23 @@ def test_main_rejected_config_writes_error_block(tmp_path, capsys):
         assert sorted(p.name for p in out.iterdir()) == ["report.json"]
 
 
+def test_main_unallocatable_grid_exits_2(tmp_path, capsys):
+    # 1e12 x 9 nodes of 4 x 5 x 5 doubles take 7.2e15 bytes, past the
+    # 2^48-byte address space, so the allocation fails at once: a
+    # ConfigError naming the shape and byte count, not a traceback (exit 3).
+    cfg_path = tmp_path / "huge.json"
+    cfg_path.write_text(json.dumps({"nodes": [1e12, 9], "commutativity_steps": 4}))
+    out = tmp_path / "huge"
+    capsys.readouterr()
+    assert main(["run", str(cfg_path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "7200000000000000 bytes" in err
+    error = json.loads((out / "report.json").read_text())["error"]
+    assert error["category"] == "ConfigError"
+    assert "shape (1000000000000, 9, 4, 5, 5), 7200000000000000 bytes" in error["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
+
 def test_main_space_form_needs_two_normal_directions(tmp_path, capsys):
     # A 2-D definite run verifies the space form through the Jacobian of psi,
     # which is n2 x 2: any n2 != 2 is a structural error, not a numpy crash.

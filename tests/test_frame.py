@@ -13,6 +13,7 @@ from curvedflats.frame import (
     ConnectionForm,
     abelian_residual,
     connection_from_state,
+    curvature_defect,
     integrate_frame,
     j_orthonormalize,
     mc_residual,
@@ -21,8 +22,13 @@ from curvedflats.lax import GridSolution, GridSpec, integrate_grid
 from curvedflats.loops import FlowFamily, LaxState
 
 from helpers import (
+    KERNEL_CASES,
+    curvature_defect_full_grid,
     from_offblock,
+    in_group_residual_per_slice,
     integrate_frame_per_edge,
+    kernel_case,
+    mc_residual_full_grid,
     random_element,
     so5_spec,
 )
@@ -137,6 +143,59 @@ def test_mc_residual_bounded_across_mu(small_run):
     grid, _, _, conn = small_run
     for mu in (0.6, 1.0, 1.6):
         assert mc_residual(conn, mu) < 5e-4
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_curvature_matches_full_grid(conn, mu):
+    # Each ring's defect is the full-grid defect's slice, byte for byte, and
+    # mc_residual is the former interior maximum.
+    grid, k = conn.grid, conn.grid.dims
+    a = conn.a_mu(mu)
+    for i in range(k):
+        for j in range(i + 1, k):
+            full = curvature_defect_full_grid(a, i, j, grid.steps)
+            for ring in (1, 2):
+                inner = (slice(ring, -ring),) * k
+                got = curvature_defect(a, i, j, grid.steps, ring=ring)
+                assert same_bytes(got, full[inner]), (i, j, ring)
+    assert same_bytes(mc_residual(conn, mu), mc_residual_full_grid(conn, mu))
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_curvature_on_inner_nodes_equals_full_grid_slice(case):
+    config, _, conn, _ = kernel_case(case)
+    for mu in config.mu_samples:
+        assert_curvature_matches_full_grid(conn, mu)
+
+
+def test_curvature_on_inner_nodes_keeps_a_nan():
+    # A NaN on the boundary reaches the interior through the central
+    # difference, one inside through the bracket too: both make mc NaN.
+    _, _, conn, _ = kernel_case("definite")
+    for node in ((0, 5), (4, 5)):
+        a0 = conn.a0.copy()
+        a0[node + (1, 0, 1)] = np.nan
+        broken = ConnectionForm(a0, conn.a1, conn.grid, conn.spec)
+        assert_curvature_matches_full_grid(broken, 1.0)
+        assert np.isnan(mc_residual(broken, 1.0))
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_in_group_residual_equals_max_of_slice_maxima(case):
+    config, _, _, fields = kernel_case(case)
+    space = config.spec.space
+    for field in fields:
+        got = in_group_residual(field.frames, space)
+        assert same_bytes(got, in_group_residual_per_slice(field.frames, space))
+        assert same_bytes(got, field.max_drift)
+    frames = fields[-1].frames.copy()
+    frames[(1,) * config.grid.dims + (2, 3)] = np.nan
+    assert np.isnan(in_group_residual(frames, space))
+    assert np.isnan(in_group_residual_per_slice(frames, space))
 
 
 def test_mc_residual_needs_two_axes():

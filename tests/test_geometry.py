@@ -27,6 +27,8 @@ from curvedflats.lax import GridSpec, integrate_grid
 from curvedflats.loops import FlowFamily, LaxState
 
 from helpers import (
+    closedness_full_grid,
+    curvature_defect_full_grid,
     curved_flat_planes,
     developing_psi_per_node,
     from_offblock,
@@ -495,6 +497,22 @@ def test_verify_space_form_geometry_orders(run17, run33):
         order = np.log2(reports[0][key] / reports[1][key])
         assert 1.5 <= order <= 2.5, (key, order)
     assert reports[1]["gauss_curvature_max_error"] < 5e-3
+
+
+def test_inner_node_residuals_equal_full_grid_formulas(run17):
+    # The closedness and the normal curvature take their differences on the
+    # nodes they read only: the former full-grid values, byte for byte.
+    grid, conn, gauge, frames = run17
+    dev = developing_map(gauge, closedness_tol=1e-4)
+    want = closedness_full_grid(gauge.betas, grid)
+    assert np.float64(dev.closedness_residual).tobytes() == np.float64(want).tobytes()
+    im = reconstruct_immersion(gauge, frames)
+    n1 = SPEC.n1
+    core = (slice(2, -2), slice(2, -2))
+    r_normal = curvature_defect_full_grid(gauge.a0[..., :, n1:, n1:], 0, 1, grid.steps)
+    want = float(np.max(np.abs(r_normal[core][~im.degenerate[core]])))
+    got = verify_space_form_geometry(im)["normal_curvature_residual"]
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_gauge_invariance_of_geometry(run17):

@@ -23,14 +23,17 @@ from curvedflats.loops import (
 )
 
 from helpers import (
+    KERNEL_CASES,
     edges_per_node,
     fit_order,
     flow_rhs_per_stage,
     integrate_grid_default_sweep,
+    kernel_case,
     random_element,
     rk4_per_stage,
     so5_spec,
     special_value_stacks,
+    trace_powers_from_identity,
 )
 
 RNG = np.random.default_rng(555)
@@ -466,3 +469,21 @@ def test_conservation_rejects_zero_mu():
     sol = integrate_grid(xi, FlowFamily([1], 1), grid, substeps=1)
     with pytest.raises(StructuralError):
         conservation_report(sol, [0.0], max_power=2)
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_trace_powers_equal_identity_start(case):
+    # Starting the powers of m^2 from m^2 gives the bytes of the product with
+    # the identity; a NaN node still fails the finiteness test.
+    config, sol, _, _ = kernel_case(case)
+    for mu in config.mu_samples:
+        m = evaluate_stack(sol.states, 0, mu)
+        for max_power in (2, 4, 6):
+            got = trace_powers(m, max_power)
+            want = trace_powers_from_identity(m, max_power)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    m = evaluate_stack(sol.states, 0, config.mu_samples[0])
+    m[(1,) * config.grid.dims + (0, 1)] = np.nan
+    for kernel in (trace_powers, trace_powers_from_identity):
+        with pytest.raises(NumericalError, match="non-finite spectral invariant"):
+            kernel(m, 4)
