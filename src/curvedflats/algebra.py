@@ -13,7 +13,7 @@ is answered without repeating the test.  A cached verdict is the one the
 test gave for the same bytes, so it changes no result.
 """
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -303,6 +303,14 @@ _TAYLOR_ROWS = np.stack([_taylor_rows(m) for m in TAYLOR_DEGREES], axis=-1)
 _DEGREE8_ROWS = np.ascontiguousarray(_TAYLOR_ROWS[:2, :, 0, None, None, None])
 
 
+@lru_cache(maxsize=None)
+def _identity(n):
+    """The read-only n x n identity, built once per n."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def _taylor(a, rows):
     """Taylor polynomial of exp over a stack (b, n, n) by Paterson-Stockmeyer:
     a^2, a^3, a^4, the blocks of ``rows`` (J, 5, b or 1, 1, 1) in one
@@ -311,7 +319,7 @@ def _taylor(a, rows):
     whose rows are zero above its own degree gets exact zeros from them and
     the bytes of its own degree."""
     powers = np.empty((5,) + a.shape)  # I, a, a^2, a^3, a^4
-    powers[0] = np.eye(a.shape[-1])
+    powers[0] = _identity(a.shape[-1])
     powers[1] = a
     np.matmul(a, a, out=powers[2])
     np.matmul(powers[2], powers[1:3], out=powers[3:])

@@ -339,7 +339,10 @@ def build_report(states, frames_by_mu, h_field, config):
             gate("mc_max", max(residuals["mc"].values()), "mc")
         gate("abelian", abelian_residual(conn), "abelian")
 
-        cons = conservation_report(sol, config.mu_samples, max_power=4)
+        # tr xi^p for even p up to 2 floor(n/2) span the invariants of so(J)
+        # (n = 7 adds tr xi^6); 4 stays the least, so no run loses a row.
+        max_power = max(4, 2 * (spec.dim // 2))
+        cons = conservation_report(sol, config.mu_samples, max_power=max_power)
         residuals["conservation"] = {
             mu_key(mu): {str(p): finite("conservation", v, mu) for p, v in row.items()}
             for mu, row in cons["table"].items()

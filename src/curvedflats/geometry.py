@@ -12,6 +12,8 @@ reconstructed unit-quadric map phi, whose induced metric, normal bundle, and
 second fundamental form are then checked against the space-form predictions.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .algebra import (
@@ -37,6 +39,8 @@ SINGULAR_SEP_TOL = 1e-8
 # Induced metric counts as degenerate below this fraction of its largest
 # eigenvalue.
 DEGENERACY_RATIO = 1e-6
+# The Jacobian of psi is inverted where |det| exceeds this.
+JACOBIAN_DET_TOL = 1e-12
 
 
 class GaugeField:
@@ -45,6 +49,11 @@ class GaugeField:
     The reference Cartan subspace is spanned by the D_a of p with unit
     off-block entry at row n1 + a, column n1 - n2 + a; ``betas[node, j, a]``
     is the component of the gauged p-part along D_a.
+
+    The residual parts that read the gauge alone (the kernel residual, the
+    normal-curvature defect and the inverse psi-Jacobian) are computed on
+    first use and kept, so every spectral value of one run shares them; the
+    arrays must not change after that.
     """
 
     def __init__(self, h, a0, a1, betas, grid, spec, max_off_span):
@@ -61,6 +70,31 @@ class GaugeField:
             f"GaugeField(nodes={self.grid.nodes}, "
             f"off_span={self.max_off_span:.2e})"
         )
+
+    @cached_property
+    def kernel_residual(self):
+        """max |A1~_j e0| over nodes and flows: the gauged p-part annihilates
+        the common kernel direction e0 (0.0 when n1 <= n2, no kernel)."""
+        if self.spec.n1 <= self.spec.n2:
+            return 0.0
+        return float(np.max(np.linalg.norm(self.a1[..., :, 0], axis=-1)))
+
+    @cached_property
+    def normal_curvature_defect(self):
+        """Curvature defect of the normal connection (the n1: block of A0~)
+        along axes 0 and 1, on the nodes two rings in."""
+        n1 = self.spec.n1
+        return curvature_defect(self.a0[..., :, n1:, n1:], 0, 1, self.grid.steps, ring=2)
+
+    @cached_property
+    def psi_jacobian_inverse(self):
+        """(invertible, w) on the interior nodes, for k = m: ``invertible``
+        marks where the psi-Jacobian betas^T has |det| > JACOBIAN_DET_TOL (a
+        NaN fails), and w holds its inverse at those nodes, in C order."""
+        interior = (slice(1, -1),) * self.grid.dims
+        jac = np.swapaxes(self.betas[interior], -1, -2)  # (m, k) per node
+        invertible = np.abs(np.linalg.det(jac)) > JACOBIAN_DET_TOL
+        return invertible, np.linalg.inv(jac[invertible])
 
 
 class DevelopingMap:
@@ -286,10 +320,31 @@ def developing_map(gf, closedness_tol):
     # Nodewise isometry: the Gram matrix of d psi in the diagonal basis must
     # reproduce the invariant-form Gram of the gauged p-part.
     gram_psi = np.einsum("...ia,...ja->...ij", gf.betas, gf.betas)
-    prod = np.einsum("...iab,...jbc->...ijac", gf.a1, gf.a1)
-    gram_alg = -0.5 * np.trace(prod, axis1=-2, axis2=-1)
+    gram_alg = _algebra_gram(gf.a1)
     isometry = float(np.max(np.abs(gram_psi - gram_alg)))
     return DevelopingMap(psi, closedness, isometry)
+
+
+def _algebra_gram(a1):
+    """-1/2 tr(A1_i A1_j) over a (..., k, n, n) field: only the a = c
+    diagonal of each product A1_i A1_j is formed, and its sum is the trace
+    of the full product, byte for byte."""
+    return -0.5 * np.einsum("...iab,...jba->...ija", a1, a1).sum(-1)
+
+
+def _in_psi_coordinates(w, second):
+    """W^T II_a W per node, for (N, 2, 2) inverse Jacobians W and (N, n2, 2,
+    2) second fundamental forms II_a: the terms (W_ra II_rs) W_sb summed in
+    (r, s) order from 0, the bytes of the three-operand einsum
+    "...ia,...nij,...jb->...nab".  A matmul chain would sum them in
+    another order and move the bytes of ``ii_offdiag_ratio``."""
+    out = 0.0
+    for r in range(2):
+        for s in range(2):
+            out = out + (
+                w[:, None, r, :, None] * second[:, :, r, s, None, None]
+            ) * w[:, None, s, None, :]
+    return out
 
 
 def reconstruct_immersion(gf, frames):
@@ -304,14 +359,10 @@ def reconstruct_immersion(gf, frames):
             "geometry extraction needs a nonzero spectral value"
         )
     grid, spec = gf.grid, gf.spec
-    n1 = spec.n1
     j = spec.space.j_diag
     f_tilde = frames.frames @ np.swapaxes(gf.h, -1, -2)
     phi = f_tilde[..., :, 0]
     unit = float(np.max(np.abs(np.einsum("...i,i,...i->...", phi, j, phi) - j[0])))
-    kernel = 0.0
-    if n1 - spec.n2 > 0:
-        kernel = float(np.max(np.linalg.norm(gf.a1[..., :, 0], axis=-1)))
     k = grid.dims
     steps = grid.steps
     dphi = [grid_derivative(phi, axis, steps[axis]) for axis in range(k)]
@@ -330,7 +381,7 @@ def reconstruct_immersion(gf, frames):
     if bool(np.all(degenerate)):
         raise NonImmersiveError("reconstructed map is degenerate at every node")
     return ImmersionData(
-        phi, metric, degenerate, unit, kernel, f_tilde, gf, frames.mu
+        phi, metric, degenerate, unit, gf.kernel_residual, f_tilde, gf, frames.mu
     )
 
 
@@ -411,7 +462,7 @@ def verify_space_form_geometry(im):
     kappa = gauss_curvature_field(im.metric, grid)[core]
     curv_err = np.abs(kappa - 1.0)[core_valid]
 
-    r_normal = curvature_defect(im.gauge.a0[..., :, n1:, n1:], 0, 1, grid.steps, ring=2)
+    r_normal = im.gauge.normal_curvature_defect
     normal_residual = float(np.max(np.abs(r_normal[core_valid])))
 
     phi = im.phi
@@ -432,11 +483,9 @@ def verify_space_form_geometry(im):
         second[..., a, 0, 1] = ii01
         second[..., a, 1, 0] = ii01
 
-    jac = np.swapaxes(im.gauge.betas[interior], -1, -2)  # (m, k) per node
-    dets = np.linalg.det(jac)
-    ok = valid & (np.abs(dets) > 1e-12)
-    w = np.linalg.inv(jac[ok])
-    ii_psi = np.einsum("...ia,...nij,...jb->...nab", w, second[ok], w)
+    invertible, w = im.gauge.psi_jacobian_inverse
+    ok = valid & invertible
+    ii_psi = _in_psi_coordinates(w[valid[invertible]], second[ok])
     off = float(np.max(np.abs(ii_psi[..., 0, 1])))
     diag = float(
         np.max(np.maximum(np.abs(ii_psi[..., 0, 0]), np.abs(ii_psi[..., 1, 1])))

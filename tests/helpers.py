@@ -682,6 +682,19 @@ def closedness_full_grid(betas, grid):
     return worst
 
 
+def algebra_gram_full_product(a1):
+    """The former algebra Gram of ``geometry.developing_map``: the full
+    (..., k, k, n, n) product A1_i A1_j, then -1/2 its trace."""
+    prod = np.einsum("...iab,...jbc->...ijac", a1, a1)
+    return -0.5 * np.trace(prod, axis1=-2, axis2=-1)
+
+
+def in_psi_coordinates_einsum(w, second):
+    """The former W^T II_a W of ``geometry.verify_space_form_geometry``: one
+    three-operand einsum."""
+    return np.einsum("...ia,...nij,...jb->...nab", w, second, w)
+
+
 def trace_powers_from_identity(m, max_power):
     """The former ``loops.trace_powers``: the powers of m^2 start from a
     product with the broadcast identity."""

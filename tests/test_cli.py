@@ -5,6 +5,7 @@ import shutil
 import struct
 import tracemalloc
 import zipfile
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,7 +30,14 @@ from curvedflats.frame import ConnectionForm, connection_from_state
 from curvedflats.geometry import gauge_to_normal_form
 from curvedflats.lax import integrate_grid
 
-from helpers import from_offblock, greedy_gauge_h, savetxt_obj, savetxt_phi_csv, so3_spec
+from helpers import (
+    from_offblock,
+    greedy_gauge_h,
+    kernel_case,
+    savetxt_obj,
+    savetxt_phi_csv,
+    so3_spec,
+)
 
 
 EXPLICIT_SPEC = {"preset": None, "signature": [5, 0], "split": [3, 2], "rank": 2}
@@ -202,6 +210,63 @@ def test_gauge_span_test_runs_once_per_distinct_span(tmp_path, monkeypatch):
     assert code == 0
     assert calls["is_cartan"] == 9 * 9 + 1
     assert 1 <= calls["uncached"] <= 3
+
+
+def test_report_computes_gauge_only_parts_once(monkeypatch):
+    # The kernel residual, the normal-curvature defect and the inverse
+    # psi-Jacobian read the gauge alone: with 3 mu samples each kernel runs
+    # once per build_report, while the immersion and its checks run per mu.
+    config, sol, conn, frames = kernel_case("definite")
+    h_field = gauge_to_normal_form(conn).h
+    calls = Counter()
+
+    def count(owner, name, key):
+        fn = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapped)
+
+    count(geometry, "curvature_defect", "curvature_defect")
+    for name in ("norm", "det", "inv"):
+        count(np.linalg, name, name)
+    for name in ("gauge_from_h", "reconstruct_immersion", "verify_space_form_geometry"):
+        count(cli, name, name)
+    report = cli.build_report(
+        sol.states, dict(zip(config.mu_samples, frames)), h_field, config
+    )
+    assert report["pass"] and len(report["geometry"]["per_mu"]) == 3
+    assert calls == {
+        "gauge_from_h": 1, "curvature_defect": 1, "norm": 1, "det": 1, "inv": 1,
+        "reconstruct_immersion": 3, "verify_space_form_geometry": 3,
+    }
+    # so(5) has two invariants, tr xi^2 and tr xi^4.
+    assert all(list(row) == ["2", "4"]
+               for row in report["residuals"]["conservation"].values())
+
+
+def test_so7_run_conserves_tr_xi6(tmp_path):
+    # On so(7) the spectral curve has a third invariant, tr xi^6: each
+    # conservation row gains a "6" entry, gated with the others, and verify
+    # recomputes it exactly.
+    cfg = {"preset": "sphere", "m": 3, "n": 5, "d": 5, "powers": [1, 3, 5],
+           "extents": [0.4] * 3, "nodes": [5, 5, 5], "commutativity_steps": 4}
+    cfg_path = tmp_path / "so7.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg_path), "-o", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["split"] == [4, 3]
+    table = report["residuals"]["conservation"]
+    assert len(table) == 3
+    for row in table.values():
+        assert list(row) == ["2", "4", "6"]
+        assert max(row.values()) <= 1e-8
+    assert report["checks"]["conservation_max"]["value"] == max(
+        max(row.values()) for row in table.values()
+    )
+    assert verify_command(out)[0]["residuals"] == report["residuals"]
 
 
 @pytest.mark.parametrize("overrides", [

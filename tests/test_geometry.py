@@ -22,20 +22,25 @@ from curvedflats.geometry import (
     spectral_reparam,
     verify_space_form_geometry,
 )
+import curvedflats.geometry as geometry
 from curvedflats.frame import FrameField
 from curvedflats.lax import GridSpec, integrate_grid
 from curvedflats.loops import FlowFamily, LaxState
 
 from helpers import (
+    algebra_gram_full_product,
     closedness_full_grid,
     curvature_defect_full_grid,
     curved_flat_planes,
     developing_psi_per_node,
     from_offblock,
     greedy_gauge_h,
+    in_psi_coordinates_einsum,
+    kernel_case,
     random_element,
     so3_spec,
     so5_spec,
+    special_value_stacks,
 )
 
 RNG = np.random.default_rng(1234)
@@ -513,6 +518,82 @@ def test_inner_node_residuals_equal_full_grid_formulas(run17):
     want = float(np.max(np.abs(r_normal[core][~im.degenerate[core]])))
     got = verify_space_form_geometry(im)["normal_curvature_residual"]
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _same_bytes(got, want, nan_sign_free=False):
+    # An inf entry makes NaNs from inf - inf or inf * 0, whose sign bit
+    # depends on the order of operations; no residual reads it.
+    if nan_sign_free:
+        got, want = (np.where(np.isnan(x), np.nan, x) for x in (got, want))
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_contractions_equal_former_einsums_on_special_values():
+    # Both contractions form only the entries they return, in the former
+    # order of additions: the same bytes on +-0 and NaN entries too.
+    rng = np.random.default_rng(26)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for a1 in special_value_stacks(rng, (7, 3, 2, 5, 5)):
+            assert _same_bytes(geometry._algebra_gram(a1),
+                               algebra_gram_full_product(a1),
+                               np.isinf(a1).any())
+        for w, second in zip(special_value_stacks(rng, (40, 2, 2)),
+                             special_value_stacks(rng, (40, 2, 2, 2))):
+            assert _same_bytes(geometry._in_psi_coordinates(w, second),
+                               in_psi_coordinates_einsum(w, second),
+                               np.isinf(w).any() or np.isinf(second).any())
+
+
+def test_contractions_equal_former_einsums_on_a_run(monkeypatch):
+    # On the gauge of a 9^2 run: the algebra Gram of the developing map, and
+    # W^T II W as verify_space_form_geometry hands it over for every mu.
+    config, _, conn, frames = kernel_case("definite")
+    gauge = gauge_to_normal_form(conn)
+    assert _same_bytes(geometry._algebra_gram(gauge.a1),
+                       algebra_gram_full_product(gauge.a1))
+    seen = []
+    in_psi = geometry._in_psi_coordinates
+
+    def spy(w, second):
+        out = in_psi(w, second)
+        seen.append((w, second, out))
+        return out
+
+    monkeypatch.setattr(geometry, "_in_psi_coordinates", spy)
+    for field in frames:
+        verify_space_form_geometry(reconstruct_immersion(gauge, field))
+    assert len(seen) == len(config.mu_samples) == 3
+    for w, second, out in seen:
+        assert len(w) == 49
+        assert _same_bytes(out, in_psi_coordinates_einsum(w, second))
+
+
+def test_gauge_only_parts_equal_former_per_mu_formulas(run17):
+    # Each part kept on the GaugeField equals what reconstruct_immersion and
+    # verify_space_form_geometry computed per mu, and is computed once.
+    grid, conn, gauge, frames = run17
+    fresh = gauge_from_h(conn, gauge.h)
+    kernel = float(np.max(np.linalg.norm(fresh.a1[..., :, 0], axis=-1)))
+    assert reconstruct_immersion(fresh, frames).kernel_residual == kernel
+    n1 = SPEC.n1
+    defect = geometry.curvature_defect(fresh.a0[..., :, n1:, n1:], 0, 1,
+                                       grid.steps, ring=2)
+    assert _same_bytes(fresh.normal_curvature_defect, defect)
+    assert fresh.kernel_residual is fresh.kernel_residual
+    # A NaN node fails the determinant test; each mu's non-degenerate nodes
+    # select from the kept inverse the bytes of inverting them alone.
+    betas = gauge.betas.copy()
+    betas[4, 5, 1, 0] = np.nan
+    nan_gauge = GaugeField(gauge.h, gauge.a0, gauge.a1, betas, grid, SPEC, 0.0)
+    jac = np.swapaxes(betas[1:-1, 1:-1], -1, -2)
+    with np.errstate(invalid="ignore"):
+        ok = np.abs(np.linalg.det(jac)) > 1e-12
+        invertible, w = nan_gauge.psi_jacobian_inverse
+    assert not invertible[3, 4] and invertible.sum() == invertible.size - 1
+    assert np.array_equal(invertible, ok)
+    assert nan_gauge.psi_jacobian_inverse[1] is w
+    valid = np.random.default_rng(5).random(ok.shape) < 0.7
+    assert _same_bytes(w[valid[invertible]], np.linalg.inv(jac[valid & ok]))
 
 
 def test_gauge_invariance_of_geometry(run17):
