@@ -5,15 +5,12 @@ Exit codes: 0 all residuals within tolerance, 1 tolerance failure,
 2 structural/config error, 3 numerical blow-up or degeneracy.
 """
 
-import argparse
 import contextlib
-import hashlib
 import json
 import math
 import numbers
 import re
 import sys
-import traceback
 import zipfile
 import zlib
 from pathlib import Path
@@ -246,6 +243,8 @@ class RunConfig:
         )
 
     def hash(self):
+        import hashlib  # only the hash uses it: not paid at import
+
         blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -691,6 +690,11 @@ def verify_command(out_dir):
             raise MissingArtifactError(
                 f"stored {name} has shape {value.shape}, config implies {shape}"
             )
+        # A run writes float64; another dtype would be cast on the way in.
+        if value.dtype != np.float64:
+            raise MissingArtifactError(
+                f"stored {name} has dtype {value.dtype}, a run writes float64"
+            )
 
     frames_by_mu = {
         mu: FrameField(mu, f, in_group_residual(f, config.spec.space))
@@ -698,7 +702,14 @@ def verify_command(out_dir):
     }
     report = build_report(states, frames_by_mu, h_field, config)
     report["verified_against"] = None if stored is None else stored.get("config_hash")
-    matches = stored is None or report["verified_against"] == report["config_hash"]
+    matches = True
+    if stored is not None:
+        # The geometry status is not a check, so a changed one (arrays that
+        # no longer reconstruct an immersion, say) fails here.
+        geometry = stored.get("geometry")
+        status = geometry.get("status") if isinstance(geometry, dict) else None
+        matches = (report["verified_against"] == report["config_hash"]
+                   and report["geometry"]["status"] == status)
     return report, 0 if report["pass"] and matches else 1
 
 
@@ -739,6 +750,9 @@ def _cmd_verify(args):
     report, code = verify_command(args.run_dir)
     failing = sorted(k for k, c in report["checks"].items() if not c["pass"])
     print(json.dumps({"pass": report["pass"], "failing": failing}))
+    if code and report["pass"]:
+        print("verify: the recomputed config hash or geometry status differs"
+              " from report.json's", file=sys.stderr)
     return code
 
 
@@ -753,6 +767,10 @@ def _cmd_presets(_args):
 
 
 def main(argv=None):
+    # Only the command line uses these: a library import does not pay them.
+    import argparse
+    import traceback
+
     parser = argparse.ArgumentParser(
         prog="curvedflats",
         description="Construct and verify curved flats from commuting Lax flows.",

@@ -485,6 +485,10 @@ def verify_space_form_geometry(im):
 
     invertible, w = im.gauge.psi_jacobian_inverse
     ok = valid & invertible
+    if not np.any(ok):
+        raise NonImmersiveError(
+            "no non-degenerate interior node has an invertible psi Jacobian"
+        )
     ii_psi = _in_psi_coordinates(w[valid[invertible]], second[ok])
     off = float(np.max(np.abs(ii_psi[..., 0, 1])))
     diag = float(

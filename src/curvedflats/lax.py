@@ -12,7 +12,11 @@ the rest of the flow.  An edge is one ``_rk4`` call on one state, with four
 ``flow_rhs`` calls per substep; each does two row-stack ``dot``s, two
 matmuls and in-place updates, and the stage arguments and the RK4
 combination reuse the edge's buffers, all in the arithmetic of the
-broadcast expressions, so the bytes do not depend on the path.  The flows
+broadcast expressions, so the bytes do not depend on the path.  After each
+substep the blow-up test is one BLAS ``vdot``: a state whose sum of squares
+is at most limit^2 / 2 has no entry past the limit.  Only a state it cannot
+clear (large, NaN or inf) takes the exact max|y| test, so the verdict, its
+message and its node are those of the exact test alone.  The flows
 commute, so any spanning tree of the grid fills it, and ``GridSpec.slabs``
 is the one description of that tree: per axis a block of rows, each row
 one step along the axis from the row before it.  The Lax fill walks the
@@ -27,6 +31,7 @@ one call.  Everything is deterministic.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -134,6 +139,10 @@ def _rk4(stack, r, d, t, steps, norm0):
     h = t / steps
     half, sixth = 0.5 * h, h / 6.0
     limit = BLOWUP_FACTOR * norm0
+    # max|y|^2 <= sum y^2, so a state whose sum of squares is at most
+    # limit^2 / 2 passes the exact test; the cap keeps an overflowed square
+    # from passing anything.
+    limit2 = min(0.5 * limit * limit, sys.float_info.max)
     powers = top_powers(stack[..., d, :, :], r)
     arg = np.empty_like(stack)
     y = stack
@@ -156,9 +165,11 @@ def _rk4(stack, r, d, t, steps, norm0):
         k1 *= sixth
         k1 += y
         y = k1
-        # One reduction: a NaN or inf entry makes the max non-finite, and
-        # the negated comparison rejects it as it rejects a large state.
-        if not (np.abs(y).max() <= limit):
+        # One BLAS dot decides the common case.  Only a state it cannot
+        # clear takes the exact test: a NaN or inf entry makes the max
+        # non-finite, and the negated comparison rejects it as it rejects a
+        # large state.
+        if not np.vdot(y, y) <= limit2 and not np.abs(y).max() <= limit:
             raise BlowUpError(
                 f"Lax flow r={r} blew up at t={(i + 1) * h:.6g}", last_t=i * h
             )

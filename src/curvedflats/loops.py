@@ -171,6 +171,8 @@ def connection_coefficients(stack, powers, d):
         below, mul = stack[d - 1], np.ndarray.dot
     else:
         below, mul = stack[..., d - 1, :, :], np.matmul
+    if len(powers) == 1:  # r = 1: the pair is (xi_{d-1}, xi_d), no chain
+        return below, powers[0]
     top = powers[0]
     lo = below
     for power in powers[:-1]:

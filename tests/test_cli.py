@@ -1,11 +1,15 @@
 import io
 import json
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zipfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,10 +29,10 @@ from curvedflats.cli import (
     seed_initial_state,
     verify_command,
 )
-from curvedflats.errors import ConfigError, MissingArtifactError
-from curvedflats.frame import ConnectionForm, connection_from_state
+from curvedflats.errors import ConfigError, MissingArtifactError, NonImmersiveError
+from curvedflats.frame import ConnectionForm, FrameField, connection_from_state
 from curvedflats.geometry import gauge_to_normal_form
-from curvedflats.lax import integrate_grid
+from curvedflats.lax import GridSolution, integrate_grid
 
 from helpers import (
     from_offblock,
@@ -897,6 +901,76 @@ def test_verify_names_array_with_wrong_shape(tmp_path, finished_run, name):
     message = rf"stored {name} has shape .*{re.escape(str(good))}"
     with pytest.raises(MissingArtifactError, match=message):
         verify_command(run)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.int64, np.float32])
+@pytest.mark.parametrize("name", ["states", "frames", "gauge_h"])
+def test_main_verify_names_array_with_wrong_dtype(tmp_path, finished_run, capsys,
+                                                  name, dtype):
+    # numpy would cast each of them to float64 on the way in: complex128
+    # with a ComplexWarning and a pass, int64 truncated to zeros.
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    with np.load(run / "arrays.npz") as loaded:
+        arrays = dict(loaded)
+    arrays[name] = arrays[name].astype(dtype)
+    save_arrays(run / "arrays.npz", arrays)
+    message = f"stored {name} has dtype {np.dtype(dtype)}, a run writes float64"
+    assert message in verify_stderr(run, capsys)
+
+
+def zeroed_states(run):
+    with np.load(run / "arrays.npz") as loaded:
+        arrays = dict(loaded)
+    arrays["states"] = np.zeros_like(arrays["states"])
+    save_arrays(run / "arrays.npz", arrays)
+    return arrays
+
+
+def test_space_form_geometry_without_invertible_psi_is_non_immersive(
+        tmp_path, finished_run):
+    # Zero states give a zero A1, so no node has an invertible psi Jacobian,
+    # while the stored frames still leave non-degenerate interior nodes.
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    arrays = zeroed_states(run)
+    config = RunConfig(json.loads((run / "config.json").read_text()))
+    sol = GridSolution(arrays["states"], config.grid, config.family, config.spec)
+    gauge = geometry.gauge_from_h(connection_from_state(sol), arrays["gauge_h"])
+    mu = config.mu_samples[0]
+    im = geometry.reconstruct_immersion(gauge, FrameField(mu, arrays["frames"][0], 0.0))
+    assert not np.all(im.degenerate[1:-1, 1:-1])
+    with pytest.raises(NonImmersiveError, match="invertible psi Jacobian"):
+        geometry.verify_space_form_geometry(im)
+
+
+def test_main_verify_fails_when_geometry_status_changes(tmp_path, finished_run,
+                                                        capsys):
+    # The tampered arrays pass every gate, but they no longer reconstruct
+    # the immersion the stored report describes: exit 1, no traceback.
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    zeroed_states(run)
+    report, code = verify_command(run)
+    assert code == 1 and report["pass"]
+    assert report["geometry"]["status"] == "non-immersive"
+    stored = json.loads((run / "report.json").read_text())
+    assert stored["geometry"]["status"] == "ok"
+    capsys.readouterr()
+    assert main(["verify", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "geometry status differs" in err
+
+
+def test_cli_import_leaves_argparse_traceback_and_hashlib_unloaded():
+    # A library import of the CLI module pays only for what a run uses.
+    names = ("argparse", "traceback", "hashlib")
+    code = (
+        "import sys, numpy; before = set(sys.modules); import curvedflats.cli; "
+        f"print(sorted(set({names!r}) & (set(sys.modules) - before)))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def run_over(run, bad, code):

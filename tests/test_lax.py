@@ -404,6 +404,41 @@ def test_integrate_grid_non_finite_state_blows_up_at_its_node(monkeypatch, bad):
     assert err.value.__cause__.last_t == 0.0
 
 
+def zero_rhs_edge(monkeypatch, stack, norm0):
+    """One substep of ``_rk4`` with a zero right-hand side: the blow-up test
+    sees ``stack`` itself."""
+    monkeypatch.setattr(lax, "flow_rhs", lambda y, powers, d: np.zeros_like(y))
+    return lax._rk4(stack, 1, 3, 0.1, 1, norm0)
+
+
+def test_blow_up_test_falls_back_to_max_when_sum_of_squares_is_large(monkeypatch):
+    # Every entry at or just below the limit: the sum of squares is 100
+    # limit^2, far past the BLAS test's limit^2 / 2, but no entry is past
+    # the limit, so the exact test passes the state.
+    limit = lax.BLOWUP_FACTOR
+    stack = np.full((4, 5, 5), np.nextafter(limit, 0.0))
+    stack[3, 2, 1] = -limit
+    assert np.vdot(stack, stack) > 0.5 * limit * limit
+    assert np.array_equal(zero_rhs_edge(monkeypatch, stack, 1.0), stack)
+
+
+@pytest.mark.parametrize("norm0, bad", [
+    (1.0, np.nextafter(lax.BLOWUP_FACTOR, np.inf)),
+    # limit^2 overflows, and so does the square of 2 limit: the capped BLAS
+    # test cannot pass it, and the exact test rejects it.
+    (1e150, 2.0 * lax.BLOWUP_FACTOR * 1e150),
+])
+def test_blow_up_test_rejects_one_entry_past_the_limit(monkeypatch, norm0, bad):
+    from curvedflats.errors import BlowUpError
+
+    stack = np.zeros((4, 5, 5))
+    stack[1, 0, 3] = bad
+    with pytest.raises(BlowUpError) as err:
+        zero_rhs_edge(monkeypatch, stack, norm0)
+    assert str(err.value) == "Lax flow r=1 blew up at t=0.1"
+    assert err.value.last_t == 0.0
+
+
 def test_commutativity_at_origin_and_stationary():
     xi = random_state(d=3, seed=9)
     fam = FlowFamily([1, 3], 3)
