@@ -9,12 +9,12 @@ A1_j = xi_d^{r_j} keep their seed values on the whole grid up to roundoff
 seed's; coarse grids drift by ulps).  Each RK4 edge therefore builds the
 powers of xi_d once, from its start state, and every stage evaluates only
 the rest of the flow.  An edge is one ``_rk4`` call on one state, with four
-``flow_rhs`` calls per substep; each does two row-stack ``dot``s, two
-matmuls and in-place updates, and the stage arguments and the RK4
-combination reuse the edge's buffers, all in the arithmetic of the
-broadcast expressions, so the bytes do not depend on the path.  After each
-substep the blow-up test is one BLAS ``vdot``: a state whose sum of squares
-is at most limit^2 / 2 has no entry past the limit.  Only a state it cannot
+``flow_rhs`` calls per substep; each writes two row-stack ``dot``s and two
+matmuls into buffers whose views the edge builds once, as the stage
+arguments and the RK4 sums do, all in the arithmetic of the broadcast
+expressions, so the bytes do not depend on the path.  After each substep
+the blow-up test is one BLAS ``vdot``: a state whose sum of squares is at
+most limit^2 / 2 has no entry past the limit.  Only a state it cannot
 clear (large, NaN or inf) takes the exact max|y| test, so the verdict, its
 message and its node are those of the exact test alone.  The flows
 commute, so any spanning tree of the grid fills it, and ``GridSpec.slabs``
@@ -40,6 +40,7 @@ from .loops import (
     LaxState,
     evaluate_stack,
     flow_rhs,
+    state_views,
     top_powers,
     trace_powers,
     twist_residual,
@@ -132,10 +133,14 @@ def _rk4(stack, r, d, t, steps, norm0):
     # ``(0.5 * h) * k1`` that ``0.5 * h * k1`` evaluates to, byte for byte.
     # xi_d is a first integral, so its powers are built once, from the start
     # state, and shared by every stage of every substep.  ``stack`` (often a
-    # view into the grid's states) is only read: the stage arguments go into
-    # one buffer of the edge, and each substep's combination
-    # y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) runs in place on k1, in
-    # that association (y + x and x + y are the same bytes).
+    # view into the grid's states) is only read.  The edge allocates its
+    # buffers and their ``state_views`` once: the stage argument, k1, one
+    # slope buffer for k2, k3 and k4 in turn, the scratch pair of every
+    # ``flow_rhs`` call and two states the substeps fill in turn, so the
+    # result owns its memory.  Each substep sums
+    # y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) on k1 in that association
+    # (y + x and x + y are the same bytes), each slope once it has given its
+    # stage argument.  Only what ``flow_rhs`` returns is read.
     h = t / steps
     half, sixth = 0.5 * h, h / 6.0
     limit = BLOWUP_FACTOR * norm0
@@ -143,28 +148,30 @@ def _rk4(stack, r, d, t, steps, norm0):
     # limit^2 / 2 passes the exact test; the cap keeps an overflowed square
     # from passing anything.
     limit2 = min(0.5 * limit * limit, sys.float_info.max)
-    powers = top_powers(stack[..., d, :, :], r)
-    arg = np.empty_like(stack)
-    y = stack
+    powers = top_powers(stack[d], r)
+    arg, first, later, tail, left, *states = [np.empty(stack.shape) for _ in range(7)]
+    scratch = (state_views(tail), state_views(left))
+    into_first = (state_views(first),) + scratch
+    at_y = [(state_views(y),) + into_first for y in [stack] + states]
+    at_arg = (state_views(arg), state_views(later)) + scratch
+    y, buffers = stack, at_y[0]
     for i in range(steps):
-        k1 = flow_rhs(y, powers, d)
+        k1 = flow_rhs(y, powers, d, buffers)
         np.multiply(k1, half, out=arg)
         arg += y
-        k2 = flow_rhs(arg, powers, d)
-        np.multiply(k2, half, out=arg)
+        k = flow_rhs(arg, powers, d, at_arg)  # k2
+        np.multiply(k, half, out=arg)
         arg += y
-        k3 = flow_rhs(arg, powers, d)
-        np.multiply(k3, h, out=arg)
+        k *= 2.0
+        k1 += k
+        k = flow_rhs(arg, powers, d, at_arg)  # k3
+        np.multiply(k, h, out=arg)
         arg += y
-        k4 = flow_rhs(arg, powers, d)
-        k2 *= 2.0
-        k1 += k2
-        k3 *= 2.0
-        k1 += k3
-        k1 += k4
+        k *= 2.0
+        k1 += k
+        k1 += flow_rhs(arg, powers, d, at_arg)  # k4
         k1 *= sixth
-        k1 += y
-        y = k1
+        y, buffers = np.add(k1, y, out=states[i % 2]), at_y[1 + i % 2]
         # One BLAS dot decides the common case.  Only a state it cannot
         # clear takes the exact test: a NaN or inf entry makes the max
         # non-finite, and the negated comparison rejects it as it rejects a

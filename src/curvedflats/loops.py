@@ -103,7 +103,7 @@ class FlowFamily:
         return f"FlowFamily(powers={self.powers}, d={self.d})"
 
 
-def flow_rhs(stack, powers, d):
+def flow_rhs(stack, powers, d, buffers=None):
     """Raw right-hand side of the r-flow on a coefficient stack (hot path).
 
     X_r(xi) = [xi, pi_+ Vt_r(xi)] without its identically-zero degree-(d+1)
@@ -113,27 +113,49 @@ def flow_rhs(stack, powers, d):
     broadcast expression over all degrees and nodes.  A single state (d+1,
     n, n), the RK4 edge's case, takes each right product of all its degrees
     as one ``ndarray.dot`` on the (d+1)n x n row stack and each left product
-    as one matmul, and subtracts the commutator halves in place.  Every
-    entry is the same two gemm sums, subtracted and added in the same order,
-    so both paths equal the single-stack per-degree loop byte for byte.
+    as one matmul, written into ``buffers``: the ``state_views`` of the
+    stack, of the output and of the tail and left scratch states (fresh ones
+    when None; successive calls may share the scratch pair, which is written
+    before it is read).  It subtracts the commutator halves in place and
+    returns the output buffer.  Every entry is the same two gemm sums,
+    subtracted and added in the same order, so both paths equal the
+    single-stack per-degree loop byte for byte.
     """
-    b0, b1 = connection_coefficients(stack, powers, d)
     if stack.ndim == 3:
-        n = stack.shape[-1]
-        rows = stack.reshape(-1, n)
-        out = rows.dot(b0).reshape(stack.shape)
-        out -= b0 @ stack
-        lower = stack[:-1]
-        tail = rows[:-n].dot(b1).reshape(lower.shape)
-        tail -= b1 @ lower
-        upper = out[1:]  # a view: += on it skips the setitem of out[1:] +=
+        if buffers is None:
+            buffers = (state_views(stack),) + tuple(
+                state_views(np.empty_like(stack)) for _ in range(3)
+            )
+        ((_, rows, lower_rows, lower, _), (out, out_rows, _, _, upper),
+         (_, _, tail_rows, tail, _), (left, _, _, left_lower, _)) = buffers
+        if len(powers) == 1:  # r = 1: the pair is (xi_{d-1}, xi_d), no chain
+            b0, b1 = stack[d - 1], powers[0]
+        else:
+            b0, b1 = connection_coefficients(stack, powers, d)
+        rows.dot(b0, out_rows)
+        np.matmul(b0, stack, left)
+        out -= left
+        lower_rows.dot(b1, tail_rows)
+        np.matmul(b1, lower, left_lower)
+        tail -= left_lower
         upper += tail
         return out
+    b0, b1 = connection_coefficients(stack, powers, d)
     b0, b1 = b0[..., None, :, :], b1[..., None, :, :]
     out = stack @ b0 - b0 @ stack
     lower = stack[..., :-1, :, :]
     out[..., 1:, :, :] += lower @ b1 - b1 @ lower
     return out
+
+
+def state_views(stack):
+    """The views of a single state (d+1, n, n) that ``flow_rhs`` reads and
+    writes: ``(stack, rows, lower rows, lower, upper)``, with ``rows`` its
+    (d+1)n x n row stack, ``lower`` its degrees 0..d-1 and ``upper`` its
+    degrees 1..d.  A caller that evaluates many stages builds them once per
+    buffer."""
+    rows = stack.reshape(-1, stack.shape[-1])
+    return stack, rows, rows[:-stack.shape[-1]], stack[:-1], stack[1:]
 
 
 def top_powers(top, r):
@@ -164,15 +186,14 @@ def connection_coefficients(stack, powers, d):
     -0 and the chain needs no explicit zero start to equal the full Cauchy
     power bit for bit, signed zeros included, when ``powers`` come from this
     stack's xi_d.  ``stack`` is (..., d+1, n, n); leading (node) axes are
-    carried through.  A single state (every RK4 stage) multiplies with
+    carried through.  A single state (an RK4 stage of an r >= 3 flow; the
+    r = 1 stages take (xi_{d-1}, xi_d) in ``flow_rhs``) multiplies with
     ``ndarray.dot`` as ``top_powers`` does.
     """
     if stack.ndim == 3:
         below, mul = stack[d - 1], np.ndarray.dot
     else:
         below, mul = stack[..., d - 1, :, :], np.matmul
-    if len(powers) == 1:  # r = 1: the pair is (xi_{d-1}, xi_d), no chain
-        return below, powers[0]
     top = powers[0]
     lo = below
     for power in powers[:-1]:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import zipfile
+import zlib
 from collections import Counter
 from pathlib import Path
 
@@ -763,6 +764,33 @@ def npz_members(path):
         ]
 
 
+def data_offset(path, info):
+    """Where the coded bytes of member ``info`` of the zip archive ``path``
+    start: after its local header, 30 bytes, the name and the local extra,
+    whose zip64 field the central directory's info.extra lacks."""
+    with open(path, "rb") as fh:
+        fh.seek(info.header_offset + 26)
+        name_len, extra_len = struct.unpack("<HH", fh.read(4))
+    return info.header_offset + 30 + name_len + extra_len
+
+
+def level_2_deflate(data):
+    """The raw deflate stream of ``data`` at zlib level 2: the coded bytes
+    of every deflated member that save_arrays writes."""
+    coder = zlib.compressobj(2, zlib.DEFLATED, -15)
+    return coder.compress(data) + coder.flush()
+
+
+def assert_level_2_members(path):
+    raw = Path(path).read_bytes()
+    with zipfile.ZipFile(path) as archive:
+        for info in archive.infolist():
+            if info.compress_type == zipfile.ZIP_DEFLATED:
+                start = data_offset(path, info)
+                coded = raw[start:start + info.compress_size]
+                assert coded == level_2_deflate(archive.read(info)), info.filename
+
+
 def writer_cases():
     rng = np.random.default_rng(3)
     per_chunk = NPZ_CHUNK // 8
@@ -786,7 +814,12 @@ def test_save_arrays_members_match_savez_compressed(tmp_path, name):
     arrays = {name: val, "mu_samples": np.asarray([0.6, 1.0])}
     save_arrays(tmp_path / "chunked.npz", arrays)
     np.savez_compressed(tmp_path / "numpy.npz", **arrays)
-    assert npz_members(tmp_path / "chunked.npz") == npz_members(tmp_path / "numpy.npz")
+    # numpy's name, CRC, method and decoded bytes; the coded bytes (and so
+    # their size) are the level-2 deflate's, not numpy's level 6.
+    ours = npz_members(tmp_path / "chunked.npz")
+    theirs = npz_members(tmp_path / "numpy.npz")
+    assert [m[:2] + m[3:] for m in ours] == [m[:2] + m[3:] for m in theirs]
+    assert_level_2_members(tmp_path / "chunked.npz")
     with np.load(tmp_path / "chunked.npz", allow_pickle=False) as loaded:
         assert list(loaded.keys()) == [name, "mu_samples"]
         for key, value in arrays.items():
@@ -844,11 +877,7 @@ def test_main_verify_flipped_byte_exits_2(tmp_path, finished_run, capsys, member
     with zipfile.ZipFile(run / "arrays.npz") as archive:
         info = archive.getinfo(member)
     data = bytearray((run / "arrays.npz").read_bytes())
-    # The data follow the local header: 30 bytes, the name and the local
-    # extra, whose zip64 field the central directory's info.extra lacks.
-    off = info.header_offset
-    name_len, extra_len = struct.unpack("<HH", data[off + 26:off + 30])
-    data[off + 30 + name_len + extra_len + info.compress_size // 2] ^= 0xFF
+    data[data_offset(run / "arrays.npz", info) + info.compress_size // 2] ^= 0xFF
     (run / "arrays.npz").write_bytes(bytes(data))
     assert "corrupt artifacts" in verify_stderr(run, capsys)
 
@@ -958,6 +987,32 @@ def test_main_verify_fails_when_geometry_status_changes(tmp_path, finished_run,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "geometry status differs" in err
+
+
+def test_verify_names_the_residuals_that_changed(tmp_path, finished_run, capsys):
+    # One stored residual tampered and one dropped: verify names both, in a
+    # key outside residuals and checks, and the gates alone set the exit.
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    assert verify_command(run)[0]["changed_residuals"] == []
+    stored = json.loads((run / "report.json").read_text())
+    stored["residuals"]["mc"]["0.6"] *= 2.0
+    del stored["residuals"]["abelian"]
+    (run / "report.json").write_text(json.dumps(stored))
+    report, code = verify_command(run)
+    assert code == 0 and report["pass"]
+    assert report["changed_residuals"] == ["abelian", "mc/0.6"]
+    assert "changed_residuals" not in report["residuals"]
+    assert "changed_residuals" not in report["checks"]
+    capsys.readouterr()
+    assert main(["verify", str(run)]) == 0
+    assert capsys.readouterr().err == (
+        "verify: recomputed residuals differ from report.json's: abelian, mc/0.6\n"
+    )
+    # A run that wrote no report.json has nothing to compare.
+    config = json.loads((run / "config.json").read_text())
+    config["outputs"] = {"report": False}
+    (run / "config.json").write_text(json.dumps(config))
+    assert verify_command(run)[0]["changed_residuals"] is None
 
 
 def test_cli_import_leaves_argparse_traceback_and_hashlib_unloaded():
@@ -1071,4 +1126,7 @@ def test_run_arrays_differ_from_savez_compressed_only_in_frames_bytes(tmp_path, 
             assert mine[:2] + mine[4:] == numpy_member[:2] + numpy_member[4:]
             assert mine[2:4] == (len(mine[4]), zipfile.ZIP_STORED)
         else:
-            assert mine == numpy_member
+            # Same name, CRC, method and data; the coded bytes are checked
+            # against the level-2 deflate below.
+            assert mine[:2] + mine[3:] == numpy_member[:2] + numpy_member[3:]
+    assert_level_2_members(finished_run / "arrays.npz")

@@ -220,6 +220,23 @@ def test_rk4_never_writes_into_its_input(monkeypatch):
     assert sol.states[0, 0].tobytes() == seed_bytes
 
 
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_rk4_result_owns_its_memory(steps):
+    # commutativity_check feeds one edge's result into the next edge: each
+    # result is an array of its own, which the next call neither shares nor
+    # writes, whichever of its state buffers the last substep filled.
+    xi = random_state(d=3, seed=8)
+    norm0 = max(1.0, xi.norm())
+    first = lax._rk4(xi.stack, 3, 3, 0.1, steps, norm0)
+    kept = first.copy()
+    second = lax._rk4(first, 1, 3, 0.1, steps, norm0)
+    assert first.flags.owndata and second.flags.owndata
+    assert not np.shares_memory(first, xi.stack)
+    assert not np.shares_memory(second, first)
+    assert first.tobytes() == kept.tobytes()
+    assert not np.array_equal(second, first)
+
+
 @pytest.mark.parametrize("preset", ["sphere-grassmannian", "anti-de-sitter"])
 def test_grid_and_commutativity_match_per_stage_reference(monkeypatch, preset):
     config, xi0 = seeded(preset, 3, nodes=[9, 9])
@@ -393,7 +410,7 @@ def test_integrate_grid_non_finite_state_blows_up_at_its_node(monkeypatch, bad):
     from curvedflats import lax
     from curvedflats.errors import BlowUpError
 
-    monkeypatch.setattr(lax, "flow_rhs", lambda y, powers, d: np.full_like(y, bad))
+    monkeypatch.setattr(lax, "flow_rhs", lambda y, powers, d, buffers: np.full_like(y, bad))
     grid = GridSpec([0.4, 0.4], [3, 3])
     with pytest.raises(BlowUpError) as err:
         integrate_grid(random_state(seed=4), FlowFamily([1, 3], 3), grid, substeps=4)
@@ -407,7 +424,7 @@ def test_integrate_grid_non_finite_state_blows_up_at_its_node(monkeypatch, bad):
 def zero_rhs_edge(monkeypatch, stack, norm0):
     """One substep of ``_rk4`` with a zero right-hand side: the blow-up test
     sees ``stack`` itself."""
-    monkeypatch.setattr(lax, "flow_rhs", lambda y, powers, d: np.zeros_like(y))
+    monkeypatch.setattr(lax, "flow_rhs", lambda y, powers, d, buffers: np.zeros_like(y))
     return lax._rk4(stack, 1, 3, 0.1, 1, norm0)
 
 
