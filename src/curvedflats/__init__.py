@@ -11,7 +11,6 @@ from .algebra import (
 )
 from .frame import (
     ConnectionForm,
-    FrameField,
     abelian_residual,
     connection_from_state,
     integrate_frame,
@@ -44,7 +43,6 @@ __all__ = [
     "ConnectionForm",
     "DevelopingMap",
     "FlowFamily",
-    "FrameField",
     "GaugeField",
     "GridSolution",
     "GridSpec",

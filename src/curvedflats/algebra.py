@@ -415,4 +415,4 @@ def in_group_residual(g, space):
     """Drift monitor: ||G^T J G - J||_max over a stack (..., n, n), e.g. a
     whole frame or gauge field in one call: one ``max`` over every entry,
     which a NaN makes NaN."""
-    return float(np.max(group_defect_field(g, space)))
+    return float(group_defect_field(g, space).max())

@@ -27,13 +27,7 @@ from .errors import (
     SeedingError,
     StructuralError,
 )
-from .frame import (
-    FrameField,
-    abelian_residual,
-    connection_from_state,
-    integrate_frame,
-    mc_residual,
-)
+from .frame import abelian_residual, connection_from_state, integrate_frame, mc_residual
 from .geometry import (
     admissible_span,
     curve_diagnostics,
@@ -299,8 +293,9 @@ def seed_initial_state(config):
     )
 
 
-def build_report(states, frames_by_mu, h_field, config):
-    """Compute every residual from the canonical arrays.
+def build_report(states, frames, h_field, config):
+    """Compute every residual from the canonical arrays: the Lax states, the
+    frames (len(mu_samples), *nodes, n, n) and the gauge H.
 
     Shared by run and verify so that verification reproduces the original
     residual values exactly.  It runs without numpy's floating-point
@@ -358,8 +353,8 @@ def build_report(states, frames_by_mu, h_field, config):
             gate("commutativity", comm, "commutativity")
 
         residuals["group_drift"] = {
-            mu_key(mu): finite("group_drift", frames_by_mu[mu].max_drift, mu)
-            for mu in config.mu_samples
+            mu_key(mu): finite("group_drift", in_group_residual(f, spec.space), mu)
+            for mu, f in zip(config.mu_samples, frames)
         }
         gate("group_drift_max", max(residuals["group_drift"].values()), "group_drift")
         h_drift = in_group_residual(h_field, spec.space)
@@ -380,8 +375,8 @@ def build_report(states, frames_by_mu, h_field, config):
             gate("isometry", dev.isometry_residual, "isometry")
             worst = {}  # immersion gate (and tolerance key) -> worst over mu
             try:
-                for mu in config.mu_samples:
-                    im = reconstruct_immersion(gauge, frames_by_mu[mu])
+                for mu, f in zip(config.mu_samples, frames):
+                    im = reconstruct_immersion(gauge, f, mu)
                     values = [("unit_quadric", im.unit_residual),
                               ("kernel", im.kernel_residual)]
                     entry = {"degenerate_fraction": im.degenerate_fraction}
@@ -408,7 +403,7 @@ def build_report(states, frames_by_mu, h_field, config):
                     gate(name, v, name)
             if grid.dims == 1 and spec.dim == 3 and spec.space.is_definite:
                 mu = config.mu_samples[0]
-                diag = curve_diagnostics(frames_by_mu[mu], conn)
+                diag = curve_diagnostics(frames[0], mu, conn)
                 curve = {
                     "speed_mean": float(np.mean(diag["speed"])),
                     "speed_std": float(np.std(diag["speed"])),
@@ -560,21 +555,22 @@ def save_arrays(path, arrays):
 
 
 def _frames_and_gauge(config, sol):
-    """The frame field of every mu sample and the gauge H of a filled grid.
+    """The frames (len(mu_samples), *nodes, n, n) and the gauge H of a
+    filled grid.
 
     The connection and the gauge object stay local, so they are freed
     before the report and the artifacts are built.
     """
     spec, grid = config.spec, config.grid
     conn = connection_from_state(sol)
-    fields = integrate_frame(conn, config.mu_samples)
+    frames = integrate_frame(conn, config.mu_samples)
     if spec.k_block_definite():
         h_field = gauge_to_normal_form(conn).h
     else:
         h_field = np.broadcast_to(
             np.eye(spec.dim), grid.nodes + (spec.dim, spec.dim)
         ).copy()
-    return fields, h_field
+    return frames, h_field
 
 
 def _remove_stale_outputs(out_dir, config=None):
@@ -613,16 +609,14 @@ def run_pipeline(config, out_dir):
 
     xi0, attempts = seed_initial_state(config)
     sol = integrate_grid(xi0, config.family, grid, substeps=config.substeps)
-    fields, h_field = _frames_and_gauge(config, sol)
-    frames_by_mu = dict(zip(config.mu_samples, fields))
+    frames, h_field = _frames_and_gauge(config, sol)
 
-    report = build_report(sol.states, frames_by_mu, h_field, config)
+    report = build_report(sol.states, frames, h_field, config)
     report["seed_attempts"] = attempts
 
     save_arrays(out_dir / "arrays.npz", {
         "states": sol.states,
-        # Every field is a view into the one (len(mus), *nodes, n, n) array.
-        "frames": fields[0].frames.base,
+        "frames": frames,
         "gauge_h": h_field,
         "mu_samples": np.asarray(config.mu_samples),
     })
@@ -634,11 +628,11 @@ def run_pipeline(config, out_dir):
         # Column 0 of each product is copied out, so the full product is
         # not held.
         phis = {
-            mu: np.ascontiguousarray((frames_by_mu[mu].frames @ h_inv)[..., :, 0])
-            for mu in config.mu_samples
+            mu: np.ascontiguousarray((f @ h_inv)[..., :, 0])
+            for mu, f in zip(config.mu_samples, frames)
         }
         # The text needs phi alone: the grid fields are freed before it.
-        del sol, fields, frames_by_mu, h_field, h_inv
+        del sol, frames, h_field, h_inv
         write_phi_text(out_dir, config, phis)
     return report, 0 if report["pass"] else 1
 
@@ -695,14 +689,13 @@ def verify_command(out_dir):
             states = arrays["states"]
             frames = arrays["frames"]
             h_field = arrays["gauge_h"]
-            mus = [float(v) for v in arrays["mu_samples"]]
+            stored_mus = arrays["mu_samples"]
     except (ValueError, KeyError, OSError, EOFError, zipfile.BadZipFile,
             zlib.error) as err:
         raise MissingArtifactError(f"corrupt artifacts: {err}") from err
-    if mus != config.mu_samples:
-        raise MissingArtifactError("stored mu samples disagree with config")
-    nodes, n = config.grid.nodes, config.spec.dim
+    nodes, n, mus = config.grid.nodes, config.spec.dim, config.mu_samples
     for name, value, shape in (
+        ("mu_samples", stored_mus, (len(mus),)),
         ("states", states, nodes + (config.family.d + 1, n, n)),
         ("frames", frames, (len(mus),) + nodes + (n, n)),
         ("gauge_h", h_field, nodes + (n, n)),
@@ -716,12 +709,10 @@ def verify_command(out_dir):
             raise MissingArtifactError(
                 f"stored {name} has dtype {value.dtype}, a run writes float64"
             )
+    if stored_mus.tolist() != mus:
+        raise MissingArtifactError("stored mu samples disagree with config")
 
-    frames_by_mu = {
-        mu: FrameField(mu, f, in_group_residual(f, config.spec.space))
-        for mu, f in zip(config.mu_samples, frames)
-    }
-    report = build_report(states, frames_by_mu, h_field, config)
+    report = build_report(states, frames, h_field, config)
     report["verified_against"] = None if stored is None else stored.get("config_hash")
     report["changed_residuals"] = None
     matches = True

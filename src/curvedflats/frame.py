@@ -11,18 +11,13 @@ group exceeds ``IN_GROUP_TOL`` scaled by |F|^2 raises.
 All spectral samples share that one walk: each row evaluates A^mu for the
 whole batch of samples, and each node takes one batched exponential, whose
 per-slice results equal the single-matrix ones byte for byte, and one
-batched group test.  The group drift is one scan of each sample's field.
+batched group test.  The frames of all samples are one array; the group
+drift of a sample's field is one ``in_group_residual`` scan of it.
 """
 
 import numpy as np
 
-from .algebra import (
-    expm,
-    group_defect_field,
-    group_defects,
-    in_group_residual,
-    slice_error,
-)
+from .algebra import expm, group_defects, in_group_residual, slice_error
 from .errors import (
     DegenerateFrameError,
     InternalConsistencyError,
@@ -57,21 +52,6 @@ class ConnectionForm:
 
     def __repr__(self):
         return f"ConnectionForm(nodes={self.grid.nodes}, dims={self.dims})"
-
-
-class FrameField:
-    """Group-valued frame per node for one spectral sample mu."""
-
-    def __init__(self, mu, frames, max_drift):
-        self.mu = mu
-        self.frames = frames  # (*nodes, n, n)
-        self.max_drift = max_drift
-
-    def __repr__(self):
-        return (
-            f"FrameField(mu={self.mu}, nodes={self.frames.shape[:-2]}, "
-            f"drift={self.max_drift:.2e})"
-        )
 
 
 def connection_from_state(sol):
@@ -208,14 +188,14 @@ def j_orthonormalize(g, space):
     The frame equation keeps each step in O(J) up to roundoff, and the
     roundoff of F^T J F grows with |F|^2, so a slice passes when
     ||F^T J F - J||_max <= ``IN_GROUP_TOL`` * max(1, max|F|)^2.  Every such
-    bound is at least ``IN_GROUP_TOL``, so one product, one in-place ``abs``
-    and one ``max`` against it pass most stacks outright (a NaN makes the
-    max NaN and fails that test).  Otherwise the per-slice defects and
+    bound is at least ``IN_GROUP_TOL``, so the whole stack's
+    ``in_group_residual`` against it passes most stacks outright (a NaN
+    makes it NaN and fails that test).  Otherwise the per-slice defects and
     bounds decide; a NaN or an inf fails, and the ``DegenerateFrameError``
     names the first failing slice in C order and carries its index.
     """
     g = np.asarray(g, dtype=float)
-    if g.size and group_defect_field(g, space).max() <= IN_GROUP_TOL:
+    if g.size and in_group_residual(g, space) <= IN_GROUP_TOL:
         return g
     defects = group_defects(g, space)
     bound = IN_GROUP_TOL * np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1))) ** 2
@@ -231,23 +211,22 @@ def j_orthonormalize(g, space):
     return g
 
 
-def integrate_frame(conn, mus, axis_priority=None):
+def integrate_frame(conn, mus):
     """Integrate F^-1 dF = A^mu over the grid with F(origin) = I, for every
     spectral sample in ``mus`` at once.
 
-    The walk takes the rows of ``conn.grid.slabs(axis_priority)`` in order
-    (default 0, 1, ...; another order quantifies path independence) on flat
-    node views.  Each node applies exp(h * Abar) to its predecessor's frame,
-    Abar the mean of A^mu at the ends of its edge (midpoint exponential,
-    order 2), then ``j_orthonormalize``, which tests that the frames are
-    still in O(J) and keeps them as they are; both act on the whole batch
-    of samples.  A^mu of a row is one expression over its nodes and
-    samples, reused as the next row's predecessor term, and the row's
-    exponents are one more, in the arithmetic of the per-edge expression,
-    so the bytes are the same.  A failure names the first failing node in
-    slab order and its sample.
-    Returns one ``FrameField`` per sample, in order, each a view into one
-    (len(mus), *nodes, n, n) array.
+    The walk takes the rows of ``conn.grid.slabs(range(k))`` in order (x1
+    from the origin, then x2 from every x1-node, ...) on flat node views.
+    Each node applies exp(h * Abar) to its predecessor's frame, Abar the
+    mean of A^mu at the ends of its edge (midpoint exponential, order 2),
+    then ``j_orthonormalize``, which tests that the frames are still in
+    O(J) and keeps them as they are; both act on the whole batch of
+    samples.  A^mu of a row is one expression over its nodes and samples,
+    reused as the next row's predecessor term, and the row's exponents are
+    one more, in the arithmetic of the per-edge expression, so the bytes
+    are the same.  A failure names the first failing node in slab order
+    and its sample.  Returns the frames as one (len(mus), *nodes, n, n)
+    array, samples in order.
     """
     spec, grid = conn.spec, conn.grid
     n, k = spec.dim, grid.dims
@@ -256,10 +235,9 @@ def integrate_frame(conn, mus, axis_priority=None):
     frames = np.zeros((len(mus),) + grid.nodes + (n, n))
     a0, a1 = conn.a0.reshape(-1, k, n, n), conn.a1.reshape(-1, k, n, n)
     flat = frames.reshape(len(mus), len(a0), n, n)  # no -1: mus may be empty
-    priority = tuple(range(k) if axis_priority is None else axis_priority)
     flat[:, 0] = np.eye(n)
     try:
-        for axis, ids in grid.slabs(priority):
+        for axis, ids in grid.slabs(range(k)):
             rows = ids.tolist()
             prev_a = a0[rows[0], axis, None] + mu * a1[rows[0], axis, None]
             for prev_row, row in zip(rows, rows[1:]):
@@ -275,7 +253,4 @@ def integrate_frame(conn, mus, axis_priority=None):
         raise type(err)(
             f"{err} at node {index}, mu={mus[err.index[0]]!r}", node=index
         ) from err
-    return [
-        FrameField(mu_k, f, in_group_residual(f, spec.space))
-        for mu_k, f in zip(mus, frames)
-    ]
+    return frames

@@ -347,20 +347,21 @@ def _in_psi_coordinates(w, second):
     return out
 
 
-def reconstruct_immersion(gf, frames):
-    """Reconstruct phi as the first column of the gauged frame F~ = F H^-1.
+def reconstruct_immersion(gf, frames, mu):
+    """Reconstruct phi as the first column of the gauged frame F~ = F H^-1,
+    from the frames (*nodes, n, n) of the spectral sample ``mu``.
 
     Verifies that phi stays on the unit quadric and that the gauged p-part
     annihilates e0, then measures the induced metric by order-2 finite
     differences and flags nodes where it degenerates.
     """
-    if frames.mu == 0.0:
+    if mu == 0.0:
         raise StructuralError(
             "geometry extraction needs a nonzero spectral value"
         )
     grid, spec = gf.grid, gf.spec
     j = spec.space.j_diag
-    f_tilde = frames.frames @ np.swapaxes(gf.h, -1, -2)
+    f_tilde = frames @ np.swapaxes(gf.h, -1, -2)
     phi = f_tilde[..., :, 0]
     unit = float(np.max(np.abs(np.einsum("...i,i,...i->...", phi, j, phi) - j[0])))
     k = grid.dims
@@ -381,7 +382,7 @@ def reconstruct_immersion(gf, frames):
     if bool(np.all(degenerate)):
         raise NonImmersiveError("reconstructed map is degenerate at every node")
     return ImmersionData(
-        phi, metric, degenerate, unit, gf.kernel_residual, f_tilde, gf, frames.mu
+        phi, metric, degenerate, unit, gf.kernel_residual, f_tilde, gf, mu
     )
 
 
@@ -514,30 +515,29 @@ def spectral_reparam(lam, c):
     return -np.sqrt(c) / (2.0 * np.sqrt(1.0 - c)) * (lam - 1.0 / lam)
 
 
-def curve_diagnostics(frames, conn):
+def curve_diagnostics(frames, mu, conn):
     """Speed and geodesic curvature of the normal-line curve on the 2-sphere
     traced by a rank-1 run in the 3-dimensional definite setting, for the
-    frames of the sample ``frames.mu`` on the grid of ``conn``.
+    frames (*nodes, 3, 3) of the sample ``mu`` on the grid of ``conn``.
 
     Derivatives use the structural identity d(F e) = F A^mu e, so the speed
     is exact up to frame drift; the second derivative needs one grid
     derivative of the connection.
     """
-    spec, grid, mu = conn.spec, conn.grid, frames.mu
+    spec, grid = conn.spec, conn.grid
     if grid.dims != 1 or spec.dim != 3 or not spec.space.is_definite:
         raise StructuralError("curve diagnostics need a rank-1 run on so(3)")
     col = spec.n1  # single normal direction
     a = conn.a_mu(mu)[..., 0, :, :]
-    f = frames.frames
     e = np.zeros(3)
     e[col] = 1.0
-    gamma = f @ e
+    gamma = frames @ e
     av = a @ e
-    gamma_dot = np.einsum("...ij,...j->...i", f, av)
+    gamma_dot = np.einsum("...ij,...j->...i", frames, av)
     h = grid.steps[0]
     a_dot = grid_derivative(a, 0, h)
     acc = np.einsum("...ij,...j->...i", a, av) + a_dot @ e
-    gamma_ddot = np.einsum("...ij,...j->...i", f, acc)
+    gamma_ddot = np.einsum("...ij,...j->...i", frames, acc)
     speed = np.linalg.norm(gamma_dot, axis=-1)
     cross = np.cross(gamma, gamma_dot)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -136,11 +136,12 @@ def _rk4(stack, r, d, t, steps, norm0):
     # view into the grid's states) is only read.  The edge allocates its
     # buffers and their ``state_views`` once: the stage argument, k1, one
     # slope buffer for k2, k3 and k4 in turn, the scratch pair of every
-    # ``flow_rhs`` call and two states the substeps fill in turn, so the
-    # result owns its memory.  Each substep sums
-    # y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) on k1 in that association
-    # (y + x and x + y are the same bytes), each slope once it has given its
-    # stage argument.  Only what ``flow_rhs`` returns is read.
+    # ``flow_rhs`` call and the state, so the result owns its memory.  Each
+    # substep sums y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) on k1 in that
+    # association (y + x and x + y are the same bytes), each slope once it
+    # has given its stage argument; the first substep adds y = ``stack``
+    # into the state, and every later one adds into the state in place, as
+    # its last read of y.  Only what ``flow_rhs`` returns is read.
     h = t / steps
     half, sixth = 0.5 * h, h / 6.0
     limit = BLOWUP_FACTOR * norm0
@@ -149,12 +150,12 @@ def _rk4(stack, r, d, t, steps, norm0):
     # from passing anything.
     limit2 = min(0.5 * limit * limit, sys.float_info.max)
     powers = top_powers(stack[d], r)
-    arg, first, later, tail, left, *states = [np.empty(stack.shape) for _ in range(7)]
+    arg, first, later, tail, left, state = [np.empty(stack.shape) for _ in range(6)]
     scratch = (state_views(tail), state_views(left))
     into_first = (state_views(first),) + scratch
-    at_y = [(state_views(y),) + into_first for y in [stack] + states]
+    at_state = (state_views(state),) + into_first
     at_arg = (state_views(arg), state_views(later)) + scratch
-    y, buffers = stack, at_y[0]
+    y, buffers = stack, (state_views(stack),) + into_first
     for i in range(steps):
         k1 = flow_rhs(y, powers, d, buffers)
         np.multiply(k1, half, out=arg)
@@ -171,7 +172,7 @@ def _rk4(stack, r, d, t, steps, norm0):
         k1 += k
         k1 += flow_rhs(arg, powers, d, at_arg)  # k4
         k1 *= sixth
-        y, buffers = np.add(k1, y, out=states[i % 2]), at_y[1 + i % 2]
+        y, buffers = np.add(k1, y, out=state), at_state
         # One BLAS dot decides the common case.  Only a state it cannot
         # clear takes the exact test: a NaN or inf entry makes the max
         # non-finite, and the negated comparison rejects it as it rejects a

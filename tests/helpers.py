@@ -400,7 +400,8 @@ def flow_field(xi, r):
 
 
 def curved_flat_planes(frames, spec):
-    """Projector field P = F Pi0 F^-1 onto the moving plane.
+    """Projector field P = F Pi0 F^-1 onto the moving plane, for frames
+    F (*nodes, n, n).
 
     Pi0 projects onto the first n1 coordinates; F^-1 = J F^T J keeps the
     computation in the group.  P is idempotent, of rank n1, and
@@ -410,9 +411,8 @@ def curved_flat_planes(frames, spec):
     j = spec.space.j_diag
     pi0 = np.zeros((n, n))
     pi0[:n1, :n1] = np.eye(n1)
-    f = frames.frames
-    f_inv = j[None, :] * np.swapaxes(f, -1, -2) * j[:, None]
-    return f @ pi0 @ f_inv
+    f_inv = j[None, :] * np.swapaxes(frames, -1, -2) * j[:, None]
+    return frames @ pi0 @ f_inv
 
 
 def flow_rhs_single(stack, r, d):
@@ -732,7 +732,7 @@ KERNEL_CASES = {
 
 @functools.lru_cache(maxsize=None)
 def kernel_case(name):
-    """(config, Lax solution, connection, frame fields) of ``KERNEL_CASES``
+    """(config, Lax solution, connection, frames) of ``KERNEL_CASES``
     entry ``name``, built once per test process."""
     from curvedflats.cli import RunConfig, seed_initial_state
     from curvedflats.frame import connection_from_state, integrate_frame

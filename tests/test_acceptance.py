@@ -136,8 +136,8 @@ def test_criterion_5_intrinsic_flatness(default_run, refined_run):
 def test_criterion_6_immersion_reconstruction(default_run, refined_run):
     config, _, _, gauge, frames = default_run
     fine, _, _, gauge_f, frames_f = refined_run
-    im = reconstruct_immersion(gauge, frames)
-    im_f = reconstruct_immersion(gauge_f, frames_f)
+    im = reconstruct_immersion(gauge, frames, 1.0)
+    im_f = reconstruct_immersion(gauge_f, frames_f, 1.0)
     assert im.unit_residual <= 1e-7, im.unit_residual
     assert im.kernel_residual <= 1e-8, im.kernel_residual
     rep = verify_space_form_geometry(im)
@@ -177,7 +177,7 @@ def _rank_one_curve(omega, beta, mu):
                          substeps=2)
     conn = connection_from_state(sol)
     frames = integrate_frame(conn, [mu])[0]
-    return curve_diagnostics(frames, conn), grid
+    return curve_diagnostics(frames, mu, conn), grid
 
 
 def test_criterion_7_curve_family_scaling():

@@ -19,7 +19,7 @@ import curvedflats.algebra as algebra
 import curvedflats.cli as cli
 import curvedflats.frame as frame
 import curvedflats.geometry as geometry
-from curvedflats.algebra import expm
+from curvedflats.algebra import expm, in_group_residual
 from curvedflats.cli import (
     RunConfig,
     default_config,
@@ -31,7 +31,7 @@ from curvedflats.cli import (
     verify_command,
 )
 from curvedflats.errors import ConfigError, MissingArtifactError, NonImmersiveError
-from curvedflats.frame import ConnectionForm, FrameField, connection_from_state
+from curvedflats.frame import ConnectionForm, connection_from_state
 from curvedflats.geometry import gauge_to_normal_form
 from curvedflats.lax import GridSolution, integrate_grid
 
@@ -238,10 +238,13 @@ def test_report_computes_gauge_only_parts_once(monkeypatch):
         count(np.linalg, name, name)
     for name in ("gauge_from_h", "reconstruct_immersion", "verify_space_form_geometry"):
         count(cli, name, name)
-    report = cli.build_report(
-        sol.states, dict(zip(config.mu_samples, frames)), h_field, config
-    )
+    report = cli.build_report(sol.states, frames, h_field, config)
     assert report["pass"] and len(report["geometry"]["per_mu"]) == 3
+    # Each mu's group drift is one scan of its frames.
+    assert report["residuals"]["group_drift"] == {
+        cli.mu_key(mu): in_group_residual(f, config.spec.space)
+        for mu, f in zip(config.mu_samples, frames)
+    }
     assert calls == {
         "gauge_from_h": 1, "curvature_defect": 1, "norm": 1, "det": 1, "inv": 1,
         "reconstruct_immersion": 3, "verify_space_form_geometry": 3,
@@ -932,12 +935,28 @@ def test_verify_names_array_with_wrong_shape(tmp_path, finished_run, name):
         verify_command(run)
 
 
+@pytest.mark.parametrize("shape", [(), (1, 2), (2, 1), (1,)],
+                         ids=["0-d", "row", "column", "short"])
+def test_main_verify_names_mu_samples_with_wrong_shape(tmp_path, finished_run,
+                                                       capsys, shape):
+    # One value per configured mu: a 0-d member made the read raise a
+    # TypeError, a 2-D one too, each a traceback and exit 3.
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    with np.load(run / "arrays.npz") as loaded:
+        arrays = dict(loaded)
+    arrays["mu_samples"] = np.resize(arrays["mu_samples"], shape)
+    save_arrays(run / "arrays.npz", arrays)
+    message = f"stored mu_samples has shape {shape}, config implies (2,)"
+    assert message in verify_stderr(run, capsys)
+
+
 @pytest.mark.parametrize("dtype", [np.complex128, np.int64, np.float32])
-@pytest.mark.parametrize("name", ["states", "frames", "gauge_h"])
+@pytest.mark.parametrize("name", ["states", "frames", "gauge_h", "mu_samples"])
 def test_main_verify_names_array_with_wrong_dtype(tmp_path, finished_run, capsys,
                                                   name, dtype):
     # numpy would cast each of them to float64 on the way in: complex128
-    # with a ComplexWarning and a pass, int64 truncated to zeros.
+    # with a ComplexWarning and a pass, int64 truncated to zeros; a float32
+    # mu_samples would be read as samples that disagree with the config.
     run = shutil.copytree(finished_run, tmp_path / "run")
     with np.load(run / "arrays.npz") as loaded:
         arrays = dict(loaded)
@@ -965,7 +984,7 @@ def test_space_form_geometry_without_invertible_psi_is_non_immersive(
     sol = GridSolution(arrays["states"], config.grid, config.family, config.spec)
     gauge = geometry.gauge_from_h(connection_from_state(sol), arrays["gauge_h"])
     mu = config.mu_samples[0]
-    im = geometry.reconstruct_immersion(gauge, FrameField(mu, arrays["frames"][0], 0.0))
+    im = geometry.reconstruct_immersion(gauge, arrays["frames"][0], mu)
     assert not np.all(im.degenerate[1:-1, 1:-1])
     with pytest.raises(NonImmersiveError, match="invertible psi Jacobian"):
         geometry.verify_space_form_geometry(im)

@@ -186,13 +186,12 @@ def test_curvature_on_inner_nodes_keeps_a_nan():
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 def test_in_group_residual_equals_max_of_slice_maxima(case):
-    config, _, _, fields = kernel_case(case)
+    config, _, _, frames = kernel_case(case)
     space = config.spec.space
-    for field in fields:
-        got = in_group_residual(field.frames, space)
-        assert same_bytes(got, in_group_residual_per_slice(field.frames, space))
-        assert same_bytes(got, field.max_drift)
-    frames = fields[-1].frames.copy()
+    for field in frames:
+        got = in_group_residual(field, space)
+        assert same_bytes(got, in_group_residual_per_slice(field, space))
+    frames = frames[-1].copy()
     frames[(1,) * config.grid.dims + (2, 3)] = np.nan
     assert np.isnan(in_group_residual(frames, space))
     assert np.isnan(in_group_residual_per_slice(frames, space))
@@ -228,7 +227,7 @@ def test_integrate_frame_constant_connection_closed_form():
     a = xi.stack[0] + mu * xi.stack[1]
     for i in range(9):
         expected = expm(grid.steps[0] * i * a)
-        assert np.max(np.abs(frames.frames[i] - expected)) < 1e-10
+        assert np.max(np.abs(frames[i] - expected)) < 1e-10
 
 
 def test_integrate_frame_zero_connection():
@@ -237,15 +236,15 @@ def test_integrate_frame_zero_connection():
         np.zeros((4, 4, 2, 5, 5)), np.zeros((4, 4, 2, 5, 5)), grid, SPEC
     )
     frames = integrate_frame(conn, [1.0])[0]
-    assert np.allclose(frames.frames, np.eye(5))
+    assert np.allclose(frames, np.eye(5))
 
 
 def test_integrate_frame_group_residual(small_run):
     grid, _, _, conn = small_run
     for mu in (0.6, 1.0, 1.6):
         field = integrate_frame(conn, [mu])[0]
-        assert field.max_drift <= 1e-8
-        assert in_group_residual(field.frames[-1, -1], SPEC.space) <= 1e-12
+        assert in_group_residual(field, SPEC.space) <= 1e-8
+        assert in_group_residual(field[-1, -1], SPEC.space) <= 1e-12
 
 
 def test_integrate_frame_path_independence_order(small_run, refined_run):
@@ -253,11 +252,10 @@ def test_integrate_frame_path_independence_order(small_run, refined_run):
     fine, conn_f = refined_run
     diffs = []
     for g, c in ((grid, conn), (fine, conn_f)):
-        rows = integrate_frame(c, [1.0], axis_priority=(0, 1))[0]
-        cols = integrate_frame(c, [1.0], axis_priority=(1, 0))[0]
-        diffs.append(
-            np.max(np.abs(rows.frames[-1, -1] - cols.frames[-1, -1]))
-        )
+        # The pipeline walks x1 first; the per-edge oracle walks x2 first.
+        rows = integrate_frame(c, [1.0])[0]
+        cols = integrate_frame_per_edge(c, [1.0], g, axis_priority=(1, 0))[0]
+        diffs.append(np.max(np.abs(rows[-1, -1] - cols[-1, -1])))
     ratio = diffs[0] / diffs[1]
     assert 2.5 <= ratio <= 6.0
 
@@ -350,8 +348,8 @@ def test_integrate_frame_keeps_roundoff_drift_of_a_long_indefinite_walk():
     })
     xi0, _ = seed_initial_state(config)
     sol = integrate_grid(xi0, config.family, config.grid, substeps=config.substeps)
-    fields = integrate_frame(connection_from_state(sol), config.mu_samples)
-    assert max(f.max_drift for f in fields) > 1e-13
+    frames = integrate_frame(connection_from_state(sol), config.mu_samples)
+    assert max(in_group_residual(f, config.spec.space) for f in frames) > 1e-13
 
 
 def test_j_orthonormalize_bounds_drift_of_long_products():
@@ -412,35 +410,28 @@ def test_j_orthonormalize_names_a_nan_slice():
 
 
 @pytest.mark.parametrize(
-    "powers,nodes,axis_priority",
-    [([1, 3], [9, 9], (0, 1)), ([1, 3], [9, 9], (1, 0)),
-     ([1, 3, 5], [4, 3, 3], (2, 0, 1))],
+    "powers,nodes", [([1, 3], [9, 9]), ([1, 3, 5], [4, 3, 3])],
 )
-def test_integrate_frame_line_blocks_match_per_edge_expression(powers, nodes,
-                                                               axis_priority):
+def test_integrate_frame_line_blocks_match_per_edge_expression(powers, nodes):
     # A^mu and the exponents built once per slab row give the bytes of the
-    # former per-edge expression, for every axis priority.
+    # former per-edge expression.
     grid = GridSpec([0.4] * len(nodes), nodes)
     sol = integrate_grid(random_state(seed=3), FlowFamily(powers, 3), grid, 4)
     conn = connection_from_state(sol)
     mus = [0.6, 1.0, 1.6]
-    fields = integrate_frame(conn, mus, axis_priority=axis_priority)
-    expected = integrate_frame_per_edge(conn, mus, grid, axis_priority)
-    assert fields[0].frames.base.tobytes() == expected.tobytes()
+    frames = integrate_frame(conn, mus)
+    expected = integrate_frame_per_edge(conn, mus, grid)
+    assert frames.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("axis_priority", [(0, 1), (1, 0)])
-def test_integrate_frame_batch_matches_single_samples(small_run, axis_priority):
+def test_integrate_frame_batch_matches_single_samples(small_run):
     grid, _, _, conn = small_run
     mus = [0.6, 1.0, 1.6]
-    fields = integrate_frame(conn, mus, axis_priority=axis_priority)
-    assert [f.mu for f in fields] == mus
-    stack = fields[0].frames.base
-    assert stack.shape == (3,) + grid.nodes + (5, 5)
-    for k, (field, mu) in enumerate(zip(fields, mus)):
-        single = integrate_frame(conn, [mu], axis_priority=axis_priority)[0]
-        assert field.frames.base is stack
-        assert np.array_equal(field.frames, stack[k])
-        assert np.max(np.abs(field.frames - single.frames)) <= 1e-13
-        assert abs(field.max_drift - single.max_drift) <= 1e-13
-    assert integrate_frame(conn, [], axis_priority=axis_priority) == []
+    frames = integrate_frame(conn, mus)
+    assert frames.shape == (3,) + grid.nodes + (5, 5)
+    for field, mu in zip(frames, mus):
+        single = integrate_frame(conn, [mu])[0]
+        assert np.max(np.abs(field - single)) <= 1e-13
+        assert abs(in_group_residual(field, SPEC.space)
+                   - in_group_residual(single, SPEC.space)) <= 1e-13
+    assert integrate_frame(conn, []).shape == (0,) + grid.nodes + (5, 5)

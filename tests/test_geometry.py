@@ -23,7 +23,6 @@ from curvedflats.geometry import (
     verify_space_form_geometry,
 )
 import curvedflats.geometry as geometry
-from curvedflats.frame import FrameField
 from curvedflats.lax import GridSpec, integrate_grid
 from curvedflats.loops import FlowFamily, LaxState
 
@@ -82,8 +81,7 @@ def run33():
 
 def test_curved_flat_planes_trivial_frames():
     eye = np.broadcast_to(np.eye(5), (2, 2, 5, 5)).copy()
-    frames = FrameField(1.0, eye, 0.0)
-    p = curved_flat_planes(frames, SPEC)
+    p = curved_flat_planes(eye, SPEC)
     pi0 = np.zeros((5, 5))
     pi0[:3, :3] = np.eye(3)
     assert np.allclose(p, pi0)
@@ -92,7 +90,7 @@ def test_curved_flat_planes_trivial_frames():
     c, s = np.cos(0.7), np.sin(0.7)
     rot[:2, :2] = [[c, -s], [s, c]]
     rot[3:, 3:] = [[c, s], [-s, c]]
-    framed = FrameField(1.0, np.broadcast_to(rot, (2, 2, 5, 5)).copy(), 0.0)
+    framed = np.broadcast_to(rot, (2, 2, 5, 5)).copy()
     assert np.allclose(curved_flat_planes(framed, SPEC), pi0, atol=1e-14)
 
 
@@ -113,7 +111,7 @@ def test_curved_flat_planes_orthogonal_so3():
     spec3 = so3_spec()
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    frames = FrameField(1.0, np.broadcast_to(q, (2, 3, 3)).copy(), 0.0)
+    frames = np.broadcast_to(q, (2, 3, 3)).copy()
     p = curved_flat_planes(frames, spec3)
     eig = np.sort(np.linalg.eigvals(p[0]).real)
     assert np.allclose(eig, [0.0, 1.0, 1.0], atol=1e-10)
@@ -425,7 +423,7 @@ def test_developing_map_arc_length_for_curves():
 
 def test_reconstruct_immersion_unit_and_kernel(run17):
     grid, conn, gauge, frames = run17
-    im = reconstruct_immersion(gauge, frames)
+    im = reconstruct_immersion(gauge, frames, 1.0)
     assert im.unit_residual <= 1e-7
     assert im.kernel_residual <= 1e-8
     assert im.degenerate_fraction == 0.0
@@ -435,7 +433,7 @@ def test_reconstruct_immersion_rejects_zero_mu(run17):
     grid, conn, gauge, _ = run17
     frames0 = integrate_frame(conn, [0.0])[0]
     with pytest.raises(StructuralError):
-        reconstruct_immersion(gauge, frames0)
+        reconstruct_immersion(gauge, frames0, 0.0)
 
 
 def test_reconstruct_immersion_vacuum_is_non_immersive():
@@ -451,7 +449,7 @@ def test_reconstruct_immersion_vacuum_is_non_immersive():
     gauge = gauge_to_normal_form(conn)
     frames = integrate_frame(conn, [1.0])[0]
     with pytest.raises(NonImmersiveError):
-        reconstruct_immersion(gauge, frames)
+        reconstruct_immersion(gauge, frames, 1.0)
 
 
 def test_reconstruct_immersion_identity_frames_non_immersive():
@@ -464,9 +462,8 @@ def test_reconstruct_immersion_identity_frames_non_immersive():
     conn = ConnectionForm(np.zeros_like(a1), a1, grid, SPEC)
     gauge = gauge_to_normal_form(conn)
     eye = np.broadcast_to(np.eye(5), (4, 4, 5, 5)).copy()
-    frames = FrameField(1.0, eye, 0.0)
     with pytest.raises(NonImmersiveError):
-        reconstruct_immersion(gauge, frames)
+        reconstruct_immersion(gauge, eye, 1.0)
 
 
 def test_gauss_curvature_synthetic_sphere_and_plane():
@@ -492,7 +489,7 @@ def test_gauss_curvature_synthetic_sphere_and_plane():
 def test_verify_space_form_geometry_orders(run17, run33):
     reports = []
     for grid, conn, gauge, frames in (run17, run33):
-        im = reconstruct_immersion(gauge, frames)
+        im = reconstruct_immersion(gauge, frames, 1.0)
         reports.append(verify_space_form_geometry(im))
     for key in (
         "gauss_curvature_max_error",
@@ -511,7 +508,7 @@ def test_inner_node_residuals_equal_full_grid_formulas(run17):
     dev = developing_map(gauge, closedness_tol=1e-4)
     want = closedness_full_grid(gauge.betas, grid)
     assert np.float64(dev.closedness_residual).tobytes() == np.float64(want).tobytes()
-    im = reconstruct_immersion(gauge, frames)
+    im = reconstruct_immersion(gauge, frames, 1.0)
     n1 = SPEC.n1
     core = (slice(2, -2), slice(2, -2))
     r_normal = curvature_defect_full_grid(gauge.a0[..., :, n1:, n1:], 0, 1, grid.steps)
@@ -560,8 +557,8 @@ def test_contractions_equal_former_einsums_on_a_run(monkeypatch):
         return out
 
     monkeypatch.setattr(geometry, "_in_psi_coordinates", spy)
-    for field in frames:
-        verify_space_form_geometry(reconstruct_immersion(gauge, field))
+    for field, mu in zip(frames, config.mu_samples):
+        verify_space_form_geometry(reconstruct_immersion(gauge, field, mu))
     assert len(seen) == len(config.mu_samples) == 3
     for w, second, out in seen:
         assert len(w) == 49
@@ -574,7 +571,7 @@ def test_gauge_only_parts_equal_former_per_mu_formulas(run17):
     grid, conn, gauge, frames = run17
     fresh = gauge_from_h(conn, gauge.h)
     kernel = float(np.max(np.linalg.norm(fresh.a1[..., :, 0], axis=-1)))
-    assert reconstruct_immersion(fresh, frames).kernel_residual == kernel
+    assert reconstruct_immersion(fresh, frames, 1.0).kernel_residual == kernel
     n1 = SPEC.n1
     defect = geometry.curvature_defect(fresh.a0[..., :, n1:, n1:], 0, 1,
                                        grid.steps, ring=2)
@@ -647,8 +644,8 @@ def test_gauge_invariance_of_geometry(run17):
     assert dev1.isometry_residual < 1e-9
 
     frames1 = integrate_frame(conj, [1.0])[0]
-    im0 = reconstruct_immersion(gauge, frames)
-    im1 = reconstruct_immersion(regauge, frames1)
+    im0 = reconstruct_immersion(gauge, frames, 1.0)
+    im1 = reconstruct_immersion(regauge, frames1, 1.0)
     rep0 = verify_space_form_geometry(im0)
     rep1 = verify_space_form_geometry(im1)
     for key in ("gauss_curvature_max_error", "normal_curvature_residual"):
@@ -683,7 +680,7 @@ def _circle_setup(omega, beta, mu, length=2.0, nodes=161):
                          substeps=2)
     conn = connection_from_state(sol)
     frames = integrate_frame(conn, [mu])[0]
-    return curve_diagnostics(frames, conn), grid
+    return curve_diagnostics(frames, mu, conn), grid
 
 
 def test_curve_diagnostics_circle_family():
