@@ -333,6 +333,9 @@ def build_report(states, frames, h_field, config):
                 for mu in [0.0] + config.mu_samples
             }
             gate("mc_max", max(residuals["mc"].values()), "mc")
+            # Only this table reads the coefficient fields: free them before
+            # the geometry, which sets the report's peak memory.
+            del conn.curvature_coefficients
         gate("abelian", abelian_residual(conn), "abelian")
 
         # tr xi^p for even p up to 2 floor(n/2) span the invariants of so(J)
@@ -658,7 +661,12 @@ def verify_command(out_dir):
     ``changed_residuals`` lists the path ("mc/0.6", say) of each residual
     whose recomputed value differs from report.json's, or that only one of
     them holds (null without a report.json).  It names what changed and
-    leaves the exit code alone.
+    leaves the exit code alone.  ``anchors`` holds the checks that tie the
+    stored files to each other and to what a run sets: ``frames_origin``,
+    that every ``frames[mu]`` at the origin is exactly I, with the keys of
+    the samples where it is not, and ``stored_report``, that report.json's
+    config hash and geometry status are the recomputed ones (it passes
+    without a report.json).  A broken anchor exits 1.
     """
     def artifact(name):
         path = Path(out_dir) / name
@@ -730,7 +738,15 @@ def verify_command(out_dir):
         status = geometry.get("status") if isinstance(geometry, dict) else None
         matches = (report["verified_against"] == report["config_hash"]
                    and report["geometry"]["status"] == status)
-    return report, 0 if report["pass"] and matches else 1
+    # integrate_frame sets each frame at the origin to I, not computes it.
+    origin = frames[(slice(None),) + (0,) * config.grid.dims]
+    off = [mu_key(mu) for mu, f in zip(mus, origin) if not np.array_equal(f, np.eye(n))]
+    report["anchors"] = {
+        "frames_origin": {"pass": not off, "mu": off},
+        "stored_report": {"pass": matches},
+    }
+    anchored = all(anchor["pass"] for anchor in report["anchors"].values())
+    return report, 0 if report["pass"] and anchored else 1
 
 
 def _cmd_run(args):
@@ -770,9 +786,14 @@ def _cmd_verify(args):
     report, code = verify_command(args.run_dir)
     failing = sorted(k for k, c in report["checks"].items() if not c["pass"])
     print(json.dumps({"pass": report["pass"], "failing": failing}))
-    if code and report["pass"]:
-        print("verify: the recomputed config hash or geometry status differs"
-              " from report.json's", file=sys.stderr)
+    anchors = report["anchors"]
+    if not anchors["frames_origin"]["pass"]:
+        print("verify: broken anchor frames_origin: the stored frames at the"
+              " origin are not the identity at"
+              f" mu={', '.join(anchors['frames_origin']['mu'])}", file=sys.stderr)
+    if not anchors["stored_report"]["pass"]:
+        print("verify: broken anchor stored_report: the recomputed config hash"
+              " or geometry status differs from report.json's", file=sys.stderr)
     if report["changed_residuals"]:
         print("verify: recomputed residuals differ from report.json's: "
               + ", ".join(report["changed_residuals"]), file=sys.stderr)

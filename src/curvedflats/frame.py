@@ -13,7 +13,12 @@ whole batch of samples, and each node takes one batched exponential, whose
 per-slice results equal the single-matrix ones byte for byte, and one
 batched group test.  The frames of all samples are one array; the group
 drift of a sample's field is one ``in_group_residual`` scan of it.
+The zero-curvature defect of A^mu is the quadratic D0 + mu D1 + mu^2 D2 in
+mu; its three coefficient fields are built once per connection and every
+spectral sample evaluates that polynomial.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +39,13 @@ IN_GROUP_TOL = 1e-12
 
 
 class ConnectionForm:
-    """Per node and direction j the pair (A0_j in k, A1_j in p)."""
+    """Per node and direction j the pair (A0_j in k, A1_j in p).
+
+    The coefficient fields of the curvature defect are computed on first
+    use and kept, so every spectral value shares them; the arrays must not
+    change after that.  ``del conn.curvature_coefficients`` frees them, and
+    the next use builds them again.
+    """
 
     def __init__(self, a0, a1, grid, spec):
         self.a0 = a0  # (*nodes, k, n, n)
@@ -49,6 +60,38 @@ class ConnectionForm:
     def a_mu(self, mu):
         """The evaluated family A^mu = A0 + mu A1 as one array."""
         return self.a0 + mu * self.a1
+
+    @cached_property
+    def curvature_coefficients(self):
+        """{(i, j): (D0, D1, D2)} for every axis pair i < j, on the nodes one
+        step inside every boundary: the defect of A^mu along (i, j) is
+        D0 + mu D1 + mu^2 D2, with
+
+        - D0 = ``curvature_defect`` of A0, dA0 + 1/2 [A0 ^ A0] (the k-part);
+        - D1 = d_i A1_j - d_j A1_i + [A0_i, A1_j] + [A1_i, A0_j], that is
+          dA1 + [A0 ^ A1] (the p-part);
+        - D2 = [A1_i, A1_j], 1/2 [A1 ^ A1] (the abelian part).
+
+        The grid needs at least two axes and 3 nodes on each.
+        """
+        k, steps = self.dims, self.grid.steps
+        inner = _inner_nodes(k, 1)
+        out = {}
+        for i in range(k):
+            for j in range(i + 1, k):
+                a1i, a1j = self.a1[..., i, :, :], self.a1[..., j, :, :]
+                d1 = central_difference(a1j, k, i, steps[i])
+                d1 -= central_difference(a1i, k, j, steps[j])
+                a0i, a0j = self.a0[..., i, :, :][inner], self.a0[..., j, :, :][inner]
+                a1i, a1j = a1i[inner], a1j[inner]
+                d1 += a0i @ a1j
+                d1 -= a1j @ a0i
+                d1 += a1i @ a0j
+                d1 -= a0j @ a1i
+                d2 = a1i @ a1j
+                d2 -= a1j @ a1i
+                out[i, j] = (curvature_defect(self.a0, i, j, steps), d1, d2)
+        return out
 
     def __repr__(self):
         return f"ConnectionForm(nodes={self.grid.nodes}, dims={self.dims})"
@@ -150,22 +193,24 @@ def mc_residual(conn, mu0):
     """Max-norm zero-curvature defect of A^mu0 over the interior nodes of
     ``conn.grid``.
 
-    For a coordinate pair (i, j) the defect is ``curvature_defect``, taken
-    on the interior nodes only; central differences make it O(h^2) for a
-    flat connection.
+    For a coordinate pair (i, j) the defect is ``curvature_defect`` of
+    A^mu0 on the interior nodes, evaluated as (D2 mu0 + D1) mu0 + D0 from
+    ``conn.curvature_coefficients``: at mu0 = 0 the bytes of the defect of
+    A0, elsewhere those of A^mu0 up to roundoff.  Central differences make
+    it O(h^2) for a flat connection; a NaN makes it NaN.
     """
     grid = conn.grid
     if grid.dims < 2:
         raise StructuralError("curvature needs at least two coordinate axes")
     if any(nn < 3 for nn in grid.nodes):
         raise StructuralError("need at least 3 nodes per axis for curvature")
-    a = conn.a_mu(mu0)
-    k = grid.dims
     worst = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            res = curvature_defect(a, i, j, grid.steps)
-            worst = float(np.maximum(worst, np.max(np.abs(res, out=res))))
+    for d0, d1, d2 in conn.curvature_coefficients.values():
+        res = np.multiply(d2, mu0)
+        res += d1
+        res *= mu0
+        res += d0
+        worst = float(np.maximum(worst, np.max(np.abs(res, out=res))))
     return worst
 
 

@@ -10,13 +10,15 @@ seed's; coarse grids drift by ulps).  Each RK4 edge therefore builds the
 powers of xi_d once, from its start state, and every stage evaluates only
 the rest of the flow.  An edge is one ``_rk4`` call on one state, with four
 ``flow_rhs`` calls per substep; each writes two row-stack ``dot``s and two
-matmuls into buffers whose views the edge builds once, as the stage
-arguments and the RK4 sums do, all in the arithmetic of the broadcast
-expressions, so the bytes do not depend on the path.  After each substep
-the blow-up test is one BLAS ``vdot``: a state whose sum of squares is at
-most limit^2 / 2 has no entry past the limit.  Only a state it cannot
-clear (large, NaN or inf) takes the exact max|y| test, so the verdict, its
-message and its node are those of the exact test alone.  The flows
+matmuls into buffers, as the stage arguments and the RK4 sums do, all in
+the arithmetic of the broadcast expressions, so the bytes do not depend on
+the path.  One fill (and one commutativity check) builds those buffers and
+their views once and every edge shares them; only the state an edge
+returns is its own.  After each substep the blow-up test is one BLAS
+``vdot``: a state whose sum of squares is at most limit^2 / 2 has no entry
+past the limit.  Only a state it cannot clear (large, NaN or inf) takes the
+exact max|y| test, so the verdict, its message and its node are those of
+the exact test alone.  The flows
 commute, so any spanning tree of the grid fills it, and ``GridSpec.slabs``
 is the one description of that tree: per axis a block of rows, each row
 one step along the axis from the row before it.  The Lax fill walks the
@@ -128,20 +130,37 @@ class GridSolution:
         return f"GridSolution(nodes={self.grid.nodes}, d={self.d})"
 
 
-def _rk4(stack, r, d, t, steps, norm0):
+def _rk4_scratch(shape):
+    """The buffers of one fill's ``_rk4`` calls, which any number of edges
+    of one state shape may share: ``(arg, into_first, at_arg)``, the stage
+    argument, the ``flow_rhs`` buffers of k1 (its output buffer, then the
+    scratch pair, all as ``state_views``) and those of k2, k3 and k4 (the
+    stage argument, one slope buffer, the scratch pair).  Every buffer is
+    written before it is read within an edge."""
+    arg, first, later, tail, left = [np.empty(shape) for _ in range(5)]
+    scratch = (state_views(tail), state_views(left))
+    return (
+        arg,
+        (state_views(first),) + scratch,
+        (state_views(arg), state_views(later)) + scratch,
+    )
+
+
+def _rk4(stack, r, d, t, steps, norm0, scratch=None):
     # The scalars are computed once per call: ``half * k1`` is the
     # ``(0.5 * h) * k1`` that ``0.5 * h * k1`` evaluates to, byte for byte.
     # xi_d is a first integral, so its powers are built once, from the start
     # state, and shared by every stage of every substep.  ``stack`` (often a
-    # view into the grid's states) is only read.  The edge allocates its
-    # buffers and their ``state_views`` once: the stage argument, k1, one
-    # slope buffer for k2, k3 and k4 in turn, the scratch pair of every
-    # ``flow_rhs`` call and the state, so the result owns its memory.  Each
-    # substep sums y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) on k1 in that
-    # association (y + x and x + y are the same bytes), each slope once it
-    # has given its stage argument; the first substep adds y = ``stack``
-    # into the state, and every later one adds into the state in place, as
-    # its last read of y.  Only what ``flow_rhs`` returns is read.
+    # view into the grid's states) is only read.  The stage argument, k1,
+    # the slope buffer for k2, k3 and k4 in turn and the scratch pair of
+    # every ``flow_rhs`` call come from ``scratch``, a ``_rk4_scratch`` set
+    # (a fresh one when None); the state is allocated per call, so the
+    # result owns its memory.  Each substep sums
+    # y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) on k1 in that association
+    # (y + x and x + y are the same bytes), each slope once it has given its
+    # stage argument; the first substep adds y = ``stack`` into the state,
+    # and every later one adds into the state in place, as its last read of
+    # y.  Only what ``flow_rhs`` returns is read.
     h = t / steps
     half, sixth = 0.5 * h, h / 6.0
     limit = BLOWUP_FACTOR * norm0
@@ -150,11 +169,9 @@ def _rk4(stack, r, d, t, steps, norm0):
     # from passing anything.
     limit2 = min(0.5 * limit * limit, sys.float_info.max)
     powers = top_powers(stack[d], r)
-    arg, first, later, tail, left, state = [np.empty(stack.shape) for _ in range(6)]
-    scratch = (state_views(tail), state_views(left))
-    into_first = (state_views(first),) + scratch
+    arg, into_first, at_arg = _rk4_scratch(stack.shape) if scratch is None else scratch
+    state = np.empty(stack.shape)
     at_state = (state_views(state),) + into_first
-    at_arg = (state_views(arg), state_views(later)) + scratch
     y, buffers = stack, (state_views(stack),) + into_first
     for i in range(steps):
         k1 = flow_rhs(y, powers, d, buffers)
@@ -219,6 +236,7 @@ def integrate_grid(xi0, family, grid, substeps=4):
     flat = states.reshape((-1, d + 1, n, n))
     norm0 = max(1.0, xi0.norm())
     priority = sorted(range(family.dims), key=family.powers.__getitem__, reverse=True)
+    scratch = _rk4_scratch(xi0.stack.shape)
     try:
         with np.errstate(**_BLOWUP_IS_CHECKED):
             for axis, ids in grid.slabs(priority):
@@ -226,7 +244,8 @@ def integrate_grid(xi0, family, grid, substeps=4):
                 rows = ids.tolist()
                 for prev_row, row in zip(rows, rows[1:]):
                     for prev, node in zip(prev_row, row):
-                        flat[node] = _rk4(flat[prev], r, d, t, substeps, norm0)
+                        flat[node] = _rk4(flat[prev], r, d, t, substeps, norm0,
+                                          scratch)
     except BlowUpError as err:  # only ``_rk4`` raises it, so ``node`` is set
         index = tuple(int(i) for i in np.unravel_index(node, grid.nodes))
         raise BlowUpError(
@@ -245,13 +264,15 @@ def commutativity_check(xi0, family, target, steps):
     if len(target) != family.dims:
         raise StructuralError("target dimension does not match family")
 
+    norm0 = max(1.0, xi0.norm())
+    scratch = _rk4_scratch(xi0.stack.shape)
+
     def run(order):
         y = xi0.stack
-        norm0 = max(1.0, xi0.norm())
         for axis in order:
             if target[axis] != 0.0:
                 y = _rk4(y, family.powers[axis], family.d, target[axis], steps,
-                         norm0)
+                         norm0, scratch)
         return y
 
     forward = list(range(family.dims))

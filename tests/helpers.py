@@ -194,10 +194,11 @@ def flow_rhs_per_stage(stack, r, d):
     return out
 
 
-def rk4_per_stage(stack, r, d, t, steps, norm0):
+def rk4_per_stage(stack, r, d, t, steps, norm0, scratch=None):
     """The former ``lax._rk4``, which rebuilt the powers of xi_d in every
     RK4 stage from that stage's state; the hoisted one must equal it byte for
-    byte wherever xi_d does not move inside the edge."""
+    byte wherever xi_d does not move inside the edge.  ``scratch`` is taken
+    for ``_rk4``'s signature and not used."""
     from curvedflats.errors import BlowUpError
     from curvedflats.lax import BLOWUP_FACTOR
 

@@ -254,6 +254,31 @@ def test_report_computes_gauge_only_parts_once(monkeypatch):
                for row in report["residuals"]["conservation"].values())
 
 
+def test_report_frees_the_curvature_coefficients(monkeypatch):
+    # Every mu row of the mc table shares one build of the coefficient
+    # fields (one frame.curvature_defect call per axis pair), and the report
+    # drops them once the table is done.
+    config, sol, conn, frames = kernel_case("definite")
+    h_field = gauge_to_normal_form(conn).h
+    conns, builds = [], []
+    defect = frame.curvature_defect
+
+    def counted(*args, **kwargs):
+        builds.append(args[1:3])
+        return defect(*args, **kwargs)
+
+    def kept(solution):
+        conns.append(connection_from_state(solution))
+        return conns[-1]
+
+    monkeypatch.setattr(frame, "curvature_defect", counted)
+    monkeypatch.setattr(cli, "connection_from_state", kept)
+    report = cli.build_report(sol.states, frames, h_field, config)
+    assert len(report["residuals"]["mc"]) == 4
+    assert builds == [(0, 1)] and len(conns) == 1
+    assert "curvature_coefficients" not in vars(conns[0])
+
+
 def test_so7_run_conserves_tr_xi6(tmp_path):
     # On so(7) the spectral curve has a third invariant, tr xi^6: each
     # conservation row gains a "6" entry, gated with the others, and verify
@@ -998,6 +1023,7 @@ def test_main_verify_fails_when_geometry_status_changes(tmp_path, finished_run,
     zeroed_states(run)
     report, code = verify_command(run)
     assert code == 1 and report["pass"]
+    assert report["anchors"]["stored_report"] == {"pass": False}
     assert report["geometry"]["status"] == "non-immersive"
     stored = json.loads((run / "report.json").read_text())
     assert stored["geometry"]["status"] == "ok"
@@ -1032,6 +1058,49 @@ def test_verify_names_the_residuals_that_changed(tmp_path, finished_run, capsys)
     config["outputs"] = {"report": False}
     (run / "config.json").write_text(json.dumps(config))
     assert verify_command(run)[0]["changed_residuals"] is None
+
+
+@pytest.fixture(scope="module", params=["sphere-grassmannian", "anti-de-sitter",
+                                        "isothermic"])
+def preset_run(request, tmp_path_factory):
+    out = tmp_path_factory.mktemp(request.param) / "run"
+    config = {"preset": request.param, "nodes": [9, 9], "mu_samples": [0.6, 1.0],
+              "commutativity_steps": 4}
+    assert run_pipeline(RunConfig(config), out)[1] == 0
+    return out
+
+
+@pytest.mark.parametrize("tamper, broken", [("negated", ["0.6", "1"]),
+                                            ("flipped", ["1"])])
+def test_main_verify_fails_on_frames_off_the_origin_anchor(
+        tmp_path, preset_run, capsys, tamper, broken):
+    # -F is still in O(J) and every residual passes it, as a frame with one
+    # flipped entry at the origin passes the group test; but a run sets each
+    # frame at the origin to I.  The broken anchor exits 1 and is named, in
+    # a key outside residuals and checks, and on stderr.
+    run = shutil.copytree(preset_run, tmp_path / "run")
+    report, code = verify_command(run)
+    assert code == 0
+    assert report["anchors"] == {"frames_origin": {"pass": True, "mu": []},
+                                 "stored_report": {"pass": True}}
+    with np.load(run / "arrays.npz") as loaded:
+        arrays = dict(loaded)
+    if tamper == "negated":
+        arrays["frames"] = -arrays["frames"]
+    else:
+        arrays["frames"][-1, 0, 0, 0, 0] = -1.0
+    save_arrays(run / "arrays.npz", arrays)
+    report, code = verify_command(run)
+    assert code == 1 and (report["pass"] or tamper == "flipped")
+    assert report["anchors"]["frames_origin"] == {"pass": False, "mu": broken}
+    assert "anchors" not in report["residuals"]
+    assert "anchors" not in report["checks"]
+    capsys.readouterr()
+    assert main(["verify", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("verify: broken anchor frames_origin: the stored frames at the"
+            f" origin are not the identity at mu={', '.join(broken)}\n") in err
 
 
 def test_cli_import_leaves_argparse_traceback_and_hashlib_unloaded():

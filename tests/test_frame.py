@@ -151,8 +151,7 @@ def same_bytes(a, b):
 
 
 def assert_curvature_matches_full_grid(conn, mu):
-    # Each ring's defect is the full-grid defect's slice, byte for byte, and
-    # mc_residual is the former interior maximum.
+    # Each ring's defect is the full-grid defect's slice, byte for byte.
     grid, k = conn.grid, conn.grid.dims
     a = conn.a_mu(mu)
     for i in range(k):
@@ -162,7 +161,29 @@ def assert_curvature_matches_full_grid(conn, mu):
                 inner = (slice(ring, -ring),) * k
                 got = curvature_defect(a, i, j, grid.steps, ring=ring)
                 assert same_bytes(got, full[inner]), (i, j, ring)
-    assert same_bytes(mc_residual(conn, mu), mc_residual_full_grid(conn, mu))
+
+
+def mc_roundoff_bound(conn, mu):
+    """A bound on |mc_residual - mc_residual_full_grid| at ``mu``.
+
+    Both evaluate the defect of A^mu on the interior nodes, entry by entry,
+    from the same A0 and A1; only the order of the roundings differs.  With
+    M = max|A0| + |mu| max|A1| (a bound on every entry of A0, mu A1 and
+    A^mu) and h the least grid step, each path's rounding of one entry is at
+    most about
+    - 12 eps M / h from the two central differences (operands rounded once
+      when A^mu or mu D1 is formed, then a subtraction and a division), and
+    - (2 n^2 + 10 n) eps M^2 from the bracket (two n-term dot products per
+      entry, gamma_n ~ n eps on a sum of n terms of size M^2, with their
+      operands rounded) and the sums that join the four terms.
+    The difference of the two paths is at most twice that, below
+    32 eps (M / h + n^2 M^2); the max over nodes moves by no more than the
+    largest entrywise difference.
+    """
+    n = conn.spec.dim
+    m = float(np.max(np.abs(conn.a0)) + abs(mu) * np.max(np.abs(conn.a1)))
+    eps = np.finfo(float).eps
+    return 32.0 * eps * (m / min(conn.grid.steps) + n * n * m * m)
 
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
@@ -172,16 +193,58 @@ def test_curvature_on_inner_nodes_equals_full_grid_slice(case):
         assert_curvature_matches_full_grid(conn, mu)
 
 
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_mc_residual_from_coefficients_matches_full_grid(case):
+    # At mu = 0 the polynomial leaves D0 = the defect of A0 as it is: the
+    # former value byte for byte.  Elsewhere D0 + mu D1 + mu^2 D2 rounds in
+    # another order than the defect of A0 + mu A1, so the two agree within
+    # ``mc_roundoff_bound``; the worst case measured is more than 10x
+    # inside it (at most 1.6e-17, at mu = 4, against bounds of 1.1e-13 and
+    # more).
+    config, _, conn, _ = kernel_case(case)
+    assert same_bytes(mc_residual(conn, 0.0), mc_residual_full_grid(conn, 0.0))
+    for mu in config.mu_samples + [4.0]:
+        diff = abs(mc_residual(conn, mu) - mc_residual_full_grid(conn, mu))
+        assert 10.0 * diff <= mc_roundoff_bound(conn, mu), (mu, diff)
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_curvature_coefficients_are_the_structure_equations(case):
+    # D0 is the defect of A0 and D2 the bracket of the A1, on the interior,
+    # byte for byte, and D1 the odd part of the defect of A0 + mu A1 at
+    # mu = 1 up to roundoff; they are built once and shared by every mu.
+    _, _, conn, _ = kernel_case(case)
+    conn = ConnectionForm(conn.a0, conn.a1, conn.grid, conn.spec)
+    k = conn.dims
+    coefficients = conn.curvature_coefficients
+    assert sorted(coefficients) == [(i, j) for i in range(k) for j in range(i + 1, k)]
+    interior = (slice(1, -1),) * k
+    for (i, j), (d0, d1, d2) in coefficients.items():
+        assert same_bytes(d0, curvature_defect(conn.a0, i, j, conn.grid.steps))
+        a1i, a1j = conn.a1[..., i, :, :], conn.a1[..., j, :, :]
+        assert same_bytes(d2, (a1i @ a1j - a1j @ a1i)[interior])
+        odd = 0.5 * (curvature_defect(conn.a_mu(1.0), i, j, conn.grid.steps)
+                     - curvature_defect(conn.a_mu(-1.0), i, j, conn.grid.steps))
+        assert np.max(np.abs(d1 - odd)) <= mc_roundoff_bound(conn, 1.0)
+    mc_residual(conn, 1.0)
+    assert conn.curvature_coefficients is coefficients
+
+
 def test_curvature_on_inner_nodes_keeps_a_nan():
     # A NaN on the boundary reaches the interior through the central
-    # difference, one inside through the bracket too: both make mc NaN.
+    # difference, one inside through the bracket too: in A0 or in A1, each
+    # makes mc NaN at every mu.
     _, _, conn, _ = kernel_case("definite")
     for node in ((0, 5), (4, 5)):
-        a0 = conn.a0.copy()
-        a0[node + (1, 0, 1)] = np.nan
-        broken = ConnectionForm(a0, conn.a1, conn.grid, conn.spec)
-        assert_curvature_matches_full_grid(broken, 1.0)
-        assert np.isnan(mc_residual(broken, 1.0))
+        for part in ("a0", "a1"):
+            a = {"a0": conn.a0, "a1": conn.a1}
+            a[part] = a[part].copy()
+            a[part][node + (1, 0, 1 if part == "a0" else 3)] = np.nan
+            broken = ConnectionForm(a["a0"], a["a1"], conn.grid, conn.spec)
+            assert_curvature_matches_full_grid(broken, 1.0)
+            for mu in (0.0, 1.0, 4.0):
+                assert np.isnan(mc_residual(broken, mu)), (node, part, mu)
+                assert np.isnan(mc_residual_full_grid(broken, mu))
 
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))

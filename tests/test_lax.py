@@ -201,10 +201,10 @@ def test_rk4_never_writes_into_its_input(monkeypatch):
     rk4 = lax._rk4
     checked = []
 
-    def guarded(stack, r, d, t, steps, norm0):
+    def guarded(stack, r, d, t, steps, norm0, scratch=None):
         assert stack.base is not None
         before = stack.copy()
-        out = rk4(stack, r, d, t, steps, norm0)
+        out = rk4(stack, r, d, t, steps, norm0, scratch)
         assert stack.tobytes() == before.tobytes()
         assert not np.shares_memory(out, stack)
         checked.append(r)
@@ -235,6 +235,37 @@ def test_rk4_result_owns_its_memory(steps):
     assert not np.shares_memory(second, first)
     assert first.tobytes() == kept.tobytes()
     assert not np.array_equal(second, first)
+
+
+def test_fill_and_commutativity_build_one_rk4_scratch_set(monkeypatch):
+    # Every edge of one fill, and both orders of one commutativity check,
+    # share one set of stage buffers; each edge still returns a state of its
+    # own, with the bytes of an edge that builds its own set.
+    built, results = [], []
+    scratch, rk4 = lax._rk4_scratch, lax._rk4
+
+    def counted(shape):
+        built.append(shape)
+        return scratch(shape)
+
+    def kept(*args):
+        results.append(rk4(*args))
+        assert len(args) == 7 and args[6] is not None
+        fresh = rk4(*args[:6], scratch(args[0].shape))
+        assert results[-1].tobytes() == fresh.tobytes()
+        return results[-1]
+
+    monkeypatch.setattr(lax, "_rk4_scratch", counted)
+    monkeypatch.setattr(lax, "_rk4", kept)
+    xi = random_state(d=3, seed=8)
+    family, grid = FlowFamily([1, 3], 3), GridSpec([0.2, 0.2], [4, 3])
+    integrate_grid(xi, family, grid, substeps=2)
+    assert built == [(4, 5, 5)] and len(results) == 11
+    commutativity_check(xi, family, grid.extents, 2)
+    assert built == [(4, 5, 5)] * 2 and len(results) == 15
+    assert all(out.flags.owndata for out in results)
+    assert not any(np.shares_memory(a, b) for a in results for b in results
+                   if a is not b)
 
 
 @pytest.mark.parametrize("preset", ["sphere-grassmannian", "anti-de-sitter"])
@@ -282,9 +313,9 @@ def test_integrate_grid_gives_the_cheapest_flow_the_most_edges(
     seen = []
     rk4 = lax._rk4
 
-    def spy(stack, r, d, t, steps, norm0):
+    def spy(stack, r, d, t, steps, norm0, scratch=None):
         seen.append(r)
-        return rk4(stack, r, d, t, steps, norm0)
+        return rk4(stack, r, d, t, steps, norm0, scratch)
 
     monkeypatch.setattr(lax, "_rk4", spy)
     grid = GridSpec([0.1] * len(nodes), nodes)
