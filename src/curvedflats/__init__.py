@@ -27,7 +27,6 @@ from .geometry import (
     verify_space_form_geometry,
 )
 from .lax import (
-    GridSolution,
     GridSpec,
     commutativity_check,
     conservation_report,
@@ -44,7 +43,6 @@ __all__ = [
     "DevelopingMap",
     "FlowFamily",
     "GaugeField",
-    "GridSolution",
     "GridSpec",
     "ImmersionData",
     "LaxState",

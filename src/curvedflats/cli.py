@@ -37,8 +37,8 @@ from .geometry import (
     reconstruct_immersion,
     verify_space_form_geometry,
 )
-from .lax import GridSolution, GridSpec, commutativity_check, conservation_report, integrate_grid
-from .loops import FlowFamily, LaxState, top_powers
+from .lax import GridSpec, commutativity_check, conservation_report, integrate_grid
+from .loops import FlowFamily, LaxState, top_powers, twist_residual
 from .presets import describe, make_preset, preset_names
 from . import algebra
 
@@ -52,6 +52,10 @@ NPZ_LEVEL = 2
 STORED_MEMBER = "frames"
 # Nodes whose phi text write_phi_text formats and writes at a time.
 TEXT_ROWS = 256
+# verify's seed_origin anchor passes when the stored states at the origin are
+# within this many eps * max(1, max|xi0|) of the recomputed seed: the seed's
+# BLAS calls round differently on other kernels than the run's.
+SEED_ORIGIN_ULPS = 16
 
 DEFAULT_TOLERANCES = {
     "twist": 1e-9,
@@ -323,9 +327,8 @@ def build_report(states, frames, h_field, config):
         }
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sol = GridSolution(states, grid, family, spec)
-        conn = connection_from_state(sol)
-        gate("lax_twist", sol.max_twist_residual(), "twist")
+        conn = connection_from_state(states, family, grid, spec)
+        gate("lax_twist", twist_residual(states, 0, spec), "twist")
 
         if grid.dims >= 2:
             residuals["mc"] = {
@@ -341,7 +344,7 @@ def build_report(states, frames, h_field, config):
         # tr xi^p for even p up to 2 floor(n/2) span the invariants of so(J)
         # (n = 7 adds tr xi^6); 4 stays the least, so no run loses a row.
         max_power = max(4, 2 * (spec.dim // 2))
-        cons = conservation_report(sol, config.mu_samples, max_power=max_power)
+        cons = conservation_report(states, config.mu_samples, max_power=max_power)
         residuals["conservation"] = {
             mu_key(mu): {str(p): finite("conservation", v, mu) for p, v in row.items()}
             for mu, row in cons["table"].items()
@@ -349,9 +352,9 @@ def build_report(states, frames, h_field, config):
         gate("conservation_max", cons["max"], "conservation")
 
         if grid.dims >= 2:
+            origin = LaxState(states[(0,) * grid.dims], spec, check=False)
             comm = commutativity_check(
-                sol.state_at((0,) * grid.dims), family, grid.extents,
-                config.commutativity_steps,
+                origin, family, grid.extents, config.commutativity_steps
             )
             gate("commutativity", comm, "commutativity")
 
@@ -557,15 +560,15 @@ def save_arrays(path, arrays):
                     fid.write(data[start:start + NPZ_CHUNK])
 
 
-def _frames_and_gauge(config, sol):
-    """The frames (len(mu_samples), *nodes, n, n) and the gauge H of a
-    filled grid.
+def _frames_and_gauge(config, states):
+    """The frames (len(mu_samples), *nodes, n, n) and the gauge H of the
+    Lax states of a filled grid.
 
     The connection and the gauge object stay local, so they are freed
     before the report and the artifacts are built.
     """
     spec, grid = config.spec, config.grid
-    conn = connection_from_state(sol)
+    conn = connection_from_state(states, config.family, grid, spec)
     frames = integrate_frame(conn, config.mu_samples)
     if spec.k_block_definite():
         h_field = gauge_to_normal_form(conn).h
@@ -611,14 +614,14 @@ def run_pipeline(config, out_dir):
     grid = config.grid
 
     xi0, attempts = seed_initial_state(config)
-    sol = integrate_grid(xi0, config.family, grid, substeps=config.substeps)
-    frames, h_field = _frames_and_gauge(config, sol)
+    states = integrate_grid(xi0, config.family, grid, substeps=config.substeps)
+    frames, h_field = _frames_and_gauge(config, states)
 
-    report = build_report(sol.states, frames, h_field, config)
+    report = build_report(states, frames, h_field, config)
     report["seed_attempts"] = attempts
 
     save_arrays(out_dir / "arrays.npz", {
-        "states": sol.states,
+        "states": states,
         "frames": frames,
         "gauge_h": h_field,
         "mu_samples": np.asarray(config.mu_samples),
@@ -635,7 +638,7 @@ def run_pipeline(config, out_dir):
             for mu, f in zip(config.mu_samples, frames)
         }
         # The text needs phi alone: the grid fields are freed before it.
-        del sol, frames, h_field, h_inv
+        del states, frames, h_field, h_inv
         write_phi_text(out_dir, config, phis)
     return report, 0 if report["pass"] else 1
 
@@ -664,9 +667,12 @@ def verify_command(out_dir):
     leaves the exit code alone.  ``anchors`` holds the checks that tie the
     stored files to each other and to what a run sets: ``frames_origin``,
     that every ``frames[mu]`` at the origin is exactly I, with the keys of
-    the samples where it is not, and ``stored_report``, that report.json's
-    config hash and geometry status are the recomputed ones (it passes
-    without a report.json).  A broken anchor exits 1.
+    the samples where it is not; ``seed_origin``, that the stored states at
+    the origin are the config's seed (``seed_initial_state``, the explicit
+    ``xi0`` when one is given) to within SEED_ORIGIN_ULPS, with their
+    ``max_abs_diff``; and ``stored_report``, that report.json's config hash
+    and geometry status are the recomputed ones (it passes without a
+    report.json).  A broken anchor exits 1.
     """
     def artifact(name):
         path = Path(out_dir) / name
@@ -741,8 +747,14 @@ def verify_command(out_dir):
     # integrate_frame sets each frame at the origin to I, not computes it.
     origin = frames[(slice(None),) + (0,) * config.grid.dims]
     off = [mu_key(mu) for mu, f in zip(mus, origin) if not np.array_equal(f, np.eye(n))]
+    # A run stores its seed as the states at the origin.
+    seed = seed_initial_state(config)[0].stack
+    diff = float(np.max(np.abs(states[(0,) * config.grid.dims] - seed)))
+    scale = max(1.0, float(np.max(np.abs(seed))))
+    bound = SEED_ORIGIN_ULPS * sys.float_info.epsilon * scale
     report["anchors"] = {
         "frames_origin": {"pass": not off, "mu": off},
+        "seed_origin": {"pass": diff <= bound, "max_abs_diff": diff},
         "stored_report": {"pass": matches},
     }
     anchored = all(anchor["pass"] for anchor in report["anchors"].values())
@@ -785,12 +797,17 @@ def _cmd_run(args):
 def _cmd_verify(args):
     report, code = verify_command(args.run_dir)
     failing = sorted(k for k, c in report["checks"].items() if not c["pass"])
-    print(json.dumps({"pass": report["pass"], "failing": failing}))
     anchors = report["anchors"]
+    broken = sorted(name for name, anchor in anchors.items() if not anchor["pass"])
+    print(json.dumps({"pass": code == 0, "failing": failing, "broken_anchors": broken}))
     if not anchors["frames_origin"]["pass"]:
         print("verify: broken anchor frames_origin: the stored frames at the"
               " origin are not the identity at"
               f" mu={', '.join(anchors['frames_origin']['mu'])}", file=sys.stderr)
+    if not anchors["seed_origin"]["pass"]:
+        print("verify: broken anchor seed_origin: the stored states at the origin"
+              " differ from the config's seed by"
+              f" {anchors['seed_origin']['max_abs_diff']:.3g}", file=sys.stderr)
     if not anchors["stored_report"]["pass"]:
         print("verify: broken anchor stored_report: the recomputed config hash"
               " or geometry status differs from report.json's", file=sys.stderr)

@@ -97,23 +97,22 @@ class ConnectionForm:
         return f"ConnectionForm(nodes={self.grid.nodes}, dims={self.dims})"
 
 
-def connection_from_state(sol):
-    """Assemble the connection pair (A0_j, A1_j) at every node.
+def connection_from_state(states, family, grid, spec):
+    """Assemble the connection pair (A0_j, A1_j) at every node of the Lax
+    states (*nodes, d+1, n, n) of ``family`` on ``grid``.
 
     The degree-0 coefficient must land in k and the degree-1 coefficient in
     p; a violation signals a broken flow and raises.
     """
-    spec, powers, d = sol.spec, sol.family.powers, sol.d
-    top = sol.states[..., d, :, :]
-    pairs = [
-        connection_coefficients(sol.states, top_powers(top, r), d) for r in powers
-    ]
+    powers, d = family.powers, family.d
+    top = states[..., d, :, :]
+    pairs = [connection_coefficients(states, top_powers(top, r), d) for r in powers]
     a0, a1 = (np.stack(part, axis=-3) for part in zip(*pairs))  # (*nodes, k, n, n)
     bad = np.maximum(
         np.max(np.abs(spec.p_project(a0)), axis=(-2, -1)),
         np.max(np.abs(spec.k_project(a1)), axis=(-2, -1)),
     )
-    scale = np.maximum(1.0, np.max(np.abs(sol.states), axis=(-3, -2, -1)))
+    scale = np.maximum(1.0, np.max(np.abs(states), axis=(-3, -2, -1)))
     limit = CONNECTION_TOL * scale[..., None] ** np.array(powers)  # powers >= 1
     # A NaN residual or limit (a non-finite state) fails too.
     failing = np.argwhere(~(bad <= limit))
@@ -126,7 +125,7 @@ def connection_from_state(sol):
             f" flow r={powers[j]}: residual {bad[at]:.3e}, limit {limit[at]:.3e}",
             node=tuple(index),
         )
-    return ConnectionForm(a0, a1, sol.grid, spec)
+    return ConnectionForm(a0, a1, grid, spec)
 
 
 def grid_derivative(field, axis, h):

@@ -28,8 +28,8 @@ per x1 step), so the cheapest flow takes the most edges, and a
 ``BlowUpError`` names the first failing node in slab order.  The frame
 integration and the developing map walk the slabs of the default axis
 order (x1 from the origin, then x2 from every x1-node, ...).
-The pointwise checks (twist condition, conservation) take the whole grid in
-one call.  Everything is deterministic.
+The states travel as one (*nodes, d+1, n, n) array, and the conservation
+check takes the whole grid in one call.  Everything is deterministic.
 """
 
 import math
@@ -39,13 +39,11 @@ import numpy as np
 
 from .errors import BlowUpError, ConfigError, StructuralError
 from .loops import (
-    LaxState,
     evaluate_stack,
     flow_rhs,
     state_views,
     top_powers,
     trace_powers,
-    twist_residual,
 )
 
 # Abort integration when the state grows past this factor of the seed norm.
@@ -105,29 +103,6 @@ class GridSpec:
 
     def __repr__(self):
         return f"GridSpec(extents={self.extents}, nodes={self.nodes})"
-
-
-class GridSolution:
-    """Lax states on every grid node, stored as one coefficient array."""
-
-    def __init__(self, states, grid, family, spec):
-        self.states = states  # (*nodes, d+1, n, n)
-        self.grid = grid
-        self.family = family
-        self.spec = spec
-
-    @property
-    def d(self):
-        return self.family.d
-
-    def state_at(self, index):
-        return LaxState(self.states[tuple(index)], self.spec, check=False)
-
-    def max_twist_residual(self):
-        return twist_residual(self.states, 0, self.spec)
-
-    def __repr__(self):
-        return f"GridSolution(nodes={self.grid.nodes}, d={self.d})"
 
 
 def _rk4_scratch(shape):
@@ -215,6 +190,7 @@ def integrate_grid(xi0, family, grid, substeps=4):
     node counts no order is cheaper.  A ``BlowUpError`` names the first
     failing node in slab order; a grid whose state array cannot be
     allocated is a ``ConfigError`` that names its shape and byte count.
+    Returns the states as one (*nodes, d+1, n, n) array.
     """
     if family.dims != grid.dims:
         raise StructuralError(
@@ -251,7 +227,7 @@ def integrate_grid(xi0, family, grid, substeps=4):
         raise BlowUpError(
             f"blow-up while filling node {index}: {err}", node=index
         ) from err
-    return GridSolution(states, grid, family, xi0.spec)
+    return states
 
 
 def commutativity_check(xi0, family, target, steps):
@@ -281,8 +257,9 @@ def commutativity_check(xi0, family, target, steps):
         return float(np.max(np.abs(run(forward) - run(swapped))))
 
 
-def conservation_report(sol, mu_samples, max_power):
-    """Relative drift of tr(xi(mu0)^p) across the grid, per mu0 and power p.
+def conservation_report(states, mu_samples, max_power):
+    """Relative drift of tr(xi(mu0)^p) across the grid of ``states``
+    (*nodes, d+1, n, n), per mu0 and power p, against the origin node.
 
     Returns {"table": {mu0: {p: deviation}}, "max": worst deviation}.
     """
@@ -293,8 +270,8 @@ def conservation_report(sol, mu_samples, max_power):
     table = {}
     powers = range(2, max_power + 1, 2)
     for mu0 in mu_samples:
-        vals = trace_powers(evaluate_stack(sol.states, 0, mu0), max_power)
-        ref = vals[(0,) * sol.grid.dims]
+        vals = trace_powers(evaluate_stack(states, 0, mu0), max_power)
+        ref = vals[(0,) * (states.ndim - 3)]
         devs = np.abs(vals - ref) / (1.0 + np.abs(ref))
         worst_dev = np.max(devs.reshape(-1, len(powers)), axis=0)
         table[mu0] = {p: float(v) for p, v in zip(powers, worst_dev)}

@@ -733,7 +733,7 @@ KERNEL_CASES = {
 
 @functools.lru_cache(maxsize=None)
 def kernel_case(name):
-    """(config, Lax solution, connection, frames) of ``KERNEL_CASES``
+    """(config, Lax states, connection, frames) of ``KERNEL_CASES``
     entry ``name``, built once per test process."""
     from curvedflats.cli import RunConfig, seed_initial_state
     from curvedflats.frame import connection_from_state, integrate_frame
@@ -741,6 +741,6 @@ def kernel_case(name):
 
     config = RunConfig(KERNEL_CASES[name])
     xi0, _ = seed_initial_state(config)
-    sol = integrate_grid(xi0, config.family, config.grid, substeps=config.substeps)
-    conn = connection_from_state(sol)
-    return config, sol, conn, integrate_frame(conn, config.mu_samples)
+    states = integrate_grid(xi0, config.family, config.grid, substeps=config.substeps)
+    conn = connection_from_state(states, config.family, config.grid, config.spec)
+    return config, states, conn, integrate_frame(conn, config.mu_samples)

@@ -34,28 +34,28 @@ ORDER_WINDOW = (1.5, 2.5)
 
 def _assemble(config, grid):
     xi0, _ = seed_initial_state(config)
-    sol = integrate_grid(xi0, config.family, grid, substeps=config.substeps)
-    conn = connection_from_state(sol)
-    return sol, conn
+    states = integrate_grid(xi0, config.family, grid, substeps=config.substeps)
+    conn = connection_from_state(states, config.family, grid, config.spec)
+    return states, conn
 
 
 @pytest.fixture(scope="module")
 def default_run():
     config = RunConfig(default_config())
-    sol, conn = _assemble(config, config.grid)
+    states, conn = _assemble(config, config.grid)
     gauge = gauge_to_normal_form(conn)
     frames = integrate_frame(conn, [1.0])[0]
-    return config, sol, conn, gauge, frames
+    return config, states, conn, gauge, frames
 
 
 @pytest.fixture(scope="module")
 def refined_run(default_run):
     config = default_run[0]
     fine = config.grid.refine()
-    sol, conn = _assemble(config, fine)
+    states, conn = _assemble(config, fine)
     gauge = gauge_to_normal_form(conn)
     frames = integrate_frame(conn, [1.0])[0]
-    return fine, sol, conn, gauge, frames
+    return fine, states, conn, gauge, frames
 
 
 def test_gauge_matches_greedy_oracle(default_run, refined_run):
@@ -86,8 +86,8 @@ def test_criterion_2_abelian_tangent_spaces(default_run):
 
 
 def test_criterion_3_commuting_flows(default_run):
-    config, sol, _, _, _ = default_run
-    origin = sol.state_at((0, 0))
+    config, states, _, _, _ = default_run
+    origin = LaxState(states[0, 0], config.spec, check=False)
     target = config.grid.extents
     d4 = commutativity_check(origin, config.family, target, steps=4)
     d8 = commutativity_check(origin, config.family, target, steps=8)
@@ -104,8 +104,8 @@ def test_criterion_3_commuting_flows(default_run):
 
 
 def test_criterion_4_isospectrality(default_run):
-    _, sol, _, _, _ = default_run
-    report = conservation_report(sol, [0.6, 1.0, 1.6], max_power=4)
+    _, states, _, _, _ = default_run
+    report = conservation_report(states, [0.6, 1.0, 1.6], max_power=4)
     for mu, table in report["table"].items():
         for p in (2, 4):
             assert table[p] <= 1e-8, (mu, p, table[p])
@@ -173,9 +173,9 @@ def _rank_one_curve(omega, beta, mu):
     from curvedflats.lax import GridSpec
 
     grid = GridSpec([3.0], [257])
-    sol = integrate_grid(LaxState(stack, spec3), FlowFamily([1], 1), grid,
-                         substeps=2)
-    conn = connection_from_state(sol)
+    family = FlowFamily([1], 1)
+    states = integrate_grid(LaxState(stack, spec3), family, grid, substeps=2)
+    conn = connection_from_state(states, family, grid, spec3)
     frames = integrate_frame(conn, [mu])[0]
     return curve_diagnostics(frames, mu, conn), grid
 

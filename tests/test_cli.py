@@ -33,7 +33,7 @@ from curvedflats.cli import (
 from curvedflats.errors import ConfigError, MissingArtifactError, NonImmersiveError
 from curvedflats.frame import ConnectionForm, connection_from_state
 from curvedflats.geometry import gauge_to_normal_form
-from curvedflats.lax import GridSolution, integrate_grid
+from curvedflats.lax import integrate_grid
 
 from helpers import (
     from_offblock,
@@ -221,7 +221,7 @@ def test_report_computes_gauge_only_parts_once(monkeypatch):
     # The kernel residual, the normal-curvature defect and the inverse
     # psi-Jacobian read the gauge alone: with 3 mu samples each kernel runs
     # once per build_report, while the immersion and its checks run per mu.
-    config, sol, conn, frames = kernel_case("definite")
+    config, states, conn, frames = kernel_case("definite")
     h_field = gauge_to_normal_form(conn).h
     calls = Counter()
 
@@ -238,7 +238,7 @@ def test_report_computes_gauge_only_parts_once(monkeypatch):
         count(np.linalg, name, name)
     for name in ("gauge_from_h", "reconstruct_immersion", "verify_space_form_geometry"):
         count(cli, name, name)
-    report = cli.build_report(sol.states, frames, h_field, config)
+    report = cli.build_report(states, frames, h_field, config)
     assert report["pass"] and len(report["geometry"]["per_mu"]) == 3
     # Each mu's group drift is one scan of its frames.
     assert report["residuals"]["group_drift"] == {
@@ -258,7 +258,7 @@ def test_report_frees_the_curvature_coefficients(monkeypatch):
     # Every mu row of the mc table shares one build of the coefficient
     # fields (one frame.curvature_defect call per axis pair), and the report
     # drops them once the table is done.
-    config, sol, conn, frames = kernel_case("definite")
+    config, states, conn, frames = kernel_case("definite")
     h_field = gauge_to_normal_form(conn).h
     conns, builds = [], []
     defect = frame.curvature_defect
@@ -267,13 +267,13 @@ def test_report_frees_the_curvature_coefficients(monkeypatch):
         builds.append(args[1:3])
         return defect(*args, **kwargs)
 
-    def kept(solution):
-        conns.append(connection_from_state(solution))
+    def kept(*args):
+        conns.append(connection_from_state(*args))
         return conns[-1]
 
     monkeypatch.setattr(frame, "curvature_defect", counted)
     monkeypatch.setattr(cli, "connection_from_state", kept)
-    report = cli.build_report(sol.states, frames, h_field, config)
+    report = cli.build_report(states, frames, h_field, config)
     assert len(report["residuals"]["mc"]) == 4
     assert builds == [(0, 1)] and len(conns) == 1
     assert "curvature_coefficients" not in vars(conns[0])
@@ -314,9 +314,9 @@ def test_gauge_matches_greedy_oracle_on_run_configs(overrides):
     for raw in (small_config(**overrides), vacuum_config()):
         config = RunConfig(raw)
         xi0, _ = seed_initial_state(config)
-        conn = connection_from_state(
-            integrate_grid(xi0, config.family, config.grid, substeps=config.substeps)
-        )
+        states = integrate_grid(xi0, config.family, config.grid,
+                                substeps=config.substeps)
+        conn = connection_from_state(states, config.family, config.grid, config.spec)
         gauge = gauge_to_normal_form(conn)
         assert np.array_equal(gauge.h, greedy_gauge_h(conn, config.spec))
 
@@ -381,6 +381,10 @@ def test_vacuum_run_flags_non_immersive(tmp_path):
     report, code = run_pipeline(rc, tmp_path / "vac")
     assert code == 0
     assert report["pass"]
+    # The explicit xi0, not a draw from the config's seed, is the origin.
+    verified, code = verify_command(tmp_path / "vac")
+    assert code == 0
+    assert verified["anchors"]["seed_origin"] == {"pass": True, "max_abs_diff": 0.0}
     assert "non-immersive" in report["flags"]
     assert report["geometry"]["status"] == "non-immersive"
     assert report["residuals"]["conservation"]["1"]["2"] < 1e-13
@@ -1006,8 +1010,9 @@ def test_space_form_geometry_without_invertible_psi_is_non_immersive(
     run = shutil.copytree(finished_run, tmp_path / "run")
     arrays = zeroed_states(run)
     config = RunConfig(json.loads((run / "config.json").read_text()))
-    sol = GridSolution(arrays["states"], config.grid, config.family, config.spec)
-    gauge = geometry.gauge_from_h(connection_from_state(sol), arrays["gauge_h"])
+    conn = connection_from_state(arrays["states"], config.family, config.grid,
+                                 config.spec)
+    gauge = geometry.gauge_from_h(conn, arrays["gauge_h"])
     mu = config.mu_samples[0]
     im = geometry.reconstruct_immersion(gauge, arrays["frames"][0], mu)
     assert not np.all(im.degenerate[1:-1, 1:-1])
@@ -1082,6 +1087,7 @@ def test_main_verify_fails_on_frames_off_the_origin_anchor(
     report, code = verify_command(run)
     assert code == 0
     assert report["anchors"] == {"frames_origin": {"pass": True, "mu": []},
+                                 "seed_origin": {"pass": True, "max_abs_diff": 0.0},
                                  "stored_report": {"pass": True}}
     with np.load(run / "arrays.npz") as loaded:
         arrays = dict(loaded)
@@ -1097,10 +1103,68 @@ def test_main_verify_fails_on_frames_off_the_origin_anchor(
     assert "anchors" not in report["checks"]
     capsys.readouterr()
     assert main(["verify", str(run)]) == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
     assert ("verify: broken anchor frames_origin: the stored frames at the"
-            f" origin are not the identity at mu={', '.join(broken)}\n") in err
+            f" origin are not the identity at mu={', '.join(broken)}\n") in captured.err
+    # stdout's pass is the exit code's, whatever the checks say.
+    printed = json.loads(captured.out)
+    assert printed["pass"] is False
+    assert printed["broken_anchors"] == ["frames_origin"]
+
+
+def test_seed_origin_anchor_passes_roundoff_only(tmp_path, finished_run):
+    # Another BLAS kernel rounds the seed by an ulp or so: the anchor passes
+    # that and exits 0, but not a change far above roundoff.
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    with np.load(run / "arrays.npz") as loaded:
+        arrays = dict(loaded)
+    origin = arrays["states"][0, 0]
+    for step, code in ((np.nextafter(origin, np.inf) - origin, 0), (1e-12, 1)):
+        moved = dict(arrays, states=arrays["states"].copy())
+        moved["states"][0, 0] += step
+        save_arrays(run / "arrays.npz", moved)
+        report, got = verify_command(run)
+        anchor = report["anchors"]["seed_origin"]
+        assert got == code and anchor["pass"] is (code == 0)
+        assert 0.0 < anchor["max_abs_diff"] <= np.max(step) * 1.5
+
+
+@pytest.fixture(scope="module")
+def seed8_arrays(tmp_path_factory, preset_run):
+    """arrays.npz of ``preset_run``'s config drawn with seed 8, not 7."""
+    config = json.loads((preset_run / "config.json").read_text())
+    assert config["seed"] == 7
+    out = tmp_path_factory.mktemp("seed8") / "run"
+    assert run_pipeline(RunConfig(dict(config, seed=8)), out)[1] == 0
+    return out / "arrays.npz"
+
+
+@pytest.mark.parametrize("tamper", ["seed8", "zeroed"])
+def test_main_verify_fails_on_states_of_another_seed(
+        tmp_path, preset_run, seed8_arrays, capsys, tamper):
+    # Another seed's arrays, or all-zero states, can pass every gate (the
+    # indefinite presets skip the geometry, and every residual of xi = 0 is
+    # 0), but a run stores the config's seed as the states at the origin.
+    run = shutil.copytree(preset_run, tmp_path / "run")
+    if tamper == "seed8":
+        shutil.copyfile(seed8_arrays, run / "arrays.npz")
+    else:
+        zeroed_states(run)
+    report, code = verify_command(run)
+    assert code == 1
+    anchor = report["anchors"]["seed_origin"]
+    assert anchor["pass"] is False and anchor["max_abs_diff"] > 1e-3
+    assert "anchors" not in report["residuals"]
+    assert "anchors" not in report["checks"]
+    capsys.readouterr()
+    assert main(["verify", str(run)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "verify: broken anchor seed_origin" in captured.err
+    printed = json.loads(captured.out)
+    assert printed["pass"] is False
+    assert "seed_origin" in printed["broken_anchors"]
 
 
 def test_cli_import_leaves_argparse_traceback_and_hashlib_unloaded():

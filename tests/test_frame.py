@@ -18,7 +18,7 @@ from curvedflats.frame import (
     j_orthonormalize,
     mc_residual,
 )
-from curvedflats.lax import GridSolution, GridSpec, integrate_grid
+from curvedflats.lax import GridSpec, integrate_grid
 from curvedflats.loops import FlowFamily, LaxState
 
 from helpers import (
@@ -50,24 +50,25 @@ def random_state(d=3, scale=0.8, seed=17):
 def small_run():
     grid = GridSpec([0.4, 0.4], [9, 9])
     family = FlowFamily([1, 3], 3)
-    sol = integrate_grid(random_state(seed=3), family, grid, substeps=4)
-    conn = connection_from_state(sol)
-    return grid, family, sol, conn
+    states = integrate_grid(random_state(seed=3), family, grid, substeps=4)
+    conn = connection_from_state(states, family, grid, SPEC)
+    return grid, family, states, conn
 
 
 @pytest.fixture(scope="module")
 def refined_run(small_run):
-    grid, family, sol, _ = small_run
+    grid, family, states, _ = small_run
     fine = grid.refine()
-    sol_f = integrate_grid(sol.state_at((0, 0)), family, fine, substeps=4)
-    return fine, connection_from_state(sol_f)
+    states_f = integrate_grid(LaxState(states[0, 0], SPEC, check=False), family,
+                              fine, substeps=4)
+    return fine, connection_from_state(states_f, family, fine, SPEC)
 
 
 def test_connection_identity_flow():
     xi = random_state(d=1, seed=1)
-    grid = GridSpec([0.3], [4])
-    sol = integrate_grid(xi, FlowFamily([1], 1), grid, substeps=2)
-    conn = connection_from_state(sol)
+    grid, family = GridSpec([0.3], [4]), FlowFamily([1], 1)
+    states = integrate_grid(xi, family, grid, substeps=2)
+    conn = connection_from_state(states, family, grid, SPEC)
     # pi_+ of mu^0 xi keeps the state itself: A0 = xi_0, A1 = xi_1.
     for i in range(4):
         assert np.allclose(conn.a0[i, 0], xi.stack[0], atol=1e-13)
@@ -77,9 +78,9 @@ def test_connection_identity_flow():
 def test_connection_cubed_flow_matches_expansion():
     xi = random_state(d=1, seed=2)
     xi0, xi1 = xi.stack[0], xi.stack[1]
-    grid = GridSpec([1e-9], [2])
-    sol = integrate_grid(xi, FlowFamily([3], 1), grid, substeps=1)
-    conn = connection_from_state(sol)
+    grid, family = GridSpec([1e-9], [2]), FlowFamily([3], 1)
+    states = integrate_grid(xi, family, grid, substeps=1)
+    conn = connection_from_state(states, family, grid, SPEC)
     assert np.allclose(conn.a1[0, 0], xi1 @ xi1 @ xi1, atol=1e-12)
     assert np.allclose(
         conn.a0[0, 0],
@@ -89,23 +90,23 @@ def test_connection_cubed_flow_matches_expansion():
 
 
 def test_connection_d3_r1_picks_top_coefficients(small_run):
-    _, _, sol, conn = small_run
+    _, _, states, conn = small_run
     # For r=1, pi_+ of mu^-2 xi keeps degrees 0,1: coefficients xi_2, xi_3.
     idx = (4, 3)
-    assert np.allclose(conn.a0[idx + (0,)], sol.states[idx][2], atol=1e-14)
-    assert np.allclose(conn.a1[idx + (0,)], sol.states[idx][3], atol=1e-14)
+    assert np.allclose(conn.a0[idx + (0,)], states[idx][2], atol=1e-14)
+    assert np.allclose(conn.a1[idx + (0,)], states[idx][3], atol=1e-14)
 
 
 def test_connection_rejects_node_off_the_k_p_split(small_run):
-    grid, family, sol, _ = small_run
-    states = sol.states.copy()
+    grid, family, states, _ = small_run
+    states = states.copy()
     # A k-entry in the p-coefficient xi_3 breaks A1 of the r=1 flow (and
     # likely r=3).  The first failing (node, flow) in C order is reported,
     # not the worst one.
     states[2, 7, 3, 0, 1] += 1e-3
     states[5, 1, 3, 0, 1] += 5e-3
     with pytest.raises(InternalConsistencyError) as err:
-        connection_from_state(GridSolution(states, grid, family, SPEC))
+        connection_from_state(states, family, grid, SPEC)
     assert "at node (2, 7), flow r=1: residual 1.000e-03" in str(err.value)
     assert err.value.node == (2, 7)
 
@@ -262,9 +263,9 @@ def test_in_group_residual_equals_max_of_slice_maxima(case):
 
 def test_mc_residual_needs_two_axes():
     xi = random_state(d=1, seed=4)
-    grid = GridSpec([0.3], [4])
-    sol = integrate_grid(xi, FlowFamily([1], 1), grid, substeps=2)
-    conn = connection_from_state(sol)
+    grid, family = GridSpec([0.3], [4]), FlowFamily([1], 1)
+    states = integrate_grid(xi, family, grid, substeps=2)
+    conn = connection_from_state(states, family, grid, SPEC)
     with pytest.raises(StructuralError):
         mc_residual(conn, 1.0)
 
@@ -272,17 +273,16 @@ def test_mc_residual_needs_two_axes():
 def test_abelian_residual(small_run):
     _, _, _, conn = small_run
     assert abelian_residual(conn) <= 1e-9
-    grid1 = GridSpec([0.3], [4])
-    sol1 = integrate_grid(random_state(d=1, seed=5), FlowFamily([1], 1), grid1,
-                          substeps=2)
-    assert abelian_residual(connection_from_state(sol1)) == 0.0
+    grid1, family1 = GridSpec([0.3], [4]), FlowFamily([1], 1)
+    states1 = integrate_grid(random_state(d=1, seed=5), family1, grid1, substeps=2)
+    assert abelian_residual(connection_from_state(states1, family1, grid1, SPEC)) == 0.0
 
 
 def test_integrate_frame_constant_connection_closed_form():
     xi = random_state(d=1, seed=6)
-    grid = GridSpec([0.5], [9])
-    sol = integrate_grid(xi, FlowFamily([1], 1), grid, substeps=2)
-    conn = connection_from_state(sol)
+    grid, family = GridSpec([0.5], [9]), FlowFamily([1], 1)
+    states = integrate_grid(xi, family, grid, substeps=2)
+    conn = connection_from_state(states, family, grid, SPEC)
     mu = 1.3
     frames = integrate_frame(conn, [mu])[0]
     from curvedflats.algebra import expm
@@ -410,8 +410,9 @@ def test_integrate_frame_keeps_roundoff_drift_of_a_long_indefinite_walk():
         "mu_samples": [0.25 * 16.0 ** (i / 15) for i in range(16)],
     })
     xi0, _ = seed_initial_state(config)
-    sol = integrate_grid(xi0, config.family, config.grid, substeps=config.substeps)
-    frames = integrate_frame(connection_from_state(sol), config.mu_samples)
+    states = integrate_grid(xi0, config.family, config.grid, substeps=config.substeps)
+    conn = connection_from_state(states, config.family, config.grid, config.spec)
+    frames = integrate_frame(conn, config.mu_samples)
     assert max(in_group_residual(f, config.spec.space) for f in frames) > 1e-13
 
 
@@ -479,8 +480,9 @@ def test_integrate_frame_line_blocks_match_per_edge_expression(powers, nodes):
     # A^mu and the exponents built once per slab row give the bytes of the
     # former per-edge expression.
     grid = GridSpec([0.4] * len(nodes), nodes)
-    sol = integrate_grid(random_state(seed=3), FlowFamily(powers, 3), grid, 4)
-    conn = connection_from_state(sol)
+    family = FlowFamily(powers, 3)
+    states = integrate_grid(random_state(seed=3), family, grid, 4)
+    conn = connection_from_state(states, family, grid, SPEC)
     mus = [0.6, 1.0, 1.6]
     frames = integrate_frame(conn, mus)
     expected = integrate_frame_per_edge(conn, mus, grid)

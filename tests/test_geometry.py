@@ -61,8 +61,8 @@ def random_state(d=3, scale=0.8, seed=17):
 def run17():
     grid = GridSpec([0.4, 0.4], [17, 17])
     family = FlowFamily([1, 3], 3)
-    sol = integrate_grid(random_state(seed=3), family, grid, substeps=4)
-    conn = connection_from_state(sol)
+    states = integrate_grid(random_state(seed=3), family, grid, substeps=4)
+    conn = connection_from_state(states, family, grid, SPEC)
     gauge = gauge_to_normal_form(conn)
     frames = integrate_frame(conn, [1.0])[0]
     return grid, conn, gauge, frames
@@ -72,8 +72,8 @@ def run17():
 def run33():
     grid = GridSpec([0.4, 0.4], [33, 33])
     family = FlowFamily([1, 3], 3)
-    sol = integrate_grid(random_state(seed=3), family, grid, substeps=4)
-    conn = connection_from_state(sol)
+    states = integrate_grid(random_state(seed=3), family, grid, substeps=4)
+    conn = connection_from_state(states, family, grid, SPEC)
     gauge = gauge_to_normal_form(conn)
     frames = integrate_frame(conn, [1.0])[0]
     return grid, conn, gauge, frames
@@ -443,9 +443,9 @@ def test_reconstruct_immersion_vacuum_is_non_immersive():
     x = from_offblock(b, spec3).matrix
     stack = np.stack([np.zeros((3, 3)), x])
     grid = GridSpec([0.6], [9])
-    sol = integrate_grid(LaxState(stack, spec3), FlowFamily([1], 1), grid,
-                         substeps=2)
-    conn = connection_from_state(sol)
+    family = FlowFamily([1], 1)
+    states = integrate_grid(LaxState(stack, spec3), family, grid, substeps=2)
+    conn = connection_from_state(states, family, grid, spec3)
     gauge = gauge_to_normal_form(conn)
     frames = integrate_frame(conn, [1.0])[0]
     with pytest.raises(NonImmersiveError):
@@ -676,9 +676,9 @@ def _circle_setup(omega, beta, mu, length=2.0, nodes=161):
     xi1 = from_offblock([[beta, 0.0]], spec3).matrix
     stack = np.stack([xi0, xi1])
     grid = GridSpec([length], [nodes])
-    sol = integrate_grid(LaxState(stack, spec3), FlowFamily([1], 1), grid,
-                         substeps=2)
-    conn = connection_from_state(sol)
+    family = FlowFamily([1], 1)
+    states = integrate_grid(LaxState(stack, spec3), family, grid, substeps=2)
+    conn = connection_from_state(states, family, grid, spec3)
     frames = integrate_frame(conn, [mu])[0]
     return curve_diagnostics(frames, mu, conn), grid
 

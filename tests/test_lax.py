@@ -136,10 +136,10 @@ def test_top_coefficient_is_a_first_integral():
     # test_hoisted_powers_when_top_moves_inside_an_edge).
     xi = random_state(d=3, seed=11)
     grid = GridSpec([0.4, 0.4], [7, 7])
-    sol = integrate_grid(xi, FlowFamily([1, 3], 3), grid, substeps=3)
-    top = sol.states[..., 3, :, :]
+    states = integrate_grid(xi, FlowFamily([1, 3], 3), grid, substeps=3)
+    top = states[..., 3, :, :]
     assert np.array_equal(top, np.broadcast_to(xi.stack[3], top.shape))
-    assert not np.array_equal(sol.states[-1, -1], xi.stack)
+    assert not np.array_equal(states[-1, -1], xi.stack)
 
 
 def seeded(preset, d, **overrides):
@@ -171,7 +171,7 @@ def test_lean_single_state_kernels_match_per_stage_reference(preset, r):
     # the buffered, in-place RK4 combination give the bytes of the former
     # broadcast kernels, on states all over a filled grid.
     config, xi0 = seeded(preset, 3, nodes=[9, 9])
-    states = integrate_grid(xi0, config.family, config.grid, substeps=4).states
+    states = integrate_grid(xi0, config.family, config.grid, substeps=4)
     norm0 = max(1.0, xi0.norm())
     for node in ((0, 0), (8, 0), (3, 5), (8, 8)):
         state = states[node]
@@ -214,10 +214,10 @@ def test_rk4_never_writes_into_its_input(monkeypatch):
     xi = random_state(d=3, seed=8)
     seed_bytes = xi.stack.tobytes()
     grid = GridSpec([0.2, 0.2], [4, 3])
-    sol = integrate_grid(xi, FlowFamily([1, 3], 3), grid, substeps=2)
+    states = integrate_grid(xi, FlowFamily([1, 3], 3), grid, substeps=2)
     assert len(checked) == 11
     assert xi.stack.tobytes() == seed_bytes
-    assert sol.states[0, 0].tobytes() == seed_bytes
+    assert states[0, 0].tobytes() == seed_bytes
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3])
@@ -273,9 +273,9 @@ def test_grid_and_commutativity_match_per_stage_reference(monkeypatch, preset):
     config, xi0 = seeded(preset, 3, nodes=[9, 9])
 
     def fill_and_check():
-        sol = integrate_grid(xi0, config.family, config.grid, substeps=4)
+        states = integrate_grid(xi0, config.family, config.grid, substeps=4)
         disc = commutativity_check(xi0, config.family, config.grid.extents, 8)
-        return sol.states, disc
+        return states, disc
 
     states, disc = fill_and_check()
     monkeypatch.setattr(lax, "_rk4", rk4_per_stage)
@@ -292,9 +292,9 @@ def test_hoisted_powers_when_top_moves_inside_an_edge(monkeypatch):
     config, xi0 = seeded(
         "sphere-grassmannian", 3, nodes=[5, 5], extents=[2.0, 2.0], substeps=1
     )
-    states = integrate_grid(xi0, config.family, config.grid, substeps=1).states
+    states = integrate_grid(xi0, config.family, config.grid, substeps=1)
     monkeypatch.setattr(lax, "_rk4", rk4_per_stage)
-    ref = integrate_grid(xi0, config.family, config.grid, substeps=1).states
+    ref = integrate_grid(xi0, config.family, config.grid, substeps=1)
     top = ref[..., 3, :, :]
     assert not np.array_equal(top, np.broadcast_to(xi0.stack[3], top.shape))
     assert np.max(np.abs(states - ref)) <= 1e-14
@@ -342,7 +342,7 @@ def test_integrate_grid_matches_default_sweep_fill(preset, powers, nodes, extent
     config, xi0 = seeded(
         preset, 3, powers=powers, nodes=nodes, extents=[extent] * len(nodes)
     )
-    states = integrate_grid(xi0, config.family, config.grid, substeps).states
+    states = integrate_grid(xi0, config.family, config.grid, substeps)
     ref = integrate_grid_default_sweep(xi0, config.family, config.grid, substeps)
     scale = max(1.0, float(np.max(np.abs(ref))))
     assert np.max(np.abs(states - ref)) <= 1e-13 * scale
@@ -378,32 +378,32 @@ def test_integrate_flow_local_order_five():
 def test_integrate_grid_single_node_axis():
     xi = random_state(d=1)
     grid = GridSpec([0.3, 0.3], [2, 2])
-    sol = integrate_grid(xi, FlowFamily([1, 3], 1), grid, substeps=2)
-    assert np.allclose(sol.states[0, 0], xi.stack)
+    states = integrate_grid(xi, FlowFamily([1, 3], 1), grid, substeps=2)
+    assert np.allclose(states[0, 0], xi.stack)
 
 
 def test_integrate_grid_stationary_subflow():
     # d=1: the r=1 flow is stationary, so states are constant along x1.
     xi = random_state(d=1)
     grid = GridSpec([0.4, 0.4], [5, 5])
-    sol = integrate_grid(xi, FlowFamily([1, 3], 1), grid, substeps=3)
+    states = integrate_grid(xi, FlowFamily([1, 3], 1), grid, substeps=3)
     for i in range(5):
-        assert np.allclose(sol.states[i, 0], xi.stack, atol=1e-13)
+        assert np.allclose(states[i, 0], xi.stack, atol=1e-13)
 
 
 def test_integrate_grid_finite_and_twisted():
     xi = random_state(d=3, seed=3)
     grid = GridSpec([0.4, 0.4], [9, 9])
-    sol = integrate_grid(xi, FlowFamily([1, 3], 3), grid, substeps=4)
-    assert np.all(np.isfinite(sol.states))
-    assert sol.max_twist_residual() < 1e-9
+    states = integrate_grid(xi, FlowFamily([1, 3], 3), grid, substeps=4)
+    assert np.all(np.isfinite(states))
+    assert twist_residual(states, 0, SPEC) < 1e-9
     # The whole-grid scan equals the worst per-node residual, also when one
     # node is pushed off the twist condition.
-    sol.states[3, 5, 2, 0, 4] += 1e-3
-    assert sol.max_twist_residual() == max(
-        twist_residual(sol.states[index], 0, SPEC) for index in np.ndindex(9, 9)
+    states[3, 5, 2, 0, 4] += 1e-3
+    assert twist_residual(states, 0, SPEC) == max(
+        twist_residual(states[index], 0, SPEC) for index in np.ndindex(9, 9)
     )
-    assert sol.max_twist_residual() >= 1e-3
+    assert twist_residual(states, 0, SPEC) >= 1e-3
 
 
 def test_integrate_grid_deterministic():
@@ -411,7 +411,7 @@ def test_integrate_grid_deterministic():
     grid = GridSpec([0.3, 0.3], [5, 5])
     a = integrate_grid(xi, FlowFamily([1, 3], 3), grid, substeps=4)
     b = integrate_grid(xi, FlowFamily([1, 3], 3), grid, substeps=4)
-    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a, b)
 
 
 def test_integrate_flow_blow_up_reports_last_time():
@@ -510,31 +510,27 @@ def test_commutativity_fourth_order():
 def test_conservation_stationary_and_constant_grid():
     xi = random_state(d=1)
     grid = GridSpec([0.4], [7])
-    sol = integrate_grid(xi, FlowFamily([1], 1), grid, substeps=4)
-    rep = conservation_report(sol, [0.6, 1.0], max_power=4)
+    states = integrate_grid(xi, FlowFamily([1], 1), grid, substeps=4)
+    rep = conservation_report(states, [0.6, 1.0], max_power=4)
     assert rep["max"] < 1e-14
     # Identical states at every node deviate by exactly zero.
-    from curvedflats.lax import GridSolution
-
     xi3 = random_state(d=3)
-    grid2 = GridSpec([0.4, 0.4], [2, 2])
     states = np.broadcast_to(xi3.stack, (2, 2) + xi3.stack.shape).copy()
-    sol2 = GridSolution(states, grid2, FlowFamily([1, 3], 3), SPEC)
-    rep2 = conservation_report(sol2, [1.0], max_power=2)
+    rep2 = conservation_report(states, [1.0], max_power=2)
     assert rep2["max"] == 0.0
     states[1, 0, 0, 0, 0] = np.inf
     with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
-        conservation_report(sol2, [1.0], max_power=2)
+        conservation_report(states, [1.0], max_power=2)
 
 
 def test_conservation_on_generic_grid():
     xi = random_state(d=3, seed=13)
     grid = GridSpec([0.4, 0.4], [9, 9])
-    sol = integrate_grid(xi, FlowFamily([1, 3], 3), grid, substeps=4)
-    rep = conservation_report(sol, [0.6, 1.0, 1.6], max_power=4)
+    states = integrate_grid(xi, FlowFamily([1, 3], 3), grid, substeps=4)
+    rep = conservation_report(states, [0.6, 1.0, 1.6], max_power=4)
     assert rep["max"] <= 1e-8
     def invariants(index, mu0):
-        return trace_powers(evaluate_stack(sol.states[index], 0, mu0), 4).tolist()
+        return trace_powers(evaluate_stack(states[index], 0, mu0), 4).tolist()
 
     # The whole-grid report equals a node-by-node scan bit for bit.
     for mu0, table in rep["table"].items():
@@ -549,23 +545,23 @@ def test_conservation_on_generic_grid():
 def test_conservation_rejects_zero_mu():
     xi = random_state(d=1)
     grid = GridSpec([0.2], [3])
-    sol = integrate_grid(xi, FlowFamily([1], 1), grid, substeps=1)
+    states = integrate_grid(xi, FlowFamily([1], 1), grid, substeps=1)
     with pytest.raises(StructuralError):
-        conservation_report(sol, [0.0], max_power=2)
+        conservation_report(states, [0.0], max_power=2)
 
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 def test_trace_powers_equal_identity_start(case):
     # Starting the powers of m^2 from m^2 gives the bytes of the product with
     # the identity; a NaN node still fails the finiteness test.
-    config, sol, _, _ = kernel_case(case)
+    config, states, _, _ = kernel_case(case)
     for mu in config.mu_samples:
-        m = evaluate_stack(sol.states, 0, mu)
+        m = evaluate_stack(states, 0, mu)
         for max_power in (2, 4, 6):
             got = trace_powers(m, max_power)
             want = trace_powers_from_identity(m, max_power)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    m = evaluate_stack(sol.states, 0, config.mu_samples[0])
+    m = evaluate_stack(states, 0, config.mu_samples[0])
     m[(1,) * config.grid.dims + (0, 1)] = np.nan
     for kernel in (trace_powers, trace_powers_from_identity):
         with pytest.raises(NumericalError, match="non-finite spectral invariant"):
