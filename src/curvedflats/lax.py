@@ -8,17 +8,21 @@ A1_j = xi_d^{r_j} keep their seed values on the whole grid up to roundoff
 (where the RK4 increments of xi_d are absorbed, xi_d compares equal to the
 seed's; coarse grids drift by ulps).  Each RK4 edge therefore builds the
 powers of xi_d once, from its start state, and every stage evaluates only
-the rest of the flow.  An edge is one ``_rk4`` call on one state, with four
-``flow_rhs`` calls per substep; each writes two row-stack ``dot``s and two
-matmuls into buffers, as the stage arguments and the RK4 sums do, all in
-the arithmetic of the broadcast expressions, so the bytes do not depend on
-the path.  One fill (and one commutativity check) builds those buffers and
-their views once and every edge shares them; only the state an edge
-returns is its own.  After each substep the blow-up test is one BLAS
-``vdot``: a state whose sum of squares is at most limit^2 / 2 has no entry
-past the limit.  Only a state it cannot clear (large, NaN or inf) takes the
-exact max|y| test, so the verdict, its message and its node are those of
-the exact test alone.  The flows
+the rest of the flow.  The fill integrates one slab row of states
+(m, d+1, n, n) per ``_rk4`` call, stage by stage: every stage calls
+``flow_rhs`` once per node of the row, on that node's single state, which
+writes two row-stack ``dot``s and two matmuls into buffers, so each product
+has the gemm shape of a one-node edge.  The stage arguments, the RK4 sums
+and the blow-up test run once on the whole row, elementwise in the
+arithmetic of the broadcast expressions, so a node's bytes do not depend
+on the width of its row.  One fill (and one commutativity check, whose
+rows are of one state) builds the row buffers and every node's views once;
+only the states a row returns are its own.  After each substep the blow-up
+test is one BLAS ``vdot`` over the row: a row whose sum of squares is at
+most limit^2 / 2 has no entry past the limit.  Only a row it cannot clear
+(large, NaN or inf) takes the exact max|y| test, and a row that fails it
+runs again one node at a time, so the verdict, its message and its node
+are those of the exact test on a node-by-node fill.  The flows
 commute, so any spanning tree of the grid fills it, and ``GridSpec.slabs``
 is the one description of that tree: per axis a block of rows, each row
 one step along the axis from the row before it.  The Lax fill walks the
@@ -105,80 +109,103 @@ class GridSpec:
         return f"GridSpec(extents={self.extents}, nodes={self.nodes})"
 
 
-def _rk4_scratch(shape):
-    """The buffers of one fill's ``_rk4`` calls, which any number of edges
-    of one state shape may share: ``(arg, into_first, at_arg)``, the stage
-    argument, the ``flow_rhs`` buffers of k1 (its output buffer, then the
-    scratch pair, all as ``state_views``) and those of k2, k3 and k4 (the
-    stage argument, one slope buffer, the scratch pair).  Every buffer is
-    written before it is read within an edge."""
-    arg, first, later, tail, left = [np.empty(shape) for _ in range(5)]
-    scratch = (state_views(tail), state_views(left))
-    return (
-        arg,
-        (state_views(first),) + scratch,
-        (state_views(arg), state_views(later)) + scratch,
+def _rk4_scratch(shape, width):
+    """The buffers of one fill's ``_rk4`` calls on rows of at most ``width``
+    states of ``shape``: ``(y, arg, k1, k, nodes)``.  ``y``, ``arg``, ``k1``
+    and ``k`` are (width,) + shape: the row's state, its stage argument, k1
+    and the slope buffer of k2, k3 and k4.  ``nodes`` holds per node
+    ``(y_j, at_y, arg_j, at_arg)``: its state with the ``flow_rhs`` buffers
+    of k1 (the state's ``state_views``, then k1's, then a scratch pair) and
+    its stage argument with those of k2, k3 and k4 (the argument's, the
+    slope buffer's, the scratch pair).  Every node shares the one scratch
+    pair, and every buffer is written before it is read within a row."""
+    y, arg, k1, k = (np.empty((width,) + shape) for _ in range(4))
+    pair = (state_views(np.empty(shape)), state_views(np.empty(shape)))
+    nodes = tuple(
+        (y[j], (state_views(y[j]), state_views(k1[j])) + pair,
+         arg[j], (state_views(arg[j]), state_views(k[j])) + pair)
+        for j in range(width)
     )
+    return y, arg, k1, k, nodes
 
 
-def _rk4(stack, r, d, t, steps, norm0, scratch=None):
+def _rk4(rows, r, d, t, steps, norm0, scratch=None):
+    """RK4 of the r-flow for time ``t`` in ``steps`` substeps on every state
+    of ``rows`` (m, d+1, n, n), stage by stage across the row; returns the
+    m states as an array of their own.
+
+    Every stage calls ``flow_rhs`` once per node, on that node's single
+    state, so every product has the gemm shape of a one-node call; the
+    stage arguments, the RK4 sums and the blow-up test run once on the
+    whole row.  A row fails when any of its nodes fails, at the first
+    substep where one does; the caller finds the node.
+    """
     # The scalars are computed once per call: ``half * k1`` is the
     # ``(0.5 * h) * k1`` that ``0.5 * h * k1`` evaluates to, byte for byte.
-    # xi_d is a first integral, so its powers are built once, from the start
-    # state, and shared by every stage of every substep.  ``stack`` (often a
-    # view into the grid's states) is only read.  The stage argument, k1,
-    # the slope buffer for k2, k3 and k4 in turn and the scratch pair of
-    # every ``flow_rhs`` call come from ``scratch``, a ``_rk4_scratch`` set
-    # (a fresh one when None); the state is allocated per call, so the
-    # result owns its memory.  Each substep sums
-    # y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) on k1 in that association
-    # (y + x and x + y are the same bytes), each slope once it has given its
-    # stage argument; the first substep adds y = ``stack`` into the state,
-    # and every later one adds into the state in place, as its last read of
-    # y.  Only what ``flow_rhs`` returns is read.
+    # xi_d is a first integral, so each node's powers are built once, from
+    # its start state in ``rows``, which is only read, and shared by every
+    # stage of every substep.  The buffers come from ``scratch``, a
+    # ``_rk4_scratch`` set at least m wide (a fresh one when None).  Each
+    # substep sums y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) on k1 in that
+    # association (y + x and x + y are the same bytes), each slope once it
+    # has given its stage argument, and adds it into the state in place, as
+    # its last read of y.  Per node, the ``k1_calls`` argument set reads the
+    # state and the ``k_calls`` one the stage argument; ``flow_rhs`` writes
+    # each slope into its buffer.
+    m = len(rows)
     h = t / steps
     half, sixth = 0.5 * h, h / 6.0
     limit = BLOWUP_FACTOR * norm0
-    # max|y|^2 <= sum y^2, so a state whose sum of squares is at most
-    # limit^2 / 2 passes the exact test; the cap keeps an overflowed square
-    # from passing anything.
+    # max|y|^2 <= sum y^2, so a row whose sum of squares is at most
+    # limit^2 / 2 has no entry past the limit; the cap keeps an overflowed
+    # square from passing anything.
     limit2 = min(0.5 * limit * limit, sys.float_info.max)
-    powers = top_powers(stack[d], r)
-    arg, into_first, at_arg = _rk4_scratch(stack.shape) if scratch is None else scratch
-    state = np.empty(stack.shape)
-    at_state = (state_views(state),) + into_first
-    y, buffers = stack, (state_views(stack),) + into_first
+    if scratch is None:
+        scratch = _rk4_scratch(rows.shape[1:], m)
+    y, arg, k1, k = (buf[:m] for buf in scratch[:4])
+    k1_calls, k_calls = [], []
+    for (y_j, at_y, arg_j, at_arg), top in zip(scratch[4], rows[:, d]):
+        powers = top_powers(top, r)
+        k1_calls.append((y_j, powers, d, at_y))
+        k_calls.append((arg_j, powers, d, at_arg))
+    np.copyto(y, rows)
     for i in range(steps):
-        k1 = flow_rhs(y, powers, d, buffers)
+        for call in k1_calls:
+            flow_rhs(*call)  # k1
         np.multiply(k1, half, out=arg)
         arg += y
-        k = flow_rhs(arg, powers, d, at_arg)  # k2
+        for call in k_calls:
+            flow_rhs(*call)  # k2
         np.multiply(k, half, out=arg)
         arg += y
         k *= 2.0
         k1 += k
-        k = flow_rhs(arg, powers, d, at_arg)  # k3
+        for call in k_calls:
+            flow_rhs(*call)  # k3
         np.multiply(k, h, out=arg)
         arg += y
         k *= 2.0
         k1 += k
-        k1 += flow_rhs(arg, powers, d, at_arg)  # k4
+        for call in k_calls:
+            flow_rhs(*call)  # k4
+        k1 += k
         k1 *= sixth
-        y, buffers = np.add(k1, y, out=state), at_state
-        # One BLAS dot decides the common case.  Only a state it cannot
-        # clear takes the exact test: a NaN or inf entry makes the max
-        # non-finite, and the negated comparison rejects it as it rejects a
-        # large state.
+        y += k1
+        # One BLAS dot over the row decides the common case.  Only a row it
+        # cannot clear takes the exact test: a NaN or inf entry makes the
+        # max non-finite, and the negated comparison rejects it as it
+        # rejects a large state.
         if not np.vdot(y, y) <= limit2 and not np.abs(y).max() <= limit:
             raise BlowUpError(
                 f"Lax flow r={r} blew up at t={(i + 1) * h:.6g}", last_t=i * h
             )
-    return y
+    return y.copy()
 
 
 def integrate_grid(xi0, family, grid, substeps=4):
-    """Fill the grid one RK4 edge per node, walking ``grid.slabs(priority)``
-    row by row.
+    """Fill the grid one slab row at a time, walking
+    ``grid.slabs(priority)``: each row is one ``_rk4`` call on the gathered
+    states of the row before it, one RK4 edge per node.
 
     ``priority`` orders the axes by decreasing flow power, so the dearest
     flow runs only the one line of the first slab and the cheapest flow
@@ -187,10 +214,12 @@ def integrate_grid(xi0, family, grid, substeps=4):
     two adjacent axes a, b of a priority moves (N_a - 1)(N_b - 1) P edges
     from one flow to the other, P the product of the node counts of the
     axes before them; the per-edge cost rises with the power, so for any
-    node counts no order is cheaper.  A ``BlowUpError`` names the first
-    failing node in slab order; a grid whose state array cannot be
-    allocated is a ``ConfigError`` that names its shape and byte count.
-    Returns the states as one (*nodes, d+1, n, n) array.
+    node counts no order is cheaper.  A row that blows up runs again one
+    node at a time, as rows of one, so the ``BlowUpError`` names the first
+    failing node in slab order, with the message and ``last_t`` of a
+    node-by-node fill; a grid whose state array cannot be allocated is a
+    ``ConfigError`` that names its shape and byte count.  Returns the
+    states as one (*nodes, d+1, n, n) array.
     """
     if family.dims != grid.dims:
         raise StructuralError(
@@ -212,16 +241,25 @@ def integrate_grid(xi0, family, grid, substeps=4):
     flat = states.reshape((-1, d + 1, n, n))
     norm0 = max(1.0, xi0.norm())
     priority = sorted(range(family.dims), key=family.powers.__getitem__, reverse=True)
-    scratch = _rk4_scratch(xi0.stack.shape)
+    slabs = grid.slabs(priority)
+    scratch = _rk4_scratch(xi0.stack.shape, max(ids.shape[1] for _, ids in slabs))
     try:
         with np.errstate(**_BLOWUP_IS_CHECKED):
-            for axis, ids in grid.slabs(priority):
+            for axis, ids in slabs:
                 r, t = family.powers[axis], grid.steps[axis]
-                rows = ids.tolist()
-                for prev_row, row in zip(rows, rows[1:]):
-                    for prev, node in zip(prev_row, row):
-                        flat[node] = _rk4(flat[prev], r, d, t, substeps, norm0,
-                                          scratch)
+                for prev_row, row in zip(ids, ids[1:]):
+                    try:
+                        flat[row] = _rk4(flat[prev_row], r, d, t, substeps, norm0,
+                                         scratch)
+                    except BlowUpError:
+                        # The first failing node in slab order may fail at a
+                        # later substep than another node of its row: the
+                        # nodes run again alone, and the first to raise (a
+                        # node of a failed row does) is the fill's error.
+                        for prev, node in zip(prev_row.tolist(), row.tolist()):
+                            _rk4(flat[prev][None], r, d, t, substeps, norm0,
+                                 scratch)
+                        raise
     except BlowUpError as err:  # only ``_rk4`` raises it, so ``node`` is set
         index = tuple(int(i) for i in np.unravel_index(node, grid.nodes))
         raise BlowUpError(
@@ -241,10 +279,10 @@ def commutativity_check(xi0, family, target, steps):
         raise StructuralError("target dimension does not match family")
 
     norm0 = max(1.0, xi0.norm())
-    scratch = _rk4_scratch(xi0.stack.shape)
+    scratch = _rk4_scratch(xi0.stack.shape, 1)
 
-    def run(order):
-        y = xi0.stack
+    def run(order):  # the state as a row of one
+        y = xi0.stack[None]
         for axis in order:
             if target[axis] != 0.0:
                 y = _rk4(y, family.powers[axis], family.d, target[axis], steps,

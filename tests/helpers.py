@@ -194,29 +194,33 @@ def flow_rhs_per_stage(stack, r, d):
     return out
 
 
-def rk4_per_stage(stack, r, d, t, steps, norm0, scratch=None):
+def rk4_per_stage(rows, r, d, t, steps, norm0, scratch=None):
     """The former ``lax._rk4``, which rebuilt the powers of xi_d in every
-    RK4 stage from that stage's state; the hoisted one must equal it byte for
-    byte wherever xi_d does not move inside the edge.  ``scratch`` is taken
-    for ``_rk4``'s signature and not used."""
+    RK4 stage from that stage's state, on each state of ``rows`` (m, d+1,
+    n, n) in turn; the hoisted one must equal it byte for byte wherever
+    xi_d does not move inside the edge.  A row raises the error of its
+    first failing node.  ``scratch`` is taken for ``_rk4``'s signature and
+    not used."""
     from curvedflats.errors import BlowUpError
     from curvedflats.lax import BLOWUP_FACTOR
 
     h = t / steps
     half, sixth = 0.5 * h, h / 6.0
     limit = BLOWUP_FACTOR * norm0
-    y = stack
-    for i in range(steps):
-        k1 = flow_rhs_per_stage(y, r, d)
-        k2 = flow_rhs_per_stage(y + half * k1, r, d)
-        k3 = flow_rhs_per_stage(y + half * k2, r, d)
-        k4 = flow_rhs_per_stage(y + h * k3, r, d)
-        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not (np.abs(y).max() <= limit):
-            raise BlowUpError(
-                f"Lax flow r={r} blew up at t={(i + 1) * h:.6g}", last_t=i * h
-            )
-    return y
+    out = []
+    for y in rows:
+        for i in range(steps):
+            k1 = flow_rhs_per_stage(y, r, d)
+            k2 = flow_rhs_per_stage(y + half * k1, r, d)
+            k3 = flow_rhs_per_stage(y + half * k2, r, d)
+            k4 = flow_rhs_per_stage(y + h * k3, r, d)
+            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not (np.abs(y).max() <= limit):
+                raise BlowUpError(
+                    f"Lax flow r={r} blew up at t={(i + 1) * h:.6g}", last_t=i * h
+                )
+        out.append(y)
+    return np.stack(out)
 
 
 def integrate_grid_default_sweep(xi0, family, grid, substeps):
@@ -230,8 +234,38 @@ def integrate_grid_default_sweep(xi0, family, grid, substeps):
     norm0 = max(1.0, xi0.norm())
     for index, prev, axis in edges_per_node(grid, range(grid.dims)):
         if prev is not None:
-            states[index] = _rk4(states[prev], family.powers[axis], family.d,
-                                 grid.steps[axis], substeps, norm0)
+            states[index] = _rk4(states[prev][None], family.powers[axis],
+                                 family.d, grid.steps[axis], substeps, norm0)[0]
+    return states
+
+
+def integrate_grid_node_by_node(xi0, family, grid, substeps):
+    """The Lax fill of ``lax.integrate_grid`` one node at a time: the same
+    slabs in the same order, every edge a ``_rk4`` call on a row of one.  A
+    blow-up raises at the first failing node in slab order, as the fill
+    does; returns the states."""
+    from curvedflats.errors import BlowUpError
+    from curvedflats.lax import _BLOWUP_IS_CHECKED, _rk4, _rk4_scratch
+
+    states = np.zeros(grid.nodes + xi0.stack.shape)
+    states[(0,) * grid.dims] = xi0.stack
+    flat = states.reshape((-1,) + xi0.stack.shape)
+    norm0 = max(1.0, xi0.norm())
+    scratch = _rk4_scratch(xi0.stack.shape, 1)
+    priority = sorted(range(family.dims), key=family.powers.__getitem__,
+                      reverse=True)
+    with np.errstate(**_BLOWUP_IS_CHECKED):
+        for axis, ids in grid.slabs(priority):
+            r, t = family.powers[axis], grid.steps[axis]
+            for prev, node in zip(ids[:-1].ravel().tolist(), ids[1:].ravel().tolist()):
+                try:
+                    flat[node] = _rk4(flat[prev][None], r, family.d, t, substeps,
+                                      norm0, scratch)[0]
+                except BlowUpError as err:
+                    index = tuple(int(i) for i in np.unravel_index(node, grid.nodes))
+                    raise BlowUpError(
+                        f"blow-up while filling node {index}: {err}", node=index
+                    ) from err
     return states
 
 

@@ -17,6 +17,7 @@ from curvedflats.loops import (
     LaxState,
     evaluate_stack,
     flow_rhs,
+    state_views,
     top_powers,
     trace_powers,
     twist_residual,
@@ -28,6 +29,7 @@ from helpers import (
     fit_order,
     flow_rhs_per_stage,
     integrate_grid_default_sweep,
+    integrate_grid_node_by_node,
     kernel_case,
     random_element,
     rk4_per_stage,
@@ -154,13 +156,13 @@ def test_rk4_with_hoisted_powers_matches_per_stage_reference(preset, d, r):
     # Where xi_d does not move inside the edge, the powers built once from
     # the start state are those every stage rebuilt, so the edge equals the
     # former per-stage RK4 byte for byte: an edge of the default grid and a
-    # long one.
+    # long one, each a row of one.
     _, xi0 = seeded(preset, d)
     norm0 = max(1.0, xi0.norm())
     for t, steps in ((0.0125, 4), (0.2, 2)):
-        got = lax._rk4(xi0.stack, r, d, t, steps, norm0)
-        assert np.array_equal(got[d], xi0.stack[d])
-        expected = rk4_per_stage(xi0.stack, r, d, t, steps, norm0)
+        got = lax._rk4(xi0.stack[None], r, d, t, steps, norm0)
+        assert np.array_equal(got[0, d], xi0.stack[d])
+        expected = rk4_per_stage(xi0.stack[None], r, d, t, steps, norm0)
         assert got.tobytes() == expected.tobytes()
 
 
@@ -169,17 +171,22 @@ def test_rk4_with_hoisted_powers_matches_per_stage_reference(preset, d, r):
 def test_lean_single_state_kernels_match_per_stage_reference(preset, r):
     # The single-state path of flow_rhs (row-stack dot, in-place halves) and
     # the buffered, in-place RK4 combination give the bytes of the former
-    # broadcast kernels, on states all over a filled grid.
+    # broadcast kernels, on states all over a filled grid, as one row.  The
+    # single-state path returns the output buffer it was given.
     config, xi0 = seeded(preset, 3, nodes=[9, 9])
     states = integrate_grid(xi0, config.family, config.grid, substeps=4)
     norm0 = max(1.0, xi0.norm())
-    for node in ((0, 0), (8, 0), (3, 5), (8, 8)):
-        state = states[node]
+    row = np.stack([states[node] for node in ((0, 0), (8, 0), (3, 5), (8, 8))])
+    for state in row:
         got = flow_rhs(state, top_powers(state[3], r), 3)
         assert got.tobytes() == flow_rhs_per_stage(state, r, 3).tobytes()
-        got = lax._rk4(state, r, 3, config.grid.steps[0], 4, norm0)
-        assert got.tobytes() == rk4_per_stage(state, r, 3, config.grid.steps[0],
-                                              4, norm0).tobytes()
+        buffers = (state_views(state),) + tuple(
+            state_views(np.empty_like(state)) for _ in range(3)
+        )
+        assert flow_rhs(state, top_powers(state[3], r), 3, buffers) is buffers[1][0]
+    got = lax._rk4(row, r, 3, config.grid.steps[0], 4, norm0)
+    assert got.tobytes() == rk4_per_stage(row, r, 3, config.grid.steps[0],
+                                          4, norm0).tobytes()
 
 
 def test_lean_flow_rhs_matches_broadcast_path_on_special_values():
@@ -196,38 +203,44 @@ def test_lean_flow_rhs_matches_broadcast_path_on_special_values():
 
 
 def test_rk4_never_writes_into_its_input(monkeypatch):
-    # The fill hands _rk4 a view into the grid's states: the edge must
-    # leave it as it was and return an array of its own.
+    # The fill hands _rk4 the gathered states of a row, and the
+    # commutativity check a view of the seed: the row must be left as it
+    # was, and the result is an array of its own.
     rk4 = lax._rk4
-    checked = []
+    checked, views = [], []
 
-    def guarded(stack, r, d, t, steps, norm0, scratch=None):
-        assert stack.base is not None
-        before = stack.copy()
-        out = rk4(stack, r, d, t, steps, norm0, scratch)
-        assert stack.tobytes() == before.tobytes()
-        assert not np.shares_memory(out, stack)
-        checked.append(r)
+    def guarded(rows, r, d, t, steps, norm0, scratch=None):
+        assert rows.ndim == 4
+        views.append(rows.base is not None)
+        before = rows.copy()
+        out = rk4(rows, r, d, t, steps, norm0, scratch)
+        assert rows.tobytes() == before.tobytes()
+        assert not np.shares_memory(out, rows)
+        checked.append(len(rows))
         return out
 
     monkeypatch.setattr(lax, "_rk4", guarded)
     xi = random_state(d=3, seed=8)
     seed_bytes = xi.stack.tobytes()
-    grid = GridSpec([0.2, 0.2], [4, 3])
-    states = integrate_grid(xi, FlowFamily([1, 3], 3), grid, substeps=2)
-    assert len(checked) == 11
+    family, grid = FlowFamily([1, 3], 3), GridSpec([0.2, 0.2], [4, 3])
+    states = integrate_grid(xi, family, grid, substeps=2)
+    assert sum(checked) == 11 and checked == [1, 1, 3, 3, 3]
     assert xi.stack.tobytes() == seed_bytes
     assert states[0, 0].tobytes() == seed_bytes
+    del views[:]
+    commutativity_check(xi, family, grid.extents, 2)
+    assert views[0] and views[2]  # each order starts from the seed itself
+    assert xi.stack.tobytes() == seed_bytes
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3])
 def test_rk4_result_owns_its_memory(steps):
     # commutativity_check feeds one edge's result into the next edge: each
     # result is an array of its own, which the next call neither shares nor
-    # writes, whichever of its state buffers the last substep filled.
+    # writes, whatever the number of substeps.
     xi = random_state(d=3, seed=8)
     norm0 = max(1.0, xi.norm())
-    first = lax._rk4(xi.stack, 3, 3, 0.1, steps, norm0)
+    first = lax._rk4(xi.stack[None], 3, 3, 0.1, steps, norm0)
     kept = first.copy()
     second = lax._rk4(first, 1, 3, 0.1, steps, norm0)
     assert first.flags.owndata and second.flags.owndata
@@ -238,21 +251,24 @@ def test_rk4_result_owns_its_memory(steps):
 
 
 def test_fill_and_commutativity_build_one_rk4_scratch_set(monkeypatch):
-    # Every edge of one fill, and both orders of one commutativity check,
-    # share one set of stage buffers; each edge still returns a state of its
-    # own, with the bytes of an edge that builds its own set.
-    built, results = [], []
+    # Every row of one fill, and both orders of one commutativity check,
+    # share one set of stage buffers, as wide as the widest row (one for the
+    # check); each row still returns states of its own, with the bytes of a
+    # row that builds its own set.
+    built, results, widths = [], [], []
     scratch, rk4 = lax._rk4_scratch, lax._rk4
 
-    def counted(shape):
-        built.append(shape)
-        return scratch(shape)
+    def counted(shape, width):
+        built.append((shape, width))
+        return scratch(shape, width)
 
     def kept(*args):
         results.append(rk4(*args))
         assert len(args) == 7 and args[6] is not None
-        fresh = rk4(*args[:6], scratch(args[0].shape))
+        rows = args[0]
+        fresh = rk4(*args[:6], scratch(rows.shape[1:], len(rows)))
         assert results[-1].tobytes() == fresh.tobytes()
+        widths.append(len(rows))
         return results[-1]
 
     monkeypatch.setattr(lax, "_rk4_scratch", counted)
@@ -260,12 +276,23 @@ def test_fill_and_commutativity_build_one_rk4_scratch_set(monkeypatch):
     xi = random_state(d=3, seed=8)
     family, grid = FlowFamily([1, 3], 3), GridSpec([0.2, 0.2], [4, 3])
     integrate_grid(xi, family, grid, substeps=2)
-    assert built == [(4, 5, 5)] and len(results) == 11
+    assert built == [((4, 5, 5), 3)] and sum(widths) == 11 and len(results) == 5
     commutativity_check(xi, family, grid.extents, 2)
-    assert built == [(4, 5, 5)] * 2 and len(results) == 15
+    assert built == [((4, 5, 5), 3), ((4, 5, 5), 1)]
+    assert sum(widths) == 15 and len(results) == 9
     assert all(out.flags.owndata for out in results)
     assert not any(np.shares_memory(a, b) for a in results for b in results
                    if a is not b)
+
+
+def counted_reference(widths):
+    """``rk4_per_stage`` in ``_rk4``'s place, appending each row's width to
+    ``widths``, so a test can tell that the reference ran."""
+    def reference(rows, *args):
+        widths.append(len(rows))
+        return rk4_per_stage(rows, *args)
+
+    return reference
 
 
 @pytest.mark.parametrize("preset", ["sphere-grassmannian", "anti-de-sitter"])
@@ -278,8 +305,10 @@ def test_grid_and_commutativity_match_per_stage_reference(monkeypatch, preset):
         return states, disc
 
     states, disc = fill_and_check()
-    monkeypatch.setattr(lax, "_rk4", rk4_per_stage)
+    widths = []
+    monkeypatch.setattr(lax, "_rk4", counted_reference(widths))
     ref_states, ref_disc = fill_and_check()
+    assert sum(widths) == 80 + 4 and max(widths) == 9  # the reference ran
     assert states.tobytes() == ref_states.tobytes()
     assert disc == ref_disc
 
@@ -293,8 +322,10 @@ def test_hoisted_powers_when_top_moves_inside_an_edge(monkeypatch):
         "sphere-grassmannian", 3, nodes=[5, 5], extents=[2.0, 2.0], substeps=1
     )
     states = integrate_grid(xi0, config.family, config.grid, substeps=1)
-    monkeypatch.setattr(lax, "_rk4", rk4_per_stage)
+    widths = []
+    monkeypatch.setattr(lax, "_rk4", counted_reference(widths))
     ref = integrate_grid(xi0, config.family, config.grid, substeps=1)
+    assert sum(widths) == 24  # the reference filled every node
     top = ref[..., 3, :, :]
     assert not np.array_equal(top, np.broadcast_to(xi0.stack[3], top.shape))
     assert np.max(np.abs(states - ref)) <= 1e-14
@@ -309,13 +340,14 @@ def test_integrate_grid_gives_the_cheapest_flow_the_most_edges(
 ):
     # The axes are walked by decreasing flow power: the dearest flow runs
     # only the line of the first slab, first, and the r = 1 flow every row
-    # of the last slab.  Every node still takes exactly one edge.
+    # of the last slab.  Every node still takes exactly one edge: ``seen``
+    # holds the flow of every node of every row.
     seen = []
     rk4 = lax._rk4
 
-    def spy(stack, r, d, t, steps, norm0, scratch=None):
-        seen.append(r)
-        return rk4(stack, r, d, t, steps, norm0, scratch)
+    def spy(rows, r, d, t, steps, norm0, scratch=None):
+        seen.extend([r] * len(rows))
+        return rk4(rows, r, d, t, steps, norm0, scratch)
 
     monkeypatch.setattr(lax, "_rk4", spy)
     grid = GridSpec([0.1] * len(nodes), nodes)
@@ -349,11 +381,87 @@ def test_integrate_grid_matches_default_sweep_fill(preset, powers, nodes, extent
     assert np.array_equal(states[(0,) * len(nodes)], ref[(0,) * len(nodes)])
 
 
+@pytest.mark.parametrize("preset", ["sphere-grassmannian", "anti-de-sitter"])
+@pytest.mark.parametrize("d", [1, 3, 5])
+@pytest.mark.parametrize("powers,nodes", [([3], [9]), ([1, 3], [9, 7]),
+                                          ([1, 3, 5], [4, 5, 3])])
+def test_row_fill_equals_node_by_node_fill(monkeypatch, preset, d, powers, nodes):
+    # A row's RK4 sums and blow-up test run once over the whole row, but
+    # every slope is one flow_rhs call on one node's single state: the
+    # row fill has the bytes of the fill that runs each node alone, and
+    # makes 4 x substeps flow_rhs calls per filled node.
+    config, xi0 = seeded(preset, d, powers=powers, nodes=nodes,
+                         extents=[0.4] * len(nodes))
+    ref = integrate_grid_node_by_node(xi0, config.family, config.grid, 4)
+    shapes, rhs = [], lax.flow_rhs
+
+    def spy(stack, powers, d, buffers=None):
+        shapes.append(stack.shape)
+        return rhs(stack, powers, d, buffers)
+
+    monkeypatch.setattr(lax, "flow_rhs", spy)
+    states = integrate_grid(xi0, config.family, config.grid, 4)
+    assert states.tobytes() == ref.tobytes()
+    assert shapes == [xi0.stack.shape] * (4 * 4 * (int(np.prod(nodes)) - 1))
+
+
+def blow_up_of(fill, config, xi0):
+    from curvedflats.errors import BlowUpError
+
+    with pytest.raises(BlowUpError) as err:
+        fill(xi0, config.family, config.grid, config.substeps)
+    return err.value.node, str(err.value), err.value.__cause__.last_t
+
+
+@pytest.mark.parametrize("overrides,node", [
+    # The first edge, along x2, overflows; then the first row along x1.
+    ({"nodes": [5, 5], "extents": [0.4, 1e308]}, (0, 1)),
+    ({"nodes": [5, 5], "extents": [1e308, 0.4]}, (1, 0)),
+    # Three flows: the first row of the x2 slab (3 nodes) overflows, and
+    # the second row of the x1 slab (12 nodes) grows past the limit.
+    ({"powers": [1, 3, 5], "nodes": [3, 4, 3], "extents": [0.4, 1e308, 0.4]},
+     (0, 1, 0)),
+    ({"powers": [1, 3, 5], "nodes": [3, 4, 3], "extents": [20.0, 1.0, 0.4],
+      "seed": 7}, (2, 0, 0)),
+])
+def test_row_fill_blows_up_where_node_by_node_fill_does(overrides, node):
+    config, xi0 = seeded("sphere-grassmannian", 3, **overrides)
+    got = blow_up_of(integrate_grid, config, xi0)
+    assert got == blow_up_of(integrate_grid_node_by_node, config, xi0)
+    assert got[0] == node
+
+
+def test_row_blow_up_names_its_first_failing_node_not_its_first_failure():
+    # anti-de-sitter, seed 1: on row x1 = 2 node (2, 0) fails at a later
+    # substep than the nodes after it.  The row fails at the earlier
+    # substep, and the fill names (2, 0) with its own time, as the
+    # node-by-node fill does.
+    from curvedflats.errors import BlowUpError
+
+    overrides = {"seed": 1, "nodes": [3, 4], "extents": [5.0, 2.0], "substeps": 16}
+    config, xi0 = seeded("anti-de-sitter", 3, **overrides)
+    got = blow_up_of(integrate_grid, config, xi0)
+    assert got == blow_up_of(integrate_grid_node_by_node, config, xi0)
+    assert got[0] == (2, 0)
+    # Row x1 = 1, from a grid one x1 node short with the same steps.
+    short = GridSpec([2.5, 2.0], [2, 4])
+    assert short.steps == config.grid.steps
+    before = integrate_grid(xi0, config.family, short, 16)[1]
+    failed_at = []
+    with np.errstate(**lax._BLOWUP_IS_CHECKED):
+        for state in before:
+            with pytest.raises(BlowUpError) as err:
+                lax._rk4(state[None], 1, 3, 2.5, 16, max(1.0, xi0.norm()))
+            failed_at.append(err.value.last_t)
+    assert failed_at[0] == got[2] and min(failed_at[1:]) < failed_at[0]
+
+
 def rk4(xi, r, t, steps):
     """One flow for time t in ``steps`` RK4 substeps, as one grid edge runs
     it."""
     with np.errstate(**lax._BLOWUP_IS_CHECKED):
-        return lax._rk4(xi.stack, r, xi.d, t, steps, max(1.0, xi.norm()))
+        return lax._rk4(xi.stack[None], r, xi.d, t, steps,
+                        max(1.0, xi.norm()))[0]
 
 
 def test_integrate_flow_stationary_and_zero_time():
@@ -441,7 +549,12 @@ def test_integrate_grid_non_finite_state_blows_up_at_its_node(monkeypatch, bad):
     from curvedflats import lax
     from curvedflats.errors import BlowUpError
 
-    monkeypatch.setattr(lax, "flow_rhs", lambda y, powers, d, buffers: np.full_like(y, bad))
+    def non_finite_rhs(y, powers, d, buffers):
+        out = buffers[1][0]
+        out.fill(bad)
+        return out
+
+    monkeypatch.setattr(lax, "flow_rhs", non_finite_rhs)
     grid = GridSpec([0.4, 0.4], [3, 3])
     with pytest.raises(BlowUpError) as err:
         integrate_grid(random_state(seed=4), FlowFamily([1, 3], 3), grid, substeps=4)
@@ -453,10 +566,15 @@ def test_integrate_grid_non_finite_state_blows_up_at_its_node(monkeypatch, bad):
 
 
 def zero_rhs_edge(monkeypatch, stack, norm0):
-    """One substep of ``_rk4`` with a zero right-hand side: the blow-up test
-    sees ``stack`` itself."""
-    monkeypatch.setattr(lax, "flow_rhs", lambda y, powers, d, buffers: np.zeros_like(y))
-    return lax._rk4(stack, 1, 3, 0.1, 1, norm0)
+    """One substep of ``_rk4`` on ``stack`` as a row of one, with a zero
+    right-hand side: the blow-up test sees ``stack`` itself."""
+    def zero_rhs(y, powers, d, buffers):
+        out = buffers[1][0]
+        out.fill(0.0)
+        return out
+
+    monkeypatch.setattr(lax, "flow_rhs", zero_rhs)
+    return lax._rk4(stack[None], 1, 3, 0.1, 1, norm0)[0]
 
 
 def test_blow_up_test_falls_back_to_max_when_sum_of_squares_is_large(monkeypatch):
