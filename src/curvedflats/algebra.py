@@ -184,10 +184,10 @@ def _span_stack(span, n=None):
 
 def is_abelian(span, tol):
     """True iff all pairwise brackets of a (k, n, n) stack vanish within tol
-    (max-norm)."""
+    (max-norm); a non-finite bracket fails."""
     mats = _span_stack(span)
     comm = mats[:, None] @ mats - mats @ mats[:, None]  # (k, k, n, n)
-    return not np.max(np.abs(comm)) > tol
+    return bool(np.max(np.abs(comm)) <= tol)
 
 
 def is_cartan(basis, spec):
@@ -205,7 +205,8 @@ def is_cartan(basis, spec):
     bytes, is answered from the spec's verdict cache (the last
     ``CARTAN_CACHE_SIZE`` distinct spans); the gauge asks about one span at
     every node, since A1 is a first integral.  A stack with an element
-    outside p raises ``StructuralError`` on every call and is never cached.
+    outside p, NaN included, raises ``StructuralError`` on every call and
+    is never cached.
     """
     mats = _span_stack(basis, spec.dim)
     key = (mats.shape, mats.tobytes())
@@ -224,11 +225,12 @@ def _cartan_verdict(mats, spec):
     The k-parts of all elements are tested in one call, the commutant system
     is one broadcast bracket against ``spec.p_basis`` (built once per spec),
     one SVD of the span gives both its dimension and the orthonormal basis
-    for (d), and the first element outside p raises ``StructuralError``.
+    for (d), and the first element outside p raises ``StructuralError``: a
+    NaN (or an inf off the k-block) raises, an inf in it fails (a).
     """
     k_res = np.max(np.abs(spec.k_project(mats)), axis=(-2, -1))
     scale = np.maximum(1.0, np.max(np.abs(mats), axis=(-2, -1)))
-    off_p = np.flatnonzero(k_res > scale * 1e-9)
+    off_p = np.flatnonzero(~(k_res <= scale * 1e-9))  # NaN is off p too
     if off_p.size:
         raise StructuralError(
             f"basis element not in p (k-part {k_res[off_p[0]]:.2e})"

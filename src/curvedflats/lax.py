@@ -10,12 +10,12 @@ seed's; coarse grids drift by ulps).  Each RK4 edge therefore builds the
 powers of xi_d once, from its start state, and every stage evaluates only
 the rest of the flow.  The fill integrates one slab row of states
 (m, d+1, n, n) per ``_rk4`` call, stage by stage: every stage calls
-``flow_rhs`` once per node of the row, on that node's single state, which
-writes two row-stack ``dot``s and two matmuls into buffers, so each product
-has the gemm shape of a one-node edge.  The stage arguments, the RK4 sums
-and the blow-up test run once on the whole row, elementwise in the
-arithmetic of the broadcast expressions, so a node's bytes do not depend
-on the width of its row.  One fill (and one commutativity check, whose
+``flow_rhs``, which takes one state, once per node of the row; it writes
+two row-stack ``dot``s and two matmuls into buffers, so each product has
+the gemm shape of a one-node edge.  The stage arguments, the RK4 sums and
+the blow-up test run once on the whole row, elementwise in the
+association of a node's own RK4 sums, so a node's bytes do not depend on
+the width of its row.  One fill (and one commutativity check, whose
 rows are of one state) builds the row buffers and every node's views once;
 only the states a row returns are its own.  After each substep the blow-up
 test is one BLAS ``vdot`` over the row: a row whose sum of squares is at

@@ -8,9 +8,10 @@ X_r(xi) = [xi, pi_+ Vt_r(xi)] with Vt_r(xi)(mu) = mu^(1-d*r) xi(mu)^r.
 The flows and the connection share one kernel for the two coefficients of
 pi_+ Vt_r: ``top_powers`` builds the powers of the top coefficient xi_d, a
 first integral of every flow, and ``connection_coefficients`` takes them;
-the seed test reads A1 = xi_d^r from ``top_powers`` alone.  The full Cauchy
-power and the flow field built from it (``tilde_v``, ``flow_field``) are the
-tests' independent reference, in ``tests/helpers.py``.
+the seed test reads A1 = xi_d^r from ``top_powers`` alone; ``flow_rhs`` is
+the one flow.  The full Cauchy power and the flow field built from it
+(``tilde_v``, ``flow_field``) are the tests' independent reference, in
+``tests/helpers.py``.
 """
 
 import numpy as np
@@ -104,47 +105,38 @@ class FlowFamily:
 
 
 def flow_rhs(stack, powers, d, buffers=None):
-    """Raw right-hand side of the r-flow on a coefficient stack (hot path).
+    """Raw right-hand side of the r-flow on one state (d+1, n, n) (hot path).
 
     X_r(xi) = [xi, pi_+ Vt_r(xi)] without its identically-zero degree-(d+1)
     term: coefficient k is [xi_k, b0] + [xi_{k-1}, b1] with (b0, b1) the
     pair of ``connection_coefficients`` and r = ``len(powers)``, the powers
-    of xi_d from ``top_powers``.  A stack with leading (node) axes is one
-    broadcast expression over all degrees and nodes.  A single state (d+1,
-    n, n), the RK4 edge's case, takes each right product of all its degrees
-    as one ``ndarray.dot`` on the (d+1)n x n row stack and each left product
-    as one matmul, written into ``buffers``: the ``state_views`` of the
-    stack, of the output and of the tail and left scratch states (fresh ones
-    when None; successive calls may share the scratch pair, which is written
+    of xi_d from ``top_powers``.  Each right product of all degrees is one
+    ``ndarray.dot`` on the (d+1)n x n row stack and each left product one
+    matmul, written into ``buffers``: the ``state_views`` of the stack, of
+    the output and of the tail and left scratch states (fresh ones when
+    None; successive calls may share the scratch pair, which is written
     before it is read).  It subtracts the commutator halves in place and
-    returns the output buffer.  Every entry is the same two gemm sums,
-    subtracted and added in the same order, so both paths equal the
-    single-stack per-degree loop byte for byte.
+    returns the output buffer.  A batch of states keeps these bytes only as
+    a row stack of the same gemm shape: on some BLAS kernels (OpenBLAS
+    Nehalem) a product of n x n slices sums in another order.
     """
-    if stack.ndim == 3:
-        if buffers is None:
-            buffers = (state_views(stack),) + tuple(
-                state_views(np.empty_like(stack)) for _ in range(3)
-            )
-        ((_, rows, lower_rows, lower, _), (out, out_rows, _, _, upper),
-         (_, _, tail_rows, tail, _), (left, _, _, left_lower, _)) = buffers
-        if len(powers) == 1:  # r = 1: the pair is (xi_{d-1}, xi_d), no chain
-            b0, b1 = stack[d - 1], powers[0]
-        else:
-            b0, b1 = connection_coefficients(stack, powers, d)
-        rows.dot(b0, out_rows)
-        np.matmul(b0, stack, left)
-        out -= left
-        lower_rows.dot(b1, tail_rows)
-        np.matmul(b1, lower, left_lower)
-        tail -= left_lower
-        upper += tail
-        return out
-    b0, b1 = connection_coefficients(stack, powers, d)
-    b0, b1 = b0[..., None, :, :], b1[..., None, :, :]
-    out = stack @ b0 - b0 @ stack
-    lower = stack[..., :-1, :, :]
-    out[..., 1:, :, :] += lower @ b1 - b1 @ lower
+    if buffers is None:
+        buffers = (state_views(stack),) + tuple(
+            state_views(np.empty_like(stack)) for _ in range(3)
+        )
+    ((_, rows, lower_rows, lower, _), (out, out_rows, _, _, upper),
+     (_, _, tail_rows, tail, _), (left, _, _, left_lower, _)) = buffers
+    if len(powers) == 1:  # r = 1: the pair is (xi_{d-1}, xi_d), no chain
+        b0, b1 = stack[d - 1], powers[0]
+    else:
+        b0, b1 = connection_coefficients(stack, powers, d)
+    rows.dot(b0, out_rows)
+    np.matmul(b0, stack, left)
+    out -= left
+    lower_rows.dot(b1, tail_rows)
+    np.matmul(b1, lower, left_lower)
+    tail -= left_lower
+    upper += tail
     return out
 
 

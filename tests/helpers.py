@@ -172,25 +172,26 @@ def expm_single(m):
 
 
 def connection_pair_per_stage(stack, r, d):
-    """The former ``loops.connection_coefficients``: the (A0, A1) pair of
-    flow r with the powers of xi_d rebuilt from ``stack`` on every call, in
-    the same zero-started arithmetic."""
-    below, top = stack[..., d - 1, :, :], stack[..., d, :, :]
-    mul = np.ndarray.dot if stack.ndim == 3 else np.matmul
+    """The former ``loops.connection_coefficients`` on one state (d+1, n,
+    n): the (A0, A1) pair of flow r with the powers of xi_d rebuilt from
+    ``stack`` on every call, in the same zero-started arithmetic."""
+    below, top = stack[d - 1], stack[d]
     lo, hi = below, top
     for _ in range(r - 1):
-        lo, hi = (0.0 + mul(lo, top)) + mul(hi, below), 0.0 + mul(hi, top)
+        lo, hi = (0.0 + lo.dot(top)) + hi.dot(below), 0.0 + hi.dot(top)
     return lo, hi
 
 
 def flow_rhs_per_stage(stack, r, d):
-    """The former ``loops.flow_rhs``: the broadcast right-hand side on the
-    pair of ``connection_pair_per_stage``."""
+    """The former ``loops.flow_rhs`` on one state (d+1, n, n), on the pair
+    of ``connection_pair_per_stage``, in fresh arrays: each right product
+    is one gemm on the row stack of the degrees it takes, each left product
+    one matmul, the gemm shapes of ``loops.flow_rhs``."""
     b0, b1 = connection_pair_per_stage(stack, r, d)
-    b0, b1 = b0[..., None, :, :], b1[..., None, :, :]
-    out = stack @ b0 - b0 @ stack
-    lower = stack[..., :-1, :, :]
-    out[..., 1:, :, :] += lower @ b1 - b1 @ lower
+    n = stack.shape[-1]
+    lower = stack[:-1]
+    out = (stack.reshape(-1, n) @ b0).reshape(stack.shape) - b0 @ stack
+    out[1:] += (lower.reshape(-1, n) @ b1).reshape(lower.shape) - b1 @ lower
     return out
 
 
@@ -448,19 +449,6 @@ def curved_flat_planes(frames, spec):
     pi0[:n1, :n1] = np.eye(n1)
     f_inv = j[None, :] * np.swapaxes(frames, -1, -2) * j[:, None]
     return frames @ pi0 @ f_inv
-
-
-def flow_rhs_single(stack, r, d):
-    """The former per-degree loop of ``loops.flow_rhs`` on one (d+1, n, n)
-    stack, which the broadcast kernel must reproduce byte for byte."""
-    b0, b1 = connection_pair_per_stage(stack, r, d)
-    out = np.empty_like(stack)
-    for k in range(d + 1):
-        acc = stack[k] @ b0 - b0 @ stack[k]
-        if k >= 1:
-            acc += stack[k - 1] @ b1 - b1 @ stack[k - 1]
-        out[k] = acc
-    return out
 
 
 def is_cartan_per_element(basis, spec, tol=1e-9):

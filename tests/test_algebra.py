@@ -391,6 +391,38 @@ def test_is_cartan_never_caches_a_span_outside_p(uncached_calls):
     assert spec._cartan_verdicts == {}
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(3, 1), (0, 1)], ids=["p-entry", "k-entry"])
+def test_cartan_tests_fail_non_finite_spans(value, entry):
+    # A NaN or inf entry, in an off-block or a k-block position, fails the
+    # public span tests: StructuralError or False, never a numpy error.  A
+    # span judged off p raises on every call and is never cached.
+    from curvedflats.geometry import admissible_span
+
+    spec = so5_spec()
+    b1 = from_offblock([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]], spec)
+    b2 = from_offblock([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], spec)
+    spans = [span_of([b1, b2]), np.full((2, 5, 5), value)]
+    spans[0][(0,) + entry] = value
+    with np.errstate(invalid="ignore", over="ignore"):
+        for span in spans:
+            assert not is_abelian(span, tol=1e-9)
+            # The full span takes the Cartan test, one element the relaxed
+            # curve test of a rank-2 space.
+            for test in (lambda: is_cartan(span, spec),
+                         lambda: admissible_span(span, spec),
+                         lambda: admissible_span(span[:1], spec)):
+                try:
+                    assert test() is False
+                except StructuralError:
+                    pass
+    assert all(verdict is False for verdict in spec._cartan_verdicts.values())
+    if np.isnan(value):
+        assert spec._cartan_verdicts == {}
+        with pytest.raises(StructuralError, match="not in p"):
+            is_cartan(spans[0], spec)
+
+
 def test_is_cartan_cache_is_bounded_and_drops_the_oldest(uncached_calls):
     spec = so5_spec()
     rng = np.random.default_rng(5)

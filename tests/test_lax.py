@@ -169,10 +169,10 @@ def test_rk4_with_hoisted_powers_matches_per_stage_reference(preset, d, r):
 @pytest.mark.parametrize("preset", ["sphere-grassmannian", "anti-de-sitter"])
 @pytest.mark.parametrize("r", [1, 3, 5])
 def test_lean_single_state_kernels_match_per_stage_reference(preset, r):
-    # The single-state path of flow_rhs (row-stack dot, in-place halves) and
-    # the buffered, in-place RK4 combination give the bytes of the former
-    # broadcast kernels, on states all over a filled grid, as one row.  The
-    # single-state path returns the output buffer it was given.
+    # flow_rhs (row-stack dot, in-place halves) and the buffered, in-place
+    # RK4 combination give the bytes of the per-stage references in fresh
+    # arrays, on states all over a filled grid, as one row.  flow_rhs
+    # returns the output buffer it was given.
     config, xi0 = seeded(preset, 3, nodes=[9, 9])
     states = integrate_grid(xi0, config.family, config.grid, substeps=4)
     norm0 = max(1.0, xi0.norm())
@@ -189,17 +189,15 @@ def test_lean_single_state_kernels_match_per_stage_reference(preset, r):
                                           4, norm0).tobytes()
 
 
-def test_lean_flow_rhs_matches_broadcast_path_on_special_values():
-    # Signed zeros, NaN and inf: the single-state path equals the same
-    # state's slice of the broadcast path.
+def test_lean_flow_rhs_matches_per_stage_reference_on_special_values():
+    # Signed zeros, NaN and inf: the buffered, in-place flow_rhs equals the
+    # per-stage reference in fresh arrays, byte for byte.
     rng = np.random.default_rng(9)
     with np.errstate(invalid="ignore", over="ignore"):
         for stack in special_value_stacks(rng, (4, 5, 5)):
             for r in (1, 3):
-                powers = top_powers(stack[3], r)
-                alone = flow_rhs(stack, powers, 3)
-                batched = flow_rhs(stack[None], tuple(p[None] for p in powers), 3)
-                assert alone.tobytes() == batched[0].tobytes()
+                alone = flow_rhs(stack, top_powers(stack[3], r), 3)
+                assert alone.tobytes() == flow_rhs_per_stage(stack, r, 3).tobytes()
 
 
 def test_rk4_never_writes_into_its_input(monkeypatch):
@@ -317,9 +315,12 @@ def test_hoisted_powers_when_top_moves_inside_an_edge(monkeypatch):
     # On this coarse grid with one substep per edge, xi_d picks up roundoff
     # of its RK4 increments.  The per-stage RK4 rebuilt the powers from each
     # stage's xi_d; the hoisted ones are the start state's, which moves the
-    # states only at roundoff level.
+    # states only at roundoff level.  On config seed 3, xi_d moves on the
+    # SkylakeX, Haswell, Sandybridge, Nehalem and Prescott OpenBLAS kernels
+    # (on seed 0 it stays put on the last two).
     config, xi0 = seeded(
-        "sphere-grassmannian", 3, nodes=[5, 5], extents=[2.0, 2.0], substeps=1
+        "sphere-grassmannian", 3, nodes=[5, 5], extents=[2.0, 2.0], substeps=1,
+        seed=3,
     )
     states = integrate_grid(xi0, config.family, config.grid, substeps=1)
     widths = []

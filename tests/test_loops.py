@@ -21,7 +21,7 @@ from curvedflats.presets import make_preset
 
 from helpers import (
     flow_field,
-    flow_rhs_single,
+    flow_rhs_per_stage,
     from_offblock,
     random_element,
     so5_spec,
@@ -291,18 +291,15 @@ def test_connection_coefficients_of_one_state_match_cauchy_power(d, r):
 @pytest.mark.parametrize("d", [1, 3, 5])
 @pytest.mark.parametrize("r", [1, 3, 5])
 def test_flow_rhs_stack_matches_per_slice_loop(d, r):
-    # The broadcast kernel on a (b, d+1, n, n) stack equals the former
-    # per-degree loop on each slice byte for byte, signed zeros included.
+    # flow_rhs on each state equals the per-stage reference, which makes
+    # the same gemm calls, byte for byte, signed zeros included.
     rng = np.random.default_rng(10 * d + r)
     slices = [random_lax_state(d=d, scale=s, rng=rng).stack for s in (0.3, 0.8, 2.0)]
     slices += [np.zeros((d + 1, 5, 5)), -np.zeros((d + 1, 5, 5))]
-    stack = np.stack(slices)
-    got = flow_rhs(stack, top_powers(stack[:, d], r), d)
-    assert got.shape == stack.shape
-    for i, one in enumerate(slices):
-        assert got[i].tobytes() == flow_rhs_single(one, r, d).tobytes()
+    for one in slices:
         alone = flow_rhs(one, top_powers(one[d], r), d)
-        assert alone.tobytes() == flow_rhs_single(one, r, d).tobytes()
+        assert alone.shape == one.shape
+        assert alone.tobytes() == flow_rhs_per_stage(one, r, d).tobytes()
 
 
 def test_spectral_invariants_values():
