@@ -63,6 +63,16 @@ class BilinearSpace:
         m.setflags(write=False)
         return m
 
+    @cached_property
+    def skew_signs(self):
+        """The +-1 matrix j j^T as a read-only (n, n) array, built on first
+        use: J M J = skew_signs * M entrywise, so X is in so(J) iff
+        X = -skew_signs * X^T, and YX = skew_signs * (XY)^T for X, Y in
+        so(J)."""
+        s = np.outer(self.j_diag, self.j_diag)
+        s.setflags(write=False)
+        return s
+
     @property
     def is_definite(self):
         return self.neg == 0
@@ -205,8 +215,8 @@ def is_cartan(basis, spec):
     bytes, is answered from the spec's verdict cache (the last
     ``CARTAN_CACHE_SIZE`` distinct spans); the gauge asks about one span at
     every node, since A1 is a first integral.  A stack with an element
-    outside p, NaN included, raises ``StructuralError`` on every call and
-    is never cached.
+    outside p, or with a NaN or inf entry, raises ``StructuralError`` on
+    every call and is never cached.
     """
     mats = _span_stack(basis, spec.dim)
     key = (mats.shape, mats.tobytes())
@@ -225,12 +235,18 @@ def _cartan_verdict(mats, spec):
     The k-parts of all elements are tested in one call, the commutant system
     is one broadcast bracket against ``spec.p_basis`` (built once per spec),
     one SVD of the span gives both its dimension and the orthonormal basis
-    for (d), and the first element outside p raises ``StructuralError``: a
-    NaN (or an inf off the k-block) raises, an inf in it fails (a).
+    for (d), and the first element outside p raises ``StructuralError``.  A
+    NaN or inf entry, in any block, puts its element outside p; the
+    finiteness test runs first, so no arithmetic sees it.
     """
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    if not finite.all():
+        raise StructuralError(
+            f"basis element {int(np.argmin(finite))} not in p (non-finite entries)"
+        )
     k_res = np.max(np.abs(spec.k_project(mats)), axis=(-2, -1))
     scale = np.maximum(1.0, np.max(np.abs(mats), axis=(-2, -1)))
-    off_p = np.flatnonzero(~(k_res <= scale * 1e-9))  # NaN is off p too
+    off_p = np.flatnonzero(~(k_res <= scale * 1e-9))
     if off_p.size:
         raise StructuralError(
             f"basis element not in p (k-part {k_res[off_p[0]]:.2e})"

@@ -13,6 +13,7 @@ import re
 import sys
 import zipfile
 import zlib
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,8 @@ NPZ_LEVEL = 2
 STORED_MEMBER = "frames"
 # Nodes whose phi text write_phi_text formats and writes at a time.
 TEXT_ROWS = 256
+# Distinct spaces whose spec RunConfigs share (see shared_spec).
+SHARED_SPECS = 16
 # verify's seed_origin anchor passes when the stored states at the origin are
 # within this many eps * max(1, max|xi0|) of the recomputed seed: the seed's
 # BLAS calls round differently on other kernels than the run's.
@@ -128,6 +131,20 @@ def _real(key, value):
     return float(value)
 
 
+@lru_cache(maxsize=SHARED_SPECS)
+def shared_spec(preset, m, n, signature, split, rank):
+    """The one spec of a space in this process: ``make_preset(preset, m, n)``
+    for a named preset, else the explicit ``signature``/``split``/``rank``
+    space.  Every RunConfig of one space shares it, and with it the Cartan
+    verdicts ``is_cartan`` caches on it, so a ``verify`` after a ``run`` in
+    one process answers the seed's span test from the run's verdict.  A
+    verdict is the one the test gave for the same bytes, so sharing changes
+    no result; an invalid space raises and is not kept."""
+    if preset is not None:
+        return make_preset(preset, m, n)
+    return SymmetricSpaceSpec(BilinearSpace(*signature), split, rank)
+
+
 class RunConfig:
     """Validated run configuration (strict keys, see default_config)."""
 
@@ -160,17 +177,17 @@ class RunConfig:
                 "a named preset, signature/split/rank define the space when it is null"
             )
         if self.preset is not None:
-            sizes = {k: _integral(k, merged[k], 0)
-                     for k in ("m", "n") if k in given}
-            self.spec = make_preset(self.preset, **sizes)
+            m, n = (_integral(k, merged[k], 0) if k in given else None
+                    for k in ("m", "n"))
+            self.spec = shared_spec(self.preset, m, n, None, None, None)
         else:
             for key in ("signature", "split", "rank"):
                 if key not in given:
                     raise ConfigError(f"explicit spec requires {key!r}")
-            pos, neg = _integers("signature", merged["signature"], 2, 0)
-            self.spec = SymmetricSpaceSpec(
-                BilinearSpace(pos, neg),
-                _integers("split", merged["split"], 2, 1),
+            self.spec = shared_spec(
+                None, None, None,
+                tuple(_integers("signature", merged["signature"], 2, 0)),
+                tuple(_integers("split", merged["split"], 2, 1)),
                 _integral("rank", merged["rank"], 1),
             )
 

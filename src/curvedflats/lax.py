@@ -11,11 +11,14 @@ powers of xi_d once, from its start state, and every stage evaluates only
 the rest of the flow.  The fill integrates one slab row of states
 (m, d+1, n, n) per ``_rk4`` call, stage by stage: every stage calls
 ``flow_rhs``, which takes one state, once per node of the row; it writes
-two row-stack ``dot``s and two matmuls into buffers, so each product has
-the gemm shape of a one-node edge.  The stage arguments, the RK4 sums and
-the blow-up test run once on the whole row, elementwise in the
-association of a node's own RK4 sums, so a node's bytes do not depend on
-the width of its row.  One fill (and one commutativity check, whose
+two row-stack ``dot``s into buffers, so each product has the gemm shape of
+a one-node edge, and forms each commutator from its right product alone.
+That needs every operand in so(J): an explicit seed off so(J) by delta
+moves the flow by O(delta).  The slopes, and with them the RK4 sums and
+every filled state of a seed in so(J), are exactly J-skew.  The stage
+arguments, the RK4 sums and the blow-up test run once on the whole row,
+elementwise in the association of a node's own RK4 sums, so a node's bytes
+do not depend on the width of its row.  One fill (and one commutativity check, whose
 rows are of one state) builds the row buffers and every node's views once;
 only the states a row returns are its own.  After each substep the blow-up
 test is one BLAS ``vdot`` over the row: a row whose sum of squares is at
@@ -44,8 +47,8 @@ import numpy as np
 from .errors import BlowUpError, ConfigError, StructuralError
 from .loops import (
     evaluate_stack,
+    flow_buffers,
     flow_rhs,
-    state_views,
     top_powers,
     trace_powers,
 )
@@ -111,28 +114,31 @@ class GridSpec:
 
 def _rk4_scratch(shape, width):
     """The buffers of one fill's ``_rk4`` calls on rows of at most ``width``
-    states of ``shape``: ``(y, arg, k1, k, nodes)``.  ``y``, ``arg``, ``k1``
-    and ``k`` are (width,) + shape: the row's state, its stage argument, k1
-    and the slope buffer of k2, k3 and k4.  ``nodes`` holds per node
-    ``(y_j, at_y, arg_j, at_arg)``: its state with the ``flow_rhs`` buffers
-    of k1 (the state's ``state_views``, then k1's, then a scratch pair) and
-    its stage argument with those of k2, k3 and k4 (the argument's, the
-    slope buffer's, the scratch pair).  Every node shares the one scratch
-    pair, and every buffer is written before it is read within a row."""
-    y, arg, k1, k = (np.empty((width,) + shape) for _ in range(4))
-    pair = (state_views(np.empty(shape)), state_views(np.empty(shape)))
+    states of ``shape``: ``(y, arg, k1, k, nodes)``.  ``y`` and ``arg`` are
+    (width,) + shape: the row's state and its stage argument.  ``k1`` and
+    ``k``, the slope buffers of k1 and of k2, k3 and k4, are the first
+    halves ``K[:, 0]`` of (width, 2) + shape arrays whose second halves hold
+    each node's commutator tails (see ``flow_buffers``).  ``nodes`` holds
+    per node ``(y_j, at_y, arg_j, at_arg)``: its state with the
+    ``flow_buffers`` of k1 and its stage argument with those of k2, k3 and
+    k4.  Every node shares one scratch pair, and every buffer is written
+    before it is read within a row."""
+    y, arg = np.empty((width,) + shape), np.empty((width,) + shape)
+    k1_pairs, k_pairs = np.zeros((width, 2) + shape), np.zeros((width, 2) + shape)
+    scratch = np.empty((2,) + shape)
     nodes = tuple(
-        (y[j], (state_views(y[j]), state_views(k1[j])) + pair,
-         arg[j], (state_views(arg[j]), state_views(k[j])) + pair)
+        (y[j], flow_buffers(y[j], k1_pairs[j], scratch),
+         arg[j], flow_buffers(arg[j], k_pairs[j], scratch))
         for j in range(width)
     )
-    return y, arg, k1, k, nodes
+    return y, arg, k1_pairs[:, 0], k_pairs[:, 0], nodes
 
 
-def _rk4(rows, r, d, t, steps, norm0, scratch=None):
+def _rk4(rows, r, d, t, steps, norm0, signs, scratch=None):
     """RK4 of the r-flow for time ``t`` in ``steps`` substeps on every state
     of ``rows`` (m, d+1, n, n), stage by stage across the row; returns the
-    m states as an array of their own.
+    m states as an array of their own.  ``signs`` is the ``skew_signs`` of
+    the states' space, which ``flow_rhs`` takes.
 
     Every stage calls ``flow_rhs`` once per node, on that node's single
     state, so every product has the gemm shape of a one-node call; the
@@ -166,8 +172,8 @@ def _rk4(rows, r, d, t, steps, norm0, scratch=None):
     k1_calls, k_calls = [], []
     for (y_j, at_y, arg_j, at_arg), top in zip(scratch[4], rows[:, d]):
         powers = top_powers(top, r)
-        k1_calls.append((y_j, powers, d, at_y))
-        k_calls.append((arg_j, powers, d, at_arg))
+        k1_calls.append((y_j, powers, d, signs, at_y))
+        k_calls.append((arg_j, powers, d, signs, at_arg))
     np.copyto(y, rows)
     for i in range(steps):
         for call in k1_calls:
@@ -243,6 +249,7 @@ def integrate_grid(xi0, family, grid, substeps=4):
     priority = sorted(range(family.dims), key=family.powers.__getitem__, reverse=True)
     slabs = grid.slabs(priority)
     scratch = _rk4_scratch(xi0.stack.shape, max(ids.shape[1] for _, ids in slabs))
+    signs = xi0.spec.space.skew_signs
     try:
         with np.errstate(**_BLOWUP_IS_CHECKED):
             for axis, ids in slabs:
@@ -250,7 +257,7 @@ def integrate_grid(xi0, family, grid, substeps=4):
                 for prev_row, row in zip(ids, ids[1:]):
                     try:
                         flat[row] = _rk4(flat[prev_row], r, d, t, substeps, norm0,
-                                         scratch)
+                                         signs, scratch)
                     except BlowUpError:
                         # The first failing node in slab order may fail at a
                         # later substep than another node of its row: the
@@ -258,7 +265,7 @@ def integrate_grid(xi0, family, grid, substeps=4):
                         # node of a failed row does) is the fill's error.
                         for prev, node in zip(prev_row.tolist(), row.tolist()):
                             _rk4(flat[prev][None], r, d, t, substeps, norm0,
-                                 scratch)
+                                 signs, scratch)
                         raise
     except BlowUpError as err:  # only ``_rk4`` raises it, so ``node`` is set
         index = tuple(int(i) for i in np.unravel_index(node, grid.nodes))
@@ -280,13 +287,14 @@ def commutativity_check(xi0, family, target, steps):
 
     norm0 = max(1.0, xi0.norm())
     scratch = _rk4_scratch(xi0.stack.shape, 1)
+    signs = xi0.spec.space.skew_signs
 
     def run(order):  # the state as a row of one
         y = xi0.stack[None]
         for axis in order:
             if target[axis] != 0.0:
                 y = _rk4(y, family.powers[axis], family.d, target[axis], steps,
-                         norm0, scratch)
+                         norm0, signs, scratch)
         return y
 
     forward = list(range(family.dims))

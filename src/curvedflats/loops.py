@@ -9,9 +9,11 @@ The flows and the connection share one kernel for the two coefficients of
 pi_+ Vt_r: ``top_powers`` builds the powers of the top coefficient xi_d, a
 first integral of every flow, and ``connection_coefficients`` takes them;
 the seed test reads A1 = xi_d^r from ``top_powers`` alone; ``flow_rhs`` is
-the one flow.  The full Cauchy power and the flow field built from it
-(``tilde_v``, ``flow_field``) are the tests' independent reference, in
-``tests/helpers.py``.
+the one flow.  Its operands must lie in so(J): it forms every commutator
+[X, Y] from the right product XY alone, since YX = J (XY)^T J there, and
+an operand off so(J) by delta moves the flow by O(delta).  The full Cauchy
+power and the flow field built from it (``tilde_v``, ``flow_field``) are
+the tests' independent reference, in ``tests/helpers.py``.
 """
 
 import numpy as np
@@ -104,50 +106,66 @@ class FlowFamily:
         return f"FlowFamily(powers={self.powers}, d={self.d})"
 
 
-def flow_rhs(stack, powers, d, buffers=None):
+def flow_rhs(stack, powers, d, signs, buffers=None):
     """Raw right-hand side of the r-flow on one state (d+1, n, n) (hot path).
 
     X_r(xi) = [xi, pi_+ Vt_r(xi)] without its identically-zero degree-(d+1)
     term: coefficient k is [xi_k, b0] + [xi_{k-1}, b1] with (b0, b1) the
     pair of ``connection_coefficients`` and r = ``len(powers)``, the powers
-    of xi_d from ``top_powers``.  Each right product of all degrees is one
-    ``ndarray.dot`` on the (d+1)n x n row stack and each left product one
-    matmul, written into ``buffers``: the ``state_views`` of the stack, of
-    the output and of the tail and left scratch states (fresh ones when
-    None; successive calls may share the scratch pair, which is written
-    before it is read).  It subtracts the commutator halves in place and
-    returns the output buffer.  A batch of states keeps these bytes only as
-    a row stack of the same gemm shape: on some BLAS kernels (OpenBLAS
-    Nehalem) a product of n x n slices sums in another order.
+    of xi_d from ``top_powers``.  For X, Y in so(J), YX = J (XY)^T J, so
+    each commutator is [X, Y] = P - signs * P^T with P = XY its right
+    product alone and ``signs`` the ``skew_signs`` j j^T of the space.  The
+    operands must therefore be in so(J): an explicit state off so(J) by
+    delta gets a flow that differs from the two-sided bracket by O(delta).
+    Whatever P is, the result equals -signs * result^T exactly (==, up to
+    the sign of a zero), and so do the RK4 sums of such slopes, so the
+    filled states of a seed in so(J) stay exactly in so(J).  The right
+    products of all degrees are two ``ndarray.dot``s on the row stack, xi b0
+    ((d+1)n x n) and the lower degrees times b1 (dn x n), written into the
+    two halves of one (2, d+1, n, n) buffer, the second at degrees 1..d.
+    One multiply mirrors both halves into the scratch pair, one subtraction
+    forms both commutators, and the tail adds into the slope.  ``buffers``
+    are the ``flow_buffers`` of the stack (fresh ones when None; successive
+    calls may share the scratch pair, which is written before it is read).
+    Returns the slope, the first half of the buffer.  A batch of states
+    keeps these bytes only as a row stack of the same gemm shape: on some
+    BLAS kernels (OpenBLAS Nehalem) a product of n x n slices sums in
+    another order.
     """
     if buffers is None:
-        buffers = (state_views(stack),) + tuple(
-            state_views(np.empty_like(stack)) for _ in range(3)
-        )
-    ((_, rows, lower_rows, lower, _), (out, out_rows, _, _, upper),
-     (_, _, tail_rows, tail, _), (left, _, _, left_lower, _)) = buffers
+        buffers = flow_buffers(stack, np.zeros((2,) + stack.shape),
+                               np.empty((2,) + stack.shape))
+    (rows, lower_rows, slope_rows, tail_rows, pair, mirror, scratch, slope,
+     upper, tail) = buffers
     if len(powers) == 1:  # r = 1: the pair is (xi_{d-1}, xi_d), no chain
         b0, b1 = stack[d - 1], powers[0]
     else:
         b0, b1 = connection_coefficients(stack, powers, d)
-    rows.dot(b0, out_rows)
-    np.matmul(b0, stack, left)
-    out -= left
+    rows.dot(b0, slope_rows)
     lower_rows.dot(b1, tail_rows)
-    np.matmul(b1, lower, left_lower)
-    tail -= left_lower
+    np.multiply(signs, mirror, scratch)
+    pair -= scratch
     upper += tail
-    return out
+    return slope
 
 
-def state_views(stack):
+def flow_buffers(stack, pair, scratch):
     """The views of a single state (d+1, n, n) that ``flow_rhs`` reads and
-    writes: ``(stack, rows, lower rows, lower, upper)``, with ``rows`` its
-    (d+1)n x n row stack, ``lower`` its degrees 0..d-1 and ``upper`` its
-    degrees 1..d.  A caller that evaluates many stages builds them once per
-    buffer."""
-    rows = stack.reshape(-1, stack.shape[-1])
-    return stack, rows, rows[:-stack.shape[-1]], stack[:-1], stack[1:]
+    writes, with ``pair`` and ``scratch`` (2, d+1, n, n) C-contiguous:
+    ``(rows, lower rows, slope rows, tail rows, pair, mirror, scratch,
+    slope, upper, tail)``.  ``rows`` is the (d+1)n x n row stack of the
+    state and ``lower rows`` that of its degrees 0..d-1.  The slope is
+    ``pair[0]``, with ``slope rows`` its row stack and ``upper`` its degrees
+    1..d; the tail is degrees 1..d of ``pair[1]``, with ``tail rows`` its
+    row stack, and degree 0 of ``pair[1]`` is never read (zero, it stays
+    zero).  ``mirror`` is ``pair`` with each n x n slice transposed.  A
+    caller that evaluates many stages builds them once per buffer."""
+    n = stack.shape[-1]
+    rows = stack.reshape(-1, n)
+    slope_rows, tail_rows = pair.reshape(2, -1, n)
+    return (rows, rows[:-n], slope_rows, tail_rows[n:], pair,
+            pair.transpose(0, 1, 3, 2), scratch, pair[0], pair[0, 1:],
+            pair[1, 1:])
 
 
 def top_powers(top, r):

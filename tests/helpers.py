@@ -182,20 +182,25 @@ def connection_pair_per_stage(stack, r, d):
     return lo, hi
 
 
-def flow_rhs_per_stage(stack, r, d):
+def flow_rhs_per_stage(stack, r, d, signs):
     """The former ``loops.flow_rhs`` on one state (d+1, n, n), on the pair
     of ``connection_pair_per_stage``, in fresh arrays: each right product
-    is one gemm on the row stack of the degrees it takes, each left product
-    one matmul, the gemm shapes of ``loops.flow_rhs``."""
+    P is one gemm on the row stack of the degrees it takes, the gemm shapes
+    of ``loops.flow_rhs``, and each commutator is P - signs * P^T, the
+    bracket of two so(J) operands for ``signs`` = j j^T."""
     b0, b1 = connection_pair_per_stage(stack, r, d)
     n = stack.shape[-1]
     lower = stack[:-1]
-    out = (stack.reshape(-1, n) @ b0).reshape(stack.shape) - b0 @ stack
-    out[1:] += (lower.reshape(-1, n) @ b1).reshape(lower.shape) - b1 @ lower
+
+    def bracket(right):
+        return right - signs * np.swapaxes(right, -1, -2)
+
+    out = bracket((stack.reshape(-1, n) @ b0).reshape(stack.shape))
+    out[1:] += bracket((lower.reshape(-1, n) @ b1).reshape(lower.shape))
     return out
 
 
-def rk4_per_stage(rows, r, d, t, steps, norm0, scratch=None):
+def rk4_per_stage(rows, r, d, t, steps, norm0, signs, scratch=None):
     """The former ``lax._rk4``, which rebuilt the powers of xi_d in every
     RK4 stage from that stage's state, on each state of ``rows`` (m, d+1,
     n, n) in turn; the hoisted one must equal it byte for byte wherever
@@ -211,10 +216,10 @@ def rk4_per_stage(rows, r, d, t, steps, norm0, scratch=None):
     out = []
     for y in rows:
         for i in range(steps):
-            k1 = flow_rhs_per_stage(y, r, d)
-            k2 = flow_rhs_per_stage(y + half * k1, r, d)
-            k3 = flow_rhs_per_stage(y + half * k2, r, d)
-            k4 = flow_rhs_per_stage(y + h * k3, r, d)
+            k1 = flow_rhs_per_stage(y, r, d, signs)
+            k2 = flow_rhs_per_stage(y + half * k1, r, d, signs)
+            k3 = flow_rhs_per_stage(y + half * k2, r, d, signs)
+            k4 = flow_rhs_per_stage(y + h * k3, r, d, signs)
             y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not (np.abs(y).max() <= limit):
                 raise BlowUpError(
@@ -236,7 +241,8 @@ def integrate_grid_default_sweep(xi0, family, grid, substeps):
     for index, prev, axis in edges_per_node(grid, range(grid.dims)):
         if prev is not None:
             states[index] = _rk4(states[prev][None], family.powers[axis],
-                                 family.d, grid.steps[axis], substeps, norm0)[0]
+                                 family.d, grid.steps[axis], substeps, norm0,
+                                 xi0.spec.space.skew_signs)[0]
     return states
 
 
@@ -261,7 +267,7 @@ def integrate_grid_node_by_node(xi0, family, grid, substeps):
             for prev, node in zip(ids[:-1].ravel().tolist(), ids[1:].ravel().tolist()):
                 try:
                     flat[node] = _rk4(flat[prev][None], r, family.d, t, substeps,
-                                      norm0, scratch)[0]
+                                      norm0, xi0.spec.space.skew_signs, scratch)[0]
                 except BlowUpError as err:
                     index = tuple(int(i) for i in np.unravel_index(node, grid.nodes))
                     raise BlowUpError(

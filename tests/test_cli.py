@@ -34,6 +34,7 @@ from curvedflats.errors import ConfigError, MissingArtifactError, NonImmersiveEr
 from curvedflats.frame import ConnectionForm, connection_from_state
 from curvedflats.geometry import gauge_to_normal_form
 from curvedflats.lax import integrate_grid
+from curvedflats.loops import top_powers
 
 from helpers import (
     from_offblock,
@@ -193,7 +194,17 @@ def test_seeded_run_with_flow_count_other_than_rank(tmp_path, powers, nodes, fla
     assert json.loads((out / "report.json").read_text())["flags"] == flags
 
 
-def test_gauge_span_test_runs_once_per_distinct_span(tmp_path, monkeypatch):
+@pytest.fixture
+def fresh_specs():
+    """No spec shared from an earlier test: every span test of this one
+    starts from an empty verdict cache."""
+    cli.shared_spec.cache_clear()
+    yield
+    cli.shared_spec.cache_clear()
+
+
+def test_gauge_span_test_runs_once_per_distinct_span(tmp_path, monkeypatch,
+                                                     fresh_specs):
     # A1 is a first integral, so the gauge asks is_cartan about one span (up
     # to signed zeros) at every node: the calls stay at gauge nodes + seed,
     # and only the seed's span and the distinct gauge spans run the test.
@@ -215,6 +226,35 @@ def test_gauge_span_test_runs_once_per_distinct_span(tmp_path, monkeypatch):
     assert code == 0
     assert calls["is_cartan"] == 9 * 9 + 1
     assert 1 <= calls["uncached"] <= 3
+
+
+def test_verify_after_run_reuses_the_seeds_cartan_verdict(tmp_path, monkeypatch,
+                                                         fresh_specs):
+    # RunConfigs of one space share its spec, so verify's seed anchor finds
+    # the verdict the run's seed test cached: in one process the seed's
+    # span is judged once, and verify judges no span at all.
+    judged = []
+    test = algebra._cartan_verdict
+
+    def recording(mats, spec):
+        judged.append(mats.tobytes())
+        return test(mats, spec)
+
+    monkeypatch.setattr(algebra, "_cartan_verdict", recording)
+    raw = dict(default_config(), nodes=[9, 9], mu_samples=[1.0],
+               commutativity_steps=4)
+    config = RunConfig(raw)
+    xi0, _ = seed_initial_state(config)
+    _, code = run_pipeline(config, tmp_path / "o")
+    assert code == 0
+    after_run = list(judged)
+    assert verify_command(tmp_path / "o")[1] == 0
+    assert judged == after_run
+    powers = config.family.powers
+    tops = top_powers(xi0.stack[-1], powers[-1])
+    seed_span = np.stack([tops[r - 1] for r in powers]).tobytes()
+    assert judged.count(seed_span) == 1
+    assert RunConfig(json.loads(json.dumps(raw))).spec is config.spec
 
 
 def test_report_computes_gauge_only_parts_once(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from curvedflats import lax
 from curvedflats.cli import RunConfig, seed_initial_state
 from curvedflats.errors import NumericalError, StructuralError
+from curvedflats.presets import make_preset
 from curvedflats.lax import (
     GridSpec,
     commutativity_check,
@@ -16,8 +17,8 @@ from curvedflats.loops import (
     FlowFamily,
     LaxState,
     evaluate_stack,
+    flow_buffers,
     flow_rhs,
-    state_views,
     top_powers,
     trace_powers,
     twist_residual,
@@ -40,6 +41,8 @@ from helpers import (
 
 RNG = np.random.default_rng(555)
 SPEC = so5_spec()
+# The sign matrices j j^T of a definite and an indefinite metric.
+SIGNS = (SPEC.space.skew_signs, make_preset("anti-de-sitter").space.skew_signs)
 
 
 def random_state(d=3, scale=0.8, seed=None):
@@ -160,9 +163,10 @@ def test_rk4_with_hoisted_powers_matches_per_stage_reference(preset, d, r):
     _, xi0 = seeded(preset, d)
     norm0 = max(1.0, xi0.norm())
     for t, steps in ((0.0125, 4), (0.2, 2)):
-        got = lax._rk4(xi0.stack[None], r, d, t, steps, norm0)
+        signs = xi0.spec.space.skew_signs
+        got = lax._rk4(xi0.stack[None], r, d, t, steps, norm0, signs)
         assert np.array_equal(got[0, d], xi0.stack[d])
-        expected = rk4_per_stage(xi0.stack[None], r, d, t, steps, norm0)
+        expected = rk4_per_stage(xi0.stack[None], r, d, t, steps, norm0, signs)
         assert got.tobytes() == expected.tobytes()
 
 
@@ -176,28 +180,31 @@ def test_lean_single_state_kernels_match_per_stage_reference(preset, r):
     config, xi0 = seeded(preset, 3, nodes=[9, 9])
     states = integrate_grid(xi0, config.family, config.grid, substeps=4)
     norm0 = max(1.0, xi0.norm())
+    signs = xi0.spec.space.skew_signs
     row = np.stack([states[node] for node in ((0, 0), (8, 0), (3, 5), (8, 8))])
     for state in row:
-        got = flow_rhs(state, top_powers(state[3], r), 3)
-        assert got.tobytes() == flow_rhs_per_stage(state, r, 3).tobytes()
-        buffers = (state_views(state),) + tuple(
-            state_views(np.empty_like(state)) for _ in range(3)
-        )
-        assert flow_rhs(state, top_powers(state[3], r), 3, buffers) is buffers[1][0]
-    got = lax._rk4(row, r, 3, config.grid.steps[0], 4, norm0)
+        got = flow_rhs(state, top_powers(state[3], r), 3, signs)
+        assert got.tobytes() == flow_rhs_per_stage(state, r, 3, signs).tobytes()
+        buffers = flow_buffers(state, np.zeros((2,) + state.shape),
+                               np.empty((2,) + state.shape))
+        slope = flow_rhs(state, top_powers(state[3], r), 3, signs, buffers)
+        assert slope is buffers[7] and slope.tobytes() == got.tobytes()
+    got = lax._rk4(row, r, 3, config.grid.steps[0], 4, norm0, signs)
     assert got.tobytes() == rk4_per_stage(row, r, 3, config.grid.steps[0],
-                                          4, norm0).tobytes()
+                                          4, norm0, signs).tobytes()
 
 
 def test_lean_flow_rhs_matches_per_stage_reference_on_special_values():
     # Signed zeros, NaN and inf: the buffered, in-place flow_rhs equals the
-    # per-stage reference in fresh arrays, byte for byte.
+    # per-stage reference in fresh arrays, byte for byte, for a definite and
+    # an indefinite metric.
     rng = np.random.default_rng(9)
     with np.errstate(invalid="ignore", over="ignore"):
         for stack in special_value_stacks(rng, (4, 5, 5)):
-            for r in (1, 3):
-                alone = flow_rhs(stack, top_powers(stack[3], r), 3)
-                assert alone.tobytes() == flow_rhs_per_stage(stack, r, 3).tobytes()
+            for r, signs in itertools.product((1, 3), SIGNS):
+                alone = flow_rhs(stack, top_powers(stack[3], r), 3, signs)
+                want = flow_rhs_per_stage(stack, r, 3, signs)
+                assert alone.tobytes() == want.tobytes()
 
 
 def test_rk4_never_writes_into_its_input(monkeypatch):
@@ -207,11 +214,11 @@ def test_rk4_never_writes_into_its_input(monkeypatch):
     rk4 = lax._rk4
     checked, views = [], []
 
-    def guarded(rows, r, d, t, steps, norm0, scratch=None):
+    def guarded(rows, r, d, t, steps, norm0, signs, scratch=None):
         assert rows.ndim == 4
         views.append(rows.base is not None)
         before = rows.copy()
-        out = rk4(rows, r, d, t, steps, norm0, scratch)
+        out = rk4(rows, r, d, t, steps, norm0, signs, scratch)
         assert rows.tobytes() == before.tobytes()
         assert not np.shares_memory(out, rows)
         checked.append(len(rows))
@@ -238,9 +245,10 @@ def test_rk4_result_owns_its_memory(steps):
     # writes, whatever the number of substeps.
     xi = random_state(d=3, seed=8)
     norm0 = max(1.0, xi.norm())
-    first = lax._rk4(xi.stack[None], 3, 3, 0.1, steps, norm0)
+    signs = SPEC.space.skew_signs
+    first = lax._rk4(xi.stack[None], 3, 3, 0.1, steps, norm0, signs)
     kept = first.copy()
-    second = lax._rk4(first, 1, 3, 0.1, steps, norm0)
+    second = lax._rk4(first, 1, 3, 0.1, steps, norm0, signs)
     assert first.flags.owndata and second.flags.owndata
     assert not np.shares_memory(first, xi.stack)
     assert not np.shares_memory(second, first)
@@ -262,9 +270,9 @@ def test_fill_and_commutativity_build_one_rk4_scratch_set(monkeypatch):
 
     def kept(*args):
         results.append(rk4(*args))
-        assert len(args) == 7 and args[6] is not None
+        assert len(args) == 8 and args[7] is not None
         rows = args[0]
-        fresh = rk4(*args[:6], scratch(rows.shape[1:], len(rows)))
+        fresh = rk4(*args[:7], scratch(rows.shape[1:], len(rows)))
         assert results[-1].tobytes() == fresh.tobytes()
         widths.append(len(rows))
         return results[-1]
@@ -346,9 +354,9 @@ def test_integrate_grid_gives_the_cheapest_flow_the_most_edges(
     seen = []
     rk4 = lax._rk4
 
-    def spy(rows, r, d, t, steps, norm0, scratch=None):
+    def spy(rows, r, d, t, steps, norm0, signs, scratch=None):
         seen.extend([r] * len(rows))
-        return rk4(rows, r, d, t, steps, norm0, scratch)
+        return rk4(rows, r, d, t, steps, norm0, signs, scratch)
 
     monkeypatch.setattr(lax, "_rk4", spy)
     grid = GridSpec([0.1] * len(nodes), nodes)
@@ -396,9 +404,9 @@ def test_row_fill_equals_node_by_node_fill(monkeypatch, preset, d, powers, nodes
     ref = integrate_grid_node_by_node(xi0, config.family, config.grid, 4)
     shapes, rhs = [], lax.flow_rhs
 
-    def spy(stack, powers, d, buffers=None):
+    def spy(stack, powers, d, signs, buffers=None):
         shapes.append(stack.shape)
-        return rhs(stack, powers, d, buffers)
+        return rhs(stack, powers, d, signs, buffers)
 
     monkeypatch.setattr(lax, "flow_rhs", spy)
     states = integrate_grid(xi0, config.family, config.grid, 4)
@@ -452,7 +460,8 @@ def test_row_blow_up_names_its_first_failing_node_not_its_first_failure():
     with np.errstate(**lax._BLOWUP_IS_CHECKED):
         for state in before:
             with pytest.raises(BlowUpError) as err:
-                lax._rk4(state[None], 1, 3, 2.5, 16, max(1.0, xi0.norm()))
+                lax._rk4(state[None], 1, 3, 2.5, 16, max(1.0, xi0.norm()),
+                         xi0.spec.space.skew_signs)
             failed_at.append(err.value.last_t)
     assert failed_at[0] == got[2] and min(failed_at[1:]) < failed_at[0]
 
@@ -462,7 +471,7 @@ def rk4(xi, r, t, steps):
     it."""
     with np.errstate(**lax._BLOWUP_IS_CHECKED):
         return lax._rk4(xi.stack[None], r, xi.d, t, steps,
-                        max(1.0, xi.norm()))[0]
+                        max(1.0, xi.norm()), xi.spec.space.skew_signs)[0]
 
 
 def test_integrate_flow_stationary_and_zero_time():
@@ -515,6 +524,47 @@ def test_integrate_grid_finite_and_twisted():
     assert twist_residual(states, 0, SPEC) >= 1e-3
 
 
+def is_exactly_j_skew(m, signs):
+    """m == -signs * m^T entrywise, exactly (== does not tell -0 from +0,
+    and the diagonal of a J-skew matrix is a zero of either sign)."""
+    return np.array_equal(m, -signs * np.swapaxes(m, -1, -2))
+
+
+@pytest.mark.parametrize("preset", ["sphere-grassmannian", "anti-de-sitter",
+                                    "isothermic"])
+@pytest.mark.parametrize("d", [1, 3, 5])
+@pytest.mark.parametrize("powers,nodes", [([1, 3], [9, 7]), ([1, 3, 5], [4, 5, 3])])
+def test_filled_states_stay_exactly_in_so_j(preset, d, powers, nodes):
+    # Each commutator is P - signs * P^T, which is J-skew whatever its right
+    # product P is, and the RK4 sums keep that exactly: every filled state
+    # of a seed in so(J) is in so(J) to the last bit, on both signatures.
+    config, xi0 = seeded(preset, d, powers=powers, nodes=nodes,
+                         extents=[0.4] * len(nodes))
+    signs = xi0.spec.space.skew_signs
+    assert is_exactly_j_skew(xi0.stack, signs)
+    states = integrate_grid(xi0, config.family, config.grid, 4)
+    assert not np.array_equal(states[(-1,) * len(nodes)], xi0.stack)
+    assert is_exactly_j_skew(states, signs)
+
+
+@pytest.mark.parametrize("preset", ["sphere-grassmannian", "anti-de-sitter",
+                                    "isothermic"])
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_flow_rhs_is_exactly_j_skew_on_random_states(preset, d):
+    spec = make_preset(preset)
+    signs = spec.space.skew_signs
+    rng = np.random.default_rng(31 * d + len(preset))
+    for scale in (0.3, 0.8, 2.0):
+        stack = np.stack([random_element(rng, spec, scale=scale).matrix
+                          for _ in range(d + 1)])
+        assert is_exactly_j_skew(stack, signs)
+        for r in (1, 3, 5):
+            slope = flow_rhs(stack, top_powers(stack[d], r), d, signs)
+            assert is_exactly_j_skew(slope, signs)
+            # At d = 1 the r = 1 flow is stationary.
+            assert np.any(slope != 0.0) or (d, r) == (1, 1)
+
+
 def test_integrate_grid_deterministic():
     xi = random_state(d=3, seed=5)
     grid = GridSpec([0.3, 0.3], [5, 5])
@@ -550,8 +600,8 @@ def test_integrate_grid_non_finite_state_blows_up_at_its_node(monkeypatch, bad):
     from curvedflats import lax
     from curvedflats.errors import BlowUpError
 
-    def non_finite_rhs(y, powers, d, buffers):
-        out = buffers[1][0]
+    def non_finite_rhs(y, powers, d, signs, buffers):
+        out = buffers[7]
         out.fill(bad)
         return out
 
@@ -569,13 +619,13 @@ def test_integrate_grid_non_finite_state_blows_up_at_its_node(monkeypatch, bad):
 def zero_rhs_edge(monkeypatch, stack, norm0):
     """One substep of ``_rk4`` on ``stack`` as a row of one, with a zero
     right-hand side: the blow-up test sees ``stack`` itself."""
-    def zero_rhs(y, powers, d, buffers):
-        out = buffers[1][0]
+    def zero_rhs(y, powers, d, signs, buffers):
+        out = buffers[7]
         out.fill(0.0)
         return out
 
     monkeypatch.setattr(lax, "flow_rhs", zero_rhs)
-    return lax._rk4(stack[None], 1, 3, 0.1, 1, norm0)[0]
+    return lax._rk4(stack[None], 1, 3, 0.1, 1, norm0, SPEC.space.skew_signs)[0]
 
 
 def test_blow_up_test_falls_back_to_max_when_sum_of_squares_is_large(monkeypatch):

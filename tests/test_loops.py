@@ -254,7 +254,8 @@ def test_flow_rhs_matches_flow_field(d, r):
     for xi in states:
         expected = flow_field(xi, r).stack
         scale = max(1.0, float(np.max(np.abs(xi.stack)))) ** (r + 1)
-        got = flow_rhs(xi.stack, top_powers(xi.stack[d], r), d)
+        got = flow_rhs(xi.stack, top_powers(xi.stack[d], r), d,
+                       SPEC.space.skew_signs)
         assert np.max(np.abs(got - expected)) < 1e-13 * scale
     # The top-two kernel reproduces degrees 0 and 1 of the full Cauchy power
     # byte for byte (signed zeros included), also on a stack of states.
@@ -297,9 +298,10 @@ def test_flow_rhs_stack_matches_per_slice_loop(d, r):
     slices = [random_lax_state(d=d, scale=s, rng=rng).stack for s in (0.3, 0.8, 2.0)]
     slices += [np.zeros((d + 1, 5, 5)), -np.zeros((d + 1, 5, 5))]
     for one in slices:
-        alone = flow_rhs(one, top_powers(one[d], r), d)
+        alone = flow_rhs(one, top_powers(one[d], r), d, SPEC.space.skew_signs)
         assert alone.shape == one.shape
-        assert alone.tobytes() == flow_rhs_per_stage(one, r, d).tobytes()
+        want = flow_rhs_per_stage(one, r, d, SPEC.space.skew_signs)
+        assert alone.tobytes() == want.tobytes()
 
 
 def test_spectral_invariants_values():
